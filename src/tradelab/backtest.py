@@ -5,12 +5,18 @@ open, with slippage applied adversely and a proportional fee; open positions
 left at the end of the data are force-closed at the final close (flagged).
 Accounting invariant maintained throughout: equity = cash + sum(qty * close),
 and every equity change flows through a fill or a price move.
+
+The fill/ledger kernel lives here and nowhere else: ``size_order`` turns an
+intent into a quantity, ``Book`` turns an order into a fill, and
+``TradeLedger`` pairs fills into trades and keeps the stop state. The
+backtester, ``broker.SimulatedBroker`` and ``broker.paper_trade_loop`` all
+run on it.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .data import CandleSeries
@@ -19,6 +25,7 @@ from .indicators import AtrStream
 from .strategy import (
     PositionStopState,
     Side,
+    StopSettings,
     StrategyConfig,
     StrategyKind,
     TradeIntent,
@@ -43,6 +50,12 @@ class CostModel:
     @property
     def slippage_rate(self) -> float:
         return self.slippage_bps / 10_000.0
+
+    def fill_price(self, raw_price: float, buy: bool) -> float:
+        """Execution price with slippage applied against the trader."""
+        if buy:
+            return raw_price * (1.0 + self.slippage_rate)
+        return raw_price * (1.0 - self.slippage_rate)
 
 
 ZERO_COSTS = CostModel(fee_bps=0.0, slippage_bps=0.0)
@@ -74,29 +87,6 @@ class Fill:
     fee: float
     reason: str = ""
     forced: bool = False
-
-
-@dataclass
-class PositionState:
-    quantity: float = 0.0
-    avg_price: float = 0.0
-    stop: PositionStopState | None = None
-
-
-@dataclass
-class Account:
-    """Spot account: cash plus signed base-asset positions."""
-
-    cash: float
-    positions: dict[str, PositionState] = field(default_factory=dict)
-    fees_paid: float = 0.0
-
-    def position(self, symbol: str) -> PositionState:
-        state = self.positions.get(symbol)
-        if state is None:
-            state = PositionState()
-            self.positions[symbol] = state
-        return state
 
 
 @dataclass(frozen=True)
@@ -139,9 +129,6 @@ class BacktestReport:
     forced_close: bool = False
     interrupted: bool = False
 
-    def equity_curve(self) -> list[tuple[int, float]]:
-        return list(zip(self.timestamps, self.equity))
-
 
 def compute_metrics(equity: list[float], trades: list[TradeRecord]) -> Metrics:
     """Net profit, peak-to-trough drawdown and win rate over a run."""
@@ -173,20 +160,161 @@ def score(report, drawdown_lambda: float = 0.5) -> float:
     return metrics.net_profit_pct - drawdown_lambda * metrics.max_drawdown_pct
 
 
-def open_quantity(intent: TradeIntent, cash: float, price: float, fee_rate: float) -> float:
-    """Quantity for an opening fill: fractional intents spend that share of
-    available cash, fees included, so a 100% open leaves cash at zero."""
-    if intent.absolute:
-        return intent.size
-    return intent.size * cash / (price * (1.0 + fee_rate))
+def size_order(intent: TradeIntent, held: float, cash: float, raw_price: float,
+               costs: CostModel) -> float | str:
+    """Signed quantity to trade for an intent (buys > 0, sells < 0), or the
+    reason it cannot be placed.
+
+    Fractional opens spend that share of ``cash`` at the slipped price, fees
+    included, so a 100% open leaves cash at zero. Closes take a share of the
+    position ``held``, or an absolute quantity clamped to it.
+    """
+    side = intent.side
+    if side is Side.OPEN_LONG or side is Side.OPEN_SHORT:
+        buy = side is Side.OPEN_LONG
+        if buy and held < 0:
+            return "symbol currently short"
+        if not buy and held > 0:
+            return "symbol currently long"
+        if intent.absolute:
+            qty = intent.size
+        else:
+            price = costs.fill_price(raw_price, buy)
+            qty = intent.size * cash / (price * (1.0 + costs.fee_rate))
+        if qty <= 0:
+            return "zero quantity"
+        return qty if buy else -qty
+    if side is Side.CLOSE_LONG:
+        if held <= 0:
+            return "no open long position"
+        return -(min(intent.size, held) if intent.absolute else held * intent.size)
+    if held >= 0:
+        return "no open short position"
+    return min(intent.size, -held) if intent.absolute else -held * intent.size
+
+
+class Book:
+    """One account: cash plus signed base-asset positions, and fees paid.
+
+    :meth:`fill` is the only place where an order becomes a fill. It applies
+    slippage against the trader and the proportional fee, checks funds for
+    buys that do not cover a short, refuses shorts when shorting is off and
+    closing orders larger than the position, and snaps the dust a closing
+    fill leaves to zero. The fill's side follows from the position held
+    before it.
+    """
+
+    def __init__(self, cash: float, costs: CostModel, allow_short: bool):
+        if cash <= 0:
+            raise ValidationError("initial cash must be > 0")
+        self.cash = cash
+        self.costs = costs
+        self.allow_short = allow_short
+        self.positions: dict[str, float] = {}
+        self.fees_paid = 0.0
+
+    def fill(self, order_id: int, bar: int, symbol: str, quantity: float, raw_price: float,
+             reason: str = "", forced: bool = False) -> Fill | str:
+        """Trade a signed ``quantity`` (buys > 0) at ``raw_price``. Returns the
+        fill, or the reject reason with the book left unchanged."""
+        held = self.positions.get(symbol, 0.0)
+        buy = quantity > 0
+        size = quantity if buy else -quantity
+        closing = held < 0 if buy else held > 0
+        if closing and size > abs(held) + 1e-9:
+            return "insufficient position"
+        if not (buy or closing or self.allow_short):
+            return "shorting disabled in spot mode"
+        price = self.costs.fill_price(raw_price, buy)
+        notional = size * price
+        fee = notional * self.costs.fee_rate
+        if buy:
+            if not closing and notional + fee > self.cash + 1e-9:
+                return "InsufficientFunds"
+            self.cash -= notional + fee
+            side = Side.CLOSE_SHORT if closing else Side.OPEN_LONG
+        else:
+            self.cash += notional - fee
+            side = Side.CLOSE_LONG if closing else Side.OPEN_SHORT
+        after = held + quantity
+        if closing and abs(after) <= 1e-12:
+            after = 0.0
+        self.positions[symbol] = after
+        self.fees_paid += fee
+        return Fill(order_id=order_id, bar=bar, symbol=symbol, side=side, price=price,
+                    quantity=size, fee=fee, reason=reason, forced=forced)
+
+
+class TradeLedger:
+    """Fills in the order they happened, FIFO-matched into trade records,
+    plus the stop state of the primary symbol's open position.
+
+    The stop is armed on the primary symbol's first entry fill and dropped
+    when a fill leaves that position flat, so added entries keep the first
+    entry's stop.
+    """
+
+    def __init__(self, symbol: str, stop_settings: StopSettings | None, fee_rate: float):
+        self.symbol = symbol
+        self.stop_settings = stop_settings
+        self.fee_rate = fee_rate
+        self.stop: PositionStopState | None = None
+        self.fills: list[Fill] = []
+        self.trades: list[TradeRecord] = []
+        self._lots: dict[str, list[list]] = {}  # symbol -> [[qty_left, entry fill], ...]
+
+    def record(self, fill: Fill, flat: bool, atr: float | None) -> None:
+        """Add a fill. ``flat`` tells whether it left its symbol's position
+        at zero; ``atr`` is the last ATR value before it, for arming a stop."""
+        self.fills.append(fill)
+        symbol = fill.symbol
+        side = fill.side
+        if side is Side.OPEN_LONG or side is Side.OPEN_SHORT:
+            self._lots.setdefault(symbol, []).append([fill.quantity, fill])
+            if self.stop is None and self.stop_settings is not None and symbol == self.symbol:
+                self.stop = PositionStopState.at_entry(
+                    symbol, side is Side.OPEN_LONG, fill.price, fill.bar, atr, self.stop_settings
+                )
+            return
+        is_long = side is Side.CLOSE_LONG
+        fee_rate = self.fee_rate
+        remaining = fill.quantity
+        lots = self._lots.get(symbol, [])
+        while remaining > 1e-12 and lots:
+            lot = lots[0]
+            take = min(lot[0], remaining)
+            entry_fill: Fill = lot[1]
+            if is_long:
+                entry_unit = entry_fill.price * (1.0 + fee_rate)
+                exit_unit = fill.price * (1.0 - fee_rate)
+                pct = (exit_unit - entry_unit) / entry_unit * 100.0
+            else:
+                entry_unit = entry_fill.price * (1.0 - fee_rate)
+                exit_unit = fill.price * (1.0 + fee_rate)
+                pct = (entry_unit - exit_unit) / entry_fill.price * 100.0
+            self.trades.append(
+                TradeRecord(symbol=symbol, quantity=take,
+                            entry_bar=entry_fill.bar, entry_price=entry_fill.price,
+                            exit_bar=fill.bar, exit_price=fill.price,
+                            profit_pct=pct, exit_reason=fill.reason or "close",
+                            forced=fill.forced, is_long=is_long)
+            )
+            lot[0] -= take
+            remaining -= take
+            if lot[0] <= 1e-12:
+                lots.pop(0)
+        if flat:
+            # rounding can leave a dust lot once the position is flat; it must
+            # not pair with the next round trip's exit
+            self._lots.pop(symbol, None)
+            if symbol == self.symbol:
+                self.stop = None
 
 
 class _Backtester:
     def __init__(self, strategy, data: CandleSeries, initial_cash: float,
                  costs: CostModel, aux_series: dict[str, CandleSeries] | None,
                  allow_short: bool | None, drawdown_lambda: float):
-        if initial_cash <= 0:
-            raise ValidationError("initial cash must be > 0")
         if not data.candles:
             raise ValidationError("cannot backtest an empty series")
         if data.has_gaps:
@@ -194,13 +322,9 @@ class _Backtester:
         self.data = data
         self.costs = costs
         self.lam = drawdown_lambda
-        self.account = Account(cash=initial_cash)
         self.initial_cash = initial_cash
         self.orders: list[Order] = []
-        self.fills: list[Fill] = []
-        self.trades: list[TradeRecord] = []
         self.queue: list[Order] = []
-        self.lots: dict[str, list[list]] = {}  # symbol -> [[qty_left, fill], ...]
         self.symbol = data.symbol
 
         self.config = strategy if isinstance(strategy, StrategyConfig) else None
@@ -223,7 +347,8 @@ class _Backtester:
             self.series_b = None
         if allow_short is None:
             allow_short = self.pairs
-        self.allow_short = allow_short
+        self.book = Book(initial_cash, costs, allow_short)
+        self.ledger = TradeLedger(self.symbol, self.stop_settings, costs.fee_rate)
         self._atr = AtrStream(self.stop_settings.atr_period) if self.stop_settings else None
         self._last_atr: float | None = None
         self.forced_close = False
@@ -243,143 +368,25 @@ class _Backtester:
 
     def execute(self, order: Order, bar: int, raw_price: float, forced: bool = False) -> None:
         intent = order.intent
-        if intent.symbol != self.symbol:
-            if self.series_b is None or intent.symbol != self.series_b.symbol:
-                self._reject(order, f"no price feed for symbol '{intent.symbol}'")
+        symbol = intent.symbol
+        if symbol != self.symbol:
+            if self.series_b is None or symbol != self.series_b.symbol:
+                self._reject(order, f"no price feed for symbol '{symbol}'")
                 return
             if not forced:  # forced closes arrive with their price resolved
                 raw_price = self.series_b.candles[bar].open
-        account = self.account
-        fee_rate = self.costs.fee_rate
-        slip = self.costs.slippage_rate
-        side = intent.side
-        pos = account.position(intent.symbol)
-
-        if side is Side.OPEN_LONG or side is Side.CLOSE_SHORT:
-            price = raw_price * (1.0 + slip)  # buying: slippage against us
-        else:
-            price = raw_price * (1.0 - slip)
-
-        if side is Side.OPEN_LONG:
-            if pos.quantity < 0:
-                self._reject(order, "symbol currently short")
-                return
-            qty = open_quantity(intent, account.cash, price, fee_rate)
-            if qty <= 0:
-                self._reject(order, "zero quantity")
-                return
-            cost = qty * price
-            fee = cost * fee_rate
-            if cost + fee > account.cash + 1e-9:
-                self._reject(order, "InsufficientFunds")
-                return
-            account.cash -= cost + fee
-            total_qty = pos.quantity + qty
-            pos.avg_price = (pos.avg_price * pos.quantity + price * qty) / total_qty
-            pos.quantity = total_qty
-            self._record_fill(order, bar, price, qty, fee, forced)
-            self._open_lot(intent.symbol, self.fills[-1], is_long=True)
-            self._arm_stops(intent.symbol, True, price, bar)
-        elif side is Side.OPEN_SHORT:
-            if not self.allow_short:
-                self._reject(order, "shorting disabled in spot mode")
-                return
-            if pos.quantity > 0:
-                self._reject(order, "symbol currently long")
-                return
-            qty = open_quantity(intent, account.cash, price, fee_rate)
-            if qty <= 0:
-                self._reject(order, "zero quantity")
-                return
-            proceeds = qty * price
-            fee = proceeds * fee_rate
-            account.cash += proceeds - fee
-            total_qty = pos.quantity - qty
-            pos.avg_price = (pos.avg_price * -pos.quantity + price * qty) / -total_qty
-            pos.quantity = total_qty
-            self._record_fill(order, bar, price, qty, fee, forced)
-            self._open_lot(intent.symbol, self.fills[-1], is_long=False)
-            self._arm_stops(intent.symbol, False, price, bar)
-        elif side is Side.CLOSE_LONG:
-            if pos.quantity <= 0:
-                self._reject(order, "no open long position")
-                return
-            qty = min(intent.size, pos.quantity) if intent.absolute else pos.quantity * intent.size
-            proceeds = qty * price
-            fee = proceeds * fee_rate
-            account.cash += proceeds - fee
-            pos.quantity -= qty
-            if pos.quantity <= 1e-12:
-                pos.quantity = 0.0
-                pos.stop = None
-            self._record_fill(order, bar, price, qty, fee, forced)
-            self._close_lots(intent.symbol, self.fills[-1], is_long=True)
-        else:  # CLOSE_SHORT
-            if pos.quantity >= 0:
-                self._reject(order, "no open short position")
-                return
-            short_qty = -pos.quantity
-            qty = min(intent.size, short_qty) if intent.absolute else short_qty * intent.size
-            cost = qty * price
-            fee = cost * fee_rate
-            account.cash -= cost + fee
-            pos.quantity += qty
-            if -pos.quantity <= 1e-12:
-                pos.quantity = 0.0
-                pos.stop = None
-            self._record_fill(order, bar, price, qty, fee, forced)
-            self._close_lots(intent.symbol, self.fills[-1], is_long=False)
-
-    def _record_fill(self, order: Order, bar: int, price: float, qty: float,
-                     fee: float, forced: bool) -> None:
-        order.status = OrderStatus.FILLED
-        self.account.fees_paid += fee
-        self.fills.append(
-            Fill(order_id=order.id, bar=bar, symbol=order.intent.symbol,
-                 side=order.intent.side, price=price, quantity=qty, fee=fee,
-                 reason=order.intent.reason, forced=forced)
-        )
-
-    def _open_lot(self, symbol: str, fill: Fill, is_long: bool) -> None:
-        self.lots.setdefault(symbol, []).append([fill.quantity, fill])
-
-    def _close_lots(self, symbol: str, exit_fill: Fill, is_long: bool) -> None:
-        """FIFO-match an exit fill against open entry lots into trade records."""
-        fee_rate = self.costs.fee_rate
-        remaining = exit_fill.quantity
-        lots = self.lots.get(symbol, [])
-        while remaining > 1e-12 and lots:
-            lot = lots[0]
-            take = min(lot[0], remaining)
-            entry_fill: Fill = lot[1]
-            if is_long:
-                entry_unit = entry_fill.price * (1.0 + fee_rate)
-                exit_unit = exit_fill.price * (1.0 - fee_rate)
-                pct = (exit_unit - entry_unit) / entry_unit * 100.0
-            else:
-                entry_unit = entry_fill.price * (1.0 - fee_rate)
-                exit_unit = exit_fill.price * (1.0 + fee_rate)
-                pct = (entry_unit - exit_unit) / entry_fill.price * 100.0
-            self.trades.append(
-                TradeRecord(symbol=symbol, quantity=take,
-                            entry_bar=entry_fill.bar, entry_price=entry_fill.price,
-                            exit_bar=exit_fill.bar, exit_price=exit_fill.price,
-                            profit_pct=pct, exit_reason=exit_fill.reason or "close",
-                            forced=exit_fill.forced, is_long=is_long)
-            )
-            lot[0] -= take
-            remaining -= take
-            if lot[0] <= 1e-12:
-                lots.pop(0)
-
-    def _arm_stops(self, symbol: str, is_long: bool, price: float, bar: int) -> None:
-        if self.stop_settings is None or symbol != self.symbol:
+        book = self.book
+        qty = size_order(intent, book.positions.get(symbol, 0.0), book.cash, raw_price,
+                         self.costs)
+        if isinstance(qty, str):
+            self._reject(order, qty)
             return
-        pos = self.account.position(symbol)
-        if pos.stop is None:
-            pos.stop = PositionStopState.at_entry(
-                symbol, is_long, price, bar, self._last_atr, self.stop_settings
-            )
+        fill = book.fill(order.id, bar, symbol, qty, raw_price, intent.reason, forced)
+        if isinstance(fill, str):
+            self._reject(order, fill)
+            return
+        order.status = OrderStatus.FILLED
+        self.ledger.record(fill, book.positions[symbol] == 0.0, self._last_atr)
 
     # -- main loop ------------------------------------------------------------
 
@@ -388,7 +395,9 @@ class _Backtester:
         candles = data.candles
         closes = data.closes
         opens = data.opens
-        account = self.account
+        book = self.book
+        positions = book.positions
+        ledger = self.ledger
         equity: list[float] = []
         candles_b = self.series_b.candles if self.series_b is not None else None
 
@@ -402,9 +411,8 @@ class _Backtester:
                 # the stop component watches the primary series; pairs legs
                 # exit on their own signal, not on per-leg stops
                 atr_value = self._atr.push(candle)
-                pos = account.positions.get(self.symbol)
-                if pos is not None and pos.quantity != 0.0 and pos.stop is not None:
-                    intent = apply_stops(pos.stop, candle, atr_value, self.stop_settings)
+                if ledger.stop is not None:
+                    intent = apply_stops(ledger.stop, candle, atr_value, self.stop_settings)
                     if intent is not None:
                         self.submit(intent, t)
                 self._last_atr = atr_value
@@ -416,22 +424,22 @@ class _Backtester:
                 self.submit(intent, t)
             for intent in opens_i:
                 self.submit(intent, t)
-            if account.positions:
-                value = account.cash
+            if positions:
+                value = book.cash
                 close_t = closes[t]
-                for symbol, pos in account.positions.items():
-                    if pos.quantity != 0.0:
+                for symbol, qty in positions.items():
+                    if qty != 0.0:
                         ref = close_t if symbol == self.symbol else candles_b[t].close
-                        value += pos.quantity * ref
+                        value += qty * ref
                 equity.append(value)
             else:
-                equity.append(account.cash)
+                equity.append(book.cash)
 
         self._force_close(len(candles) - 1)
         if self.forced_close:
-            equity[-1] = account.cash
+            equity[-1] = book.cash
 
-        metrics = compute_metrics(equity, self.trades)
+        metrics = compute_metrics(equity, ledger.trades)
         return BacktestReport(
             symbol=data.symbol,
             interval=data.interval,
@@ -440,8 +448,8 @@ class _Backtester:
             final_equity=equity[-1],
             timestamps=list(data.timestamps),
             equity=equity,
-            fills=self.fills,
-            trades=self.trades,
+            fills=ledger.fills,
+            trades=ledger.trades,
             orders=self.orders,
             metrics=metrics,
             score=score(metrics, self.lam),
@@ -450,15 +458,15 @@ class _Backtester:
         )
 
     def _force_close(self, last_bar: int) -> None:
-        for symbol in sorted(self.account.positions):
-            pos = self.account.positions[symbol]
-            if pos.quantity == 0.0:
+        positions = self.book.positions
+        for symbol in sorted(positions):
+            if positions[symbol] == 0.0:
                 continue
             if symbol == self.symbol:
                 raw_price = self.data.closes[last_bar]
             else:
                 raw_price = self.series_b.candles[last_bar].close
-            side = Side.CLOSE_LONG if pos.quantity > 0 else Side.CLOSE_SHORT
+            side = Side.CLOSE_LONG if positions[symbol] > 0 else Side.CLOSE_SHORT
             intent = TradeIntent(side, symbol, reason="end-of-data")
             order = Order(id=len(self.orders), intent=intent, created_at_bar=last_bar)
             self.orders.append(order)

@@ -6,34 +6,35 @@ the rest of the system. Only market orders exist; the request type carries
 an order-type field reserved for extension.
 
 ``paper_trade_loop`` replays a candle feed bar by bar, routing strategy
-intents through an endpoint. Against the bundled simulator it reproduces
-``run_backtest`` fill for fill: the simulator fills at the current bar's
-open with the same adverse slippage and proportional fee, and liquidates
-remaining positions at the last seen close when the session ends normally.
+intents through an endpoint. It and the bundled simulator use the same
+fill/ledger kernel as ``run_backtest`` (``size_order``, ``Book`` and
+``TradeLedger`` in ``backtest.py``): the simulator fills at the current
+bar's open and liquidates remaining positions at the last seen close when
+the session ends normally, so a session against it reproduces the backtest
+fill for fill, side included.
 """
 
 from __future__ import annotations
 
 import logging
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .backtest import (
     BacktestReport,
+    Book,
     CostModel,
     Fill,
-    TradeRecord,
+    TradeLedger,
     compute_metrics,
-    open_quantity,
     score,
+    size_order,
 )
 from .data import CandleSeries
 from .errors import TradeLabError, ValidationError
 from .indicators import AtrStream
 from .strategy import (
-    PositionStopState,
-    Side,
     StrategyConfig,
     StrategyKind,
     TradeIntent,
@@ -138,14 +139,9 @@ class SimulatedBroker(BrokerEndpoint):
         stamps = {tuple(s.timestamps) for s in feeds.values()}
         if len(stamps) > 1:
             raise ValidationError("all simulator feeds must share timestamps")
-        if initial_cash <= 0:
-            raise ValidationError("initial cash must be > 0")
         self.feeds = feeds
         self.costs = costs or CostModel()
-        self.allow_short = allow_short
-        self.cash = initial_cash
-        self.positions: dict[str, float] = {}
-        self.fees_paid = 0.0
+        self.book = Book(initial_cash, self.costs, allow_short)
         self.bar = -1
         self.fills: list[Fill] = []
         self._acks: dict[str, OrderAck] = {}
@@ -172,23 +168,21 @@ class SimulatedBroker(BrokerEndpoint):
         return SymbolInfo(symbol=symbol, interval=series.interval, bar_count=len(series))
 
     def account(self) -> AccountSnapshot:
-        return AccountSnapshot(cash=self.cash, positions=dict(self.positions),
-                               fees_paid=self.fees_paid)
+        book = self.book
+        return AccountSnapshot(cash=book.cash, positions=dict(book.positions),
+                               fees_paid=book.fees_paid)
 
     def close(self, liquidate: bool = True) -> tuple[AccountSnapshot, list[Fill]]:
         """End the session; by default flattens open positions at the last
         seen close (market-on-close liquidation)."""
         liquidation: list[Fill] = []
         if liquidate and self.bar >= 0:
-            for symbol in sorted(self.positions):
-                qty = self.positions[symbol]
-                if qty == 0.0:
-                    continue
-                raw = self.feeds[symbol].candles[self.bar].close
-                side = OrderSide.SELL if qty > 0 else OrderSide.BUY
-                liquidation.append(
-                    self._fill(symbol, side, abs(qty), raw, reason="end-of-data", forced=True)
-                )
+            positions = self.book.positions
+            for symbol in sorted(positions):
+                if positions[symbol] != 0.0:
+                    raw = self.feeds[symbol].candles[self.bar].close
+                    liquidation.append(self._fill(symbol, -positions[symbol], raw,
+                                                  reason="end-of-data", forced=True))
         return self.account(), liquidation
 
     # -- order handling ---------------------------------------------------
@@ -202,121 +196,34 @@ class SimulatedBroker(BrokerEndpoint):
         if self.bar < 0:
             raise ValidationError("market not started; call advance() first")
         raw = self.feeds[request.symbol].candles[self.bar].open
-        held = self.positions.get(request.symbol, 0.0)
-        fee_rate = self.costs.fee_rate
-        slip = self.costs.slippage_rate
-        if request.side is OrderSide.BUY:
-            covering = held < 0
-            price = raw * (1.0 + slip)
-            cost = request.quantity * price
-            fee = cost * fee_rate
-            if not covering and cost + fee > self.cash + 1e-9:
-                ack = self._rejected(request, "InsufficientFunds")
-            else:
-                ack = self._accepted(request, self._fill(request.symbol, OrderSide.BUY,
-                                                         request.quantity, raw))
+        quantity = request.quantity if request.side is OrderSide.BUY else -request.quantity
+        order_id = self._next_order_id
+        fill = self._fill(request.symbol, quantity, raw)
+        if isinstance(fill, str):
+            logger.debug("order %s rejected: %s", request.client_id, fill)
+            ack = OrderAck(client_id=request.client_id, broker_order_id=order_id,
+                           status=AckStatus.REJECTED, reason=fill)
         else:
-            if held <= 0 and not self.allow_short:
-                ack = self._rejected(request, "shorting disabled in spot mode")
-            elif held > 0 and request.quantity > held + 1e-9:
-                ack = self._rejected(request, "insufficient position")
-            else:
-                ack = self._accepted(request, self._fill(request.symbol, OrderSide.SELL,
-                                                         request.quantity, raw))
+            ack = OrderAck(client_id=request.client_id, broker_order_id=order_id,
+                           status=AckStatus.ACCEPTED, fill=fill)
         self._acks[request.client_id] = ack
         return ack
 
-    def _fill(self, symbol: str, side: OrderSide, quantity: float, raw_price: float,
-              reason: str = "", forced: bool = False) -> Fill:
-        fee_rate = self.costs.fee_rate
-        slip = self.costs.slippage_rate
-        if side is OrderSide.BUY:
-            price = raw_price * (1.0 + slip)
-            cost = quantity * price
-            fee = cost * fee_rate
-            self.cash -= cost + fee
-            self.positions[symbol] = self.positions.get(symbol, 0.0) + quantity
-        else:
-            price = raw_price * (1.0 - slip)
-            proceeds = quantity * price
-            fee = proceeds * fee_rate
-            self.cash += proceeds - fee
-            self.positions[symbol] = self.positions.get(symbol, 0.0) - quantity
-        if abs(self.positions[symbol]) <= 1e-12:
-            self.positions[symbol] = 0.0
-        self.fees_paid += fee
-        fill = Fill(order_id=self._next_order_id, bar=self.bar, symbol=symbol,
-                    side=Side.OPEN_LONG if side is OrderSide.BUY else Side.CLOSE_LONG,
-                    price=price, quantity=quantity, fee=fee, reason=reason, forced=forced)
+    def _fill(self, symbol: str, quantity: float, raw_price: float,
+              reason: str = "", forced: bool = False) -> Fill | str:
+        """Fill a signed quantity (buys > 0) through the book; every order,
+        filled or rejected, takes the next broker order id."""
+        order_id = self._next_order_id
         self._next_order_id += 1
-        self.fills.append(fill)
+        fill = self.book.fill(order_id, self.bar, symbol, quantity, raw_price, reason, forced)
+        if not isinstance(fill, str):
+            self.fills.append(fill)
         return fill
-
-    def _accepted(self, request: OrderRequest, fill: Fill) -> OrderAck:
-        return OrderAck(client_id=request.client_id, broker_order_id=fill.order_id,
-                        status=AckStatus.ACCEPTED, fill=fill)
-
-    def _rejected(self, request: OrderRequest, reason: str) -> OrderAck:
-        ack = OrderAck(client_id=request.client_id, broker_order_id=self._next_order_id,
-                       status=AckStatus.REJECTED, reason=reason)
-        self._next_order_id += 1
-        logger.debug("order %s rejected: %s", request.client_id, reason)
-        return ack
 
 
 # ---------------------------------------------------------------------------
 # Paper trading session
 # ---------------------------------------------------------------------------
-
-class _SessionLedger:
-    """Session-side view of the account built purely from acknowledged fills:
-    believed positions, stop bookkeeping, and FIFO lots for trade pairing."""
-
-    def __init__(self, fee_rate: float):
-        self.fee_rate = fee_rate
-        self.positions: dict[str, float] = {}
-        self.stops: dict[str, PositionStopState] = {}
-        self.lots: dict[str, list[list]] = {}
-        self.trades: list[TradeRecord] = []
-
-    def on_open(self, fill: Fill, is_long: bool) -> None:
-        delta = fill.quantity if is_long else -fill.quantity
-        self.positions[fill.symbol] = self.positions.get(fill.symbol, 0.0) + delta
-        self.lots.setdefault(fill.symbol, []).append([fill.quantity, fill])
-
-    def on_close(self, fill: Fill, is_long: bool) -> None:
-        delta = -fill.quantity if is_long else fill.quantity
-        self.positions[fill.symbol] = self.positions.get(fill.symbol, 0.0) + delta
-        if abs(self.positions[fill.symbol]) <= 1e-12:
-            self.positions[fill.symbol] = 0.0
-            self.stops.pop(fill.symbol, None)
-        remaining = fill.quantity
-        lots = self.lots.get(fill.symbol, [])
-        fee_rate = self.fee_rate
-        while remaining > 1e-12 and lots:
-            lot = lots[0]
-            take = min(lot[0], remaining)
-            entry_fill: Fill = lot[1]
-            if is_long:
-                entry_unit = entry_fill.price * (1.0 + fee_rate)
-                exit_unit = fill.price * (1.0 - fee_rate)
-                pct = (exit_unit - entry_unit) / entry_unit * 100.0
-            else:
-                entry_unit = entry_fill.price * (1.0 - fee_rate)
-                exit_unit = fill.price * (1.0 + fee_rate)
-                pct = (entry_unit - exit_unit) / entry_fill.price * 100.0
-            self.trades.append(
-                TradeRecord(symbol=fill.symbol, quantity=take,
-                            entry_bar=entry_fill.bar, entry_price=entry_fill.price,
-                            exit_bar=fill.bar, exit_price=fill.price, profit_pct=pct,
-                            exit_reason=fill.reason or "close", forced=fill.forced,
-                            is_long=is_long)
-            )
-            lot[0] -= take
-            remaining -= take
-            if lot[0] <= 1e-12:
-                lots.pop(0)
-
 
 def paper_trade_loop(strategy, feed, endpoint: BrokerEndpoint, *,
                      costs: CostModel | None = None,
@@ -334,11 +241,11 @@ def paper_trade_loop(strategy, feed, endpoint: BrokerEndpoint, *,
     backtester's end-of-data force close.
 
     ``costs`` must describe the venue's actual costs; they are used to size
-    fractional intents exactly the way the backtester does.
+    fractional intents exactly the way the backtester does. Intents that
+    cannot be placed (nothing to close, no price for the symbol, ...) are
+    dropped before they reach the endpoint.
     """
     costs = costs or CostModel()
-    fee_rate = costs.fee_rate
-    slip = costs.slippage_rate
 
     if isinstance(strategy, StrategyConfig):
         stepper = new_state(strategy)
@@ -362,13 +269,12 @@ def paper_trade_loop(strategy, feed, endpoint: BrokerEndpoint, *,
     aux_candles = aux_feed.candles if aux_feed is not None else None
 
     endpoint.connect()
-    ledger = _SessionLedger(fee_rate)
+    ledger = TradeLedger(symbol, stop_settings, costs.fee_rate)
     atr_stream = AtrStream(stop_settings.atr_period) if stop_settings else None
     last_atr: float | None = None
     pending: list[TradeIntent] = []
     timestamps: list[int] = []
     equity: list[float] = []
-    fills: list[Fill] = []
     client_seq = 0
     interrupted = False
     bar = -1
@@ -377,52 +283,21 @@ def paper_trade_loop(strategy, feed, endpoint: BrokerEndpoint, *,
 
     def submit(intent: TradeIntent) -> None:
         nonlocal client_seq
+        raw_open = bar_opens.get(intent.symbol)
+        if raw_open is None:
+            return
         snapshot = endpoint.account()
-        held = snapshot.positions.get(intent.symbol, 0.0)
-        raw_open = bar_opens[intent.symbol]
-        side = intent.side
-        if side is Side.OPEN_LONG:
-            if held < 0:
-                return  # mirrors the backtester's "symbol currently short" reject
-            qty = open_quantity(intent, snapshot.cash, raw_open * (1.0 + slip), fee_rate)
-            if qty <= 0:
-                return
-            request = OrderRequest(str(client_seq), intent.symbol, OrderSide.BUY, qty)
-        elif side is Side.OPEN_SHORT:
-            if held > 0:
-                return
-            qty = open_quantity(intent, snapshot.cash, raw_open * (1.0 - slip), fee_rate)
-            if qty <= 0:
-                return
-            request = OrderRequest(str(client_seq), intent.symbol, OrderSide.SELL, qty)
-        elif side is Side.CLOSE_LONG:
-            if held <= 0:
-                return
-            qty = min(intent.size, held) if intent.absolute else held * intent.size
-            request = OrderRequest(str(client_seq), intent.symbol, OrderSide.SELL, qty)
-        else:  # CLOSE_SHORT
-            if held >= 0:
-                return
-            short_qty = -held
-            qty = min(intent.size, short_qty) if intent.absolute else short_qty * intent.size
-            request = OrderRequest(str(client_seq), intent.symbol, OrderSide.BUY, qty)
+        qty = size_order(intent, snapshot.positions.get(intent.symbol, 0.0), snapshot.cash,
+                         raw_open, costs)
+        if isinstance(qty, str):
+            return
+        side = OrderSide.BUY if qty > 0 else OrderSide.SELL
+        request = OrderRequest(str(client_seq), intent.symbol, side, abs(qty))
         client_seq += 1
         ack = endpoint.place_order(request)
         if ack.status is AckStatus.ACCEPTED and ack.fill is not None:
-            fill = Fill(order_id=ack.fill.order_id, bar=ack.fill.bar, symbol=intent.symbol,
-                        side=side, price=ack.fill.price, quantity=ack.fill.quantity,
-                        fee=ack.fill.fee, reason=intent.reason, forced=False)
-            fills.append(fill)
-            if side in (Side.OPEN_LONG, Side.OPEN_SHORT):
-                is_long = side is Side.OPEN_LONG
-                ledger.on_open(fill, is_long)
-                if (stop_settings is not None and intent.symbol == symbol
-                        and intent.symbol not in ledger.stops):
-                    ledger.stops[intent.symbol] = PositionStopState.at_entry(
-                        intent.symbol, is_long, fill.price, fill.bar, last_atr, stop_settings
-                    )
-            else:
-                ledger.on_close(fill, side is Side.CLOSE_LONG)
+            flat = endpoint.account().positions.get(intent.symbol, 0.0) == 0.0
+            ledger.record(replace(ack.fill, reason=intent.reason), flat, last_atr)
 
     try:
         for candle in candle_iter:
@@ -445,9 +320,8 @@ def paper_trade_loop(strategy, feed, endpoint: BrokerEndpoint, *,
             if atr_stream is not None:
                 # primary-series stops only, mirroring the backtester
                 atr_value = atr_stream.push(candle)
-                stop_state = ledger.stops.get(symbol)
-                if stop_state is not None and ledger.positions.get(symbol, 0.0) != 0.0:
-                    intent = apply_stops(stop_state, candle, atr_value, stop_settings)
+                if ledger.stop is not None:
+                    intent = apply_stops(ledger.stop, candle, atr_value, stop_settings)
                     if intent is not None:
                         pending.append(intent)
                 last_atr = atr_value
@@ -474,9 +348,7 @@ def paper_trade_loop(strategy, feed, endpoint: BrokerEndpoint, *,
     snapshot, liquidation = endpoint.close(liquidate=not interrupted)
     forced_close = bool(liquidation)
     for fill in liquidation:
-        held = ledger.positions.get(fill.symbol, 0.0)
-        fills.append(fill)
-        ledger.on_close(fill, is_long=held > 0)
+        ledger.record(fill, True, last_atr)
     if forced_close:
         equity[-1] = snapshot.cash
 
@@ -489,7 +361,7 @@ def paper_trade_loop(strategy, feed, endpoint: BrokerEndpoint, *,
         final_equity=equity[-1],
         timestamps=timestamps,
         equity=equity,
-        fills=fills,
+        fills=ledger.fills,
         trades=ledger.trades,
         orders=[],
         metrics=metrics,

@@ -46,6 +46,23 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
     print(f"wrote {path}")
 
 
+def _write_indicators(path: Path, specs: list[IndicatorSpec],
+                      series: data_mod.CandleSeries) -> None:
+    """One timestamp column plus one column per indicator output line."""
+    header = ["timestamp"]
+    columns = []
+    for spec in specs:
+        outputs = compute(spec, series)
+        lines = spec_lines(spec)
+        if len(lines) == 1:
+            outputs = (outputs,)
+        for line, out in zip(lines, outputs):
+            header.append(spec.label() if not line else f"{spec.label()}_{line}")
+            columns.append(out.values)
+    _write_rows(path, header, ([ts] + [col[i] for col in columns]
+                               for i, ts in enumerate(series.timestamps)))
+
+
 def _out_dir(args, config: RunConfig | None = None) -> Path:
     out = args.out or (config.out_dir if config else "out")
     path = Path(out)
@@ -94,19 +111,7 @@ def cmd_indicator(args) -> int:
     specs = [parse_indicator_spec(s) for s in args.indicator]
     if not specs:
         raise ValidationError("no indicators requested (use --indicator name:p=14)")
-    header = ["timestamp"]
-    columns = []
-    for spec in specs:
-        outputs = compute(spec, series)
-        lines = spec_lines(spec)
-        if len(lines) == 1:
-            outputs = (outputs,)
-        for line, out in zip(lines, outputs):
-            header.append(spec.label() if not line else f"{spec.label()}_{line}")
-            columns.append(out.values)
-    rows = ([ts] + [col[i] for col in columns]
-            for i, ts in enumerate(series.timestamps))
-    _write_rows(_out_dir(args, config) / "indicators.csv", header, rows)
+    _write_indicators(_out_dir(args, config) / "indicators.csv", specs, series)
     return 0
 
 
@@ -260,19 +265,7 @@ def cmd_report(args) -> int:
     if not specs and isinstance(config.strategy.params if config.strategy else None, EmaCrossParams):
         p = config.strategy.params
         specs = [IndicatorSpec("ema", {"p": p.p_short}), IndicatorSpec("ema", {"p": p.p_long})]
-    header = ["timestamp"]
-    columns = []
-    for spec in specs:
-        outputs = compute(spec, series)
-        lines = spec_lines(spec)
-        if len(lines) == 1:
-            outputs = (outputs,)
-        for line, outp in zip(lines, outputs):
-            header.append(spec.label() if not line else f"{spec.label()}_{line}")
-            columns.append(outp.values)
-    _write_rows(out / "overlays.csv", header,
-                ([ts] + [col[i] for col in columns]
-                 for i, ts in enumerate(series.timestamps)))
+    _write_indicators(out / "overlays.csv", specs, series)
 
     ts_by_bar = series.timestamps
     markers = []

@@ -71,7 +71,6 @@ class RunConfig:
     data: DataSection
     costs: CostsSection
     strategy: StrategyConfig | None
-    strategy_kind: str
     optimize: OptimizeSection | None
     broker: BrokerSection = field(default_factory=BrokerSection)
 
@@ -206,10 +205,8 @@ def load_config(path: str | Path, seed: int | None = None) -> RunConfig:
 
     strategy_raw = _section(raw, "strategy", required=False)
     strategy = None
-    strategy_kind = ""
     if strategy_raw:
         strategy = build_strategy(strategy_raw, data.symbol, path.parent)
-        strategy_kind = str(strategy_raw.get("kind"))
 
     optimize_raw = _section(raw, "optimize", required=False)
     optimize = None
@@ -233,5 +230,4 @@ def load_config(path: str | Path, seed: int | None = None) -> RunConfig:
                            credentials=dict(broker_raw.get("credentials", {})))
 
     return RunConfig(seed=seed, out_dir=out_dir, data=data, costs=costs,
-                     strategy=strategy, strategy_kind=strategy_kind,
-                     optimize=optimize, broker=broker)
+                     strategy=strategy, optimize=optimize, broker=broker)

@@ -52,9 +52,6 @@ class Side(Enum):
     CLOSE_SHORT = "close_short"
 
 
-OPEN_SIDES = (Side.OPEN_LONG, Side.OPEN_SHORT)
-CLOSE_SIDES = (Side.CLOSE_LONG, Side.CLOSE_SHORT)
-
 
 @dataclass(frozen=True, slots=True)
 class TradeIntent:

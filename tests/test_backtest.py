@@ -123,6 +123,22 @@ def test_rejected_intents_leave_account_unchanged():
     assert set(report.equity) == {1_000.0}
 
 
+def test_flat_position_leaves_no_lot_behind():
+    # 1e9 of cash buys ~1e7 units; the two lots of each round trip then do
+    # not sum exactly to the position, and the residue used to pair with the
+    # next round trip's exit as an extra trade
+    series = random_series(3, n=60, vol=0.02)
+    script = {}
+    for bar in (0, 10, 20):
+        script[bar] = ([TradeIntent(Side.OPEN_LONG, "RND", 0.25)], [])
+        script[bar + 1] = ([TradeIntent(Side.OPEN_LONG, "RND", 0.5)], [])
+        script[bar + 5] = ([], [TradeIntent(Side.CLOSE_LONG, "RND")])
+    report = run_backtest(ScriptedStrategy(script), series, 1e9, CostModel())
+    assert [(t.entry_bar, t.exit_bar) for t in report.trades] == [
+        (1, 6), (2, 6), (11, 16), (12, 16), (21, 26), (22, 26),
+    ]
+
+
 def test_unpriced_symbol_rejected():
     series = flat_series(10, symbol="RND")
     script = {1: ([TradeIntent(Side.OPEN_LONG, "OTHER", 0.5)], [])}

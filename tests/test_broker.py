@@ -1,6 +1,13 @@
 import pytest
 
-from helpers import RandomStrategy, flat_series, random_series, series_from_ohlc, trending_fixture
+from helpers import (
+    RandomStrategy,
+    ScriptedStrategy,
+    flat_series,
+    random_series,
+    series_from_ohlc,
+    trending_fixture,
+)
 from tradelab.backtest import CostModel, ZERO_COSTS, run_backtest
 from tradelab.broker import (
     AckStatus,
@@ -12,7 +19,15 @@ from tradelab.broker import (
     paper_trade_loop,
 )
 from tradelab.errors import ValidationError
-from tradelab.strategy import EmaCrossParams, NullParams, PairsParams, StopSettings, StrategyConfig
+from tradelab.strategy import (
+    EmaCrossParams,
+    NullParams,
+    PairsParams,
+    Side,
+    StopSettings,
+    StrategyConfig,
+    TradeIntent,
+)
 
 
 def started_broker(series, cash=1_000.0, costs=None, **kw):
@@ -60,6 +75,17 @@ def test_sell_more_than_held_rejected_in_spot():
     broker.place_order(OrderRequest("b", "AB", OrderSide.BUY, 1.0))
     ack = broker.place_order(OrderRequest("s", "AB", OrderSide.SELL, 2.0))
     assert ack.status is AckStatus.REJECTED
+
+
+def test_buy_beyond_short_rejected():
+    series = flat_series(5, price=100.0, symbol="AB")
+    broker = started_broker(series, allow_short=True)
+    broker.place_order(OrderRequest("s", "AB", OrderSide.SELL, 1.0))
+    snap = broker.account()
+    ack = broker.place_order(OrderRequest("b", "AB", OrderSide.BUY, 500.0))
+    assert ack.status is AckStatus.REJECTED
+    assert ack.reason == "insufficient position"
+    assert broker.account() == snap
 
 
 def test_unknown_symbol_raises():
@@ -126,11 +152,11 @@ def assert_session_matches_backtest(strategy_a, strategy_b, series, costs,
     session = paper_trade_loop(strategy_b, series, broker, costs=costs, aux_feed=aux)
     bt_fills = [(f.bar, f.symbol, f.side, f.quantity, f.price, f.fee)
                 for f in backtest.fills]
-    se_fills = [(f.bar, f.symbol, f.side if not f.forced else f.side, f.quantity, f.price, f.fee)
+    se_fills = [(f.bar, f.symbol, f.side, f.quantity, f.price, f.fee)
                 for f in session.fills]
     assert len(bt_fills) == len(se_fills)
-    for (bb, bs, bside, bq, bp, bf), (sb, ss, _, sq, sp, sf) in zip(bt_fills, se_fills):
-        assert (bb, bs) == (sb, ss)
+    for (bb, bs, bside, bq, bp, bf), (sb, ss, sside, sq, sp, sf) in zip(bt_fills, se_fills):
+        assert (bb, bs, bside) == (sb, ss, sside)
         assert bq == pytest.approx(sq, rel=1e-9, abs=1e-12)
         assert bp == pytest.approx(sp, rel=1e-12)
         assert bf == pytest.approx(sf, rel=1e-9, abs=1e-12)
@@ -180,6 +206,15 @@ def test_pairs_with_stops_session_equals_backtest():
     backtest, session = assert_session_matches_backtest(config, config, a,
                                                         CostModel(), aux=b)
     assert all(f.symbol in ("A", "B") for f in backtest.fills)
+
+
+def test_unpriced_symbol_dropped_by_session():
+    series = flat_series(10, symbol="RND")
+    script = {1: ([TradeIntent(Side.OPEN_LONG, "OTHER", 0.5)], [])}
+    broker = SimulatedBroker(series, 1_000.0, ZERO_COSTS)
+    report = paper_trade_loop(ScriptedStrategy(script), series, broker, costs=ZERO_COSTS)
+    assert not report.fills
+    assert set(report.equity) == {1_000.0}
 
 
 def test_interrupted_feed_keeps_positions_open():

@@ -70,8 +70,9 @@ def _out_dir(args, config: RunConfig | None = None) -> Path:
     return path
 
 
-def _load_series(config: RunConfig):
-    series = data_mod.load_warehouse(config.data.warehouse, config.data.symbol,
+def _load_series(config: RunConfig, symbol: str | None = None):
+    """The configured symbol's series (or ``symbol``'s), windowed by the data section."""
+    series = data_mod.load_warehouse(config.data.warehouse, symbol or config.data.symbol,
                                      config.data.interval, allow_gaps=config.data.allow_gaps)
     if config.data.from_ts is not None or config.data.to_ts is not None:
         lo = config.data.from_ts if config.data.from_ts is not None else series.candles[0].ts
@@ -87,9 +88,7 @@ def _costs(config: RunConfig) -> CostModel:
 def _aux_series(config: RunConfig):
     if config.strategy is not None and config.strategy.kind is StrategyKind.PAIRS:
         symbol_b = config.strategy.params.symbol_b
-        series_b = data_mod.load_warehouse(config.data.warehouse, symbol_b,
-                                           config.data.interval)
-        return {symbol_b: series_b}
+        return {symbol_b: _load_series(config, symbol_b)}
     return None
 
 

@@ -87,7 +87,8 @@ def _section(raw: dict, name: str, required: bool = True) -> dict:
 
 
 def parse_indicator_spec(entry) -> IndicatorSpec:
-    """Accept {"name": ..., "params": {...}} objects or 'name:k=v,k=v' strings."""
+    """Accept {"name": ..., "params": {...}} objects or 'name:k=v,k=v' strings;
+    a value with a '.' is a float, any other value an int."""
     if isinstance(entry, str):
         name, _, rest = entry.partition(":")
         params = {}
@@ -96,14 +97,18 @@ def parse_indicator_spec(entry) -> IndicatorSpec:
                 key, _, value = pair.partition("=")
                 if not key or not value:
                     raise ConfigError(f"bad indicator spec '{entry}'")
-                params[key.strip()] = float(value) if "." in value else int(value)
+                try:
+                    params[key.strip()] = float(value) if "." in value else int(value)
+                except ValueError as exc:
+                    raise ConfigError(f"bad indicator spec '{entry}': {exc}") from exc
         return IndicatorSpec(name=name.strip(), params=params)
-    if isinstance(entry, dict):
-        return IndicatorSpec(name=entry["name"], params=dict(entry.get("params", {})))
+    if isinstance(entry, dict) and isinstance(entry.get("name"), str):
+        params = dict(_section(entry, "params", required=False))
+        return IndicatorSpec(name=entry["name"], params=params)
     raise ConfigError(f"bad indicator spec {entry!r}")
 
 
-def _build_stops(raw: dict | None) -> StopSettings | None:
+def _build_stops(raw: dict) -> StopSettings | None:
     if not raw:
         return None
     return StopSettings(
@@ -117,30 +122,35 @@ def _build_stops(raw: dict | None) -> StopSettings | None:
 
 def build_strategy(section: dict, symbol: str, base_dir: Path) -> StrategyConfig:
     kind = section.get("kind")
-    params = dict(section.get("params", {}))
-    stops = _build_stops(section.get("stops"))
-    size = float(section.get("size", 1.0))
-    if kind == "null":
-        built = NullParams()
-    elif kind == "ema_cross":
-        built = EmaCrossParams(p_short=int(params.get("p_short", 9)),
-                               p_long=int(params.get("p_long", 21)))
-    elif kind == "grid":
-        built = GridParams(spacing=float(params["spacing"]), levels=int(params["levels"]),
-                           level_quantity=float(params["level_quantity"]))
-    elif kind == "pairs":
-        built = PairsParams(symbol_b=str(params["symbol_b"]),
-                            lookback=int(params.get("lookback", 50)),
-                            z_entry=float(params.get("z_entry", 2.0)),
-                            z_exit=float(params.get("z_exit", 0.5)),
-                            leg_fraction=float(params.get("leg_fraction", 0.5)))
-    elif kind == "neat":
-        artifact = section.get("artifact")
-        if not artifact:
-            raise ConfigError("neat strategy needs an 'artifact' file path")
-        built = load_network_artifact(base_dir / artifact)
-    else:
-        raise ConfigError(f"unknown strategy kind '{kind}'")
+    params = _section(section, "params", required=False)
+    try:
+        stops = _build_stops(_section(section, "stops", required=False))
+        size = float(section.get("size", 1.0))
+        if kind == "null":
+            built = NullParams()
+        elif kind == "ema_cross":
+            built = EmaCrossParams(p_short=int(params.get("p_short", 9)),
+                                   p_long=int(params.get("p_long", 21)))
+        elif kind == "grid":
+            built = GridParams(spacing=float(params["spacing"]), levels=int(params["levels"]),
+                               level_quantity=float(params["level_quantity"]))
+        elif kind == "pairs":
+            built = PairsParams(symbol_b=str(params["symbol_b"]),
+                                lookback=int(params.get("lookback", 50)),
+                                z_entry=float(params.get("z_entry", 2.0)),
+                                z_exit=float(params.get("z_exit", 0.5)),
+                                leg_fraction=float(params.get("leg_fraction", 0.5)))
+        elif kind == "neat":
+            artifact = section.get("artifact")
+            if not artifact:
+                raise ConfigError("neat strategy needs an 'artifact' file path")
+            built = load_network_artifact(base_dir / artifact)
+        else:
+            raise ConfigError(f"unknown strategy kind '{kind}'")
+    except KeyError as exc:
+        raise ConfigError(f"{kind} strategy params missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {kind} strategy value: {exc}") from exc
     return StrategyConfig(symbol=symbol, params=built, size=size, stops=stops)
 
 
@@ -149,11 +159,16 @@ def load_network_artifact(path: Path) -> NeatParams:
     inputs, and normalization constants."""
     try:
         raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read network artifact {path}: {exc}") from exc
-    genome = read_genome(Path(path).parent / raw["genome"])
-    inputs = tuple(parse_indicator_spec(e) for e in raw["inputs"])
-    norm = tuple((float(m), float(s)) for m, s in raw["norm"])
+    try:
+        genome = read_genome(Path(path).parent / raw["genome"])
+        inputs = tuple(parse_indicator_spec(e) for e in raw["inputs"])
+        norm = tuple((float(m), float(s)) for m, s in raw["norm"])
+    except KeyError as exc:
+        raise ConfigError(f"network artifact {path} missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad network artifact {path}: {exc}") from exc
     return NeatParams(genome=genome, input_specs=inputs, norm=norm)
 
 

@@ -2,8 +2,9 @@
 
 Every indicator is implemented as a small streaming object that consumes one
 candle at a time, so strategies can update values incrementally during a
-backtest without recomputing history. The batch functions below simply run a
-fresh stream over a series and collect the outputs.
+backtest without recomputing history. Each stream's constructor is the one
+place its parameters are checked. The registry maps names to stream classes,
+and every batch function runs a fresh stream through ``compute``.
 
 Warm-up is explicit: outputs carry ``None`` until enough history has
 accumulated, never zeros. Conventions locked here (the usual published ones):
@@ -21,7 +22,9 @@ accumulated, never zeros. Conventions locked here (the usual published ones):
 
 from __future__ import annotations
 
+import inspect
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -38,7 +41,8 @@ class PeriodExceedsSeries(ValidationError):
 
 
 class InvalidPeriods(ValidationError):
-    """Period parameters are inconsistent (e.g. MACD fast >= slow)."""
+    """Indicator parameters are invalid or inconsistent (e.g. a non-integral
+    period, MACD fast >= slow)."""
 
 
 @dataclass(frozen=True)
@@ -66,17 +70,20 @@ class IndicatorOutput:
     values: list[float | None]
     warmup: int
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def defined(self) -> list[float]:
         return [v for v in self.values[self.warmup:]]
 
 
-def _require_period(p, name="p"):
-    p = int(p)
-    if p < 1:
-        raise InvalidPeriods(f"{name} must be >= 1, got {p}")
+_MAX_PERIOD = 2**31 - 1  # beyond any series; keeps window sizes in range
+
+
+def _require_period(p, name: str = "p") -> int:
+    """An int, or an integral finite float, in [1, _MAX_PERIOD]. Bools,
+    strings, None, fractions, NaN and infinities are rejected."""
+    if isinstance(p, float) and p.is_integer():
+        p = int(p)
+    if isinstance(p, bool) or not isinstance(p, int) or not 1 <= p <= _MAX_PERIOD:
+        raise InvalidPeriods(f"{name} must be an integer in [1, {_MAX_PERIOD}], got {p!r}")
     return p
 
 
@@ -134,8 +141,8 @@ class _EmaAvg:
 
 class SmaStream:
     def __init__(self, p: int):
-        self.p = p
-        self._win: deque[float] = deque(maxlen=p)
+        self.p = _require_period(p)
+        self._win: deque[float] = deque(maxlen=self.p)
 
     def push(self, candle: Candle) -> float | None:
         self._win.append(candle.close)
@@ -146,7 +153,7 @@ class SmaStream:
 
 class EmaStream:
     def __init__(self, p: int):
-        self._ema = _EmaAvg(p)
+        self._ema = _EmaAvg(_require_period(p))
 
     def push(self, candle: Candle) -> float | None:
         return self._ema.push(candle.close)
@@ -154,6 +161,7 @@ class EmaStream:
 
 class RsiStream:
     def __init__(self, p: int):
+        p = _require_period(p)
         self._gain = _WilderAvg(p)
         self._loss = _WilderAvg(p)
         self._prev_close: float | None = None
@@ -175,7 +183,7 @@ class RsiStream:
 
 class AtrStream:
     def __init__(self, p: int):
-        self._atr = _WilderAvg(p)
+        self._atr = _WilderAvg(_require_period(p))
         self._prev_close: float | None = None
 
     def push(self, candle: Candle) -> float | None:
@@ -191,7 +199,12 @@ class MacdStream:
     """Returns (macd_line, signal_line, histogram); components are None
     until their own warm-up is met."""
 
+    lines = ("line", "signal", "hist")
+
     def __init__(self, fast: int, slow: int, signal: int):
+        fast = _require_period(fast, "fast")
+        slow = _require_period(slow, "slow")
+        signal = _require_period(signal, "signal")
         if fast >= slow:
             raise InvalidPeriods(f"fast period {fast} must be < slow period {slow}")
         self._fast = _EmaAvg(fast)
@@ -213,13 +226,16 @@ class MacdStream:
 class BollingerStream:
     """Returns (upper, middle, lower) using the population deviation."""
 
-    def __init__(self, p: int, k: float):
+    lines = ("upper", "middle", "lower")
+
+    def __init__(self, p: int, k: float = 2.0):
+        p = _require_period(p)
         if p < 2:
             raise InvalidPeriods(f"bollinger period must be >= 2, got {p}")
-        if k <= 0:
-            raise InvalidPeriods(f"band width multiplier must be > 0, got {k}")
+        if type(k) not in (int, float) or not 0 < k <= sys.float_info.max:
+            raise InvalidPeriods(f"band width multiplier must be a finite number > 0, got {k!r}")
         self.p = p
-        self.k = k
+        self.k = float(k)
         self._win: deque[float] = deque(maxlen=p)
 
     def push(self, candle: Candle):
@@ -251,8 +267,8 @@ class ObvStream:
 
 class MomentumStream:
     def __init__(self, p: int):
-        self.p = p
-        self._win: deque[float] = deque(maxlen=p + 1)
+        self.p = _require_period(p)
+        self._win: deque[float] = deque(maxlen=self.p + 1)
 
     def push(self, candle: Candle) -> float | None:
         self._win.append(candle.close)
@@ -265,7 +281,7 @@ class ForceIndexStream:
     """EMA-smoothed (close change * volume)."""
 
     def __init__(self, p: int):
-        self._ema = _EmaAvg(p)
+        self._ema = _EmaAvg(_require_period(p))
         self._prev_close: float | None = None
 
     def push(self, candle: Candle) -> float | None:
@@ -284,8 +300,8 @@ class MfiStream:
     """
 
     def __init__(self, p: int):
-        self.p = p
-        self._flows: deque[tuple[float, float]] = deque(maxlen=p)
+        self.p = _require_period(p)
+        self._flows: deque[tuple[float, float]] = deque(maxlen=self.p)
         self._prev_tp: float | None = None
 
     def push(self, candle: Candle) -> float | None:
@@ -312,8 +328,8 @@ class MfiStream:
 
 class CciStream:
     def __init__(self, p: int):
-        self.p = p
-        self._win: deque[float] = deque(maxlen=p)
+        self.p = _require_period(p)
+        self._win: deque[float] = deque(maxlen=self.p)
 
     def push(self, candle: Candle) -> float | None:
         tp = (candle.high + candle.low + candle.close) / 3.0
@@ -329,9 +345,9 @@ class CciStream:
 
 class WilliamsRStream:
     def __init__(self, p: int):
-        self.p = p
-        self._highs: deque[float] = deque(maxlen=p)
-        self._lows: deque[float] = deque(maxlen=p)
+        self.p = _require_period(p)
+        self._highs: deque[float] = deque(maxlen=self.p)
+        self._lows: deque[float] = deque(maxlen=self.p)
 
     def push(self, candle: Candle) -> float | None:
         self._highs.append(candle.high)
@@ -350,6 +366,7 @@ class AdxStream:
     Wilder-smoothed DX; first value appears at index 2p-1."""
 
     def __init__(self, p: int):
+        p = _require_period(p)
         self._tr = _WilderAvg(p)
         self._pos_dm = _WilderAvg(p)
         self._neg_dm = _WilderAvg(p)
@@ -421,11 +438,9 @@ class VpvrStream:
     """
 
     def __init__(self, p: int, buckets: int):
-        if buckets < 1:
-            raise InvalidPeriods(f"bucket count must be >= 1, got {buckets}")
-        self.p = p
-        self.buckets = buckets
-        self._win: deque[tuple[float, float]] = deque(maxlen=p)
+        self.p = _require_period(p)
+        self.buckets = _require_period(buckets, "buckets")
+        self._win: deque[tuple[float, float]] = deque(maxlen=self.p)
 
     def push(self, candle: Candle) -> float | None:
         tp = (candle.high + candle.low + candle.close) / 3.0
@@ -451,16 +466,14 @@ class VpvrStream:
 
 def volume_profile(series: CandleSeries, buckets: int) -> list[tuple[float, float, float]]:
     """Whole-series volume-by-price histogram as (low_edge, high_edge, volume)."""
-    if buckets < 1:
-        raise InvalidPeriods(f"bucket count must be >= 1, got {buckets}")
+    buckets = _require_period(buckets, "buckets")
     if not series.candles:
         return []
     tps = [(c.high + c.low + c.close) / 3.0 for c in series.candles]
     lo, hi = min(tps), max(tps)
-    vols = [0.0] * buckets
     if hi == lo:
-        vols[0] = sum(series.volumes)
-        return [(lo, hi, vols[0])] + [(hi, hi, 0.0)] * (buckets - 1)
+        return [(lo, hi, sum(series.volumes))] + [(hi, hi, 0.0)] * (buckets - 1)
+    vols = [0.0] * buckets
     width = (hi - lo) / buckets
     for tp, c in zip(tps, series.candles):
         b = min(int((tp - lo) / width), buckets - 1)
@@ -469,210 +482,136 @@ def volume_profile(series: CandleSeries, buckets: int) -> list[tuple[float, floa
 
 
 # ---------------------------------------------------------------------------
-# Batch API
+# Registry (name -> stream class) and batch API. A spec's parameters are the
+# class's constructor keywords; multi-line classes name their output ``lines``.
 # ---------------------------------------------------------------------------
 
-def _run_stream(stream, series: CandleSeries) -> IndicatorOutput:
-    values: list[float | None] = []
-    warmup = None
-    for i, candle in enumerate(series.candles):
-        v = stream.push(candle)
-        values.append(v)
-        if v is not None and warmup is None:
-            warmup = i
-    return IndicatorOutput(values, warmup if warmup is not None else len(values))
-
-
-def _run_multi(stream, series: CandleSeries, n: int) -> tuple[IndicatorOutput, ...]:
-    cols: list[list[float | None]] = [[] for _ in range(n)]
-    for candle in series.candles:
-        out = stream.push(candle)
-        for col, v in zip(cols, out):
-            col.append(v)
-    outs = []
-    for col in cols:
-        warmup = next((i for i, v in enumerate(col) if v is not None), len(col))
-        outs.append(IndicatorOutput(col, warmup))
-    return tuple(outs)
-
-
-def _check_length(series: CandleSeries, needed: int, name: str) -> None:
-    if len(series) < needed:
-        raise PeriodExceedsSeries(
-            f"{name}: needs at least {needed} bars, series has {len(series)}"
-        )
-
-
-def sma(series: CandleSeries, p: int) -> IndicatorOutput:
-    p = _require_period(p)
-    _check_length(series, p, f"sma({p})")
-    return _run_stream(SmaStream(p), series)
-
-
-def ema(series: CandleSeries, p: int) -> IndicatorOutput:
-    p = _require_period(p)
-    _check_length(series, p, f"ema({p})")
-    return _run_stream(EmaStream(p), series)
-
-
-def rsi(series: CandleSeries, p: int) -> IndicatorOutput:
-    p = _require_period(p)
-    _check_length(series, p + 1, f"rsi({p})")
-    return _run_stream(RsiStream(p), series)
-
-
-def atr(series: CandleSeries, p: int) -> IndicatorOutput:
-    p = _require_period(p)
-    _check_length(series, p + 1, f"atr({p})")
-    return _run_stream(AtrStream(p), series)
-
-
-def macd(series: CandleSeries, fast: int, slow: int, signal: int
-         ) -> tuple[IndicatorOutput, IndicatorOutput, IndicatorOutput]:
-    fast = _require_period(fast, "fast")
-    slow = _require_period(slow, "slow")
-    signal = _require_period(signal, "signal")
-    if fast >= slow:
-        raise InvalidPeriods(f"fast period {fast} must be < slow period {slow}")
-    _check_length(series, slow + signal - 1, f"macd({fast},{slow},{signal})")
-    return _run_multi(MacdStream(fast, slow, signal), series, 3)
-
-
-def bollinger(series: CandleSeries, p: int, k: float
-              ) -> tuple[IndicatorOutput, IndicatorOutput, IndicatorOutput]:
-    p = _require_period(p)
-    _check_length(series, p, f"bollinger({p})")
-    return _run_multi(BollingerStream(p, k), series, 3)
-
-
-def obv(series: CandleSeries) -> IndicatorOutput:
-    _check_length(series, 1, "obv")
-    return _run_stream(ObvStream(), series)
-
-
-def momentum(series: CandleSeries, p: int) -> IndicatorOutput:
-    p = _require_period(p)
-    _check_length(series, p + 1, f"momentum({p})")
-    return _run_stream(MomentumStream(p), series)
-
-
-def force_index(series: CandleSeries, p: int) -> IndicatorOutput:
-    p = _require_period(p)
-    _check_length(series, p + 1, f"force_index({p})")
-    return _run_stream(ForceIndexStream(p), series)
-
-
-def mfi(series: CandleSeries, p: int) -> IndicatorOutput:
-    p = _require_period(p)
-    _check_length(series, p + 1, f"mfi({p})")
-    return _run_stream(MfiStream(p), series)
-
-
-def cci(series: CandleSeries, p: int) -> IndicatorOutput:
-    p = _require_period(p)
-    _check_length(series, p, f"cci({p})")
-    return _run_stream(CciStream(p), series)
-
-
-def williams_r(series: CandleSeries, p: int) -> IndicatorOutput:
-    p = _require_period(p)
-    _check_length(series, p, f"williams_r({p})")
-    return _run_stream(WilliamsRStream(p), series)
-
-
-def adx(series: CandleSeries, p: int) -> IndicatorOutput:
-    p = _require_period(p)
-    _check_length(series, 2 * p, f"adx({p})")
-    return _run_stream(AdxStream(p), series)
-
-
-def kst(series: CandleSeries) -> IndicatorOutput:
-    _check_length(series, 45, "kst")
-    return _run_stream(KstStream(), series)
-
-
-def vpvr(series: CandleSeries, p: int, buckets: int) -> IndicatorOutput:
-    p = _require_period(p)
-    _check_length(series, p, f"vpvr({p})")
-    return _run_stream(VpvrStream(p, buckets), series)
-
-
-# ---------------------------------------------------------------------------
-# Registry: name -> (stream factory, required params, output labels)
-# ---------------------------------------------------------------------------
-
-def _int_params(params: dict, *names: str) -> list[int]:
-    out = []
-    for n in names:
-        if n not in params:
-            raise UnknownIndicator(f"missing parameter '{n}'")
-        out.append(_require_period(params[n], n))
-    return out
-
-
-_REGISTRY: dict[str, dict] = {
-    "sma": {"factory": lambda pr: SmaStream(*_int_params(pr, "p")), "lines": ("",), "min_len": lambda pr: int(pr["p"])},
-    "ema": {"factory": lambda pr: EmaStream(*_int_params(pr, "p")), "lines": ("",), "min_len": lambda pr: int(pr["p"])},
-    "rsi": {"factory": lambda pr: RsiStream(*_int_params(pr, "p")), "lines": ("",), "min_len": lambda pr: int(pr["p"]) + 1},
-    "atr": {"factory": lambda pr: AtrStream(*_int_params(pr, "p")), "lines": ("",), "min_len": lambda pr: int(pr["p"]) + 1},
-    "macd": {
-        "factory": lambda pr: MacdStream(*_int_params(pr, "fast", "slow", "signal")),
-        "lines": ("line", "signal", "hist"),
-        "min_len": lambda pr: int(pr["slow"]) + int(pr["signal"]) - 1,
-    },
-    "bollinger": {
-        "factory": lambda pr: BollingerStream(_int_params(pr, "p")[0], float(pr.get("k", 2.0))),
-        "lines": ("upper", "middle", "lower"),
-        "min_len": lambda pr: int(pr["p"]),
-    },
-    "obv": {"factory": lambda pr: ObvStream(), "lines": ("",), "min_len": lambda pr: 1},
-    "momentum": {"factory": lambda pr: MomentumStream(*_int_params(pr, "p")), "lines": ("",), "min_len": lambda pr: int(pr["p"]) + 1},
-    "force_index": {"factory": lambda pr: ForceIndexStream(*_int_params(pr, "p")), "lines": ("",), "min_len": lambda pr: int(pr["p"]) + 1},
-    "mfi": {"factory": lambda pr: MfiStream(*_int_params(pr, "p")), "lines": ("",), "min_len": lambda pr: int(pr["p"]) + 1},
-    "cci": {"factory": lambda pr: CciStream(*_int_params(pr, "p")), "lines": ("",), "min_len": lambda pr: int(pr["p"])},
-    "williams_r": {"factory": lambda pr: WilliamsRStream(*_int_params(pr, "p")), "lines": ("",), "min_len": lambda pr: int(pr["p"])},
-    "adx": {"factory": lambda pr: AdxStream(*_int_params(pr, "p")), "lines": ("",), "min_len": lambda pr: 2 * int(pr["p"])},
-    "kst": {"factory": lambda pr: KstStream(), "lines": ("",), "min_len": lambda pr: 45},
-    "vpvr": {
-        "factory": lambda pr: VpvrStream(_int_params(pr, "p")[0], _int_params(pr, "buckets")[0]),
-        "lines": ("",),
-        "min_len": lambda pr: int(pr["p"]),
-    },
+_REGISTRY: dict[str, type] = {
+    "sma": SmaStream,
+    "ema": EmaStream,
+    "rsi": RsiStream,
+    "atr": AtrStream,
+    "macd": MacdStream,
+    "bollinger": BollingerStream,
+    "obv": ObvStream,
+    "momentum": MomentumStream,
+    "force_index": ForceIndexStream,
+    "mfi": MfiStream,
+    "cci": CciStream,
+    "williams_r": WilliamsRStream,
+    "adx": AdxStream,
+    "kst": KstStream,
+    "vpvr": VpvrStream,
 }
 
 INDICATOR_NAMES = tuple(sorted(_REGISTRY))
 
+# name -> ((parameter, required), ...), read once from each constructor
+_PARAMETERS = {
+    name: tuple((p.name, p.default is p.empty)
+                for p in inspect.signature(cls).parameters.values())
+    for name, cls in _REGISTRY.items()
+}
+
+
+def _stream_class(name: str) -> type:
+    if name not in _REGISTRY:
+        raise UnknownIndicator(f"unknown indicator '{name}'")
+    return _REGISTRY[name]
+
 
 def spec_lines(spec: IndicatorSpec) -> tuple[str, ...]:
     """Output-line suffixes for a spec ('' for single-line indicators)."""
-    if spec.name not in _REGISTRY:
-        raise UnknownIndicator(f"unknown indicator '{spec.name}'")
-    return _REGISTRY[spec.name]["lines"]
+    return getattr(_stream_class(spec.name), "lines", ("",))
 
 
 def make_stream(spec: IndicatorSpec):
-    """Build a fresh streaming instance for a spec."""
-    if spec.name not in _REGISTRY:
-        raise UnknownIndicator(f"unknown indicator '{spec.name}'")
-    try:
-        return _REGISTRY[spec.name]["factory"](spec.params)
-    except KeyError as exc:
-        raise UnknownIndicator(f"{spec.name}: missing parameter {exc}") from exc
+    """Build a fresh streaming instance for a spec; parameters the indicator
+    does not declare are ignored."""
+    cls = _stream_class(spec.name)
+    kwargs = {}
+    for name, required in _PARAMETERS[spec.name]:
+        if name in spec.params:
+            kwargs[name] = spec.params[name]
+        elif required:
+            raise UnknownIndicator(f"{spec.name}: missing parameter '{name}'")
+    return cls(**kwargs)
 
 
 def compute(spec: IndicatorSpec, series: CandleSeries):
     """Compute any registered indicator; returns one IndicatorOutput or a
-    tuple of them for multi-line indicators."""
-    if spec.name not in _REGISTRY:
-        raise UnknownIndicator(f"unknown indicator '{spec.name}'")
-    entry = _REGISTRY[spec.name]
-    stream = make_stream(spec)
-    try:
-        needed = entry["min_len"](spec.params)
-    except KeyError as exc:
-        raise UnknownIndicator(f"{spec.name}: missing parameter {exc}") from exc
-    _check_length(series, needed, spec.label())
-    n = len(entry["lines"])
-    if n == 1:
-        return _run_stream(stream, series)
-    return _run_multi(stream, series, n)
+    tuple of them for multi-line indicators. Raises PeriodExceedsSeries when
+    an output line has no defined value on the series."""
+    push = make_stream(spec).push
+    rows = [push(candle) for candle in series.candles]
+    n = len(spec_lines(spec))
+    columns = [rows] if n == 1 else [[row[j] for row in rows] for j in range(n)]
+    outputs = []
+    for values in columns:
+        warmup = next((i for i, v in enumerate(values) if v is not None), None)
+        if warmup is None:
+            raise PeriodExceedsSeries(f"{spec.label()}: needs more than {len(series)} bars")
+        outputs.append(IndicatorOutput(values, warmup))
+    return outputs[0] if n == 1 else tuple(outputs)
+
+
+def sma(series: CandleSeries, p: int) -> IndicatorOutput:
+    return compute(IndicatorSpec("sma", {"p": p}), series)
+
+
+def ema(series: CandleSeries, p: int) -> IndicatorOutput:
+    return compute(IndicatorSpec("ema", {"p": p}), series)
+
+
+def rsi(series: CandleSeries, p: int) -> IndicatorOutput:
+    return compute(IndicatorSpec("rsi", {"p": p}), series)
+
+
+def atr(series: CandleSeries, p: int) -> IndicatorOutput:
+    return compute(IndicatorSpec("atr", {"p": p}), series)
+
+
+def macd(series: CandleSeries, fast: int, slow: int, signal: int
+         ) -> tuple[IndicatorOutput, IndicatorOutput, IndicatorOutput]:
+    return compute(IndicatorSpec("macd", {"fast": fast, "slow": slow, "signal": signal}), series)
+
+
+def bollinger(series: CandleSeries, p: int, k: float
+              ) -> tuple[IndicatorOutput, IndicatorOutput, IndicatorOutput]:
+    return compute(IndicatorSpec("bollinger", {"p": p, "k": k}), series)
+
+
+def obv(series: CandleSeries) -> IndicatorOutput:
+    return compute(IndicatorSpec("obv"), series)
+
+
+def momentum(series: CandleSeries, p: int) -> IndicatorOutput:
+    return compute(IndicatorSpec("momentum", {"p": p}), series)
+
+
+def force_index(series: CandleSeries, p: int) -> IndicatorOutput:
+    return compute(IndicatorSpec("force_index", {"p": p}), series)
+
+
+def mfi(series: CandleSeries, p: int) -> IndicatorOutput:
+    return compute(IndicatorSpec("mfi", {"p": p}), series)
+
+
+def cci(series: CandleSeries, p: int) -> IndicatorOutput:
+    return compute(IndicatorSpec("cci", {"p": p}), series)
+
+
+def williams_r(series: CandleSeries, p: int) -> IndicatorOutput:
+    return compute(IndicatorSpec("williams_r", {"p": p}), series)
+
+
+def adx(series: CandleSeries, p: int) -> IndicatorOutput:
+    return compute(IndicatorSpec("adx", {"p": p}), series)
+
+
+def kst(series: CandleSeries) -> IndicatorOutput:
+    return compute(IndicatorSpec("kst"), series)
+
+
+def vpvr(series: CandleSeries, p: int, buckets: int) -> IndicatorOutput:
+    return compute(IndicatorSpec("vpvr", {"p": p, "buckets": buckets}), series)

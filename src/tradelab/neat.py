@@ -57,6 +57,12 @@ class NodeKind(Enum):
     OUTPUT = "output"
 
 
+# the activation evaluation applies to each node kind: inputs and the bias
+# pass through, hidden and output nodes use steep_sigmoid
+ACTIVATIONS = {NodeKind.INPUT: "identity", NodeKind.BIAS: "identity",
+               NodeKind.HIDDEN: "sigmoid", NodeKind.OUTPUT: "sigmoid"}
+
+
 @dataclass(frozen=True, slots=True)
 class NodeGene:
     id: int
@@ -109,6 +115,10 @@ def validate_genome(genome: Genome) -> None:
     ids = [n.id for n in genome.nodes]
     if len(ids) != len(set(ids)):
         raise ValidationError("duplicate node ids")
+    for n in genome.nodes:
+        if n.activation != ACTIVATIONS[n.kind]:
+            raise ValidationError(f"node {n.id} ({n.kind.value}) must use activation "
+                                  f"{ACTIVATIONS[n.kind]!r}, got {n.activation!r}")
     id_set = set(ids)
     pairs = set()
     innovations = set()
@@ -309,6 +319,11 @@ class EvolutionConfig:
                 raise ValidationError(f"{name} must be in [0, 1], got {v}")
         if self.elitism < 0 or self.elitism >= self.population_size:
             raise ValidationError("elitism must be in [0, population_size)")
+        for name in ("compatibility_threshold", "weight_cap"):
+            if not getattr(self, name) > 0:
+                raise ValidationError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.max_generations < 0:
+            raise ValidationError(f"max_generations must be >= 0, got {self.max_generations}")
 
 
 def compatibility_distance(a: Genome, b: Genome, config: EvolutionConfig) -> float:
@@ -342,8 +357,6 @@ def compatibility_distance(a: Genome, b: Genome, config: EvolutionConfig) -> flo
             ib += 1
     n = max(len(ca), len(cb))
     if n < 20:
-        n = 1
-    if n == 0:
         n = 1
     avg_w = weight_diff / matching if matching else 0.0
     return config.c1 * excess / n + config.c2 * disjoint / n + config.c3 * avg_w
@@ -656,7 +669,11 @@ def read_genome(path: str | Path) -> Genome:
     nodes: list[NodeGene] = []
     connections: list[ConnectionGene] = []
     fitness = None
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read genome {path}: {exc}") from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split()

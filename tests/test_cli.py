@@ -142,6 +142,32 @@ def test_cmd_indicator_requires_specs(tmp_path):
     assert main(["indicator", "--config", str(cfg)]) == 1
 
 
+def assert_one_line_error(capsys, needle):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert needle in err
+
+
+@pytest.mark.parametrize("spec,needle", [
+    ("ema:p=1e1", "ema:p=1e1"), ("ema:p=abc", "ema:p=abc"), ("ema:p=2.5", "2.5"),
+    ("bollinger:p=20,k=-1.0", "-1.0"), ("ema:p=5000", "ema_5000"),
+    ("sma", "missing parameter"), ("vwap:p=3", "vwap"),
+])
+def test_cmd_indicator_bad_spec_exit_1(tmp_path, capsys, spec, needle):
+    wh = setup_warehouse(tmp_path)
+    cfg = write_config(tmp_path, wh)
+    assert main(["indicator", "--config", str(cfg), "--indicator", spec]) == 1
+    assert_one_line_error(capsys, needle)
+
+
+def test_parse_indicator_spec_rejects_malformed_entries():
+    for entry in ("ema:p=1e1", "ema:p=abc", {"params": {"p": 3}}, {"name": 3},
+                  {"name": "ema", "params": [3]}, 7):
+        with pytest.raises(ConfigError):
+            parse_indicator_spec(entry)
+    assert parse_indicator_spec({"name": "ema", "params": {"p": 3}}).params == {"p": 3}
+
+
 # ---------------------------------------------------------------------------
 # backtest
 # ---------------------------------------------------------------------------
@@ -180,6 +206,48 @@ def test_cmd_backtest_without_strategy_exit_1(tmp_path):
     wh = setup_warehouse(tmp_path)
     cfg = write_config(tmp_path, wh)
     assert main(["backtest", "--config", str(cfg)]) == 1
+
+
+GRID_PARAMS = {"spacing": 1.0, "levels": 3, "level_quantity": 1.0}
+
+
+@pytest.mark.parametrize("strategy,needle", [
+    ({"kind": "grid", "params": {"spacing": 1.0, "level_quantity": 1.0}}, "'levels'"),
+    ({"kind": "grid", "params": {**GRID_PARAMS, "levels": "many"}}, "many"),
+    ({"kind": "grid", "params": {**GRID_PARAMS, "spacing": [1.0]}}, "grid"),
+    ({"kind": "pairs", "params": {}}, "'symbol_b'"),
+    ({"kind": "ema_cross", "params": [9, 21]}, "'params'"),
+    ({"kind": "ema_cross", "stops": {"atr_period": "fast"}}, "fast"),
+    ({"kind": "ema_cross", "stops": 14}, "'stops'"),
+    ({"kind": "ema_cross", "size": None}, "ema_cross"),
+])
+def test_cmd_backtest_bad_strategy_section_exit_1(tmp_path, capsys, strategy, needle):
+    wh = setup_warehouse(tmp_path)
+    cfg = write_config(tmp_path, wh, strategy=strategy)
+    assert main(["backtest", "--config", str(cfg)]) == 1
+    assert_one_line_error(capsys, needle)
+
+
+TRADING_GENOME = ("node 0 input identity\nnode 1 bias identity\nnode 2 output sigmoid\n"
+                  "node 3 output sigmoid\nnode 4 output sigmoid\n")
+
+
+@pytest.mark.parametrize("artifact,needle", [
+    ({"inputs": [], "norm": []}, "'genome'"),
+    ({"genome": "absent.txt", "inputs": [], "norm": []}, "cannot read genome"),
+    ({"genome": "g.txt", "norm": []}, "'inputs'"),
+    ({"genome": "g.txt", "inputs": [{"params": {"p": 3}}], "norm": []}, "bad indicator spec"),
+    ({"genome": "g.txt", "inputs": [], "norm": [[0.0]]}, "bad network artifact"),
+    ({"genome": 7, "inputs": [], "norm": []}, "bad network artifact"),
+    (["g.txt"], "bad network artifact"),
+])
+def test_cmd_backtest_bad_network_artifact_exit_1(tmp_path, capsys, artifact, needle):
+    wh = setup_warehouse(tmp_path)
+    (tmp_path / "g.txt").write_text(TRADING_GENOME)
+    (tmp_path / "artifact.json").write_text(json.dumps(artifact))
+    cfg = write_config(tmp_path, wh, strategy={"kind": "neat", "artifact": "artifact.json"})
+    assert main(["backtest", "--config", str(cfg)]) == 1
+    assert_one_line_error(capsys, needle)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +371,8 @@ def test_cmd_report_missing_report_exit_1(tmp_path):
 # cross-cutting
 # ---------------------------------------------------------------------------
 
-def test_cmd_backtest_pairs_loads_second_leg_from_warehouse(tmp_path):
+def write_pairs_config(tmp_path, **window):
+    """Warehouse legs A and B of a synthetic pair; ``window`` adds data keys."""
     from test_strategy import synthetic_pair
 
     a, b = synthetic_pair(8, n=400)
@@ -315,7 +384,7 @@ def test_cmd_backtest_pairs_loads_second_leg_from_warehouse(tmp_path):
     cfg = {
         "seed": 0,
         "out_dir": str(tmp_path / "out"),
-        "data": {"warehouse": str(wh), "symbol": "A", "interval": 3600},
+        "data": {"warehouse": str(wh), "symbol": "A", "interval": 3600, **window},
         "costs": {"fee_bps": 10.0, "slippage_bps": 5.0, "initial_cash": 10000.0},
         "strategy": {"kind": "pairs",
                      "params": {"symbol_b": "B", "lookback": 40,
@@ -323,10 +392,28 @@ def test_cmd_backtest_pairs_loads_second_leg_from_warehouse(tmp_path):
     }
     path = tmp_path / "pairs.json"
     path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_cmd_backtest_pairs_loads_second_leg_from_warehouse(tmp_path):
+    path = write_pairs_config(tmp_path)
     assert main(["backtest", "--config", str(path)]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["metrics"]["trade_count"] >= 2
     assert {t["symbol"] for t in report["trades"]} == {"A", "B"}
+
+
+def test_cmd_backtest_windowed_pairs_windows_both_legs(tmp_path):
+    step = 3600 * 1000
+    path = write_pairs_config(tmp_path, from_ts=50 * step, to_ts=349 * step)
+    assert main(["backtest", "--config", str(path)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["bars"] == 300
+    assert main(["backtest", "--config", str(path), "--paper",
+                 "--out", str(tmp_path / "paper")]) == 0
+    paper = json.loads((tmp_path / "paper" / "report.json").read_text())
+    assert paper["bars"] == 300
+    assert paper["metrics"]["trade_count"] == report["metrics"]["trade_count"]
 
 
 def test_same_strategy_scores_differ_across_fixtures(tmp_path):

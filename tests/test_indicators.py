@@ -1,10 +1,15 @@
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from helpers import flat_series, random_series, series_from_closes, series_from_ohlc
 from tradelab import indicators as ind
 from tradelab.data import CandleSeries
+from tradelab.errors import ValidationError
 from tradelab.indicators import (
     IndicatorSpec,
     InvalidPeriods,
@@ -222,6 +227,58 @@ def test_invalid_period_values():
         ind.bollinger(random_series(0, 32), 1, 2.0)
     with pytest.raises(InvalidPeriods):
         ind.bollinger(random_series(0, 32), 5, 0.0)
+
+
+def test_fractional_period_rejected():
+    # a fractional period must not run as EMA(2) under an 'ema_2.5' label
+    with pytest.raises(InvalidPeriods):
+        compute(IndicatorSpec("ema", {"p": 2.5}), random_series(0, 32))
+    assert compute(IndicatorSpec("ema", {"p": 2.0}), random_series(0, 32)).warmup == 1
+
+
+def test_bollinger_non_finite_width_rejected():
+    for k in (math.nan, math.inf, -math.inf, 10**400, True, "2"):
+        with pytest.raises(InvalidPeriods):
+            compute(IndicatorSpec("bollinger", {"p": 5, "k": k}), random_series(0, 32))
+
+
+def test_bollinger_width_defaults_to_two():
+    series = random_series(3, 64)
+    default = compute(IndicatorSpec("bollinger", {"p": 20}), series)
+    explicit = ind.bollinger(series, 20, 2.0)
+    assert [o.values for o in default] == [o.values for o in explicit]
+
+
+@pytest.mark.parametrize("p", [None, math.nan, math.inf, -math.inf, "14", True, 0, -3, 2**40])
+def test_non_integer_periods_rejected(p):
+    with pytest.raises(InvalidPeriods):
+        compute(IndicatorSpec("sma", {"p": p}), random_series(0, 32))
+
+
+PARAM_VALUES = st.one_of(
+    st.integers(-2, 40), st.integers(), st.floats(), st.booleans(), st.none(),
+    st.text(max_size=3),
+)
+EDGE_SERIES = random_series(12, n=60)
+
+
+@given(name=st.sampled_from(ind.INDICATOR_NAMES),
+       params=st.dictionaries(st.sampled_from(["p", "k", "fast", "slow", "signal", "buckets"]),
+                              PARAM_VALUES),
+       n=st.integers(1, 60))
+@settings(max_examples=400, deadline=None)
+def test_compute_full_length_or_validation_error(name, params, n):
+    series = CandleSeries(EDGE_SERIES.symbol, EDGE_SERIES.interval, EDGE_SERIES.candles[:n])
+    spec = IndicatorSpec(name, params)
+    try:
+        out = compute(spec, series)
+    except ValidationError:
+        return
+    outs = out if isinstance(out, tuple) else (out,)
+    assert len(outs) == len(spec_lines(spec))
+    for o in outs:
+        assert len(o.values) == n
+        assert_no_interior_holes(o)
 
 
 # ---------------------------------------------------------------------------

@@ -449,3 +449,36 @@ def test_genome_file_bad_line(tmp_path):
     path.write_text("node 0 input identity\nwires 1 2 3\n")
     with pytest.raises(ValidationError, match=":2:"):
         read_genome(path)
+
+
+def test_genome_file_rejects_activation_evaluation_ignores(tmp_path):
+    path = tmp_path / "tanh.txt"
+    path.write_text("node 0 input identity\nnode 1 output tanh\nconn 0 0 1 0.5 1\n")
+    with pytest.raises(ValidationError, match="activation"):
+        read_genome(path)
+
+
+def test_validate_genome_checks_activation_per_kind():
+    good_input = NodeGene(0, NodeKind.INPUT, "identity")
+    output = NodeGene(1, NodeKind.OUTPUT)
+    validate_genome(Genome([good_input, output], []))
+    for nodes in ([NodeGene(0, NodeKind.INPUT), output],
+                  [NodeGene(0, NodeKind.BIAS, "sigmoid"), output],
+                  [good_input, NodeGene(2, NodeKind.HIDDEN, "identity"), output]):
+        with pytest.raises(ValidationError, match="activation"):
+            validate_genome(Genome(nodes, []))
+
+
+def test_genome_file_missing_is_validation_error(tmp_path):
+    with pytest.raises(ValidationError, match="cannot read genome"):
+        read_genome(tmp_path / "absent.txt")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("compatibility_threshold", 0.0), ("compatibility_threshold", -1.0),
+    ("compatibility_threshold", math.nan), ("weight_cap", 0.0), ("weight_cap", -2.0),
+    ("max_generations", -1),
+])
+def test_evolution_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValidationError, match=field):
+        EvolutionConfig(**{field: value}).validate()

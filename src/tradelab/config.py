@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ValidationError
-from .indicators import IndicatorSpec
+from .indicators import IndicatorSpec, require_period
 from .neat import EvolutionConfig, read_genome
 from .strategy import (
     EmaCrossParams,
@@ -112,7 +112,7 @@ def _build_stops(raw: dict) -> StopSettings | None:
     if not raw:
         return None
     return StopSettings(
-        atr_period=int(raw.get("atr_period", 14)),
+        atr_period=require_period(raw.get("atr_period", 14), "atr_period"),
         stop_mult=float(raw.get("stop_mult", 2.0)),
         profit_mult=float(raw.get("profit_mult", 4.0)),
         fallback_stop_pct=float(raw.get("fallback_stop_pct", 0.05)),
@@ -129,14 +129,15 @@ def build_strategy(section: dict, symbol: str, base_dir: Path) -> StrategyConfig
         if kind == "null":
             built = NullParams()
         elif kind == "ema_cross":
-            built = EmaCrossParams(p_short=int(params.get("p_short", 9)),
-                                   p_long=int(params.get("p_long", 21)))
+            built = EmaCrossParams(p_short=require_period(params.get("p_short", 9), "p_short"),
+                                   p_long=require_period(params.get("p_long", 21), "p_long"))
         elif kind == "grid":
-            built = GridParams(spacing=float(params["spacing"]), levels=int(params["levels"]),
+            built = GridParams(spacing=float(params["spacing"]),
+                               levels=require_period(params["levels"], "levels"),
                                level_quantity=float(params["level_quantity"]))
         elif kind == "pairs":
             built = PairsParams(symbol_b=str(params["symbol_b"]),
-                                lookback=int(params.get("lookback", 50)),
+                                lookback=require_period(params.get("lookback", 50), "lookback"),
                                 z_entry=float(params.get("z_entry", 2.0)),
                                 z_exit=float(params.get("z_exit", 0.5)),
                                 leg_fraction=float(params.get("leg_fraction", 0.5)))

@@ -77,7 +77,7 @@ class IndicatorOutput:
 _MAX_PERIOD = 2**31 - 1  # beyond any series; keeps window sizes in range
 
 
-def _require_period(p, name: str = "p") -> int:
+def require_period(p, name: str = "p") -> int:
     """An int, or an integral finite float, in [1, _MAX_PERIOD]. Bools,
     strings, None, fractions, NaN and infinities are rejected."""
     if isinstance(p, float) and p.is_integer():
@@ -141,7 +141,7 @@ class _EmaAvg:
 
 class SmaStream:
     def __init__(self, p: int):
-        self.p = _require_period(p)
+        self.p = require_period(p)
         self._win: deque[float] = deque(maxlen=self.p)
 
     def push(self, candle: Candle) -> float | None:
@@ -153,7 +153,7 @@ class SmaStream:
 
 class EmaStream:
     def __init__(self, p: int):
-        self._ema = _EmaAvg(_require_period(p))
+        self._ema = _EmaAvg(require_period(p))
 
     def push(self, candle: Candle) -> float | None:
         return self._ema.push(candle.close)
@@ -161,7 +161,7 @@ class EmaStream:
 
 class RsiStream:
     def __init__(self, p: int):
-        p = _require_period(p)
+        p = require_period(p)
         self._gain = _WilderAvg(p)
         self._loss = _WilderAvg(p)
         self._prev_close: float | None = None
@@ -183,7 +183,7 @@ class RsiStream:
 
 class AtrStream:
     def __init__(self, p: int):
-        self._atr = _WilderAvg(_require_period(p))
+        self._atr = _WilderAvg(require_period(p))
         self._prev_close: float | None = None
 
     def push(self, candle: Candle) -> float | None:
@@ -202,9 +202,9 @@ class MacdStream:
     lines = ("line", "signal", "hist")
 
     def __init__(self, fast: int, slow: int, signal: int):
-        fast = _require_period(fast, "fast")
-        slow = _require_period(slow, "slow")
-        signal = _require_period(signal, "signal")
+        fast = require_period(fast, "fast")
+        slow = require_period(slow, "slow")
+        signal = require_period(signal, "signal")
         if fast >= slow:
             raise InvalidPeriods(f"fast period {fast} must be < slow period {slow}")
         self._fast = _EmaAvg(fast)
@@ -229,7 +229,7 @@ class BollingerStream:
     lines = ("upper", "middle", "lower")
 
     def __init__(self, p: int, k: float = 2.0):
-        p = _require_period(p)
+        p = require_period(p)
         if p < 2:
             raise InvalidPeriods(f"bollinger period must be >= 2, got {p}")
         if type(k) not in (int, float) or not 0 < k <= sys.float_info.max:
@@ -267,7 +267,7 @@ class ObvStream:
 
 class MomentumStream:
     def __init__(self, p: int):
-        self.p = _require_period(p)
+        self.p = require_period(p)
         self._win: deque[float] = deque(maxlen=self.p + 1)
 
     def push(self, candle: Candle) -> float | None:
@@ -281,7 +281,7 @@ class ForceIndexStream:
     """EMA-smoothed (close change * volume)."""
 
     def __init__(self, p: int):
-        self._ema = _EmaAvg(_require_period(p))
+        self._ema = _EmaAvg(require_period(p))
         self._prev_close: float | None = None
 
     def push(self, candle: Candle) -> float | None:
@@ -300,7 +300,7 @@ class MfiStream:
     """
 
     def __init__(self, p: int):
-        self.p = _require_period(p)
+        self.p = require_period(p)
         self._flows: deque[tuple[float, float]] = deque(maxlen=self.p)
         self._prev_tp: float | None = None
 
@@ -328,7 +328,7 @@ class MfiStream:
 
 class CciStream:
     def __init__(self, p: int):
-        self.p = _require_period(p)
+        self.p = require_period(p)
         self._win: deque[float] = deque(maxlen=self.p)
 
     def push(self, candle: Candle) -> float | None:
@@ -345,7 +345,7 @@ class CciStream:
 
 class WilliamsRStream:
     def __init__(self, p: int):
-        self.p = _require_period(p)
+        self.p = require_period(p)
         self._highs: deque[float] = deque(maxlen=self.p)
         self._lows: deque[float] = deque(maxlen=self.p)
 
@@ -366,7 +366,7 @@ class AdxStream:
     Wilder-smoothed DX; first value appears at index 2p-1."""
 
     def __init__(self, p: int):
-        p = _require_period(p)
+        p = require_period(p)
         self._tr = _WilderAvg(p)
         self._pos_dm = _WilderAvg(p)
         self._neg_dm = _WilderAvg(p)
@@ -438,8 +438,8 @@ class VpvrStream:
     """
 
     def __init__(self, p: int, buckets: int):
-        self.p = _require_period(p)
-        self.buckets = _require_period(buckets, "buckets")
+        self.p = require_period(p)
+        self.buckets = require_period(buckets, "buckets")
         self._win: deque[tuple[float, float]] = deque(maxlen=self.p)
 
     def push(self, candle: Candle) -> float | None:
@@ -466,7 +466,7 @@ class VpvrStream:
 
 def volume_profile(series: CandleSeries, buckets: int) -> list[tuple[float, float, float]]:
     """Whole-series volume-by-price histogram as (low_edge, high_edge, volume)."""
-    buckets = _require_period(buckets, "buckets")
+    buckets = require_period(buckets, "buckets")
     if not series.candles:
         return []
     tps = [(c.high + c.low + c.close) / 3.0 for c in series.candles]

@@ -159,37 +159,66 @@ def _topological_order(genome: Genome) -> list[int]:
 class NetworkEvaluator:
     """Compiled feed-forward evaluator for one genome.
 
-    Build once per genome, then call :meth:`activate` per input vector.
+    Nodes get value slots: the inputs first, then the bias nodes, then every
+    other node in topological order. Each step computes one node from its
+    ``(src_slot, weight)`` pairs, kept in connection-gene order. Build once
+    per genome, then call :meth:`activate` per input vector, or
+    :meth:`activate_rows` for many vectors at once; both take the same float
+    operations in the same order for a given vector.
     """
 
     def __init__(self, genome: Genome):
         self.input_ids = genome.ids_of(NodeKind.INPUT)
         self.bias_ids = genome.ids_of(NodeKind.BIAS)
         self.output_ids = genome.ids_of(NodeKind.OUTPUT)
-        order = _topological_order(genome)
+        fixed = self.input_ids + self.bias_ids
+        skip = set(fixed)
+        computed = [nid for nid in _topological_order(genome) if nid not in skip]
+        slot = {nid: i for i, nid in enumerate(fixed + computed)}
         incoming: dict[int, list[tuple[int, float]]] = {n.id: [] for n in genome.nodes}
         for c in genome.connections:
             if c.enabled:
-                incoming[c.dst].append((c.src, c.weight))
-        skip = set(self.input_ids) | set(self.bias_ids)
-        self._steps = [(nid, incoming[nid]) for nid in order if nid not in skip]
+                incoming[c.dst].append((slot[c.src], c.weight))
+        self._steps = [(slot[nid], incoming[nid]) for nid in computed]
+        self._output_slots = [slot[nid] for nid in self.output_ids]
+        # the slots after the inputs: 1.0 for each bias, then the computed nodes
+        self._tail = [1.0] * len(self.bias_ids) + [0.0] * len(computed)
+
+    def _arity_error(self, length: int) -> ArityMismatch:
+        return ArityMismatch(f"expected {len(self.input_ids)} inputs, got {length}")
 
     def activate(self, inputs: list[float]) -> list[float]:
         if len(inputs) != len(self.input_ids):
-            raise ArityMismatch(
-                f"expected {len(self.input_ids)} inputs, got {len(inputs)}"
-            )
-        values: dict[int, float] = {}
-        for nid, x in zip(self.input_ids, inputs):
-            values[nid] = x
-        for nid in self.bias_ids:
-            values[nid] = 1.0
-        for nid, incoming in self._steps:
+            raise self._arity_error(len(inputs))
+        values = [*inputs, *self._tail]
+        for dst, incoming in self._steps:
             total = 0.0
             for src, weight in incoming:
                 total += values[src] * weight
-            values[nid] = steep_sigmoid(total)
-        return [values[nid] for nid in self.output_ids]
+            values[dst] = steep_sigmoid(total)
+        return [values[s] for s in self._output_slots]
+
+    def activate_rows(self, rows) -> list[list[float]]:
+        """Evaluate many input vectors node by node; ``result[k]`` equals
+        ``activate(rows[k])``."""
+        wrong = set(map(len, rows)) - {len(self.input_ids)}
+        if wrong:
+            raise self._arity_error(min(wrong))
+        if not rows:
+            return []
+        count = len(rows)
+        # one column per slot: the inputs, 1.0 for each bias, then the computed nodes
+        columns = [*zip(*rows), *[[1.0] * count] * len(self.bias_ids),
+                   *[None] * len(self._steps)]
+        for dst, incoming in self._steps:
+            totals = [0.0] * count
+            for src, weight in incoming:
+                totals = [t + v * weight for t, v in zip(totals, columns[src])]
+            columns[dst] = list(map(steep_sigmoid, totals))
+        outputs = [columns[s] for s in self._output_slots]
+        if not outputs:
+            return [[] for _ in rows]
+        return [list(values) for values in zip(*outputs)]
 
 
 def activate(genome: Genome, inputs: list[float]) -> list[float]:
@@ -665,6 +694,13 @@ def write_genome(genome: Genome, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _finite(text: str, what: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {text}")
+    return value
+
+
 def read_genome(path: str | Path) -> Genome:
     nodes: list[NodeGene] = []
     connections: list[ConnectionGene] = []
@@ -683,10 +719,10 @@ def read_genome(path: str | Path) -> Genome:
             elif parts[0] == "conn":
                 connections.append(
                     ConnectionGene(int(parts[1]), int(parts[2]), int(parts[3]),
-                                   float(parts[4]), bool(int(parts[5])))
+                                   _finite(parts[4], "weight"), bool(int(parts[5])))
                 )
             elif parts[0] == "fitness":
-                fitness = float(parts[1])
+                fitness = _finite(parts[1], "fitness")
             else:
                 raise ValueError(f"unknown record '{parts[0]}'")
         except (ValueError, IndexError) as exc:

@@ -21,10 +21,12 @@ from .neat import Evolution, EvolutionConfig, GenerationStats, Genome
 from .strategy import (
     EmaCrossParams,
     GridParams,
+    InputMatrix,
     NeatParams,
     PairsParams,
     StrategyConfig,
     StrategyKind,
+    normalize_row,
 )
 
 logger = logging.getLogger(__name__)
@@ -112,33 +114,45 @@ def tune_parameters(kind: StrategyKind, search_space, train: CandleSeries, *,
 # Neuroevolution over indicator inputs
 # ---------------------------------------------------------------------------
 
-def input_normalization(train: CandleSeries, input_specs: list[IndicatorSpec]
-                        ) -> tuple[tuple[float, float], ...]:
-    """Fit per-column (mean, std) over the defined indicator values of the
-    training window; multi-line indicators expand to one column per line."""
-    stats: list[tuple[float, float]] = []
+def _input_columns(train: CandleSeries, input_specs) -> list[list[float | None]]:
+    """Each indicator input over the series, one column per output line."""
+    columns = []
     for spec in input_specs:
         outputs = compute(spec, train)
         if len(spec_lines(spec)) == 1:
             outputs = (outputs,)
-        for out in outputs:
-            defined = [v for v in out.values if v is not None]
-            if not defined:
-                stats.append((0.0, 0.0))
-                continue
-            mean = sum(defined) / len(defined)
-            var = sum((v - mean) ** 2 for v in defined) / len(defined)
-            stats.append((mean, math.sqrt(var)))
+        columns.extend(out.values for out in outputs)
+    return columns
+
+
+def _fit_normalization(columns) -> tuple[tuple[float, float], ...]:
+    stats = []
+    for values in columns:
+        defined = [v for v in values if v is not None]  # never empty: compute checks
+        mean = sum(defined) / len(defined)
+        var = sum((v - mean) ** 2 for v in defined) / len(defined)
+        stats.append((mean, math.sqrt(var)))
     return tuple(stats)
+
+
+def input_normalization(train: CandleSeries, input_specs: list[IndicatorSpec]
+                        ) -> tuple[tuple[float, float], ...]:
+    """Fit per-column (mean, std) over the defined indicator values of the
+    training window; multi-line indicators expand to one column per line."""
+    return _fit_normalization(_input_columns(train, input_specs))
 
 
 def network_strategy(genome: Genome, symbol: str, input_specs,
                      norm: tuple[tuple[float, float], ...],
-                     size: float = 1.0, stops=None) -> StrategyConfig:
-    """Wrap an evolved genome as a runnable strategy config."""
+                     size: float = 1.0, stops=None,
+                     inputs: InputMatrix | None = None) -> StrategyConfig:
+    """Wrap an evolved genome as a runnable strategy config. ``inputs``, the
+    normalized rows of the series it will run on, saves it from streaming
+    its indicators."""
     return StrategyConfig(
         symbol=symbol,
-        params=NeatParams(genome=genome, input_specs=tuple(input_specs), norm=norm),
+        params=NeatParams(genome=genome, input_specs=tuple(input_specs), norm=norm,
+                          inputs=inputs),
         size=size,
         stops=stops,
     )
@@ -153,18 +167,25 @@ def evolve_strategy(train: CandleSeries, input_specs: list[IndicatorSpec],
     """Evolve a trading network on a training series.
 
     Fitness of a genome is the backtest score of the strategy that feeds the
-    normalized indicator columns through the network each bar. Returns the
+    normalized indicator columns through the network each bar. The columns
+    and their normalized rows are computed once per run; each genome's
+    backtest evaluates all rows in one batched pass, with the same float
+    operations as a streamed backtest of the returned genome. Returns the
     best genome ever seen, the per-generation fitness history, and the
     normalization constants needed to redeploy the genome.
     """
     if not input_specs:
         raise ValidationError("need at least one indicator input")
-    norm = input_normalization(train, input_specs)
+    columns = _input_columns(train, input_specs)
+    norm = _fit_normalization(columns)
+    rows = tuple(None if None in raw else tuple(normalize_row(raw, norm))
+                 for raw in zip(*columns))
+    inputs = InputMatrix(train.candles, rows)
     n_inputs = len(norm)
     costs = costs or CostModel()
 
     def fitness(genome: Genome) -> float:
-        strategy = network_strategy(genome, train.symbol, input_specs, norm)
+        strategy = network_strategy(genome, train.symbol, input_specs, norm, inputs=inputs)
         report = run_backtest(strategy, train, initial_cash, costs,
                               drawdown_lambda=drawdown_lambda)
         return report.score

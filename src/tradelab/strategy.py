@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .data import Candle, CandleSeries
@@ -136,13 +136,28 @@ class PairsParams:
 
 
 @dataclass(frozen=True)
+class InputMatrix:
+    """A network's normalized inputs precomputed for one series: one row per
+    candle, ``None`` while any input column is still warming up. A stepper
+    uses row i only for the very candle object it was computed from."""
+
+    candles: tuple[Candle, ...]
+    rows: tuple[tuple[float, ...] | None, ...]
+
+
+@dataclass(frozen=True)
 class NeatParams:
     """A frozen evolved network: the genome, its indicator inputs, and the
-    normalization constants fitted on the training window."""
+    normalization constants fitted on the training window.
+
+    ``inputs`` is set only while evolving, where every genome of a run
+    trades the same series; a strategy without it streams its indicators.
+    """
 
     genome: Genome
     input_specs: tuple[IndicatorSpec, ...]
     norm: tuple[tuple[float, float], ...]  # (mean, std) per expanded input column
+    inputs: InputMatrix | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -357,15 +372,33 @@ class PairsStepper:
         return _NO_INTENTS
 
 
+def normalize_row(raw, norm: tuple[tuple[float, float], ...]) -> list[float]:
+    """Scale raw input values by the fitted (mean, std) of their columns; a
+    column without spread reads 0."""
+    return [(v - mean) / std if std > 0 else 0.0 for v, (mean, std) in zip(raw, norm)]
+
+
+def network_action(outputs) -> int:
+    """Index of the largest of the three network outputs (0 open, 1 close,
+    2 hold); the first index wins a tie, as with ``max``."""
+    o_open, o_close, o_hold = outputs
+    best = 1 if o_close > o_open else 0
+    return 2 if o_hold > (o_close if best else o_open) else best
+
+
 class NeatStepper:
     """Feeds normalized indicator values through an evolved network and maps
-    the argmax of its three outputs to open / close / hold."""
+    the argmax of its three outputs to open / close / hold.
+
+    With precomputed ``inputs`` the stepper evaluates every bar's row in one
+    batched pass when it is built and looks its actions up per bar; without
+    them it streams its indicators one bar at a time.
+    """
 
     def __init__(self, config: StrategyConfig):
         p = config.params
         self.symbol = config.symbol
         self.size = config.size
-        self._streams = [make_stream(spec) for spec in p.input_specs]
         self._widths = [len(spec_lines(spec)) for spec in p.input_specs]
         self.norm = p.norm
         n_columns = sum(self._widths)
@@ -380,11 +413,38 @@ class NeatStepper:
             )
         if len(self._net.output_ids) != 3:
             raise ValidationError("trading genomes need exactly 3 outputs (open/close/hold)")
+        if p.inputs is None:
+            self._streams = [make_stream(spec) for spec in p.input_specs]
+            self._actions = None
+        else:
+            self._candles = p.inputs.candles
+            rows = p.inputs.rows
+            outputs = iter(self._net.activate_rows([row for row in rows if row is not None]))
+            self._actions = [None if row is None else network_action(next(outputs))
+                             for row in rows]
         self.in_position = False
         self.bars_seen = 0
 
     def step(self, candle: Candle):
+        bar = self.bars_seen
         self.bars_seen += 1
+        if self._actions is None:
+            action = self._stream_action(candle)
+        elif bar < len(self._actions) and self._candles[bar] is candle:
+            action = self._actions[bar]
+        else:
+            raise StrategyStateError(f"precomputed inputs were not computed for bar {bar}")
+        if action == 0 and not self.in_position:
+            self.in_position = True
+            return ([TradeIntent(Side.OPEN_LONG, self.symbol, self.size, reason="net-open")], [])
+        if action == 1 and self.in_position:
+            self.in_position = False
+            return ([], [TradeIntent(Side.CLOSE_LONG, self.symbol, reason="net-close")])
+        return _NO_INTENTS
+
+    def _stream_action(self, candle: Candle) -> int | None:
+        """Push the bar into every input stream; the network's action, or
+        None while an input is still warming up."""
         raw: list[float] = []
         ready = True
         for stream, width in zip(self._streams, self._widths):
@@ -398,19 +458,8 @@ class NeatStepper:
                 else:
                     raw.append(v)
         if not ready:
-            return _NO_INTENTS
-        inputs = []
-        for v, (mean, std) in zip(raw, self.norm):
-            inputs.append((v - mean) / std if std > 0 else 0.0)
-        outputs = self._net.activate(inputs)
-        action = max(range(3), key=lambda i: outputs[i])
-        if action == 0 and not self.in_position:
-            self.in_position = True
-            return ([TradeIntent(Side.OPEN_LONG, self.symbol, self.size, reason="net-open")], [])
-        if action == 1 and self.in_position:
-            self.in_position = False
-            return ([], [TradeIntent(Side.CLOSE_LONG, self.symbol, reason="net-close")])
-        return _NO_INTENTS
+            return None
+        return network_action(self._net.activate(normalize_row(raw, self.norm)))
 
 
 _STEPPERS = {

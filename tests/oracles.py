@@ -1,4 +1,5 @@
-"""Brute-force definitional indicator oracles.
+"""Brute-force definitional indicator oracles, and a reference network
+evaluator.
 
 Deliberately naive second implementations (window re-summation, explicit
 recurrences over numpy arrays) kept independent of the streaming code under
@@ -10,6 +11,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from tradelab.neat import ArityMismatch, NodeKind, _topological_order, steep_sigmoid
 
 
 def _nones(n):
@@ -273,3 +276,36 @@ def oracle_vpvr(highs, lows, closes, volumes, p, buckets):
         out[i] = sum(volumes[j] for j in window
                      if min(int((tp[j] - lo) / width), buckets - 1) == mine)
     return out
+
+
+class DictNetworkEvaluator:
+    """Reference feed-forward evaluator that keeps node values in a dict
+    keyed by node id: nodes in topological order, each summing its enabled
+    incoming connections in gene order before ``steep_sigmoid``."""
+
+    def __init__(self, genome):
+        self.input_ids = genome.ids_of(NodeKind.INPUT)
+        self.bias_ids = genome.ids_of(NodeKind.BIAS)
+        self.output_ids = genome.ids_of(NodeKind.OUTPUT)
+        order = _topological_order(genome)
+        incoming = {n.id: [] for n in genome.nodes}
+        for c in genome.connections:
+            if c.enabled:
+                incoming[c.dst].append((c.src, c.weight))
+        skip = set(self.input_ids) | set(self.bias_ids)
+        self._steps = [(nid, incoming[nid]) for nid in order if nid not in skip]
+
+    def activate(self, inputs):
+        if len(inputs) != len(self.input_ids):
+            raise ArityMismatch(f"expected {len(self.input_ids)} inputs, got {len(inputs)}")
+        values = {}
+        for nid, x in zip(self.input_ids, inputs):
+            values[nid] = x
+        for nid in self.bias_ids:
+            values[nid] = 1.0
+        for nid, incoming in self._steps:
+            total = 0.0
+            for src, weight in incoming:
+                total += values[src] * weight
+            values[nid] = steep_sigmoid(total)
+        return [values[nid] for nid in self.output_ids]

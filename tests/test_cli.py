@@ -220,6 +220,11 @@ GRID_PARAMS = {"spacing": 1.0, "levels": 3, "level_quantity": 1.0}
     ({"kind": "ema_cross", "stops": {"atr_period": "fast"}}, "fast"),
     ({"kind": "ema_cross", "stops": 14}, "'stops'"),
     ({"kind": "ema_cross", "size": None}, "ema_cross"),
+    ({"kind": "ema_cross", "params": {"p_short": 9.7, "p_long": 21.2}}, "p_short"),
+    ({"kind": "ema_cross", "params": {"p_short": 9, "p_long": "21"}}, "p_long"),
+    ({"kind": "grid", "params": {**GRID_PARAMS, "levels": 2.5}}, "levels"),
+    ({"kind": "pairs", "params": {"symbol_b": "B", "lookback": 40.5}}, "lookback"),
+    ({"kind": "ema_cross", "stops": {"atr_period": 14.5}}, "atr_period"),
 ])
 def test_cmd_backtest_bad_strategy_section_exit_1(tmp_path, capsys, strategy, needle):
     wh = setup_warehouse(tmp_path)

@@ -3,6 +3,9 @@ import random
 
 import pytest
 
+from oracles import DictNetworkEvaluator
+from test_cli import TRADING_GENOME, assert_one_line_error, setup_warehouse, write_config
+from tradelab.cli import main
 from tradelab.neat import (
     ArityMismatch,
     ConnectionGene,
@@ -11,6 +14,7 @@ from tradelab.neat import (
     EvolutionConfig,
     Genome,
     InnovationTracker,
+    NetworkEvaluator,
     NodeGene,
     NodeKind,
     UnevaluatedParent,
@@ -72,6 +76,10 @@ def test_activate_arity_mismatch():
     g, _ = fresh_genome()
     with pytest.raises(ArityMismatch):
         activate(g, [1.0])
+    net = NetworkEvaluator(g)
+    assert net.activate_rows([]) == []
+    with pytest.raises(ArityMismatch):
+        net.activate_rows([[0.0, 0.0, 0.0], [1.0]])
 
 
 def test_activate_rejects_cycles():
@@ -112,6 +120,43 @@ def test_activate_matches_recursive_oracle():
         got = activate(genome, inputs)
         want = eval_oracle(genome, inputs)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def bred_genomes(n_in=4, n_out=3, rounds=12):
+    """Genomes bred by seeded crossover and mutation from one tracker:
+    hidden nodes, disabled connections and added links."""
+    config = EvolutionConfig(population_size=30, add_connection_rate=0.5, add_node_rate=0.4)
+    tracker = InnovationTracker()
+    tracker.begin_generation()
+    rng = random.Random(99)
+    population = [initial_genome(n_in, n_out, tracker, rng, 2.0) for _ in range(6)]
+    bred = list(population)
+    for _ in range(rounds):
+        tracker.begin_generation()
+        for g in population:
+            g.fitness = rng.uniform(-1.0, 1.0)
+        population = [mutate(crossover(rng.choice(population), rng.choice(population), rng),
+                             config, rng, tracker) for _ in population]
+        bred.extend(population)
+    return bred
+
+
+def test_flat_evaluator_equals_dict_reference():
+    rng = random.Random(7)
+    rows = [[rng.uniform(-2, 2) for _ in range(4)] for _ in range(30)]
+    # saturated inputs drive outputs to exactly 1.0 or 0.0, so outputs tie
+    rows += [[50.0] * 4, [-50.0] * 4, [1e6, -1e6, 1e6, -1e6], [0.0] * 4]
+    genomes = bred_genomes()
+    assert any(n.kind is NodeKind.HIDDEN for g in genomes for n in g.nodes)
+    assert any(not c.enabled for g in genomes for c in g.connections)
+    ties = 0
+    for genome in genomes:
+        reference = [DictNetworkEvaluator(genome).activate(row) for row in rows]
+        net = NetworkEvaluator(genome)
+        assert [net.activate(row) for row in rows] == reference
+        assert net.activate_rows(rows) == reference
+        ties += sum(len(set(out)) < len(out) for out in reference)
+    assert ties > 0
 
 
 def test_outputs_in_unit_interval():
@@ -482,3 +527,23 @@ def test_genome_file_missing_is_validation_error(tmp_path):
 def test_evolution_config_rejects_out_of_range(field, value):
     with pytest.raises(ValidationError, match=field):
         EvolutionConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("record", ["conn 0 0 2 nan 1", "conn 1 1 2 inf 1",
+                                    "fitness nan", "fitness -inf"])
+def test_genome_file_rejects_non_finite_numbers(tmp_path, record):
+    path = tmp_path / "g.txt"
+    path.write_text("node 0 input identity\nnode 1 input identity\n"
+                    f"node 2 output sigmoid\n{record}\n")
+    with pytest.raises(ValidationError, match="must be finite"):
+        read_genome(path)
+
+
+def test_cmd_backtest_non_finite_genome_weight_exit_1(tmp_path, capsys):
+    wh = setup_warehouse(tmp_path)
+    (tmp_path / "g.txt").write_text(TRADING_GENOME + "conn 0 0 2 nan 1\n")
+    (tmp_path / "artifact.json").write_text(
+        '{"genome": "g.txt", "inputs": ["ema:p=3"], "norm": [[0.0, 1.0]]}')
+    cfg = write_config(tmp_path, wh, strategy={"kind": "neat", "artifact": "artifact.json"})
+    assert main(["backtest", "--config", str(cfg)]) == 1
+    assert_one_line_error(capsys, "weight must be finite")

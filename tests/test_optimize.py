@@ -2,8 +2,9 @@ import pytest
 
 from helpers import random_series, trending_fixture
 from tradelab.backtest import CostModel, run_backtest
-from tradelab.indicators import IndicatorSpec
-from tradelab.neat import EvolutionConfig
+from tradelab.data import CandleSeries
+from tradelab.indicators import IndicatorSpec, compute, make_stream
+from tradelab.neat import EvolutionConfig, NodeKind
 from tradelab.optimize import (
     EmptySearchSpace,
     evolve_strategy,
@@ -13,7 +14,7 @@ from tradelab.optimize import (
     network_strategy,
     tune_parameters,
 )
-from tradelab.strategy import StrategyKind
+from tradelab.strategy import StrategyKind, StrategyStateError, normalize_row
 
 EMA_GRID = [{"p_short": 9, "p_long": 21}, {"p_short": 9, "p_long": 30},
             {"p_short": 20, "p_long": 30}, {"p_short": 20, "p_long": 50}]
@@ -113,3 +114,84 @@ def test_evolve_with_multiline_indicator_inputs():
     strategy = network_strategy(best, series.symbol, inputs, norm)
     report = run_backtest(strategy, series, 10_000.0, CostModel())
     assert report.score == pytest.approx(best.fitness, abs=1e-12)
+
+
+MIXED_INPUTS = [IndicatorSpec("macd", {"fast": 5, "slow": 12, "signal": 4}),
+                IndicatorSpec("rsi", {"p": 7}), IndicatorSpec("atr", {"p": 5})]
+BREEDING = EvolutionConfig(population_size=12, max_generations=2, add_node_rate=0.3,
+                           add_connection_rate=0.3, seed=4)
+
+
+def recorded_fitness_backtests(monkeypatch, series, costs):
+    """Run evolve_strategy and return (strategy, report) for every fitness backtest."""
+    calls = []
+
+    def recording(strategy, *args, **kwargs):
+        report = run_backtest(strategy, *args, **kwargs)
+        calls.append((strategy, report))
+        return report
+
+    monkeypatch.setattr("tradelab.optimize.run_backtest", recording)
+    best, history, norm = evolve_strategy(series, MIXED_INPUTS, BREEDING, costs=costs)
+    return calls, norm
+
+
+def test_evolve_fitness_equals_streamed_backtest(monkeypatch):
+    series = random_series(21, n=300, vol=0.02)
+    costs = CostModel(fee_bps=10.0, slippage_bps=5.0)
+    calls, norm = recorded_fitness_backtests(monkeypatch, series, costs)
+    assert len(calls) >= 20
+    assert any(len(s.params.genome.ids_of(NodeKind.HIDDEN)) for s, _ in calls)
+    assert sum(len(report.fills) for _, report in calls) > 0
+    for evolved, report in calls:
+        assert evolved.params.inputs is not None
+        genome = evolved.params.genome
+        streamed = run_backtest(network_strategy(genome, series.symbol, MIXED_INPUTS, norm),
+                                series, 10_000.0, costs)
+        assert streamed.score == report.score == genome.fitness
+        assert streamed.fills == report.fills
+
+
+def test_precomputed_rows_equal_streamed_inputs(monkeypatch):
+    series = random_series(21, n=300, vol=0.02)
+    calls, norm = recorded_fitness_backtests(monkeypatch, series, CostModel())
+    rows = calls[0][0].params.inputs.rows
+    streams = [make_stream(spec) for spec in MIXED_INPUTS]
+    assert len(rows) == len(series)
+    for candle, row in zip(series.candles, rows):
+        raw = []
+        for stream in streams:
+            out = stream.push(candle)
+            raw.extend(out if isinstance(out, tuple) else (out,))
+        assert row == (None if None in raw else tuple(normalize_row(raw, norm)))
+    assert rows[-1] is not None
+
+
+@pytest.mark.parametrize("population", [4, 10])
+def test_evolve_computes_each_input_once_per_run(monkeypatch, population):
+    computed = []
+
+    def counting_compute(spec, series):
+        computed.append(spec.name)
+        return compute(spec, series)
+
+    def no_streams(spec):
+        raise AssertionError(f"evolve streamed {spec.name} outside compute")
+
+    monkeypatch.setattr("tradelab.optimize.compute", counting_compute)
+    monkeypatch.setattr("tradelab.strategy.make_stream", no_streams)
+    config = EvolutionConfig(population_size=population, max_generations=1, seed=2)
+    evolve_strategy(random_series(8, n=200), MIXED_INPUTS, config)
+    assert computed == ["macd", "rsi", "atr"]
+
+
+def test_precomputed_inputs_run_only_on_their_series(monkeypatch):
+    series = random_series(21, n=300, vol=0.02)
+    calls, _ = recorded_fitness_backtests(monkeypatch, series, CostModel())
+    evolved = calls[0][0]
+    # the same timestamps with other prices, and the same candles with more after them
+    longer = CandleSeries(series.symbol, series.interval,
+                          series.candles + random_series(21, n=310).candles[300:])
+    for other in (random_series(22, n=300, vol=0.02), longer):
+        with pytest.raises(StrategyStateError, match="precomputed inputs"):
+            run_backtest(evolved, other, 10_000.0, CostModel())

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from tradelab.strategy import (
     TrendLabel,
     apply_stops,
     ema_crossover_signals,
+    network_action,
     new_state,
     pairs_signals,
     strategy_step,
@@ -417,3 +419,9 @@ def test_short_stops_symmetric():
     intent = apply_stops(pos, bar_at(95.0, 2), 1.0, SETTINGS)
     assert intent is not None and intent.reason == "take-profit"
     assert intent.side is Side.CLOSE_SHORT
+
+
+def test_network_action_is_first_argmax():
+    # outputs tie often once they saturate at 1.0; the first index wins, as with max()
+    for outputs in itertools.product([0.0, 0.5, 1.0, math.nan], repeat=3):
+        assert network_action(outputs) == max(range(3), key=outputs.__getitem__)

@@ -16,13 +16,15 @@ run on it.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .data import CandleSeries
 from .errors import ValidationError
-from .indicators import AtrStream
+from .indicators import IndicatorSpec
 from .strategy import (
+    ColumnStore,
     PositionStopState,
     Side,
     StopSettings,
@@ -38,10 +40,17 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class CostModel:
-    """Proportional execution costs in basis points."""
+    """Proportional execution costs in basis points; each must be a finite
+    number >= 0."""
 
     fee_bps: float = 10.0
     slippage_bps: float = 5.0
+
+    def __post_init__(self) -> None:
+        for name in ("fee_bps", "slippage_bps"):
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not (math.isfinite(value) and value >= 0):
+                raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
 
     @property
     def fee_rate(self) -> float:
@@ -349,7 +358,12 @@ class _Backtester:
             allow_short = self.pairs
         self.book = Book(initial_cash, costs, allow_short)
         self.ledger = TradeLedger(self.symbol, self.stop_settings, costs.fee_rate)
-        self._atr = AtrStream(self.stop_settings.atr_period) if self.stop_settings else None
+        self._atr = None  # the stop's ATR column over the primary series
+        if self.stop_settings is not None:
+            store = self.config.columns if self.config is not None else None
+            if store is None or store.series.candles is not data.candles:
+                store = ColumnStore(data)
+            (self._atr,) = store.lines(IndicatorSpec("atr", {"p": self.stop_settings.atr_period}))
         self._last_atr: float | None = None
         self.forced_close = False
 
@@ -410,7 +424,7 @@ class _Backtester:
             if self._atr is not None:
                 # the stop component watches the primary series; pairs legs
                 # exit on their own signal, not on per-leg stops
-                atr_value = self._atr.push(candle)
+                atr_value = self._atr[t]
                 if ledger.stop is not None:
                     intent = apply_stops(ledger.stop, candle, atr_value, self.stop_settings)
                     if intent is not None:

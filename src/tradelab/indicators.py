@@ -58,6 +58,15 @@ class IndicatorSpec:
         parts = "_".join(str(self.params[k]) for k in sorted(self.params))
         return f"{self.name}_{parts}"
 
+    def __hash__(self) -> int:
+        # equal specs (params 9 and 9.0 included) hash alike, so a spec can
+        # key a column store; a spec with an unhashable value, which its
+        # stream will reject or ignore, hashes by its name
+        try:
+            return hash((self.name, tuple(sorted(self.params.items()))))
+        except TypeError:
+            return hash(self.name)
+
 
 @dataclass
 class IndicatorOutput:
@@ -538,21 +547,28 @@ def make_stream(spec: IndicatorSpec):
     return cls(**kwargs)
 
 
+def indicator_lines(spec: IndicatorSpec, series: CandleSeries
+                    ) -> tuple[list[float | None], ...]:
+    """A spec's streamed values over the series, one list per output line,
+    ``None`` while the line warms up; a line that never warms up on the
+    series is all ``None``."""
+    push = make_stream(spec).push
+    rows = [push(candle) for candle in series.candles]
+    n = len(spec_lines(spec))
+    return (rows,) if n == 1 else tuple([row[j] for row in rows] for j in range(n))
+
+
 def compute(spec: IndicatorSpec, series: CandleSeries):
     """Compute any registered indicator; returns one IndicatorOutput or a
     tuple of them for multi-line indicators. Raises PeriodExceedsSeries when
     an output line has no defined value on the series."""
-    push = make_stream(spec).push
-    rows = [push(candle) for candle in series.candles]
-    n = len(spec_lines(spec))
-    columns = [rows] if n == 1 else [[row[j] for row in rows] for j in range(n)]
     outputs = []
-    for values in columns:
+    for values in indicator_lines(spec, series):
         warmup = next((i for i, v in enumerate(values) if v is not None), None)
         if warmup is None:
             raise PeriodExceedsSeries(f"{spec.label()}: needs more than {len(series)} bars")
         outputs.append(IndicatorOutput(values, warmup))
-    return outputs[0] if n == 1 else tuple(outputs)
+    return outputs[0] if len(outputs) == 1 else tuple(outputs)
 
 
 def sma(series: CandleSeries, p: int) -> IndicatorOutput:

@@ -9,7 +9,8 @@ fitness lives in :mod:`tradelab.optimize`.
 Determinism contract: a run is fully determined by (seed, fitness function,
 config). Every child's mutation RNG is derived from (run seed, generation,
 slot index in the new population), so outcomes do not depend on evaluation
-order.
+order. The fitness function must be a function of the genome alone: elites
+carried into the next generation keep their fitness and are not re-scored.
 """
 
 from __future__ import annotations
@@ -558,6 +559,14 @@ def _child_rng(seed: int, generation: int, slot: int) -> random.Random:
     return random.Random((seed << 40) ^ (generation << 20) ^ slot)
 
 
+def _carried(genome: Genome) -> Genome:
+    """A copy of a genome that enters the next generation unchanged. It keeps
+    its fitness, which a deterministic fitness function would only repeat,
+    unless its outputs are unreachable: that fitness is a floor relative to
+    its old generation, which ``evaluate`` sets again for the new one."""
+    return genome.copy(keep_fitness=outputs_reachable(genome))
+
+
 class Evolution:
     """One seeded evolution run over a fixed input/output arity."""
 
@@ -580,8 +589,8 @@ class Evolution:
         self.extinctions = 0
 
     def evaluate(self, fitness_fn) -> GenerationStats:
-        """Assign fitness to every genome; unreachable-output genomes get a
-        floor just below the worst evaluated fitness."""
+        """Assign fitness to every genome that has none; unreachable-output
+        genomes get a floor just below the worst fitness in the population."""
         unreachable = []
         for g in self.population:
             if g.fitness is not None:
@@ -631,7 +640,7 @@ class Evolution:
                            self.generation)
             self.extinctions += 1
             seed_genome = self.best if self.best is not None else self.population[0]
-            fresh = [seed_genome.copy()]
+            fresh = [_carried(seed_genome)]
             for slot in range(1, config.population_size):
                 rng = _child_rng(config.seed, self.generation, slot)
                 fresh.append(mutate(seed_genome, config, rng, self.tracker))
@@ -641,7 +650,7 @@ class Evolution:
 
         elites = sorted(range(len(self.population)),
                         key=lambda i: (-self.population[i].fitness, i))[:config.elitism]
-        new_population = [self.population[i].copy() for i in elites]
+        new_population = [_carried(self.population[i]) for i in elites]
 
         members_alive = [m for s in alive for m in s.members]
         fmin = min(g.fitness for g in members_alive)

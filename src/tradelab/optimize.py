@@ -19,14 +19,13 @@ from .errors import ValidationError
 from .indicators import IndicatorSpec, compute, spec_lines
 from .neat import Evolution, EvolutionConfig, GenerationStats, Genome
 from .strategy import (
+    ColumnStore,
     EmaCrossParams,
     GridParams,
-    InputMatrix,
     NeatParams,
     PairsParams,
     StrategyConfig,
     StrategyKind,
-    normalize_row,
 )
 
 logger = logging.getLogger(__name__)
@@ -44,12 +43,15 @@ _PARAM_TYPES = {
 
 
 def make_config(kind: StrategyKind, symbol: str, params: dict,
-                size: float = 1.0, stops=None) -> StrategyConfig:
-    """Build a StrategyConfig for a tunable kind from a plain parameter dict."""
+                size: float = 1.0, stops=None,
+                columns: ColumnStore | None = None) -> StrategyConfig:
+    """Build a StrategyConfig for a tunable kind from a plain parameter dict.
+    ``columns``, the column store of the series it will run on, saves it
+    from streaming its indicators."""
     if kind not in _PARAM_TYPES:
         raise ValidationError(f"kind {kind.value} is not grid-tunable")
     return StrategyConfig(symbol=symbol, params=_PARAM_TYPES[kind](**params),
-                          size=size, stops=stops)
+                          size=size, stops=stops, columns=columns)
 
 
 def expand_grid(search_space) -> list[dict]:
@@ -88,15 +90,19 @@ def tune_parameters(kind: StrategyKind, search_space, train: CandleSeries, *,
 
     The leaderboard keeps every evaluated candidate, ordered by descending
     score (ties keep candidate order), so the returned best parameters are
-    exactly the argmax of the leaderboard.
+    exactly the argmax of the leaderboard. All candidates share one column
+    store, so each distinct indicator (an EMA period, the stop ATR) is
+    computed once per run; each candidate's backtest has the same float
+    operations as a streamed backtest of its config.
     """
     candidates = expand_grid(search_space)
     if not candidates:
         raise EmptySearchSpace("no candidates to evaluate")
     symbol = symbol or train.symbol
+    columns = ColumnStore(train)
     entries = []
     for params in candidates:
-        config = make_config(kind, symbol, params, stops=stops)
+        config = make_config(kind, symbol, params, stops=stops, columns=columns)
         report = run_backtest(config, train, initial_cash, costs,
                               aux_series=aux_series, drawdown_lambda=drawdown_lambda)
         entries.append(
@@ -114,15 +120,13 @@ def tune_parameters(kind: StrategyKind, search_space, train: CandleSeries, *,
 # Neuroevolution over indicator inputs
 # ---------------------------------------------------------------------------
 
-def _input_columns(train: CandleSeries, input_specs) -> list[list[float | None]]:
-    """Each indicator input over the series, one column per output line."""
-    columns = []
-    for spec in input_specs:
-        outputs = compute(spec, train)
-        if len(spec_lines(spec)) == 1:
-            outputs = (outputs,)
-        columns.extend(out.values for out in outputs)
-    return columns
+def _computed_lines(spec: IndicatorSpec, series: CandleSeries) -> tuple[list[float | None], ...]:
+    """An input's output lines over the series, by ``compute``: an input
+    that never warms up raises PeriodExceedsSeries."""
+    outputs = compute(spec, series)
+    if len(spec_lines(spec)) == 1:
+        outputs = (outputs,)
+    return tuple(out.values for out in outputs)
 
 
 def _fit_normalization(columns) -> tuple[tuple[float, float], ...]:
@@ -139,22 +143,23 @@ def input_normalization(train: CandleSeries, input_specs: list[IndicatorSpec]
                         ) -> tuple[tuple[float, float], ...]:
     """Fit per-column (mean, std) over the defined indicator values of the
     training window; multi-line indicators expand to one column per line."""
-    return _fit_normalization(_input_columns(train, input_specs))
+    return _fit_normalization([line for spec in input_specs
+                               for line in _computed_lines(spec, train)])
 
 
 def network_strategy(genome: Genome, symbol: str, input_specs,
                      norm: tuple[tuple[float, float], ...],
                      size: float = 1.0, stops=None,
-                     inputs: InputMatrix | None = None) -> StrategyConfig:
-    """Wrap an evolved genome as a runnable strategy config. ``inputs``, the
-    normalized rows of the series it will run on, saves it from streaming
+                     columns: ColumnStore | None = None) -> StrategyConfig:
+    """Wrap an evolved genome as a runnable strategy config. ``columns``,
+    the column store of the series it will run on, saves it from streaming
     its indicators."""
     return StrategyConfig(
         symbol=symbol,
-        params=NeatParams(genome=genome, input_specs=tuple(input_specs), norm=norm,
-                          inputs=inputs),
+        params=NeatParams(genome=genome, input_specs=tuple(input_specs), norm=norm),
         size=size,
         stops=stops,
+        columns=columns,
     )
 
 
@@ -168,24 +173,21 @@ def evolve_strategy(train: CandleSeries, input_specs: list[IndicatorSpec],
 
     Fitness of a genome is the backtest score of the strategy that feeds the
     normalized indicator columns through the network each bar. The columns
-    and their normalized rows are computed once per run; each genome's
-    backtest evaluates all rows in one batched pass, with the same float
-    operations as a streamed backtest of the returned genome. Returns the
-    best genome ever seen, the per-generation fitness history, and the
-    normalization constants needed to redeploy the genome.
+    and their normalized rows are computed once per run, in one column
+    store; each genome's backtest evaluates all rows in one batched pass,
+    with the same float operations as a streamed backtest of the returned
+    genome. Returns the best genome ever seen, the per-generation fitness
+    history, and the normalization constants needed to redeploy the genome.
     """
     if not input_specs:
         raise ValidationError("need at least one indicator input")
-    columns = _input_columns(train, input_specs)
-    norm = _fit_normalization(columns)
-    rows = tuple(None if None in raw else tuple(normalize_row(raw, norm))
-                 for raw in zip(*columns))
-    inputs = InputMatrix(train.candles, rows)
+    columns = ColumnStore(train, fill=_computed_lines)
+    norm = _fit_normalization([line for spec in input_specs for line in columns.lines(spec)])
     n_inputs = len(norm)
     costs = costs or CostModel()
 
     def fitness(genome: Genome) -> float:
-        strategy = network_strategy(genome, train.symbol, input_specs, norm, inputs=inputs)
+        strategy = network_strategy(genome, train.symbol, input_specs, norm, columns=columns)
         report = run_backtest(strategy, train, initial_cash, costs,
                               drawdown_lambda=drawdown_lambda)
         return report.score

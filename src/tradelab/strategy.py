@@ -31,6 +31,7 @@ from .indicators import (
     EmaStream,
     IndicatorSpec,
     InvalidPeriods,
+    indicator_lines,
     make_stream,
     spec_lines,
 )
@@ -135,29 +136,57 @@ class PairsParams:
             raise ValidationError("leg_fraction must be in (0, 0.5]")
 
 
-@dataclass(frozen=True)
-class InputMatrix:
-    """A network's normalized inputs precomputed for one series: one row per
-    candle, ``None`` while any input column is still warming up. A stepper
-    uses row i only for the very candle object it was computed from."""
+class ColumnStore:
+    """Indicator columns of one series, each computed once and shared by
+    every backtest of a run on that series: a tune's candidates, an
+    evolution's genomes.
 
-    candles: tuple[Candle, ...]
-    rows: tuple[tuple[float, ...] | None, ...]
+    ``lines(spec)`` fills a spec's output lines on first request with
+    ``fill(spec, series)``. The default fill keeps streaming's warm-up
+    semantics: a line that never warms up on the series is all ``None``.
+    ``rows`` serves a network's normalized input rows from those lines. A
+    stepper reads bar i of a column only for the very candle object it was
+    computed from.
+    """
+
+    def __init__(self, series: CandleSeries, fill=indicator_lines):
+        self.series = series
+        self._fill = fill
+        self._lines: dict[IndicatorSpec, tuple[list[float | None], ...]] = {}
+        self._rows: dict[tuple, tuple[tuple[float, ...] | None, ...]] = {}
+
+    def lines(self, spec: IndicatorSpec) -> tuple[list[float | None], ...]:
+        lines = self._lines.get(spec)
+        if lines is None:
+            lines = self._lines[spec] = self._fill(spec, self.series)
+        return lines
+
+    def rows(self, specs, norm: tuple[tuple[float, float], ...]
+             ) -> tuple[tuple[float, ...] | None, ...]:
+        """One row of normalized input values per bar, ``None`` while any
+        input line is warming up; built once per (specs, norm)."""
+        key = (tuple(specs), norm)
+        rows = self._rows.get(key)
+        if rows is None:
+            columns = [line for spec in specs for line in self.lines(spec)]
+            rows = self._rows[key] = tuple(
+                None if None in raw else tuple(normalize_row(raw, norm))
+                for raw in zip(*columns))
+        return rows
+
+
+def _misaligned(bar: int) -> StrategyStateError:
+    return StrategyStateError(f"precomputed inputs were not computed for bar {bar}")
 
 
 @dataclass(frozen=True)
 class NeatParams:
     """A frozen evolved network: the genome, its indicator inputs, and the
-    normalization constants fitted on the training window.
-
-    ``inputs`` is set only while evolving, where every genome of a run
-    trades the same series; a strategy without it streams its indicators.
-    """
+    normalization constants fitted on the training window."""
 
     genome: Genome
     input_specs: tuple[IndicatorSpec, ...]
     norm: tuple[tuple[float, float], ...]  # (mean, std) per expanded input column
-    inputs: InputMatrix | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -184,10 +213,15 @@ _KIND_BY_PARAMS = {
 
 @dataclass(frozen=True)
 class StrategyConfig:
+    """What to trade and how. ``columns`` is set only by tune and evolve,
+    whose backtests all trade one series; a stepper built from a config
+    without it streams its indicators."""
+
     symbol: str
     params: EmaCrossParams | GridParams | PairsParams | NeatParams | NullParams
     size: float = 1.0
     stops: StopSettings | None = None
+    columns: ColumnStore | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if type(self.params) not in _KIND_BY_PARAMS:
@@ -213,41 +247,79 @@ class NullStepper:
         return _NO_INTENTS
 
 
+def ema_crossing(s: float, l: float, ps: float, pl: float) -> int:
+    """+1 when the short line crosses above the long one between the
+    previous bar (ps, pl) and this one (s, l), -1 when it crosses below,
+    0 otherwise."""
+    if s > l and ps <= pl:
+        return 1
+    if s < l and ps >= pl:
+        return -1
+    return 0
+
+
+def crossing_column(short: list[float | None], long_: list[float | None]) -> list[int]:
+    """``ema_crossing`` at every bar of two indicator lines, which have no
+    holes once defined; 0 while either line warms up and at the first bar
+    where both are defined."""
+    n = len(short)
+    start = next((i for i, (s, l) in enumerate(zip(short, long_))
+                  if s is not None and l is not None), n)
+    return [0] * min(start + 1, n) + list(map(ema_crossing, short[start + 1:], long_[start + 1:],
+                                              short[start:-1], long_[start:-1]))
+
+
 class EmaCrossStepper:
     """Open long when the short EMA crosses above the long EMA, close when
-    it crosses back below."""
+    it crosses back below.
+
+    With a column store the stepper turns the two EMA columns into one
+    crossing column when it is built and looks each bar's crossing up;
+    without one it streams its EMAs one bar at a time.
+    """
 
     def __init__(self, config: StrategyConfig):
         p = config.params
         self.symbol = config.symbol
         self.size = config.size
-        self._short = EmaStream(p.p_short)
-        self._long = EmaStream(p.p_long)
-        self._prev: tuple[float, float] | None = None
+        store = config.columns
+        if store is None:
+            self._short = EmaStream(p.p_short)
+            self._long = EmaStream(p.p_long)
+            self._prev: tuple[float, float] | None = None
+            self._crossings = None
+        else:
+            (short,) = store.lines(IndicatorSpec("ema", {"p": p.p_short}))
+            (long_,) = store.lines(IndicatorSpec("ema", {"p": p.p_long}))
+            self._candles = store.series.candles
+            self._crossings = crossing_column(short, long_)
         self.in_position = False
         self.bars_seen = 0
 
     def step(self, candle: Candle):
+        bar = self.bars_seen
         self.bars_seen += 1
-        s = self._short.push(candle)
-        l = self._long.push(candle)
-        if s is None or l is None:
-            return _NO_INTENTS
-        prev = self._prev
-        self._prev = (s, l)
-        if prev is None:
-            return _NO_INTENTS
-        ps, pl = prev
-        opens: list[TradeIntent] = []
-        closes: list[TradeIntent] = []
-        if s > l and ps <= pl and not self.in_position:
-            opens.append(TradeIntent(Side.OPEN_LONG, self.symbol, self.size, reason="ema-cross"))
+        crossings = self._crossings
+        if crossings is not None:
+            if bar >= len(crossings) or self._candles[bar] is not candle:
+                raise _misaligned(bar)
+            cross = crossings[bar]
+        else:
+            s = self._short.push(candle)
+            l = self._long.push(candle)
+            if s is None or l is None:
+                return _NO_INTENTS
+            prev = self._prev
+            self._prev = (s, l)
+            if prev is None:
+                return _NO_INTENTS
+            cross = ema_crossing(s, l, *prev)
+        if cross > 0 and not self.in_position:
             self.in_position = True
-        elif s < l and ps >= pl and self.in_position:
-            closes.append(TradeIntent(Side.CLOSE_LONG, self.symbol, reason="ema-cross"))
+            return ([TradeIntent(Side.OPEN_LONG, self.symbol, self.size, reason="ema-cross")], [])
+        if cross < 0 and self.in_position:
             self.in_position = False
-        if opens or closes:
-            return (opens, closes)
+            return ([], [TradeIntent(Side.CLOSE_LONG, self.symbol, reason="ema-cross")])
         return _NO_INTENTS
 
 
@@ -390,9 +462,9 @@ class NeatStepper:
     """Feeds normalized indicator values through an evolved network and maps
     the argmax of its three outputs to open / close / hold.
 
-    With precomputed ``inputs`` the stepper evaluates every bar's row in one
-    batched pass when it is built and looks its actions up per bar; without
-    them it streams its indicators one bar at a time.
+    With a column store the stepper evaluates every bar's row in one batched
+    pass when it is built and looks its actions up per bar; without one it
+    streams its indicators one bar at a time.
     """
 
     def __init__(self, config: StrategyConfig):
@@ -413,12 +485,13 @@ class NeatStepper:
             )
         if len(self._net.output_ids) != 3:
             raise ValidationError("trading genomes need exactly 3 outputs (open/close/hold)")
-        if p.inputs is None:
+        store = config.columns
+        if store is None:
             self._streams = [make_stream(spec) for spec in p.input_specs]
             self._actions = None
         else:
-            self._candles = p.inputs.candles
-            rows = p.inputs.rows
+            self._candles = store.series.candles
+            rows = store.rows(p.input_specs, p.norm)
             outputs = iter(self._net.activate_rows([row for row in rows if row is not None]))
             self._actions = [None if row is None else network_action(next(outputs))
                              for row in rows]
@@ -433,7 +506,7 @@ class NeatStepper:
         elif bar < len(self._actions) and self._candles[bar] is candle:
             action = self._actions[bar]
         else:
-            raise StrategyStateError(f"precomputed inputs were not computed for bar {bar}")
+            raise _misaligned(bar)
         if action == 0 and not self.in_position:
             self.in_position = True
             return ([TradeIntent(Side.OPEN_LONG, self.symbol, self.size, reason="net-open")], [])
@@ -520,23 +593,10 @@ def ema_crossover_signals(series: CandleSeries, p_short: int, p_long: int
     """
     if p_short >= p_long:
         raise InvalidPeriods(f"p_short {p_short} must be < p_long {p_long}")
-    short = EmaStream(p_short)
-    long_ = EmaStream(p_long)
-    prev: tuple[float, float] | None = None
-    signals: list[tuple[int, SignalDirection]] = []
-    for i, candle in enumerate(series.candles):
-        s = short.push(candle)
-        l = long_.push(candle)
-        if s is None or l is None:
-            continue
-        if prev is not None:
-            ps, pl = prev
-            if s > l and ps <= pl:
-                signals.append((i, SignalDirection.BUY))
-            elif s < l and ps >= pl:
-                signals.append((i, SignalDirection.SELL))
-        prev = (s, l)
-    return signals
+    (short,) = indicator_lines(IndicatorSpec("ema", {"p": p_short}), series)
+    (long_,) = indicator_lines(IndicatorSpec("ema", {"p": p_long}), series)
+    return [(i, SignalDirection.BUY if cross > 0 else SignalDirection.SELL)
+            for i, cross in enumerate(crossing_column(short, long_)) if cross]
 
 
 class PairsAction(Enum):

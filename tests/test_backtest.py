@@ -37,6 +37,13 @@ def null_config(symbol="RND"):
     return StrategyConfig(symbol, NullParams())
 
 
+@pytest.mark.parametrize("field", ["fee_bps", "slippage_bps"])
+@pytest.mark.parametrize("value", [-50, -1e-9, float("nan"), float("inf"), "5", True])
+def test_cost_model_rejects_bad_costs(field, value):
+    with pytest.raises(ValidationError, match=field):
+        CostModel(**{field: value})
+
+
 def test_null_strategy_flat_equity():
     series = random_series(0, n=100)
     report = run_backtest(null_config(), series, 5_000.0, ZERO_COSTS)

@@ -208,6 +208,15 @@ def test_cmd_backtest_without_strategy_exit_1(tmp_path):
     assert main(["backtest", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("paper", [[], ["--paper"]])
+def test_cmd_backtest_negative_fee_exit_1(tmp_path, capsys, paper):
+    wh = setup_warehouse(tmp_path)
+    cfg = write_config(tmp_path, wh, strategy=EMA_STRATEGY,
+                       costs={"fee_bps": -50, "slippage_bps": 5.0, "initial_cash": 10000.0})
+    assert main(["backtest", "--config", str(cfg)] + paper) == 1
+    assert_one_line_error(capsys, "fee_bps")
+
+
 GRID_PARAMS = {"spacing": 1.0, "levels": 3, "level_quantity": 1.0}
 
 
@@ -293,6 +302,20 @@ def test_cmd_optimize_evolve_zero_generations(tmp_path):
     assert main(["optimize", "--config", str(cfg)]) == 0
     rows = (tmp_path / "out" / "fitness_history.csv").read_text().splitlines()
     assert len(rows) == 2  # header + generation 0
+
+
+@pytest.mark.parametrize("params,code", [
+    ({"p": [4]}, 1),  # rejected by the indicator's period rule
+    ({"p": 4, "note": [1]}, 0),  # an undeclared key is ignored, whatever its value
+])
+def test_cmd_optimize_evolve_list_valued_spec_params(tmp_path, capsys, params, code):
+    wh = setup_warehouse(tmp_path)
+    cfg = write_config(tmp_path, wh, optimize={
+        "mode": "evolve", "inputs": [{"name": "ema", "params": params}],
+        "evolution": {"population_size": 6, "max_generations": 1}})
+    assert main(["optimize", "--config", str(cfg)]) == code
+    if code:
+        assert_one_line_error(capsys, "p must be an integer")
 
 
 def test_cmd_optimize_evolve_outputs_runnable_artifact(tmp_path):

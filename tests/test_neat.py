@@ -420,6 +420,65 @@ def test_elitism_keeps_best_fitness_non_decreasing():
         best_so_far = max(best_so_far, stats.best_fitness)
 
 
+def test_carried_elites_are_not_scored_again():
+    config = EvolutionConfig(population_size=30, elitism=3, add_node_rate=0.2, seed=7)
+    scored = []
+
+    def counted(genome):
+        scored.append(genome)
+        return weight_sum_fitness(genome)
+
+    evo = Evolution(3, 2, config)
+    evo.evaluate(counted)
+    reference = Evolution(3, 2, config)
+    reference.evaluate(weight_sum_fitness)
+    for _ in range(8):
+        evo.next_generation()
+        del scored[:]
+        evo.evaluate(counted)
+        assert len(scored) == config.population_size - config.elitism
+        # scoring every genome again, carried elites included, changes nothing
+        reference.next_generation()
+        for g in reference.population:
+            g.fitness = None
+        reference.evaluate(weight_sum_fitness)
+    assert evo.history == reference.history
+    assert (evo.best.nodes, evo.best.connections, evo.best.fitness) == \
+        (reference.best.nodes, reference.best.connections, reference.best.fitness)
+
+
+def test_carried_unreachable_elite_gets_the_new_floor():
+    config = EvolutionConfig(population_size=4, elitism=2, seed=1)
+    evo = Evolution(2, 1, config)
+    for g in evo.population[1:]:
+        for c in g.connections:
+            c.enabled = False
+    evo.evaluate(weight_sum_fitness)
+    fitness = evo.population[0].fitness
+    evo.next_generation()
+    kept, unreachable = evo.population[:2]
+    assert kept.fitness == fitness
+    assert unreachable.fitness is None
+    evo.evaluate(weight_sum_fitness)
+    assert unreachable.fitness == min(g.fitness for g in evo.population[2:] + [kept]
+                                      if outputs_reachable(g)) - 1.0
+
+
+def test_reseed_keeps_the_best_genome_fitness():
+    config = EvolutionConfig(population_size=12, elitism=0, staleness_limit=1, seed=5)
+    evo = Evolution(2, 1, config)
+    evo.evaluate(weight_sum_fitness)
+    generations = 0
+    while not evo.extinctions:
+        generations += 1
+        assert generations < 50, "no reseed happened"
+        best = evo.best
+        evo.next_generation()
+        evo.evaluate(lambda genome: best.fitness - 1.0)
+    assert evo.population[0].fitness == best.fitness
+    assert evo.population[0].connections == best.connections
+
+
 def test_quotas_preserve_population_size():
     config = EvolutionConfig(population_size=37, elitism=2, seed=9)
     evo = Evolution(3, 2, config)

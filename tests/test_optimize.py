@@ -14,7 +14,7 @@ from tradelab.optimize import (
     network_strategy,
     tune_parameters,
 )
-from tradelab.strategy import StrategyKind, StrategyStateError, normalize_row
+from tradelab.strategy import StopSettings, StrategyKind, StrategyStateError, normalize_row
 
 EMA_GRID = [{"p_short": 9, "p_long": 21}, {"p_short": 9, "p_long": 30},
             {"p_short": 20, "p_long": 30}, {"p_short": 20, "p_long": 50}]
@@ -63,6 +63,81 @@ def test_fixture_grid_reproduces_parameter_optimization_progression():
     by_params = {tuple(sorted(e.params.items())): e.score for e in leaderboard}
     ordered = [by_params[tuple(sorted(p.items()))] for p in EMA_GRID]
     assert ordered == sorted(ordered), "wider periods should score progressively better"
+
+
+STOPS = StopSettings(atr_period=14, stop_mult=2.0, profit_mult=4.0)
+BENCH_GRID = {"p_short": list(range(3, 13)), "p_long": list(range(15, 61, 5))}
+
+
+def recorded_tune_backtests(monkeypatch, *args, **kwargs):
+    """Run tune_parameters and return its leaderboard plus (config, report)
+    for every candidate backtest."""
+    calls = []
+
+    def recording(config, *a, **kw):
+        report = run_backtest(config, *a, **kw)
+        calls.append((config, report))
+        return report
+
+    monkeypatch.setattr("tradelab.optimize.run_backtest", recording)
+    best, leaderboard = tune_parameters(*args, **kwargs)
+    return leaderboard, calls
+
+
+@pytest.mark.parametrize("n,grid,stops", [
+    (400, {"p_short": [3, 5, 8], "p_long": [12, 20, 34]}, None),
+    (400, {"p_short": [3, 5, 8], "p_long": [12, 20, 34]}, STOPS),
+    # shorter than one p_long and than the stop ATR: those columns never warm up
+    (40, {"p_short": [3, 10], "p_long": [20, 60]}, StopSettings(atr_period=50)),
+])
+def test_tune_entries_equal_streamed_backtests(monkeypatch, n, grid, stops):
+    series = random_series(33, n=n, vol=0.02)
+    costs = CostModel(fee_bps=10.0, slippage_bps=5.0)
+    leaderboard, calls = recorded_tune_backtests(
+        monkeypatch, StrategyKind.EMA_CROSS, grid, series, costs=costs, stops=stops)
+    assert len(calls) == len(leaderboard) == len(expand_grid(grid))
+    assert len({id(config.columns) for config, _ in calls}) == 1
+    entries = {tuple(e.params.items()): e for e in leaderboard}
+    for config, report in calls:
+        assert config.columns is not None
+        params = {"p_short": config.params.p_short, "p_long": config.params.p_long}
+        streamed = run_backtest(make_config(StrategyKind.EMA_CROSS, series.symbol, params,
+                                            stops=stops),
+                                series, 10_000.0, costs)
+        assert streamed.score == report.score
+        assert streamed.metrics == report.metrics
+        assert streamed.fills == report.fills
+        entry = entries[tuple(params.items())]
+        assert (entry.score, entry.net_profit_pct, entry.max_drawdown_pct, entry.trade_count) == \
+            (streamed.score, streamed.metrics.net_profit_pct,
+             streamed.metrics.max_drawdown_pct, streamed.metrics.trade_count)
+    if n > 60:
+        assert sum(len(report.fills) for _, report in calls) > 0
+    else:
+        cold = [e for e in leaderboard if e.params["p_long"] == 60]
+        assert cold and all(e.score == 0.0 and e.trade_count == 0 for e in cold)
+
+
+@pytest.mark.parametrize("grid,fills", [
+    ({"p_short": [3, 5], "p_long": [15, 20]}, 5),
+    (BENCH_GRID, 21),  # 20 distinct EMA periods and the stop ATR
+])
+def test_tune_fills_each_indicator_once_per_run(monkeypatch, grid, fills):
+    built = []
+
+    def counting_make_stream(spec):
+        built.append(spec)
+        return make_stream(spec)
+
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a candidate built its own indicator stream")
+
+    monkeypatch.setattr("tradelab.indicators.make_stream", counting_make_stream)
+    monkeypatch.setattr("tradelab.strategy.make_stream", no_stream)
+    monkeypatch.setattr("tradelab.strategy.EmaStream", no_stream)
+    tune_parameters(StrategyKind.EMA_CROSS, grid, random_series(5, n=200), stops=STOPS)
+    assert len(built) == fills
+    assert len(set(built)) == fills
 
 
 INPUTS = [IndicatorSpec("rsi", {"p": 5}), IndicatorSpec("ema", {"p": 4})]
@@ -144,7 +219,7 @@ def test_evolve_fitness_equals_streamed_backtest(monkeypatch):
     assert any(len(s.params.genome.ids_of(NodeKind.HIDDEN)) for s, _ in calls)
     assert sum(len(report.fills) for _, report in calls) > 0
     for evolved, report in calls:
-        assert evolved.params.inputs is not None
+        assert evolved.columns is not None
         genome = evolved.params.genome
         streamed = run_backtest(network_strategy(genome, series.symbol, MIXED_INPUTS, norm),
                                 series, 10_000.0, costs)
@@ -155,7 +230,7 @@ def test_evolve_fitness_equals_streamed_backtest(monkeypatch):
 def test_precomputed_rows_equal_streamed_inputs(monkeypatch):
     series = random_series(21, n=300, vol=0.02)
     calls, norm = recorded_fitness_backtests(monkeypatch, series, CostModel())
-    rows = calls[0][0].params.inputs.rows
+    rows = calls[0][0].columns.rows(MIXED_INPUTS, norm)
     streams = [make_stream(spec) for spec in MIXED_INPUTS]
     assert len(rows) == len(series)
     for candle, row in zip(series.candles, rows):

@@ -1,16 +1,19 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from helpers import STEP_MS, flat_series, random_series, series_from_closes, trending_fixture
 from oracles import oracle_ema
+from tradelab.backtest import run_backtest
 from tradelab.data import Candle, CandleSeries
 from tradelab.errors import ValidationError
 from tradelab.indicators import InvalidPeriods
 from tradelab.strategy import (
     DEGENERATE_SPREAD_STD,
+    ColumnStore,
     EmaCrossParams,
     GridParams,
     MisalignedSeries,
@@ -136,6 +139,31 @@ def test_ema_stepper_opens_long_at_first_crossover():
     assert closes == []
     for opens_i, closes_i in per_bar[:first_buy]:
         assert not opens_i and not closes_i
+
+
+def store_fed(config, series):
+    return replace(config, columns=ColumnStore(series))
+
+
+@pytest.mark.parametrize("seed,n,p_short,p_long", [
+    (91, 300, 9, 21), (92, 300, 3, 60), (93, 40, 5, 21),
+    (94, 30, 9, 60),  # the long EMA never warms up
+])
+def test_store_fed_ema_stepper_equals_streamed(seed, n, p_short, p_long):
+    series = random_series(seed, n=n, vol=0.02)
+    config = ema_config(p_short, p_long)
+    assert run_stepper(store_fed(config, series), series) == run_stepper(config, series)
+
+
+def test_store_fed_ema_stepper_runs_only_on_its_series():
+    series = random_series(91, n=300, vol=0.02)
+    config = store_fed(replace(ema_config(), stops=StopSettings()), series)
+    # the same timestamps with other prices, and the same candles with more after them
+    longer = CandleSeries(series.symbol, series.interval,
+                          series.candles + random_series(91, n=310).candles[300:])
+    for other in (random_series(92, n=300, vol=0.02), longer):
+        with pytest.raises(StrategyStateError, match="precomputed inputs"):
+            run_backtest(config, other)
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,7 @@ class Book:
     """
 
     def __init__(self, cash: float, costs: CostModel, allow_short: bool):
-        if cash <= 0:
+        if not cash > 0:
             raise ValidationError("initial cash must be > 0")
         self.cash = cash
         self.costs = costs

@@ -1,28 +1,22 @@
 """Run configuration: one JSON file with sections mirroring the services.
 
 Sections: ``data`` (warehouse/symbol/interval/range), ``strategy``,
-``costs``, ``optimize``, plus a global ``seed`` (default 0) and ``out_dir``.
-CLI flags override individual keys. See README for the full schema.
+``costs``, ``optimize`` and ``broker``, plus a global ``seed`` (default 0)
+and ``out_dir``. CLI flags override individual keys. ``_read`` reads every
+section through the field table of its dataclass. See README for the schema.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ValidationError
 from .indicators import IndicatorSpec, require_period
 from .neat import EvolutionConfig, read_genome
-from .strategy import (
-    EmaCrossParams,
-    GridParams,
-    NeatParams,
-    NullParams,
-    PairsParams,
-    StopSettings,
-    StrategyConfig,
-)
+from .strategy import PARAMS_BY_KIND, NeatParams, StopSettings, StrategyConfig, StrategyKind
 
 
 class ConfigError(ValidationError):
@@ -45,6 +39,10 @@ class CostsSection:
     slippage_bps: float = 5.0
     initial_cash: float = 10_000.0
 
+    def __post_init__(self) -> None:
+        if not self.initial_cash > 0:
+            raise ConfigError("initial_cash must be > 0")
+
 
 @dataclass(frozen=True)
 class OptimizeSection:
@@ -52,7 +50,11 @@ class OptimizeSection:
     grid: list | dict | None = None
     inputs: tuple[IndicatorSpec, ...] = ()
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
-    drawdown_lambda: float = 0.5
+    drawdown_lambda: float = 0.5  # the "lambda" key
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("tune", "evolve"):
+            raise ConfigError(f"optimize mode must be tune or evolve, got '{self.mode}'")
 
 
 @dataclass(frozen=True)
@@ -63,27 +65,121 @@ class BrokerSection:
     endpoint: str = "simulator"
     credentials: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        if self.endpoint != "simulator":
+            raise ConfigError(f"unknown broker endpoint '{self.endpoint}' (only 'simulator' ships)")
+
 
 @dataclass(frozen=True)
+class StrategySection:  # the keys of a strategy section; params follow the kind
+    kind: str
+    params: dict = field(default_factory=dict)
+    size: float = 1.0
+    stops: StopSettings | None = None
+    artifact: str | None = None
+
+
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
-    seed: int
-    out_dir: str
+    seed: int = 0
+    out_dir: str = "out"
     data: DataSection
-    costs: CostsSection
-    strategy: StrategyConfig | None
-    optimize: OptimizeSection | None
+    costs: CostsSection = field(default_factory=CostsSection)
+    strategy: StrategyConfig | None = None
+    optimize: OptimizeSection | None = None
     broker: BrokerSection = field(default_factory=BrokerSection)
 
 
-def _section(raw: dict, name: str, required: bool = True) -> dict:
-    value = raw.get(name)
-    if value is None:
-        if required:
-            raise ConfigError(f"missing config section '{name}'")
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section '{name}' must be an object")
-    return value
+def _int(value, key: str) -> int:
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise ConfigError(f"'{key}' must be an integer, got {value!r}")
+
+
+def _float(value, key: str) -> float:
+    if (type(value) is float or type(value) is int) and -_MAX_FLOAT <= value <= _MAX_FLOAT:
+        return float(value)
+    raise ConfigError(f"'{key}' must be a finite number, got {value!r}")
+
+
+def _exactly(types: tuple, what: str):
+    def check(value, key: str):
+        if type(value) not in types:
+            raise ConfigError(f"'{key}' must be {what}, got {value!r}")
+        return value
+    return check
+
+
+def _optional(check):
+    return lambda value, key: None if value is None else check(value, key)
+
+
+def _section(cls):  # null reads as an empty object
+    return lambda value, key: cls(**_read(cls, {} if value is None else value, key))
+
+
+_MAX_FLOAT = sys.float_info.max
+_object, _list, _str, _bool, _maybe_object = (_exactly(types, what) for types, what in (
+    ((dict,), "an object"), ((list,), "a list"), ((str,), "a string"),
+    ((bool,), "true or false"), ((dict, type(None)), "an object")))
+_stops = _section(StopSettings)
+_CHECKS = {  # annotation -> type rule: check(value, key) gives the value to store, or raises
+    "int": _int, "float": _float, "bool": _bool, "str": _str, "dict": _object,
+    "int | None": _optional(_int), "str | None": _optional(_str),
+    "list | dict | None": _exactly((list, dict, type(None)), "an object or a list"),
+    "tuple[IndicatorSpec, ...]": lambda v, key: tuple(map(parse_indicator_spec, _list(v, key))),
+    # an empty stops object means no stops, as null does
+    "StopSettings | None": lambda v, key: None if v is None or v == {} else _stops(v, key),
+    **{cls.__name__: _section(cls) for cls in (DataSection, CostsSection, BrokerSection)},
+    # read as objects, then built by load_config, which knows the symbol and seed
+    "StrategyConfig | None": _maybe_object, "OptimizeSection | None": _maybe_object,
+    "EvolutionConfig": _object,
+}
+_PERIODS = ("p_short", "p_long", "levels", "lookback", "atr_period")
+_KEYS = {"drawdown_lambda": "lambda"}  # field -> key, where they differ
+_KINDS = {kind.value: kind for kind in StrategyKind}
+
+
+def _table(cls, skip: tuple[str, ...] = ()):
+    """key -> (field, check) for the fields of ``cls`` a file sets; required fields."""
+    declared = [f for f in fields(cls) if f.name not in skip]
+    return ({_KEYS.get(f.name, f.name): (f.name, require_period if f.name in _PERIODS
+                                         else _CHECKS[f.type]) for f in declared},
+            tuple(f.name for f in declared
+                  if f.default is MISSING and f.default_factory is MISSING))
+
+
+_TABLES = {cls: _table(cls) for cls in (
+    RunConfig, DataSection, CostsSection, OptimizeSection, BrokerSection, StrategySection,
+    StopSettings, *(p for p in PARAMS_BY_KIND.values() if p is not NeatParams))}
+_TABLES[EvolutionConfig] = _table(EvolutionConfig, skip=("seed",))  # the run seed
+
+
+def _read(cls, raw, where: str) -> dict:
+    """The fields of ``cls`` set by the JSON object ``raw``; errors name ``where``."""
+    if type(raw) is not dict:
+        raise ConfigError(f"'{where}' must be an object, got {raw!r}")
+    table, required = _TABLES[cls]
+    values = {}
+    try:
+        for key, value in raw.items():
+            try:
+                name, check = table[key]
+            except KeyError:
+                raise ConfigError(f"unknown key '{key}'") from None
+            values[name] = check(value, key)
+    except ValidationError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    for name in required:
+        if name not in values:
+            raise ConfigError(f"{where}: missing key '{name}'")
+    return values
+
+
+def read_params(kind: StrategyKind, raw):
+    """The params of a kind other than neat, read from a JSON object."""
+    cls = PARAMS_BY_KIND[kind]
+    return cls(**_read(cls, raw, f"{kind.value} params"))
 
 
 def parse_indicator_spec(entry) -> IndicatorSpec:
@@ -103,56 +199,21 @@ def parse_indicator_spec(entry) -> IndicatorSpec:
                     raise ConfigError(f"bad indicator spec '{entry}': {exc}") from exc
         return IndicatorSpec(name=name.strip(), params=params)
     if isinstance(entry, dict) and isinstance(entry.get("name"), str):
-        params = dict(_section(entry, "params", required=False))
+        params = dict(_maybe_object(entry.get("params"), "params") or {})
         return IndicatorSpec(name=entry["name"], params=params)
     raise ConfigError(f"bad indicator spec {entry!r}")
 
 
-def _build_stops(raw: dict) -> StopSettings | None:
-    if not raw:
-        return None
-    return StopSettings(
-        atr_period=require_period(raw.get("atr_period", 14), "atr_period"),
-        stop_mult=float(raw.get("stop_mult", 2.0)),
-        profit_mult=float(raw.get("profit_mult", 4.0)),
-        fallback_stop_pct=float(raw.get("fallback_stop_pct", 0.05)),
-        fallback_profit_pct=float(raw.get("fallback_profit_pct", 0.10)),
-    )
-
-
 def build_strategy(section: dict, symbol: str, base_dir: Path) -> StrategyConfig:
-    kind = section.get("kind")
-    params = _section(section, "params", required=False)
-    try:
-        stops = _build_stops(_section(section, "stops", required=False))
-        size = float(section.get("size", 1.0))
-        if kind == "null":
-            built = NullParams()
-        elif kind == "ema_cross":
-            built = EmaCrossParams(p_short=require_period(params.get("p_short", 9), "p_short"),
-                                   p_long=require_period(params.get("p_long", 21), "p_long"))
-        elif kind == "grid":
-            built = GridParams(spacing=float(params["spacing"]),
-                               levels=require_period(params["levels"], "levels"),
-                               level_quantity=float(params["level_quantity"]))
-        elif kind == "pairs":
-            built = PairsParams(symbol_b=str(params["symbol_b"]),
-                                lookback=require_period(params.get("lookback", 50), "lookback"),
-                                z_entry=float(params.get("z_entry", 2.0)),
-                                z_exit=float(params.get("z_exit", 0.5)),
-                                leg_fraction=float(params.get("leg_fraction", 0.5)))
-        elif kind == "neat":
-            artifact = section.get("artifact")
-            if not artifact:
-                raise ConfigError("neat strategy needs an 'artifact' file path")
-            built = load_network_artifact(base_dir / artifact)
-        else:
-            raise ConfigError(f"unknown strategy kind '{kind}'")
-    except KeyError as exc:
-        raise ConfigError(f"{kind} strategy params missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {kind} strategy value: {exc}") from exc
-    return StrategyConfig(symbol=symbol, params=built, size=size, stops=stops)
+    read = StrategySection(**_read(StrategySection, section, section.get("kind") or "strategy"))
+    kind = _KINDS.get(read.kind)
+    if kind is None:
+        raise ConfigError(f"unknown strategy kind '{read.kind}'")
+    if kind is StrategyKind.NEAT and not read.artifact:
+        raise ConfigError("neat strategy needs an 'artifact' file path")
+    params = (load_network_artifact(base_dir / read.artifact) if kind is StrategyKind.NEAT
+              else read_params(kind, read.params))
+    return StrategyConfig(symbol=symbol, params=params, size=read.size, stops=read.stops)
 
 
 def load_network_artifact(path: Path) -> NeatParams:
@@ -173,18 +234,6 @@ def load_network_artifact(path: Path) -> NeatParams:
     return NeatParams(genome=genome, input_specs=inputs, norm=norm)
 
 
-def build_evolution(raw: dict, seed: int) -> EvolutionConfig:
-    known = {f for f in EvolutionConfig.__dataclass_fields__}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown evolution keys: {sorted(unknown)}")
-    merged = dict(raw)
-    merged["seed"] = seed
-    config = EvolutionConfig(**merged)
-    config.validate()
-    return config
-
-
 def load_config(path: str | Path, seed: int | None = None) -> RunConfig:
     """Parse and validate a run config; ``seed`` overrides the file's seed."""
     path = Path(path)
@@ -195,55 +244,18 @@ def load_config(path: str | Path, seed: int | None = None) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
-    seed = int(raw.get("seed", 0)) if seed is None else int(seed)
-    out_dir = str(raw.get("out_dir", "out"))
-    data_raw = _section(raw, "data")
-    try:
-        data = DataSection(
-            warehouse=str(data_raw["warehouse"]),
-            symbol=str(data_raw["symbol"]),
-            interval=int(data_raw["interval"]),
-            from_ts=data_raw.get("from_ts"),
-            to_ts=data_raw.get("to_ts"),
-            allow_gaps=bool(data_raw.get("allow_gaps", False)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"data section missing key {exc}") from exc
-
-    costs_raw = _section(raw, "costs", required=False)
-    costs = CostsSection(
-        fee_bps=float(costs_raw.get("fee_bps", 10.0)),
-        slippage_bps=float(costs_raw.get("slippage_bps", 5.0)),
-        initial_cash=float(costs_raw.get("initial_cash", 10_000.0)),
-    )
-    if costs.initial_cash <= 0:
-        raise ConfigError("initial_cash must be > 0")
-
-    strategy_raw = _section(raw, "strategy", required=False)
-    strategy = None
-    if strategy_raw:
-        strategy = build_strategy(strategy_raw, data.symbol, path.parent)
-
-    optimize_raw = _section(raw, "optimize", required=False)
-    optimize = None
-    if optimize_raw:
-        mode = optimize_raw.get("mode", "tune")
-        if mode not in ("tune", "evolve"):
-            raise ConfigError(f"optimize mode must be tune or evolve, got '{mode}'")
-        optimize = OptimizeSection(
-            mode=mode,
-            grid=optimize_raw.get("grid"),
-            inputs=tuple(parse_indicator_spec(e) for e in optimize_raw.get("inputs", [])),
-            evolution=build_evolution(optimize_raw.get("evolution", {}), seed),
-            drawdown_lambda=float(optimize_raw.get("lambda", 0.5)),
-        )
-
-    broker_raw = _section(raw, "broker", required=False)
-    endpoint = str(broker_raw.get("endpoint", "simulator"))
-    if endpoint != "simulator":
-        raise ConfigError(f"unknown broker endpoint '{endpoint}' (only 'simulator' ships)")
-    broker = BrokerSection(endpoint=endpoint,
-                           credentials=dict(broker_raw.get("credentials", {})))
-
-    return RunConfig(seed=seed, out_dir=out_dir, data=data, costs=costs,
-                     strategy=strategy, optimize=optimize, broker=broker)
+    values = _read(RunConfig, raw, "config")
+    if seed is not None:
+        values["seed"] = seed
+    # strategy and optimize were read as objects; an empty one is no section
+    strategy, optimize = values.get("strategy"), values.get("optimize")
+    values["strategy"] = values["optimize"] = None
+    if strategy:
+        values["strategy"] = build_strategy(strategy, values["data"].symbol, path.parent)
+    if optimize:
+        evolution = EvolutionConfig(**_read(EvolutionConfig, optimize.get("evolution", {}),
+                                            "evolution"), seed=values.get("seed", RunConfig.seed))
+        evolution.validate()
+        values["optimize"] = OptimizeSection(**{**_read(OptimizeSection, optimize, "optimize"),
+                                                "evolution": evolution})
+    return RunConfig(**values)

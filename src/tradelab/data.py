@@ -21,6 +21,7 @@ from .errors import ValidationError
 logger = logging.getLogger(__name__)
 
 CSV_HEADER = "timestamp,open,high,low,close,volume"
+_INF = float("inf")
 
 
 class MalformedRow(ValidationError):
@@ -64,10 +65,10 @@ class Candle:
                 f"ts={self.ts}: prices must satisfy low <= open/close <= high "
                 f"(o={self.open}, h={self.high}, l={self.low}, c={self.close})"
             )
-        if min(self.open, self.high, self.low, self.close) <= 0:
-            raise OhlcViolation(f"ts={self.ts}: prices must be positive")
-        if self.volume < 0:
-            raise OhlcViolation(f"ts={self.ts}: volume must be non-negative")
+        if min(self.open, self.high, self.low, self.close) <= 0 or not self.high < _INF:
+            raise OhlcViolation(f"ts={self.ts}: prices must be positive and finite")
+        if not 0 <= self.volume < _INF:
+            raise OhlcViolation(f"ts={self.ts}: volume must be finite and non-negative")
 
 
 @dataclass(frozen=True)

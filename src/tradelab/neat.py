@@ -30,7 +30,7 @@ logger = logging.getLogger(__name__)
 SIGMOID_SLOPE = 4.9
 
 
-class CyclicGenome(TradeLabError):
+class CyclicGenome(ValidationError):
     """The connection graph contains a cycle; feed-forward evaluation is impossible."""
 
 

@@ -14,19 +14,12 @@ import math
 from dataclasses import dataclass
 
 from .backtest import CostModel, run_backtest
+from .config import read_params
 from .data import CandleSeries
 from .errors import ValidationError
 from .indicators import IndicatorSpec, compute, spec_lines
 from .neat import Evolution, EvolutionConfig, GenerationStats, Genome
-from .strategy import (
-    ColumnStore,
-    EmaCrossParams,
-    GridParams,
-    NeatParams,
-    PairsParams,
-    StrategyConfig,
-    StrategyKind,
-)
+from .strategy import ColumnStore, NeatParams, StrategyConfig, StrategyKind
 
 logger = logging.getLogger(__name__)
 
@@ -35,22 +28,15 @@ class EmptySearchSpace(ValidationError):
     """The tuning grid contains no candidates."""
 
 
-_PARAM_TYPES = {
-    StrategyKind.EMA_CROSS: EmaCrossParams,
-    StrategyKind.GRID: GridParams,
-    StrategyKind.PAIRS: PairsParams,
-}
-
-
 def make_config(kind: StrategyKind, symbol: str, params: dict,
                 size: float = 1.0, stops=None,
                 columns: ColumnStore | None = None) -> StrategyConfig:
-    """Build a StrategyConfig for a tunable kind from a plain parameter dict.
-    ``columns``, the column store of the series it will run on, saves it
-    from streaming its indicators."""
-    if kind not in _PARAM_TYPES:
+    """Build a StrategyConfig for a tunable kind from a parameter dict read
+    like a config's ``strategy.params``. ``columns``, the column store of the
+    series it will run on, saves it from streaming its indicators."""
+    if kind is StrategyKind.NEAT or kind is StrategyKind.NULL:
         raise ValidationError(f"kind {kind.value} is not grid-tunable")
-    return StrategyConfig(symbol=symbol, params=_PARAM_TYPES[kind](**params),
+    return StrategyConfig(symbol=symbol, params=read_params(kind, params),
                           size=size, stops=stops, columns=columns)
 
 
@@ -60,13 +46,13 @@ def expand_grid(search_space) -> list[dict]:
     Accepts either a list of candidate dicts or a mapping of parameter name
     to a list of values (full cartesian product, insertion order preserved).
     """
-    if isinstance(search_space, dict):
-        names = list(search_space)
-        value_lists = [list(search_space[n]) for n in names]
-        if not names or any(not vals for vals in value_lists):
-            return []
-        return [dict(zip(names, combo)) for combo in itertools.product(*value_lists)]
-    return [dict(c) for c in search_space]
+    if isinstance(search_space, dict) and all(isinstance(v, list) for v in search_space.values()):
+        combos = itertools.product(*search_space.values()) if search_space else ()
+        return [dict(zip(search_space, combo)) for combo in combos]
+    if isinstance(search_space, list) and all(isinstance(c, dict) for c in search_space):
+        return [dict(c) for c in search_space]
+    raise ValidationError("a tune grid must be an object of lists or a list of objects, "
+                          f"got {search_space!r}")
 
 
 @dataclass(frozen=True)
@@ -100,9 +86,10 @@ def tune_parameters(kind: StrategyKind, search_space, train: CandleSeries, *,
         raise EmptySearchSpace("no candidates to evaluate")
     symbol = symbol or train.symbol
     columns = ColumnStore(train)
+    configs = [make_config(kind, symbol, params, stops=stops, columns=columns)
+               for params in candidates]  # a bad candidate fails before any backtest
     entries = []
-    for params in candidates:
-        config = make_config(kind, symbol, params, stops=stops, columns=columns)
+    for params, config in zip(candidates, configs):
         report = run_backtest(config, train, initial_cash, costs,
                               aux_series=aux_series, drawdown_lambda=drawdown_lambda)
         entries.append(

@@ -202,13 +202,10 @@ class StrategyKind(Enum):
     NULL = "null"
 
 
-_KIND_BY_PARAMS = {
-    EmaCrossParams: StrategyKind.EMA_CROSS,
-    GridParams: StrategyKind.GRID,
-    PairsParams: StrategyKind.PAIRS,
-    NeatParams: StrategyKind.NEAT,
-    NullParams: StrategyKind.NULL,
-}
+PARAMS_BY_KIND = {StrategyKind.EMA_CROSS: EmaCrossParams, StrategyKind.GRID: GridParams,
+                  StrategyKind.PAIRS: PairsParams, StrategyKind.NEAT: NeatParams,
+                  StrategyKind.NULL: NullParams}
+_KIND_BY_PARAMS = {params: kind for kind, params in PARAMS_BY_KIND.items()}
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from helpers import (
     trending_fixture,
 )
 from tradelab.backtest import (
+    Book,
     CostModel,
     Metrics,
     OrderStatus,
@@ -248,6 +249,31 @@ def test_pairs_margin_backtest_runs_and_conserves():
         if t == report.bars - 1 and report.forced_close:
             expected = cash
         assert report.equity[t] == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("params,sides,notionals", [
+    # the first entry longs A with half the cash, then shorts B with half of what is left
+    ({"lookback": 40, "z_entry": 1.6, "z_exit": 0.4},
+     (Side.OPEN_LONG, Side.OPEN_SHORT), (5_000.0, 2_500.0)),
+    # shorting A first adds its proceeds to the cash that B is sized from
+    ({}, (Side.OPEN_SHORT, Side.OPEN_LONG), (5_000.0, 7_500.0)),
+])
+def test_pairs_leg_b_is_sized_from_cash_left_after_leg_a(params, sides, notionals):
+    from test_strategy import synthetic_pair
+
+    a, b = synthetic_pair(8, n=400)
+    config = StrategyConfig("A", PairsParams(symbol_b="B", **params))
+    report = run_backtest(config, a, 10_000.0, ZERO_COSTS, aux_series={"B": b})
+    leg_a, leg_b = report.fills[:2]
+    assert (leg_a.symbol, leg_b.symbol) == ("A", "B") and leg_a.bar == leg_b.bar
+    assert (leg_a.side, leg_b.side) == sides
+    assert (leg_a.quantity * leg_a.price, leg_b.quantity * leg_b.price) == \
+        pytest.approx(notionals, rel=1e-12)
+
+
+def test_book_rejects_nan_cash():
+    with pytest.raises(ValidationError, match="initial cash"):
+        Book(float("nan"), CostModel(), False)
 
 
 def test_random_strategy_conservation_small():

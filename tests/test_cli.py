@@ -1,5 +1,8 @@
 import hashlib
+import importlib.util
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,8 @@ from tradelab.cli import main
 from tradelab.config import ConfigError, load_config, parse_indicator_spec
 from tradelab.data import ingest, write_csv
 from tradelab.strategy import StrategyKind
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def sha(path):
@@ -352,6 +357,95 @@ def test_cmd_optimize_seed_override_changes_outcome_files(tmp_path):
     baseline = sha(tmp_path / "out" / "best_genome.txt")
     assert main(["optimize", "--config", str(cfg), "--seed", "5"]) == 0
     assert sha(tmp_path / "out" / "best_genome.txt") != baseline
+
+
+# ---------------------------------------------------------------------------
+# config edge: one type rule per field, undeclared keys rejected
+# ---------------------------------------------------------------------------
+
+NAN = float("nan")
+TUNE = ["optimize", "--mode", "tune"]
+
+
+def edited_config(tmp_path, path, value):
+    """An ema_cross config with stops and a two-candidate tune grid, with the
+    entry at the dotted ``path`` set to ``value`` (the whole file for '')."""
+    wh = setup_warehouse(tmp_path)
+    cfg = json.loads(write_config(
+        tmp_path, wh, strategy={**EMA_STRATEGY, "stops": {"atr_period": 14}},
+        optimize={"mode": "tune", "grid": EMA_GRID[:2]}).read_text())
+    if not path:
+        cfg = value
+    else:
+        *parents, leaf = path.split(".")
+        node = cfg
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[leaf] = value
+    out = tmp_path / "edited.json"
+    out.write_text(json.dumps(cfg))
+    return out
+
+
+@pytest.mark.parametrize("path,value,command,needle", [
+    ("", [], ["backtest"], "'config' must be an object"),
+    ("costs.fee_bps", "abc", ["backtest"], "'fee_bps' must be a finite number"),
+    ("seed", "x", ["backtest"], "'seed' must be an integer"),
+    ("optimize.lambda", "x", ["backtest"], "'lambda' must be a finite number"),
+    ("data.from_ts", "abc", ["backtest"], "'from_ts' must be an integer"),
+    ("broker.credentials", [1, 2], ["backtest"], "'credentials' must be an object"),
+    ("optimize.evolution.population_size", "ten", ["backtest"], "'population_size'"),
+    ("optimize.evolution.population_size", 2.5, ["backtest"], "'population_size'"),
+    ("optimize.grid", {"p_short": ["3"], "p_long": [20]}, TUNE, "p_short"),
+    ("optimize.grid", {"foo": [1]}, TUNE, "unknown key 'foo'"),
+    ("optimize.grid", 5, TUNE, "'grid'"),
+    ("optimize.grid", [1, 2], TUNE, "tune grid"),
+    ("data.allow_gaps", "false", ["backtest"], "'allow_gaps' must be true or false"),
+    ("data.interval", 3600.9, ["backtest"], "'interval' must be an integer"),
+    ("costs.initial_cash", NAN, ["backtest"], "'initial_cash' must be a finite number"),
+    ("strategy.stops.stop_mult", NAN, ["backtest"], "'stop_mult' must be a finite number"),
+    ("strategy.stops.atr_perod", 14, ["backtest"], "unknown key 'atr_perod'"),
+    ("optimize.inputs", "rsi:p=5", ["backtest"], "'inputs' must be a list"),
+    ("optimize.evolution.seed", 3, ["backtest"], "unknown key 'seed'"),
+])
+def test_cmd_bad_config_entry_exit_1(tmp_path, capsys, path, value, command, needle):
+    cfg = edited_config(tmp_path, path, value)
+    assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert_one_line_error(capsys, needle)
+
+
+@pytest.mark.parametrize("row", ["0,1,inf,1,1,1", "0,1,1,1,1,nan", "0,1,1,1,1,inf"])
+def test_cmd_ingest_non_finite_row_exit_1(tmp_path, capsys, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"timestamp,open,high,low,close,volume\n{row}\n")
+    assert main(["ingest", "--csv", str(bad), "--symbol", "X", "--interval", "60",
+                 "--warehouse", str(tmp_path / "wh")]) == 1
+    assert_one_line_error(capsys, ":2:")
+
+
+@pytest.mark.parametrize("name", ["evolve", "tune", "replay", "xor"])
+def test_benchmark_configs_keep_loading(tmp_path, name):
+    """A stricter reader must not reject the configs the benchmark writes."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    job = workloads.WORKLOADS[name](101, workloads.SIZES["tiny"][name], tmp_path)
+    config = load_config(job.config_path)
+    assert config.seed == 101 and config.costs.initial_cash == 10_000.0
+    assert config.optimize is not None or config.strategy is not None
+
+
+def test_readme_config_schema_keeps_loading(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("### Config schema", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    text = re.sub(r"//[^\n]*", "", block)
+    (tmp_path / "readme.json").write_text(text)
+    config = load_config(tmp_path / "readme.json")
+    assert config.strategy.kind is StrategyKind.EMA_CROSS
+    assert config.strategy.stops.atr_period == 14
+    assert config.optimize.evolution.population_size == 150
+    assert [s.label() for s in config.optimize.inputs] == ["rsi_14", "ema_9"]
 
 
 # ---------------------------------------------------------------------------

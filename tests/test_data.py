@@ -202,6 +202,26 @@ def test_candle_invariant_rejections():
         Candle(0, -1.0, 2.0, -2.0, 1.5, 1.0)  # non-positive price
 
 
+INF = float("inf")
+
+
+@pytest.mark.parametrize("ohlcv,needle", [
+    ((1.0, INF, 1.0, 1.0, 1.0), "finite"),  # +inf high
+    ((INF, INF, INF, INF, 1.0), "finite"),
+    ((1.0, 1.0, 1.0, 1.0, float("nan")), "volume"),
+    ((1.0, 1.0, 1.0, 1.0, INF), "volume"),
+])
+def test_candle_rejects_non_finite_prices_and_volume(ohlcv, needle):
+    with pytest.raises(OhlcViolation, match=needle):
+        Candle(0, *ohlcv)
+
+
+def test_parse_reports_non_finite_row_line(tmp_path):
+    path = write_lines(tmp_path / "x.csv", ["0,1,2,0.5,1.5,10", "60000,1.5,2.5,1.0,2.0,nan"])
+    with pytest.raises(OhlcViolation, match=":3:.*volume"):
+        parse_csv(path, "AB", 60)
+
+
 def test_series_spacing_validation():
     good = random_series(0, n=4)
     with pytest.raises(GapDetected):

@@ -3,6 +3,7 @@ import pytest
 from helpers import random_series, trending_fixture
 from tradelab.backtest import CostModel, run_backtest
 from tradelab.data import CandleSeries
+from tradelab.errors import ValidationError
 from tradelab.indicators import IndicatorSpec, compute, make_stream
 from tradelab.neat import EvolutionConfig, NodeKind
 from tradelab.optimize import (
@@ -24,6 +25,24 @@ def test_expand_grid_product_and_list():
     assert expand_grid(EMA_GRID) == EMA_GRID
     grid = expand_grid({"a": [1, 2], "b": [3]})
     assert grid == [{"a": 1, "b": 3}, {"a": 2, "b": 3}]
+
+
+@pytest.mark.parametrize("grid", [5, "abc", [1, 2], {"p_short": 5}, {"p_short": "abc"},
+                                  [{"p_short": 9}, [9]], None])
+def test_expand_grid_rejects_other_shapes(grid):
+    with pytest.raises(ValidationError, match="tune grid"):
+        expand_grid(grid)
+
+
+@pytest.mark.parametrize("bad", [{"p_short": "3", "p_long": 20}, {"p_short": 3, "foo": 1},
+                                 {"p_short": 3.5, "p_long": 20}, {"p_short": 30, "p_long": 20}])
+def test_tune_reads_every_candidate_before_any_backtest(monkeypatch, bad):
+    calls = []
+    monkeypatch.setattr("tradelab.optimize.run_backtest", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValidationError):
+        tune_parameters(StrategyKind.EMA_CROSS, [{"p_short": 3, "p_long": 20}, bad],
+                        trending_fixture())
+    assert calls == []
 
 
 def test_singleton_search_space_returns_that_candidate():

@@ -8,21 +8,23 @@ and every equity change flows through a fill or a price move.
 
 The fill/ledger kernel lives here and nowhere else: ``size_order`` turns an
 intent into a quantity, ``Book`` turns an order into a fill, and
-``TradeLedger`` pairs fills into trades and keeps the stop state. The
-backtester, ``broker.SimulatedBroker`` and ``broker.paper_trade_loop`` all
-run on it.
+``TradeLedger`` pairs fills into trades and keeps the stop state.
+
+``run_bars`` is the one bar loop. ``run_backtest`` runs it on a ``Book``;
+``broker.paper_trade_loop`` runs it on an adapter over a broker endpoint,
+which is the only difference between a backtest and a paper session. Both
+reports list every order with its status and reject reason.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .data import CandleSeries
-from .errors import ValidationError
-from .indicators import IndicatorSpec
+from .errors import TradeLabError, ValidationError
+from .indicators import AtrStream, IndicatorSpec
 from .strategy import (
     ColumnStore,
     PositionStopState,
@@ -40,8 +42,8 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class CostModel:
-    """Proportional execution costs in basis points; each must be a finite
-    number >= 0."""
+    """Proportional execution costs in basis points; each must be a number in
+    [0, 10000): at 100% a sell would fill at a price of zero or net nothing."""
 
     fee_bps: float = 10.0
     slippage_bps: float = 5.0
@@ -49,8 +51,8 @@ class CostModel:
     def __post_init__(self) -> None:
         for name in ("fee_bps", "slippage_bps"):
             value = getattr(self, name)
-            if type(value) not in (int, float) or not (math.isfinite(value) and value >= 0):
-                raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
+            if type(value) not in (int, float) or not 0 <= value < 10_000:
+                raise ValidationError(f"{name} must be a number in [0, 10000), got {value!r}")
 
     @property
     def fee_rate(self) -> float:
@@ -253,6 +255,17 @@ class Book:
         return Fill(order_id=order_id, bar=bar, symbol=symbol, side=side, price=price,
                     quantity=size, fee=fee, reason=reason, forced=forced)
 
+    def flatten(self, next_id: int, bar: int, closes: dict[str, float]) -> list[Fill]:
+        """The end-of-data close: flatten every open position at its symbol's
+        raw close, in symbol order; the fills take order ids from ``next_id``."""
+        positions = self.positions
+        fills = []
+        for symbol in sorted(positions):
+            if positions[symbol] != 0.0:
+                fills.append(self.fill(next_id + len(fills), bar, symbol, -positions[symbol],
+                                       closes[symbol], "end-of-data", True))
+        return fills
+
 
 class TradeLedger:
     """Fills in the order they happened, FIFO-matched into trade records,
@@ -320,172 +333,149 @@ class TradeLedger:
                 self.stop = None
 
 
-class _Backtester:
-    def __init__(self, strategy, data: CandleSeries, initial_cash: float,
-                 costs: CostModel, aux_series: dict[str, CandleSeries] | None,
-                 allow_short: bool | None, drawdown_lambda: float):
-        if not data.candles:
-            raise ValidationError("cannot backtest an empty series")
-        if data.has_gaps:
-            raise ValidationError("backtest data must be gap-free")
-        self.data = data
-        self.costs = costs
-        self.lam = drawdown_lambda
-        self.initial_cash = initial_cash
-        self.orders: list[Order] = []
-        self.queue: list[Order] = []
-        self.symbol = data.symbol
 
-        self.config = strategy if isinstance(strategy, StrategyConfig) else None
-        if self.config is not None:
-            self.stepper = new_state(self.config)
-            self.stop_settings = self.config.stops
-            self.pairs = self.config.kind is StrategyKind.PAIRS
+
+class FeedInterrupted(TradeLabError):
+    """Raised by a candle feed to signal an aborted stream."""
+
+
+def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: int, *,
+             series: CandleSeries | None = None, aux: CandleSeries | None = None,
+             drawdown_lambda: float = 0.5) -> BacktestReport:
+    """The one bar loop, behind ``run_backtest`` and ``broker.paper_trade_loop``.
+
+    ``candles`` yields the primary symbol's bars. ``series`` is the whole
+    series they come from, when there is one: the stop ATR is then read from
+    its column store, and streamed otherwise. ``aux`` is the second pairs
+    leg. ``venue`` is where orders fill: a ``Book``, or any object with the
+    same ``cash``, ``positions``, ``fill`` and ``flatten``.
+
+    Intents emitted on bar t become orders, sized with ``size_order`` and
+    filled by the venue at bar t+1's open. A feed that raises
+    ``FeedInterrupted`` ends the run with its open positions left open and
+    the report flagged ``interrupted``; otherwise the venue flattens them at
+    the last close (``forced_close``).
+    """
+    if isinstance(strategy, StrategyConfig):
+        stepper = new_state(strategy)
+        stop_settings = strategy.stops
+        store = strategy.columns
+    else:
+        stepper = strategy  # duck-typed: anything with .step(candle)
+        stop_settings = getattr(strategy, "stops", None)
+        store = None
+    ledger = TradeLedger(symbol, stop_settings, costs.fee_rate)
+    atr = stream = None  # the stop's ATR: a column over the series, or a stream
+    if stop_settings is not None:
+        if series is None:
+            stream = AtrStream(stop_settings.atr_period)
         else:
-            self.stepper = strategy  # duck-typed: anything with .step(candle)
-            self.stop_settings = getattr(strategy, "stops", None)
-            self.pairs = False
-        if self.pairs:
-            symbol_b = self.config.params.symbol_b
-            if not aux_series or symbol_b not in aux_series:
-                raise ValidationError(f"pairs strategy needs aux series for '{symbol_b}'")
-            self.series_b = aux_series[symbol_b]
-            if self.series_b.timestamps != data.timestamps:
-                raise ValidationError("pairs legs must share timestamps")
+            if store is None or store.series.candles is not series.candles:
+                store = ColumnStore(series)
+            (atr,) = store.lines(IndicatorSpec("atr", {"p": stop_settings.atr_period}))
+    stamps: list[int] | None = [] if series is None else None
+    candles_b = aux.candles if aux is not None else None
+    symbol_b = aux.symbol if aux is not None else None
+    orders: list[Order] = []
+    queue: list[TradeIntent] = []  # emitted on the previous bar
+    equity: list[float] = []
+    last_atr: float | None = None
+
+    def execute(intent: TradeIntent, bar: int, raw_price: float) -> None:
+        order = Order(id=len(orders), intent=intent, created_at_bar=bar - 1)
+        orders.append(order)
+        name = intent.symbol
+        if name != symbol:
+            raw_price = candles_b[bar].open if name == symbol_b else None
+        if raw_price is None:
+            result = f"no price feed for symbol '{name}'"
         else:
-            self.series_b = None
-        if allow_short is None:
-            allow_short = self.pairs
-        self.book = Book(initial_cash, costs, allow_short)
-        self.ledger = TradeLedger(self.symbol, self.stop_settings, costs.fee_rate)
-        self._atr = None  # the stop's ATR column over the primary series
-        if self.stop_settings is not None:
-            store = self.config.columns if self.config is not None else None
-            if store is None or store.series.candles is not data.candles:
-                store = ColumnStore(data)
-            (self._atr,) = store.lines(IndicatorSpec("atr", {"p": self.stop_settings.atr_period}))
-        self._last_atr: float | None = None
-        self.forced_close = False
-
-    # -- order life cycle ---------------------------------------------------
-
-    def submit(self, intent: TradeIntent, bar: int) -> Order:
-        order = Order(id=len(self.orders), intent=intent, created_at_bar=bar)
-        self.orders.append(order)
-        self.queue.append(order)
-        return order
-
-    def _reject(self, order: Order, reason: str) -> None:
-        order.status = OrderStatus.REJECTED
-        order.reject_reason = reason
-        logger.debug("order %d rejected: %s", order.id, reason)
-
-    def execute(self, order: Order, bar: int, raw_price: float, forced: bool = False) -> None:
-        intent = order.intent
-        symbol = intent.symbol
-        if symbol != self.symbol:
-            if self.series_b is None or symbol != self.series_b.symbol:
-                self._reject(order, f"no price feed for symbol '{symbol}'")
-                return
-            if not forced:  # forced closes arrive with their price resolved
-                raw_price = self.series_b.candles[bar].open
-        book = self.book
-        qty = size_order(intent, book.positions.get(symbol, 0.0), book.cash, raw_price,
-                         self.costs)
-        if isinstance(qty, str):
-            self._reject(order, qty)
-            return
-        fill = book.fill(order.id, bar, symbol, qty, raw_price, intent.reason, forced)
-        if isinstance(fill, str):
-            self._reject(order, fill)
+            result = size_order(intent, venue.positions.get(name, 0.0), venue.cash,
+                                raw_price, costs)
+            if not isinstance(result, str):
+                result = venue.fill(order.id, bar, name, result, raw_price, intent.reason)
+        if isinstance(result, str):
+            order.status = OrderStatus.REJECTED
+            order.reject_reason = result
+            logger.debug("order %d rejected: %s", order.id, result)
             return
         order.status = OrderStatus.FILLED
-        self.ledger.record(fill, book.positions[symbol] == 0.0, self._last_atr)
+        ledger.record(result, venue.positions.get(name, 0.0) == 0.0, last_atr)
 
-    # -- main loop ------------------------------------------------------------
-
-    def run(self) -> BacktestReport:
-        data = self.data
-        candles = data.candles
-        closes = data.closes
-        opens = data.opens
-        book = self.book
-        positions = book.positions
-        ledger = self.ledger
-        equity: list[float] = []
-        candles_b = self.series_b.candles if self.series_b is not None else None
-
+    interrupted = False
+    try:
         for t, candle in enumerate(candles):
-            if self.queue:
-                pending, self.queue = self.queue, []
-                open_price = opens[t]
-                for order in pending:
-                    self.execute(order, t, open_price)
-            if self._atr is not None:
+            if queue:
+                open_price = candle.open
+                for intent in queue:
+                    execute(intent, t, open_price)
+                queue.clear()
+            if stop_settings is not None:
                 # the stop component watches the primary series; pairs legs
                 # exit on their own signal, not on per-leg stops
-                atr_value = self._atr[t]
+                atr_value = atr[t] if stream is None else stream.push(candle)
                 if ledger.stop is not None:
-                    intent = apply_stops(ledger.stop, candle, atr_value, self.stop_settings)
+                    intent = apply_stops(ledger.stop, candle, atr_value, stop_settings)
                     if intent is not None:
-                        self.submit(intent, t)
-                self._last_atr = atr_value
+                        queue.append(intent)
+                last_atr = atr_value
             if candles_b is not None:
-                opens_i, closes_i = self.stepper.step_pair(candle, candles_b[t])
+                opens_i, closes_i = stepper.step_pair(candle, candles_b[t])
             else:
-                opens_i, closes_i = self.stepper.step(candle)
-            for intent in closes_i:
-                self.submit(intent, t)
-            for intent in opens_i:
-                self.submit(intent, t)
+                opens_i, closes_i = stepper.step(candle)
+            queue.extend(closes_i)
+            queue.extend(opens_i)
+            positions = venue.positions
             if positions:
-                value = book.cash
-                close_t = closes[t]
-                for symbol, qty in positions.items():
+                value = venue.cash
+                close_t = candle.close
+                for name, qty in positions.items():
                     if qty != 0.0:
-                        ref = close_t if symbol == self.symbol else candles_b[t].close
-                        value += qty * ref
+                        value += qty * (close_t if name == symbol else candles_b[t].close)
                 equity.append(value)
             else:
-                equity.append(book.cash)
+                equity.append(venue.cash)
+            if stamps is not None:
+                stamps.append(candle.ts)
+    except FeedInterrupted:
+        interrupted = True
+        logger.warning("feed interrupted after %d bars; open positions left open", len(equity))
 
-        self._force_close(len(candles) - 1)
-        if self.forced_close:
-            equity[-1] = book.cash
+    if not equity:
+        raise ValidationError("feed produced no bars")
+    last = len(equity) - 1
+    for intent in queue:  # emitted on the last bar, never executed
+        orders.append(Order(id=len(orders), intent=intent, created_at_bar=last))
+    marks = {symbol: candle.close}
+    if candles_b is not None:
+        marks[symbol_b] = candles_b[last].close
+    forced = [] if interrupted else venue.flatten(len(orders), last, marks)
+    for fill in forced:
+        intent = TradeIntent(fill.side, fill.symbol, reason="end-of-data")
+        orders.append(Order(id=len(orders), intent=intent, created_at_bar=last,
+                            status=OrderStatus.FILLED))
+        ledger.record(fill, True, last_atr)
+    if forced:
+        equity[-1] = venue.cash
 
-        metrics = compute_metrics(equity, ledger.trades)
-        return BacktestReport(
-            symbol=data.symbol,
-            interval=data.interval,
-            bars=len(candles),
-            initial_cash=self.initial_cash,
-            final_equity=equity[-1],
-            timestamps=list(data.timestamps),
-            equity=equity,
-            fills=ledger.fills,
-            trades=ledger.trades,
-            orders=self.orders,
-            metrics=metrics,
-            score=score(metrics, self.lam),
-            drawdown_lambda=self.lam,
-            forced_close=self.forced_close,
-        )
-
-    def _force_close(self, last_bar: int) -> None:
-        positions = self.book.positions
-        for symbol in sorted(positions):
-            if positions[symbol] == 0.0:
-                continue
-            if symbol == self.symbol:
-                raw_price = self.data.closes[last_bar]
-            else:
-                raw_price = self.series_b.candles[last_bar].close
-            side = Side.CLOSE_LONG if positions[symbol] > 0 else Side.CLOSE_SHORT
-            intent = TradeIntent(side, symbol, reason="end-of-data")
-            order = Order(id=len(self.orders), intent=intent, created_at_bar=last_bar)
-            self.orders.append(order)
-            self.execute(order, last_bar, raw_price, forced=True)
-            self.forced_close = True
+    metrics = compute_metrics(equity, ledger.trades)
+    return BacktestReport(
+        symbol=symbol,
+        interval=interval,
+        bars=len(equity),
+        initial_cash=equity[0],
+        final_equity=equity[-1],
+        timestamps=stamps if stamps is not None else series.timestamps[:len(equity)],
+        equity=equity,
+        fills=ledger.fills,
+        trades=ledger.trades,
+        orders=orders,
+        metrics=metrics,
+        score=score(metrics, drawdown_lambda),
+        drawdown_lambda=drawdown_lambda,
+        forced_close=bool(forced),
+        interrupted=interrupted,
+    )
 
 
 def run_backtest(strategy, data: CandleSeries, initial_cash: float = 10_000.0,
@@ -493,12 +483,25 @@ def run_backtest(strategy, data: CandleSeries, initial_cash: float = 10_000.0,
                  aux_series: dict[str, CandleSeries] | None = None,
                  allow_short: bool | None = None,
                  drawdown_lambda: float = 0.5) -> BacktestReport:
-    """Replay a strategy over a series with simulated execution.
+    """Replay a strategy over a series with simulated execution on a ``Book``.
 
     ``strategy`` is a StrategyConfig, or any object with a
     ``step(candle) -> (opens, closes)`` method for custom strategies.
     Shorting defaults to off (spot semantics) except for pairs configs.
     """
-    runner = _Backtester(strategy, data, initial_cash, costs or CostModel(),
-                         aux_series, allow_short, drawdown_lambda)
-    return runner.run()
+    if not data.candles:
+        raise ValidationError("cannot backtest an empty series")
+    if data.has_gaps:
+        raise ValidationError("backtest data must be gap-free")
+    aux = None
+    if isinstance(strategy, StrategyConfig) and strategy.kind is StrategyKind.PAIRS:
+        symbol_b = strategy.params.symbol_b
+        if not aux_series or symbol_b not in aux_series:
+            raise ValidationError(f"pairs strategy needs aux series for '{symbol_b}'")
+        aux = aux_series[symbol_b]
+        if aux.timestamps != data.timestamps:
+            raise ValidationError("pairs legs must share timestamps")
+    costs = costs or CostModel()
+    book = Book(initial_cash, costs, aux is not None if allow_short is None else allow_short)
+    return run_bars(strategy, data.candles, book, costs, data.symbol, data.interval,
+                    series=data, aux=aux, drawdown_lambda=drawdown_lambda)

@@ -5,13 +5,13 @@ symbol_info, close) so real exchange adapters can slot in without touching
 the rest of the system. Only market orders exist; the request type carries
 an order-type field reserved for extension.
 
-``paper_trade_loop`` replays a candle feed bar by bar, routing strategy
-intents through an endpoint. It and the bundled simulator use the same
-fill/ledger kernel as ``run_backtest`` (``size_order``, ``Book`` and
-``TradeLedger`` in ``backtest.py``): the simulator fills at the current
-bar's open and liquidates remaining positions at the last seen close when
-the session ends normally, so a session against it reproduces the backtest
-fill for fill, side included.
+``paper_trade_loop`` replays a candle feed through ``backtest.run_bars``, the
+bar loop ``run_backtest`` uses, with a thin adapter over an endpoint in the
+place of the backtester's ``Book``: the venue is the only difference. The
+bundled simulator fills through a ``Book`` of its own at the current bar's
+open and flattens remaining positions at the last seen close when the
+session ends normally, so a session against it reproduces the backtest order
+for order, reject reasons and equity included.
 """
 
 from __future__ import annotations
@@ -21,36 +21,23 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .backtest import (
+from .backtest import (  # noqa: F401  FeedInterrupted is re-exported
     BacktestReport,
     Book,
     CostModel,
+    FeedInterrupted,
     Fill,
-    TradeLedger,
-    compute_metrics,
-    score,
-    size_order,
+    run_bars,
 )
 from .data import CandleSeries
-from .errors import TradeLabError, ValidationError
-from .indicators import AtrStream
-from .strategy import (
-    StrategyConfig,
-    StrategyKind,
-    TradeIntent,
-    apply_stops,
-    new_state,
-)
+from .errors import ValidationError
+from .strategy import StrategyConfig, StrategyKind
 
 logger = logging.getLogger(__name__)
 
 
 class UnknownSymbol(ValidationError):
     """The endpoint has no market for the requested symbol."""
-
-
-class FeedInterrupted(TradeLabError):
-    """Raised by a candle feed to signal an aborted stream."""
 
 
 class OrderSide(Enum):
@@ -177,17 +164,18 @@ class SimulatedBroker(BrokerEndpoint):
         seen close (market-on-close liquidation)."""
         liquidation: list[Fill] = []
         if liquidate and self.bar >= 0:
-            positions = self.book.positions
-            for symbol in sorted(positions):
-                if positions[symbol] != 0.0:
-                    raw = self.feeds[symbol].candles[self.bar].close
-                    liquidation.append(self._fill(symbol, -positions[symbol], raw,
-                                                  reason="end-of-data", forced=True))
+            closes = {symbol: series.candles[self.bar].close
+                      for symbol, series in self.feeds.items()}
+            liquidation = self.book.flatten(self._next_order_id, self.bar, closes)
+            self._next_order_id += len(liquidation)
+            self.fills.extend(liquidation)
         return self.account(), liquidation
 
     # -- order handling ---------------------------------------------------
 
     def place_order(self, request: OrderRequest) -> OrderAck:
+        """Fill a market order through the book; every order, filled or
+        rejected, takes the next broker order id."""
         prior = self._acks.get(request.client_id)
         if prior is not None:
             return prior
@@ -198,32 +186,71 @@ class SimulatedBroker(BrokerEndpoint):
         raw = self.feeds[request.symbol].candles[self.bar].open
         quantity = request.quantity if request.side is OrderSide.BUY else -request.quantity
         order_id = self._next_order_id
-        fill = self._fill(request.symbol, quantity, raw)
+        self._next_order_id += 1
+        fill = self.book.fill(order_id, self.bar, request.symbol, quantity, raw)
         if isinstance(fill, str):
             logger.debug("order %s rejected: %s", request.client_id, fill)
             ack = OrderAck(client_id=request.client_id, broker_order_id=order_id,
                            status=AckStatus.REJECTED, reason=fill)
         else:
+            self.fills.append(fill)
             ack = OrderAck(client_id=request.client_id, broker_order_id=order_id,
                            status=AckStatus.ACCEPTED, fill=fill)
         self._acks[request.client_id] = ack
         return ack
 
-    def _fill(self, symbol: str, quantity: float, raw_price: float,
-              reason: str = "", forced: bool = False) -> Fill | str:
-        """Fill a signed quantity (buys > 0) through the book; every order,
-        filled or rejected, takes the next broker order id."""
-        order_id = self._next_order_id
-        self._next_order_id += 1
-        fill = self.book.fill(order_id, self.bar, symbol, quantity, raw_price, reason, forced)
-        if not isinstance(fill, str):
-            self.fills.append(fill)
-        return fill
-
 
 # ---------------------------------------------------------------------------
 # Paper trading session
 # ---------------------------------------------------------------------------
+
+class _EndpointBook:
+    """An endpoint behind a ``Book``'s face, the venue of a paper session.
+
+    ``cash`` and ``positions`` are the last account snapshot, read once per
+    bar and again after each ``place_order``. ``fill`` places a market order
+    under the loop's order id as client id and keeps the endpoint's fill;
+    ``flatten`` closes the session with the endpoint's own liquidation.
+    """
+
+    def __init__(self, endpoint: BrokerEndpoint):
+        self.endpoint = endpoint
+        self.cash = 0.0
+        self.positions: dict[str, float] = {}
+
+    def bars(self, candles):
+        """Yield each candle once the endpoint stands at its bar (a simulator
+        is advanced in step); stop early when the endpoint runs out."""
+        endpoint = self.endpoint
+        advance = getattr(endpoint, "advance", None)
+        for candle in candles:
+            ts = advance() if advance is not None else candle.ts
+            if ts is None:
+                return
+            if ts != candle.ts:
+                raise ValidationError(f"feed and endpoint diverged: {candle.ts} vs {ts}")
+            snapshot = endpoint.account()
+            self.cash, self.positions = snapshot.cash, snapshot.positions
+            yield candle
+
+    def _read(self, snapshot: AccountSnapshot) -> None:
+        self.cash = snapshot.cash
+        self.positions = snapshot.positions
+
+    def fill(self, order_id: int, bar: int, symbol: str, quantity: float, raw_price: float,
+             reason: str = "") -> Fill | str:
+        side = OrderSide.BUY if quantity > 0 else OrderSide.SELL
+        ack = self.endpoint.place_order(OrderRequest(str(order_id), symbol, side, abs(quantity)))
+        self._read(self.endpoint.account())
+        if ack.fill is None:
+            return ack.reason or f"{ack.status.value} without a fill"
+        return replace(ack.fill, reason=reason)
+
+    def flatten(self, next_id: int, bar: int, closes: dict[str, float]) -> list[Fill]:
+        snapshot, liquidation = self.endpoint.close(liquidate=True)
+        self._read(snapshot)
+        return liquidation
+
 
 def paper_trade_loop(strategy, feed, endpoint: BrokerEndpoint, *,
                      costs: CostModel | None = None,
@@ -241,132 +268,24 @@ def paper_trade_loop(strategy, feed, endpoint: BrokerEndpoint, *,
     backtester's end-of-data force close.
 
     ``costs`` must describe the venue's actual costs; they are used to size
-    fractional intents exactly the way the backtester does. Intents that
-    cannot be placed (nothing to close, no price for the symbol, ...) are
-    dropped before they reach the endpoint.
+    fractional intents exactly the way the backtester does. The report lists
+    every order: intents that cannot be placed (nothing to close, no price
+    for the symbol, ...) are rejected before they reach the endpoint, with
+    the backtester's reasons, and endpoint rejects carry the ack's reason.
     """
-    costs = costs or CostModel()
-
-    if isinstance(strategy, StrategyConfig):
-        stepper = new_state(strategy)
-        stop_settings = strategy.stops
-        pairs = strategy.kind is StrategyKind.PAIRS
-    else:
-        stepper = strategy
-        stop_settings = getattr(strategy, "stops", None)
-        pairs = False
-
     if isinstance(feed, CandleSeries):
-        symbol = feed.symbol
-        interval = feed.interval
-        candle_iter = iter(feed.candles)
+        series, candles, symbol, interval = feed, feed.candles, feed.symbol, feed.interval
+    elif not symbol:
+        raise ValidationError("candle-iterator feeds need an explicit symbol")
     else:
-        if not symbol:
-            raise ValidationError("candle-iterator feeds need an explicit symbol")
-        candle_iter = iter(feed)
-    if pairs and aux_feed is None:
+        series, candles = None, feed
+    if (isinstance(strategy, StrategyConfig) and strategy.kind is StrategyKind.PAIRS
+            and aux_feed is None):
         raise ValidationError("pairs strategies need aux_feed for the second leg")
-    aux_candles = aux_feed.candles if aux_feed is not None else None
-
     endpoint.connect()
-    ledger = TradeLedger(symbol, stop_settings, costs.fee_rate)
-    atr_stream = AtrStream(stop_settings.atr_period) if stop_settings else None
-    last_atr: float | None = None
-    pending: list[TradeIntent] = []
-    timestamps: list[int] = []
-    equity: list[float] = []
-    client_seq = 0
-    interrupted = False
-    bar = -1
-    bar_opens: dict[str, float] = {}
-    bar_closes: dict[str, float] = {}
-
-    def submit(intent: TradeIntent) -> None:
-        nonlocal client_seq
-        raw_open = bar_opens.get(intent.symbol)
-        if raw_open is None:
-            return
-        snapshot = endpoint.account()
-        qty = size_order(intent, snapshot.positions.get(intent.symbol, 0.0), snapshot.cash,
-                         raw_open, costs)
-        if isinstance(qty, str):
-            return
-        side = OrderSide.BUY if qty > 0 else OrderSide.SELL
-        request = OrderRequest(str(client_seq), intent.symbol, side, abs(qty))
-        client_seq += 1
-        ack = endpoint.place_order(request)
-        if ack.status is AckStatus.ACCEPTED and ack.fill is not None:
-            flat = endpoint.account().positions.get(intent.symbol, 0.0) == 0.0
-            ledger.record(replace(ack.fill, reason=intent.reason), flat, last_atr)
-
-    try:
-        for candle in candle_iter:
-            ts = endpoint.advance() if hasattr(endpoint, "advance") else candle.ts
-            if ts is None:
-                break
-            if ts != candle.ts:
-                raise ValidationError(f"feed and endpoint diverged: {candle.ts} vs {ts}")
-            bar += 1
-            bar_opens[symbol] = candle.open
-            bar_closes[symbol] = candle.close
-            if aux_candles is not None:
-                aux = aux_candles[bar]
-                bar_opens[aux_feed.symbol] = aux.open
-                bar_closes[aux_feed.symbol] = aux.close
-            if pending:
-                ready, pending = pending, []
-                for intent in ready:
-                    submit(intent)
-            if atr_stream is not None:
-                # primary-series stops only, mirroring the backtester
-                atr_value = atr_stream.push(candle)
-                if ledger.stop is not None:
-                    intent = apply_stops(ledger.stop, candle, atr_value, stop_settings)
-                    if intent is not None:
-                        pending.append(intent)
-                last_atr = atr_value
-            if aux_candles is not None:
-                opens_i, closes_i = stepper.step_pair(candle, aux_candles[bar])
-            else:
-                opens_i, closes_i = stepper.step(candle)
-            pending.extend(closes_i)
-            pending.extend(opens_i)
-            snapshot = endpoint.account()
-            value = snapshot.cash
-            for sym, qty in snapshot.positions.items():
-                if qty != 0.0:
-                    value += qty * bar_closes[sym]
-            timestamps.append(candle.ts)
-            equity.append(value)
-    except FeedInterrupted:
-        interrupted = True
-        logger.warning("feed interrupted after %d bars; open positions left open", bar + 1)
-
-    if not timestamps:
-        raise ValidationError("feed produced no bars")
-
-    snapshot, liquidation = endpoint.close(liquidate=not interrupted)
-    forced_close = bool(liquidation)
-    for fill in liquidation:
-        ledger.record(fill, True, last_atr)
-    if forced_close:
-        equity[-1] = snapshot.cash
-
-    metrics = compute_metrics(equity, ledger.trades)
-    return BacktestReport(
-        symbol=symbol,
-        interval=interval,
-        bars=len(timestamps),
-        initial_cash=equity[0],
-        final_equity=equity[-1],
-        timestamps=timestamps,
-        equity=equity,
-        fills=ledger.fills,
-        trades=ledger.trades,
-        orders=[],
-        metrics=metrics,
-        score=score(metrics, drawdown_lambda),
-        drawdown_lambda=drawdown_lambda,
-        forced_close=forced_close,
-        interrupted=interrupted,
-    )
+    venue = _EndpointBook(endpoint)
+    report = run_bars(strategy, venue.bars(candles), venue, costs or CostModel(), symbol,
+                      interval, series=series, aux=aux_feed, drawdown_lambda=drawdown_lambda)
+    if report.interrupted:
+        endpoint.close(liquidate=False)
+    return report

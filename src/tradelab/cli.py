@@ -252,8 +252,25 @@ def cmd_report(args) -> int:
     report_path = Path(args.report)
     if not report_path.exists():
         raise MissingReport(f"no report at {report_path}")
-    report = json.loads(report_path.read_text())
+    try:
+        report = json.loads(report_path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read report {report_path}: {exc}") from exc
     series = _load_series(config)
+    ts_by_bar = series.timestamps
+    markers = []
+    try:
+        for t in report.get("trades", []):
+            for kind, buy in (("entry", t["is_long"]), ("exit", not t["is_long"])):
+                bar = t[kind + "_bar"]
+                if type(bar) is not int or not 0 <= bar < len(ts_by_bar):
+                    raise IndexError(f"{kind}_bar {bar!r} is not a bar of the series")
+                markers.append([kind, bar, ts_by_bar[bar], t[kind + "_price"], t["quantity"],
+                                "buy" if buy else "sell"])
+    except KeyError as exc:
+        raise ValidationError(f"report {report_path}: a trade has no {exc} field") from exc
+    except (AttributeError, TypeError, IndexError) as exc:
+        raise ValidationError(f"report {report_path} is malformed: {exc}") from exc
     out = _out_dir(args, config)
 
     _write_rows(out / "candles.csv",
@@ -266,13 +283,6 @@ def cmd_report(args) -> int:
         specs = [IndicatorSpec("ema", {"p": p.p_short}), IndicatorSpec("ema", {"p": p.p_long})]
     _write_indicators(out / "overlays.csv", specs, series)
 
-    ts_by_bar = series.timestamps
-    markers = []
-    for t in report.get("trades", []):
-        markers.append(["entry", t["entry_bar"], ts_by_bar[t["entry_bar"]],
-                        t["entry_price"], t["quantity"], "buy" if t["is_long"] else "sell"])
-        markers.append(["exit", t["exit_bar"], ts_by_bar[t["exit_bar"]],
-                        t["exit_price"], t["quantity"], "sell" if t["is_long"] else "buy"])
     _write_rows(out / "markers.csv",
                 ["type", "bar", "timestamp", "price", "quantity", "side"], markers)
     return 0

@@ -9,6 +9,7 @@ section through the field table of its dataclass. See README for the schema.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -231,6 +232,9 @@ def load_network_artifact(path: Path) -> NeatParams:
         raise ConfigError(f"network artifact {path} missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad network artifact {path}: {exc}") from exc
+    if not all(math.isfinite(m) and 0 <= s < math.inf for m, s in norm):
+        raise ConfigError(f"bad network artifact {path}: norm needs finite means and "
+                          f"finite stds >= 0, got {list(norm)}")
     return NeatParams(genome=genome, input_specs=inputs, norm=norm)
 
 

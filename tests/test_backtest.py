@@ -39,7 +39,8 @@ def null_config(symbol="RND"):
 
 
 @pytest.mark.parametrize("field", ["fee_bps", "slippage_bps"])
-@pytest.mark.parametrize("value", [-50, -1e-9, float("nan"), float("inf"), "5", True])
+@pytest.mark.parametrize("value", [-50, -1e-9, float("nan"), float("inf"), "5", True,
+                                   10_000, 20_000])
 def test_cost_model_rejects_bad_costs(field, value):
     with pytest.raises(ValidationError, match=field):
         CostModel(**{field: value})

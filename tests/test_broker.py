@@ -235,3 +235,70 @@ def test_interrupted_feed_keeps_positions_open():
     assert not report.forced_close
     assert broker.account().positions.get("RND", 0.0) > 0.0  # still open, flagged
     assert not any(f.forced for f in report.fills)
+
+
+# ---------------------------------------------------------------------------
+# One bar loop: a session is a backtest with an endpoint for a venue
+# ---------------------------------------------------------------------------
+
+def order_rows(report):
+    return [(o.id, o.intent, o.created_at_bar, o.status, o.reject_reason)
+            for o in report.orders]
+
+
+def one_loop_cases():
+    from test_strategy import synthetic_pair
+
+    for seed in range(6):
+        series = random_series(seed + 1400, n=300, vol=0.02)
+        yield RandomStrategy(seed), RandomStrategy(seed), series, None
+    stops = StopSettings(atr_period=14, stop_mult=2.0, profit_mult=4.0)
+    config = StrategyConfig("TRENDY", EmaCrossParams(9, 21), stops=stops)
+    yield config, config, trending_fixture(), None
+    a, b = synthetic_pair(21, n=400)
+    config = StrategyConfig("A", PairsParams(symbol_b="B", lookback=40,
+                                             z_entry=1.6, z_exit=0.4), stops=stops)
+    yield config, config, a, b
+    script = {1: ([TradeIntent(Side.OPEN_LONG, "OTHER", 0.5)], [])}
+    yield (ScriptedStrategy(script), ScriptedStrategy(script),
+           flat_series(10, symbol="RND"), None)
+
+
+def test_session_lists_the_backtests_orders_and_equity():
+    reasons = set()
+    for strategy_a, strategy_b, series, aux in one_loop_cases():
+        backtest, session = assert_session_matches_backtest(strategy_a, strategy_b, series,
+                                                            CostModel(), aux=aux)
+        assert order_rows(session) == order_rows(backtest)
+        assert session.equity == backtest.equity
+        reasons.update(o.reject_reason for o in session.orders)
+    # every reject path is covered: sizing, funds and the missing price feed
+    assert {"no open long position", "InsufficientFunds",
+            "no price feed for symbol 'OTHER'"} <= reasons
+
+
+class CountingBroker(SimulatedBroker):
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.reads = self.places = 0
+
+    def account(self):
+        self.reads += 1
+        return super().account()
+
+    def place_order(self, request):
+        self.places += 1
+        return super().place_order(request)
+
+
+def test_session_reads_the_account_once_per_bar_and_order():
+    stops = StopSettings(atr_period=14, stop_mult=2.0, profit_mult=4.0)
+    series = trending_fixture()
+    cases = [(StrategyConfig("TRENDY", EmaCrossParams(9, 21), stops=stops), series)]
+    cases += [(RandomStrategy(seed), random_series(seed + 1500, n=300, vol=0.02))
+              for seed in range(3)]
+    for strategy, series in cases:
+        broker = CountingBroker(series, 10_000.0, CostModel())
+        report = paper_trade_loop(strategy, series, broker, costs=CostModel())
+        assert broker.places > 0
+        assert broker.reads <= report.bars + broker.places + 2

@@ -259,6 +259,9 @@ TRADING_GENOME = ("node 0 input identity\nnode 1 bias identity\nnode 2 output si
     ({"genome": "g.txt", "inputs": [], "norm": [[0.0]]}, "bad network artifact"),
     ({"genome": 7, "inputs": [], "norm": []}, "bad network artifact"),
     (["g.txt"], "bad network artifact"),
+    ({"genome": "g.txt", "inputs": ["rsi:p=14"], "norm": [[float("nan"), 1.0]]}, "finite means"),
+    ({"genome": "g.txt", "inputs": ["rsi:p=14"], "norm": [[50.0, float("inf")]]}, "finite means"),
+    ({"genome": "g.txt", "inputs": ["rsi:p=14"], "norm": [[50.0, -3.0]]}, "finite means"),
 ])
 def test_cmd_backtest_bad_network_artifact_exit_1(tmp_path, capsys, artifact, needle):
     wh = setup_warehouse(tmp_path)
@@ -407,6 +410,7 @@ def edited_config(tmp_path, path, value):
     ("strategy.stops.atr_perod", 14, ["backtest"], "unknown key 'atr_perod'"),
     ("optimize.inputs", "rsi:p=5", ["backtest"], "'inputs' must be a list"),
     ("optimize.evolution.seed", 3, ["backtest"], "unknown key 'seed'"),
+    ("costs.slippage_bps", 20000, ["backtest"], "slippage_bps must be a number in [0, 10000)"),
 ])
 def test_cmd_bad_config_entry_exit_1(tmp_path, capsys, path, value, command, needle):
     cfg = edited_config(tmp_path, path, value)
@@ -434,6 +438,27 @@ def test_benchmark_configs_keep_loading(tmp_path, name):
     config = load_config(job.config_path)
     assert config.seed == 101 and config.costs.initial_cash == 10_000.0
     assert config.optimize is not None or config.strategy is not None
+
+
+@pytest.mark.parametrize("name", ["evolve", "tune", "replay", "xor"])
+def test_benchmark_workload_runs_checks_and_repeats(tmp_path, name):
+    """Each benchmark workload at its tiny size: set-up, two jobs, no problem
+    found by its checks (the paper session against the backtest, the exact
+    re-scores), and the same output digest from both jobs."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    job = workloads.WORKLOADS[name](101, workloads.SIZES["tiny"][name], tmp_path)
+    job.setup()
+    digests = []
+    for _ in range(2):
+        latencies = []
+        out = job.job(latencies)
+        assert latencies
+        assert job.check(out) == []
+        digests.append(job.digest(out))
+    assert digests[0] == digests[1]
 
 
 def test_readme_config_schema_keeps_loading(tmp_path):
@@ -466,6 +491,32 @@ def test_cmd_report_outputs(tmp_path):
     markers = (out2 / "markers.csv").read_text().splitlines()
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert len(markers) == 1 + 2 * len(report["trades"])
+
+
+REPORT_TRADE = {"entry_bar": 10, "entry_price": 100.0, "exit_bar": 20, "exit_price": 101.0,
+                "quantity": 1.0, "is_long": True}
+
+
+@pytest.mark.parametrize("text,needle", [
+    ("{bad", "cannot read report"),
+    ("[1]", "is malformed"),
+    ('{"trades": 5}', "is malformed"),
+    ('{"trades": [{}]}', "a trade has no 'is_long' field"),
+    (json.dumps({"trades": [{**REPORT_TRADE, "entry_bar": 99999}]}),
+     "entry_bar 99999 is not a bar"),
+])
+def test_cmd_report_malformed_report_exit_1(tmp_path, capsys, text, needle):
+    wh = setup_warehouse(tmp_path)
+    cfg = write_config(tmp_path, wh, strategy=EMA_STRATEGY)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["report", "--config", str(cfg), "--report", str(bad),
+                 "--out", str(tmp_path / "plots")]) == 1
+    assert_one_line_error(capsys, needle)
+    assert not (tmp_path / "plots").exists()  # checked before any file is written
+    bad.write_text(json.dumps({"trades": [REPORT_TRADE]}))
+    assert main(["report", "--config", str(cfg), "--report", str(bad),
+                 "--out", str(tmp_path / "plots")]) == 0
 
 
 def test_cmd_report_no_trades_header_only(tmp_path):

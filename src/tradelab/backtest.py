@@ -210,9 +210,9 @@ class Book:
     :meth:`fill` is the only place where an order becomes a fill. It applies
     slippage against the trader and the proportional fee, checks funds for
     buys that do not cover a short, refuses shorts when shorting is off and
-    closing orders larger than the position, and snaps the dust a closing
-    fill leaves to zero. The fill's side follows from the position held
-    before it.
+    closing orders larger than the position, and drops a symbol from
+    ``positions`` when a closing fill leaves it flat, dust included. The
+    fill's side follows from the position held before it.
     """
 
     def __init__(self, cash: float, costs: CostModel, allow_short: bool):
@@ -249,8 +249,9 @@ class Book:
             side = Side.CLOSE_LONG if closing else Side.OPEN_SHORT
         after = held + quantity
         if closing and abs(after) <= 1e-12:
-            after = 0.0
-        self.positions[symbol] = after
+            del self.positions[symbol]
+        else:
+            self.positions[symbol] = after
         self.fees_paid += fee
         return Fill(order_id=order_id, bar=bar, symbol=symbol, side=side, price=price,
                     quantity=size, fee=fee, reason=reason, forced=forced)
@@ -259,12 +260,9 @@ class Book:
         """The end-of-data close: flatten every open position at its symbol's
         raw close, in symbol order; the fills take order ids from ``next_id``."""
         positions = self.positions
-        fills = []
-        for symbol in sorted(positions):
-            if positions[symbol] != 0.0:
-                fills.append(self.fill(next_id + len(fills), bar, symbol, -positions[symbol],
-                                       closes[symbol], "end-of-data", True))
-        return fills
+        return [self.fill(next_id + i, bar, symbol, -positions[symbol], closes[symbol],
+                          "end-of-data", True)
+                for i, symbol in enumerate(sorted(positions))]
 
 
 class TradeLedger:
@@ -345,10 +343,11 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
     """The one bar loop, behind ``run_backtest`` and ``broker.paper_trade_loop``.
 
     ``candles`` yields the primary symbol's bars. ``series`` is the whole
-    series they come from, when there is one: the stop ATR is then read from
-    its column store, and streamed otherwise. ``aux`` is the second pairs
-    leg. ``venue`` is where orders fill: a ``Book``, or any object with the
-    same ``cash``, ``positions``, ``fill`` and ``flatten``.
+    series they come from, when there is one, and must be gap-free: a
+    config's stepper and the stop ATR then read the series' indicator
+    columns. Fed from a candle iterator alone, they stream. ``aux`` is the
+    second pairs leg. ``venue`` is where orders fill: a ``Book``, or any
+    object with the same ``cash``, ``positions``, ``fill`` and ``flatten``.
 
     Intents emitted on bar t become orders, sized with ``size_order`` and
     filled by the venue at bar t+1's open. A feed that raises
@@ -356,22 +355,23 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
     the report flagged ``interrupted``; otherwise the venue flattens them at
     the last close (``forced_close``).
     """
+    store = None
+    if series is not None:
+        if series.has_gaps:
+            raise ValidationError("backtest data must be gap-free")
+        store = ColumnStore(series)
     if isinstance(strategy, StrategyConfig):
-        stepper = new_state(strategy)
+        stepper = new_state(strategy, store)
         stop_settings = strategy.stops
-        store = strategy.columns
     else:
         stepper = strategy  # duck-typed: anything with .step(candle)
         stop_settings = getattr(strategy, "stops", None)
-        store = None
     ledger = TradeLedger(symbol, stop_settings, costs.fee_rate)
     atr = stream = None  # the stop's ATR: a column over the series, or a stream
     if stop_settings is not None:
-        if series is None:
+        if store is None:
             stream = AtrStream(stop_settings.atr_period)
         else:
-            if store is None or store.series.candles is not series.candles:
-                store = ColumnStore(series)
             (atr,) = store.lines(IndicatorSpec("atr", {"p": stop_settings.atr_period}))
     stamps: list[int] | None = [] if series is None else None
     candles_b = aux.candles if aux is not None else None
@@ -430,8 +430,7 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
                 value = venue.cash
                 close_t = candle.close
                 for name, qty in positions.items():
-                    if qty != 0.0:
-                        value += qty * (close_t if name == symbol else candles_b[t].close)
+                    value += qty * (close_t if name == symbol else candles_b[t].close)
                 equity.append(value)
             else:
                 equity.append(venue.cash)
@@ -491,8 +490,6 @@ def run_backtest(strategy, data: CandleSeries, initial_cash: float = 10_000.0,
     """
     if not data.candles:
         raise ValidationError("cannot backtest an empty series")
-    if data.has_gaps:
-        raise ValidationError("backtest data must be gap-free")
     aux = None
     if isinstance(strategy, StrategyConfig) and strategy.kind is StrategyKind.PAIRS:
         symbol_b = strategy.params.symbol_b

@@ -76,6 +76,8 @@ class OrderAck:
 
 @dataclass(frozen=True)
 class AccountSnapshot:
+    """``positions`` holds open positions only; a flat symbol is absent."""
+
     cash: float
     positions: dict[str, float]
     fees_paid: float
@@ -260,8 +262,9 @@ def paper_trade_loop(strategy, feed, endpoint: BrokerEndpoint, *,
                      interval: int = 0) -> BacktestReport:
     """Replay a feed bar by bar, routing strategy intents through an endpoint.
 
-    ``feed`` is a CandleSeries or any iterable of candles (then pass
-    ``symbol``/``interval`` explicitly). The feed may raise FeedInterrupted
+    ``feed`` is a gap-free CandleSeries, whose indicator columns the
+    strategy then reads, or any iterable of candles, which it streams (then
+    pass ``symbol``/``interval`` explicitly). The feed may raise FeedInterrupted
     to abort mid-session: the report then covers the processed bars only and
     open positions stay open, flagged via ``interrupted``. On normal
     exhaustion the endpoint session is closed with liquidation, matching the

@@ -130,6 +130,12 @@ class CandleSeries:
     def timestamps(self) -> list[int]:
         return [c.ts for c in self.candles]
 
+    @cached_property
+    def column_memo(self) -> dict:
+        """Indicator columns computed on this series, kept by
+        ``strategy.ColumnStore`` for every backtest of it."""
+        return {}
+
 
 @dataclass(frozen=True, slots=True)
 class DatasetMeta:

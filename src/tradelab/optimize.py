@@ -17,7 +17,7 @@ from .backtest import CostModel, run_backtest
 from .config import read_params
 from .data import CandleSeries
 from .errors import ValidationError
-from .indicators import IndicatorSpec, compute, spec_lines
+from .indicators import IndicatorSpec, PeriodExceedsSeries
 from .neat import Evolution, EvolutionConfig, GenerationStats, Genome
 from .strategy import ColumnStore, NeatParams, StrategyConfig, StrategyKind
 
@@ -29,15 +29,13 @@ class EmptySearchSpace(ValidationError):
 
 
 def make_config(kind: StrategyKind, symbol: str, params: dict,
-                size: float = 1.0, stops=None,
-                columns: ColumnStore | None = None) -> StrategyConfig:
+                size: float = 1.0, stops=None) -> StrategyConfig:
     """Build a StrategyConfig for a tunable kind from a parameter dict read
-    like a config's ``strategy.params``. ``columns``, the column store of the
-    series it will run on, saves it from streaming its indicators."""
+    like a config's ``strategy.params``."""
     if kind is StrategyKind.NEAT or kind is StrategyKind.NULL:
         raise ValidationError(f"kind {kind.value} is not grid-tunable")
     return StrategyConfig(symbol=symbol, params=read_params(kind, params),
-                          size=size, stops=stops, columns=columns)
+                          size=size, stops=stops)
 
 
 def expand_grid(search_space) -> list[dict]:
@@ -76,17 +74,16 @@ def tune_parameters(kind: StrategyKind, search_space, train: CandleSeries, *,
 
     The leaderboard keeps every evaluated candidate, ordered by descending
     score (ties keep candidate order), so the returned best parameters are
-    exactly the argmax of the leaderboard. All candidates share one column
-    store, so each distinct indicator (an EMA period, the stop ATR) is
-    computed once per run; each candidate's backtest has the same float
+    exactly the argmax of the leaderboard. Every candidate's backtest reads
+    the indicator columns of ``train``, so each distinct indicator (an EMA
+    period, the stop ATR) is computed once; each has the same float
     operations as a streamed backtest of its config.
     """
     candidates = expand_grid(search_space)
     if not candidates:
         raise EmptySearchSpace("no candidates to evaluate")
     symbol = symbol or train.symbol
-    columns = ColumnStore(train)
-    configs = [make_config(kind, symbol, params, stops=stops, columns=columns)
+    configs = [make_config(kind, symbol, params, stops=stops)
                for params in candidates]  # a bad candidate fails before any backtest
     entries = []
     for params, config in zip(candidates, configs):
@@ -107,46 +104,33 @@ def tune_parameters(kind: StrategyKind, search_space, train: CandleSeries, *,
 # Neuroevolution over indicator inputs
 # ---------------------------------------------------------------------------
 
-def _computed_lines(spec: IndicatorSpec, series: CandleSeries) -> tuple[list[float | None], ...]:
-    """An input's output lines over the series, by ``compute``: an input
-    that never warms up raises PeriodExceedsSeries."""
-    outputs = compute(spec, series)
-    if len(spec_lines(spec)) == 1:
-        outputs = (outputs,)
-    return tuple(out.values for out in outputs)
-
-
-def _fit_normalization(columns) -> tuple[tuple[float, float], ...]:
-    stats = []
-    for values in columns:
-        defined = [v for v in values if v is not None]  # never empty: compute checks
-        mean = sum(defined) / len(defined)
-        var = sum((v - mean) ** 2 for v in defined) / len(defined)
-        stats.append((mean, math.sqrt(var)))
-    return tuple(stats)
-
-
 def input_normalization(train: CandleSeries, input_specs: list[IndicatorSpec]
                         ) -> tuple[tuple[float, float], ...]:
     """Fit per-column (mean, std) over the defined indicator values of the
-    training window; multi-line indicators expand to one column per line."""
-    return _fit_normalization([line for spec in input_specs
-                               for line in _computed_lines(spec, train)])
+    training window; multi-line indicators expand to one column per line.
+    An input line that never warms up raises PeriodExceedsSeries."""
+    store = ColumnStore(train)
+    stats = []
+    for spec in input_specs:
+        for values in store.lines(spec):
+            defined = [v for v in values if v is not None]
+            if not defined:
+                raise PeriodExceedsSeries(f"{spec.label()}: needs more than {len(train)} bars")
+            mean = sum(defined) / len(defined)
+            var = sum((v - mean) ** 2 for v in defined) / len(defined)
+            stats.append((mean, math.sqrt(var)))
+    return tuple(stats)
 
 
 def network_strategy(genome: Genome, symbol: str, input_specs,
                      norm: tuple[tuple[float, float], ...],
-                     size: float = 1.0, stops=None,
-                     columns: ColumnStore | None = None) -> StrategyConfig:
-    """Wrap an evolved genome as a runnable strategy config. ``columns``,
-    the column store of the series it will run on, saves it from streaming
-    its indicators."""
+                     size: float = 1.0, stops=None) -> StrategyConfig:
+    """Wrap an evolved genome as a runnable strategy config."""
     return StrategyConfig(
         symbol=symbol,
         params=NeatParams(genome=genome, input_specs=tuple(input_specs), norm=norm),
         size=size,
         stops=stops,
-        columns=columns,
     )
 
 
@@ -160,21 +144,20 @@ def evolve_strategy(train: CandleSeries, input_specs: list[IndicatorSpec],
 
     Fitness of a genome is the backtest score of the strategy that feeds the
     normalized indicator columns through the network each bar. The columns
-    and their normalized rows are computed once per run, in one column
-    store; each genome's backtest evaluates all rows in one batched pass,
-    with the same float operations as a streamed backtest of the returned
-    genome. Returns the best genome ever seen, the per-generation fitness
-    history, and the normalization constants needed to redeploy the genome.
+    and their normalized rows belong to ``train`` and are computed once;
+    each genome's backtest evaluates all rows in one batched pass, with the
+    same float operations as a streamed backtest of the returned genome.
+    Returns the best genome ever seen, the per-generation fitness history,
+    and the normalization constants needed to redeploy the genome.
     """
     if not input_specs:
         raise ValidationError("need at least one indicator input")
-    columns = ColumnStore(train, fill=_computed_lines)
-    norm = _fit_normalization([line for spec in input_specs for line in columns.lines(spec)])
+    norm = input_normalization(train, input_specs)
     n_inputs = len(norm)
     costs = costs or CostModel()
 
     def fitness(genome: Genome) -> float:
-        strategy = network_strategy(genome, train.symbol, input_specs, norm, columns=columns)
+        strategy = network_strategy(genome, train.symbol, input_specs, norm)
         report = run_backtest(strategy, train, initial_cash, costs,
                               drawdown_lambda=drawdown_lambda)
         return report.score

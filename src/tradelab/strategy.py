@@ -1,10 +1,10 @@
 """Heuristic trading strategies.
 
 A strategy consumes candles one bar at a time and emits, per bar, two lists
-of intents: positions to open and positions to close. All strategies are
-streaming and only ever see bars up to the current one, so no-lookahead
-holds by construction; feeding the same prefix always reproduces the same
-intents.
+of intents: positions to open and positions to close. A stepper streams its
+indicators or reads bar i of indicator columns of its series, whose value
+at bar i depends only on bars up to i, so no-lookahead holds either way;
+feeding the same prefix always reproduces the same intents.
 
 Signals are evaluated on bar closes; the backtester fills the resulting
 intents at the next bar's open.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .data import Candle, CandleSeries
@@ -137,28 +137,26 @@ class PairsParams:
 
 
 class ColumnStore:
-    """Indicator columns of one series, each computed once and shared by
-    every backtest of a run on that series: a tune's candidates, an
-    evolution's genomes.
+    """The indicator columns of one series. They live in the series' own
+    ``column_memo``, so each is computed once and shared by every backtest
+    of that series object: a tune's candidates, an evolution's genomes, the
+    stop ATR.
 
-    ``lines(spec)`` fills a spec's output lines on first request with
-    ``fill(spec, series)``. The default fill keeps streaming's warm-up
-    semantics: a line that never warms up on the series is all ``None``.
-    ``rows`` serves a network's normalized input rows from those lines. A
-    stepper reads bar i of a column only for the very candle object it was
-    computed from.
+    ``lines(spec)`` computes a spec's output lines on first request with
+    streaming's warm-up semantics: a line that never warms up on the series
+    is all ``None``. ``rows`` serves a network's normalized input rows from
+    those lines. A stepper reads bar i of a column only for the very candle
+    object it was computed from.
     """
 
-    def __init__(self, series: CandleSeries, fill=indicator_lines):
+    def __init__(self, series: CandleSeries):
         self.series = series
-        self._fill = fill
-        self._lines: dict[IndicatorSpec, tuple[list[float | None], ...]] = {}
-        self._rows: dict[tuple, tuple[tuple[float, ...] | None, ...]] = {}
+        self._memo = series.column_memo
 
     def lines(self, spec: IndicatorSpec) -> tuple[list[float | None], ...]:
-        lines = self._lines.get(spec)
+        lines = self._memo.get(spec)
         if lines is None:
-            lines = self._lines[spec] = self._fill(spec, self.series)
+            lines = self._memo[spec] = indicator_lines(spec, self.series)
         return lines
 
     def rows(self, specs, norm: tuple[tuple[float, float], ...]
@@ -166,10 +164,10 @@ class ColumnStore:
         """One row of normalized input values per bar, ``None`` while any
         input line is warming up; built once per (specs, norm)."""
         key = (tuple(specs), norm)
-        rows = self._rows.get(key)
+        rows = self._memo.get(key)
         if rows is None:
             columns = [line for spec in specs for line in self.lines(spec)]
-            rows = self._rows[key] = tuple(
+            rows = self._memo[key] = tuple(
                 None if None in raw else tuple(normalize_row(raw, norm))
                 for raw in zip(*columns))
         return rows
@@ -210,15 +208,13 @@ _KIND_BY_PARAMS = {params: kind for kind, params in PARAMS_BY_KIND.items()}
 
 @dataclass(frozen=True)
 class StrategyConfig:
-    """What to trade and how. ``columns`` is set only by tune and evolve,
-    whose backtests all trade one series; a stepper built from a config
-    without it streams its indicators."""
+    """What to trade and how; the data it trades on is the bar loop's
+    input, not part of the config."""
 
     symbol: str
     params: EmaCrossParams | GridParams | PairsParams | NeatParams | NullParams
     size: float = 1.0
     stops: StopSettings | None = None
-    columns: ColumnStore | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if type(self.params) not in _KIND_BY_PARAMS:
@@ -236,7 +232,7 @@ class StrategyConfig:
 # ---------------------------------------------------------------------------
 
 class NullStepper:
-    def __init__(self, config: StrategyConfig):
+    def __init__(self, config: StrategyConfig, store: ColumnStore | None = None):
         self.bars_seen = 0
 
     def step(self, candle: Candle):
@@ -275,11 +271,10 @@ class EmaCrossStepper:
     without one it streams its EMAs one bar at a time.
     """
 
-    def __init__(self, config: StrategyConfig):
+    def __init__(self, config: StrategyConfig, store: ColumnStore | None = None):
         p = config.params
         self.symbol = config.symbol
         self.size = config.size
-        store = config.columns
         if store is None:
             self._short = EmaStream(p.p_short)
             self._long = EmaStream(p.p_long)
@@ -328,7 +323,7 @@ class GridStepper:
     filled. Each level trades a fixed base-asset quantity.
     """
 
-    def __init__(self, config: StrategyConfig):
+    def __init__(self, config: StrategyConfig, store: ColumnStore | None = None):
         p = config.params
         self.symbol = config.symbol
         self.spacing = p.spacing
@@ -381,7 +376,7 @@ class PairsStepper:
     rolling deviation is degenerate produce no signal.
     """
 
-    def __init__(self, config: StrategyConfig):
+    def __init__(self, config: StrategyConfig, store: ColumnStore | None = None):
         p = config.params
         self.symbol_a = config.symbol
         self.symbol_b = p.symbol_b
@@ -464,7 +459,7 @@ class NeatStepper:
     streams its indicators one bar at a time.
     """
 
-    def __init__(self, config: StrategyConfig):
+    def __init__(self, config: StrategyConfig, store: ColumnStore | None = None):
         p = config.params
         self.symbol = config.symbol
         self.size = config.size
@@ -482,7 +477,6 @@ class NeatStepper:
             )
         if len(self._net.output_ids) != 3:
             raise ValidationError("trading genomes need exactly 3 outputs (open/close/hold)")
-        store = config.columns
         if store is None:
             self._streams = [make_stream(spec) for spec in p.input_specs]
             self._actions = None
@@ -541,9 +535,11 @@ _STEPPERS = {
 }
 
 
-def new_state(config: StrategyConfig):
-    """Create a fresh stepper (the strategy's mutable state) for a config."""
-    return _STEPPERS[config.kind](config)
+def new_state(config: StrategyConfig, store: ColumnStore | None = None):
+    """Create a fresh stepper (the strategy's mutable state) for a config.
+    With the column store of the series it will step through, a stepper
+    that reads indicators reads their columns; without one it streams."""
+    return _STEPPERS[config.kind](config, store)
 
 
 def strategy_step(config: StrategyConfig, state, history: CandleSeries,

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from tradelab.backtest import Book, CostModel, run_bars
 from tradelab.data import Candle, CandleSeries, parse_csv
 from tradelab.strategy import Side, TradeIntent
 
@@ -62,6 +63,16 @@ def series_from_ohlc(rows, symbol: str = "OHLC") -> CandleSeries:
 
 def trending_fixture() -> CandleSeries:
     return parse_csv(FIXTURES / "trending.csv", "TRENDY", INTERVAL)
+
+
+def streamed_backtest(config, series: CandleSeries, initial_cash: float = 10_000.0,
+                      costs: CostModel | None = None, **kwargs):
+    """The streamed reference for a single-symbol backtest: ``run_bars`` fed
+    a candle iterator and a ``Book``, so the stepper and the stop ATR stream
+    their indicators instead of reading the series' columns."""
+    costs = costs or CostModel()
+    return run_bars(config, iter(series.candles), Book(initial_cash, costs, False), costs,
+                    series.symbol, series.interval, **kwargs)
 
 
 class RandomStrategy:

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,14 @@ from tradelab.backtest import (
     run_backtest,
     score,
 )
+from tradelab.data import CandleSeries
 from tradelab.errors import ValidationError
+from tradelab.indicators import IndicatorSpec
+from tradelab.neat import InnovationTracker, initial_genome
 from tradelab.strategy import (
     EmaCrossParams,
     GridParams,
+    NeatParams,
     NullParams,
     PairsParams,
     Side,
@@ -170,6 +176,48 @@ def test_truncation_keeps_fills_unchanged():
         full_fills = [f for f in full.fills if f.bar < cut and not f.forced]
         part_fills = [f for f in part.fills if not f.forced]
         assert part_fills == full_fills
+
+
+def ema_with_stops(case):
+    return StrategyConfig("RND", EmaCrossParams(3 + case % 5, 12 + case),
+                          stops=StopSettings(atr_period=10))
+
+
+def neat_inputs(case):
+    """A random network over rsi and the three macd lines (4 inputs)."""
+    inputs = (IndicatorSpec("rsi", {"p": 5}),
+              IndicatorSpec("macd", {"fast": 3, "slow": 8, "signal": 3}))
+    genome = initial_genome(4, 3, InnovationTracker(), random.Random(case), 2.0)
+    norm = ((50.0, 15.0), (0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
+    return StrategyConfig("RND", NeatParams(genome, inputs, norm))
+
+
+def emitted_until(report, bar):
+    """(bar, intent) of every order the strategy or a stop emitted up to
+    ``bar``, including those still pending when the data ran out."""
+    return [(o.created_at_bar, o.intent) for o in report.orders
+            if o.created_at_bar <= bar and o.intent.reason != "end-of-data"]
+
+
+@pytest.mark.parametrize("make_config", [ema_with_stops, neat_inputs])
+def test_column_path_has_no_lookahead(make_config):
+    """A backtest of a whole series reads indicator columns computed over
+    all of it. Against a backtest of the prefix that ends at bar t+1, it
+    emits the same intents up to bar t+1 and settles the same fills."""
+    settled = 0
+    for case in range(12):
+        config = make_config(case)
+        series = random_series(30_000 + case, n=240, vol=0.02)
+        full = run_backtest(config, series, 2_000.0, CostModel())
+        assert series.column_memo  # the columns were read, not streamed
+        for t in (30, 110, 190):
+            prefix = CandleSeries(series.symbol, series.interval, series.candles[:t + 2])
+            cut = run_backtest(config, prefix, 2_000.0, CostModel())
+            assert emitted_until(cut, t + 1) == emitted_until(full, t + 1), (case, t)
+            settled_full = [f for f in full.fills if f.bar <= t + 1 and not f.forced]
+            assert [f for f in cut.fills if not f.forced] == settled_full, (case, t)
+            settled += len(settled_full)
+    assert settled > 0
 
 
 def test_determinism_identical_reports():

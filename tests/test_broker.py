@@ -124,7 +124,7 @@ def test_liquidation_on_close():
     broker = started_broker(series)
     broker.place_order(OrderRequest("b", "AB", OrderSide.BUY, 3.0))
     snapshot, fills = broker.close()
-    assert snapshot.positions["AB"] == 0.0
+    assert "AB" not in snapshot.positions
     assert len(fills) == 1 and fills[0].forced
     assert snapshot.cash == pytest.approx(1_000.0)
 

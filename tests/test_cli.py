@@ -326,6 +326,18 @@ def test_cmd_optimize_evolve_list_valued_spec_params(tmp_path, capsys, params, c
         assert_one_line_error(capsys, "p must be an integer")
 
 
+def test_cmd_optimize_evolve_input_that_never_warms_up_exit_1(tmp_path, capsys):
+    series = random_series(8, n=200)
+    src = tmp_path / "short.csv"
+    write_csv(series, src)
+    wh = tmp_path / "wh"
+    ingest(src, wh, "TRENDY", 3600)
+    cfg = write_config(tmp_path, wh, optimize={
+        "mode": "evolve", "inputs": ["ema:p=4", "rsi:p=500"], "evolution": TINY_EVOLUTION})
+    assert main(["optimize", "--config", str(cfg), "--mode", "evolve"]) == 1
+    assert_one_line_error(capsys, "needs more than 200 bars")
+
+
 def test_cmd_optimize_evolve_outputs_runnable_artifact(tmp_path):
     wh = setup_warehouse(tmp_path)
     cfg = write_config(tmp_path, wh, optimize={
@@ -602,6 +614,24 @@ def test_same_strategy_scores_differ_across_fixtures(tmp_path):
                            CostModel()).score
     for s in (score_a, score_b):
         assert isinstance(s, float) and s == s  # finite, recorded
+
+
+@pytest.mark.parametrize("paper", [[], ["--paper"]])
+def test_cmd_backtest_gappy_series_exit_1(tmp_path, capsys, paper):
+    rows = (FIXTURES / "trending.csv").read_text().splitlines()
+    gappy = tmp_path / "gappy.csv"
+    gappy.write_text("\n".join(rows[:101] + rows[106:]) + "\n")  # bars 100-104 removed
+    wh = tmp_path / "wh"
+    assert main(["ingest", "--csv", str(gappy), "--symbol", "TRENDY", "--interval", "3600",
+                 "--warehouse", str(wh), "--allow-gaps"]) == 0
+    cfg = json.loads(write_config(tmp_path, wh, strategy=EMA_STRATEGY).read_text())
+    cfg["data"]["allow_gaps"] = True
+    path = tmp_path / "gappy.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["backtest", "--config", str(path)] + paper) == 1
+    assert_one_line_error(capsys, "backtest data must be gap-free")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_backtest_paper_session_matches_metrics(tmp_path):

@@ -1,10 +1,10 @@
 import pytest
 
-from helpers import random_series, trending_fixture
+from helpers import random_series, streamed_backtest, trending_fixture
 from tradelab.backtest import CostModel, run_backtest
 from tradelab.data import CandleSeries
 from tradelab.errors import ValidationError
-from tradelab.indicators import IndicatorSpec, compute, make_stream
+from tradelab.indicators import IndicatorSpec, PeriodExceedsSeries, indicator_lines, make_stream
 from tradelab.neat import EvolutionConfig, NodeKind
 from tradelab.optimize import (
     EmptySearchSpace,
@@ -15,7 +15,14 @@ from tradelab.optimize import (
     network_strategy,
     tune_parameters,
 )
-from tradelab.strategy import StopSettings, StrategyKind, StrategyStateError, normalize_row
+from tradelab.strategy import (
+    ColumnStore,
+    StopSettings,
+    StrategyKind,
+    StrategyStateError,
+    new_state,
+    normalize_row,
+)
 
 EMA_GRID = [{"p_short": 9, "p_long": 21}, {"p_short": 9, "p_long": 30},
             {"p_short": 20, "p_long": 30}, {"p_short": 20, "p_long": 50}]
@@ -115,14 +122,17 @@ def test_tune_entries_equal_streamed_backtests(monkeypatch, n, grid, stops):
     leaderboard, calls = recorded_tune_backtests(
         monkeypatch, StrategyKind.EMA_CROSS, grid, series, costs=costs, stops=stops)
     assert len(calls) == len(leaderboard) == len(expand_grid(grid))
-    assert len({id(config.columns) for config, _ in calls}) == 1
+    # every candidate read the series' columns: one per EMA period, plus the stop ATR
+    read = {IndicatorSpec("ema", {"p": p}) for p in grid["p_short"] + grid["p_long"]}
+    if stops is not None:
+        read.add(IndicatorSpec("atr", {"p": stops.atr_period}))
+    assert set(series.column_memo) == read
     entries = {tuple(e.params.items()): e for e in leaderboard}
     for config, report in calls:
-        assert config.columns is not None
         params = {"p_short": config.params.p_short, "p_long": config.params.p_long}
-        streamed = run_backtest(make_config(StrategyKind.EMA_CROSS, series.symbol, params,
-                                            stops=stops),
-                                series, 10_000.0, costs)
+        streamed = streamed_backtest(make_config(StrategyKind.EMA_CROSS, series.symbol, params,
+                                                 stops=stops),
+                                     series, 10_000.0, costs)
         assert streamed.score == report.score
         assert streamed.metrics == report.metrics
         assert streamed.fills == report.fills
@@ -237,11 +247,11 @@ def test_evolve_fitness_equals_streamed_backtest(monkeypatch):
     assert len(calls) >= 20
     assert any(len(s.params.genome.ids_of(NodeKind.HIDDEN)) for s, _ in calls)
     assert sum(len(report.fills) for _, report in calls) > 0
+    assert (tuple(MIXED_INPUTS), norm) in series.column_memo  # genomes read the rows
     for evolved, report in calls:
-        assert evolved.columns is not None
         genome = evolved.params.genome
-        streamed = run_backtest(network_strategy(genome, series.symbol, MIXED_INPUTS, norm),
-                                series, 10_000.0, costs)
+        streamed = streamed_backtest(network_strategy(genome, series.symbol, MIXED_INPUTS, norm),
+                                     series, 10_000.0, costs)
         assert streamed.score == report.score == genome.fitness
         assert streamed.fills == report.fills
 
@@ -249,7 +259,10 @@ def test_evolve_fitness_equals_streamed_backtest(monkeypatch):
 def test_precomputed_rows_equal_streamed_inputs(monkeypatch):
     series = random_series(21, n=300, vol=0.02)
     calls, norm = recorded_fitness_backtests(monkeypatch, series, CostModel())
-    rows = calls[0][0].columns.rows(MIXED_INPUTS, norm)
+    key = (tuple(MIXED_INPUTS), norm)
+    assert key in series.column_memo  # the rows the fitness backtests read
+    rows = ColumnStore(series).rows(MIXED_INPUTS, norm)
+    assert rows is series.column_memo[key]
     streams = [make_stream(spec) for spec in MIXED_INPUTS]
     assert len(rows) == len(series)
     for candle, row in zip(series.candles, rows):
@@ -265,14 +278,14 @@ def test_precomputed_rows_equal_streamed_inputs(monkeypatch):
 def test_evolve_computes_each_input_once_per_run(monkeypatch, population):
     computed = []
 
-    def counting_compute(spec, series):
+    def counting_lines(spec, series):
         computed.append(spec.name)
-        return compute(spec, series)
+        return indicator_lines(spec, series)
 
     def no_streams(spec):
-        raise AssertionError(f"evolve streamed {spec.name} outside compute")
+        raise AssertionError(f"evolve streamed {spec.name} outside the column store")
 
-    monkeypatch.setattr("tradelab.optimize.compute", counting_compute)
+    monkeypatch.setattr("tradelab.strategy.indicator_lines", counting_lines)
     monkeypatch.setattr("tradelab.strategy.make_stream", no_streams)
     config = EvolutionConfig(population_size=population, max_generations=1, seed=2)
     evolve_strategy(random_series(8, n=200), MIXED_INPUTS, config)
@@ -288,4 +301,10 @@ def test_precomputed_inputs_run_only_on_their_series(monkeypatch):
                           series.candles + random_series(21, n=310).candles[300:])
     for other in (random_series(22, n=300, vol=0.02), longer):
         with pytest.raises(StrategyStateError, match="precomputed inputs"):
-            run_backtest(evolved, other, 10_000.0, CostModel())
+            run_backtest(new_state(evolved, ColumnStore(series)), other, 10_000.0, CostModel())
+
+
+def test_evolve_input_that_never_warms_up_is_an_error():
+    with pytest.raises(PeriodExceedsSeries, match="needs more than 200 bars"):
+        evolve_strategy(random_series(8, n=200), [IndicatorSpec("ema", {"p": 4}),
+                                                  IndicatorSpec("rsi", {"p": 500})], TINY)

@@ -43,9 +43,9 @@ def ema_config(p_short=9, p_long=21, symbol="RND"):
     return StrategyConfig(symbol=symbol, params=EmaCrossParams(p_short, p_long))
 
 
-def run_stepper(config, series, series_b=None):
+def run_stepper(config, series, series_b=None, store=None):
     """Drive a stepper bar by bar; returns intents indexed by bar."""
-    state = new_state(config)
+    state = new_state(config, store)
     per_bar = []
     for i, candle in enumerate(series.candles):
         if series_b is not None:
@@ -141,10 +141,6 @@ def test_ema_stepper_opens_long_at_first_crossover():
         assert not opens_i and not closes_i
 
 
-def store_fed(config, series):
-    return replace(config, columns=ColumnStore(series))
-
-
 @pytest.mark.parametrize("seed,n,p_short,p_long", [
     (91, 300, 9, 21), (92, 300, 3, 60), (93, 40, 5, 21),
     (94, 30, 9, 60),  # the long EMA never warms up
@@ -152,18 +148,18 @@ def store_fed(config, series):
 def test_store_fed_ema_stepper_equals_streamed(seed, n, p_short, p_long):
     series = random_series(seed, n=n, vol=0.02)
     config = ema_config(p_short, p_long)
-    assert run_stepper(store_fed(config, series), series) == run_stepper(config, series)
+    assert run_stepper(config, series, store=ColumnStore(series)) == run_stepper(config, series)
 
 
 def test_store_fed_ema_stepper_runs_only_on_its_series():
     series = random_series(91, n=300, vol=0.02)
-    config = store_fed(replace(ema_config(), stops=StopSettings()), series)
+    config = replace(ema_config(), stops=StopSettings())
     # the same timestamps with other prices, and the same candles with more after them
     longer = CandleSeries(series.symbol, series.interval,
                           series.candles + random_series(91, n=310).candles[300:])
     for other in (random_series(92, n=300, vol=0.02), longer):
         with pytest.raises(StrategyStateError, match="precomputed inputs"):
-            run_backtest(config, other)
+            run_backtest(new_state(config, ColumnStore(series)), other)
 
 
 # ---------------------------------------------------------------------------

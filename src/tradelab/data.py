@@ -21,7 +21,10 @@ from .errors import ValidationError
 logger = logging.getLogger(__name__)
 
 CSV_HEADER = "timestamp,open,high,low,close,volume"
-_INF = float("inf")
+# Bars outside these bounds are refused at the edge: within them every
+# indicator's products, squares and bin widths stay finite and non-zero.
+_MIN_PRICE, _MAX_PRICE = 1e-100, 1e100
+_MAX_VOLUME = 1e100
 
 
 class MalformedRow(ValidationError):
@@ -50,7 +53,9 @@ class EmptyResult(ValidationError):
 
 @dataclass(frozen=True, slots=True)
 class Candle:
-    """One OHLCV bar. ``ts`` is in milliseconds since epoch (UTC)."""
+    """One OHLCV bar. ``ts`` is in milliseconds since epoch (UTC). Prices lie
+    in [1e-100, 1e100] with low <= open/close <= high; volume lies in
+    [0, 1e100]."""
 
     ts: int
     open: float
@@ -65,10 +70,10 @@ class Candle:
                 f"ts={self.ts}: prices must satisfy low <= open/close <= high "
                 f"(o={self.open}, h={self.high}, l={self.low}, c={self.close})"
             )
-        if min(self.open, self.high, self.low, self.close) <= 0 or not self.high < _INF:
-            raise OhlcViolation(f"ts={self.ts}: prices must be positive and finite")
-        if not 0 <= self.volume < _INF:
-            raise OhlcViolation(f"ts={self.ts}: volume must be finite and non-negative")
+        if not (_MIN_PRICE <= self.low and self.high <= _MAX_PRICE):
+            raise OhlcViolation(f"ts={self.ts}: prices must be finite and lie in [1e-100, 1e100]")
+        if not 0 <= self.volume <= _MAX_VOLUME:
+            raise OhlcViolation(f"ts={self.ts}: volume must be finite and lie in [0, 1e100]")
 
 
 @dataclass(frozen=True)
@@ -233,7 +238,8 @@ def resample(series: CandleSeries, factor: int) -> CandleSeries:
     """Aggregate every ``factor`` consecutive bars into one wider bar.
 
     open = first open, close = last close, high = max, low = min,
-    volume = sum; a trailing partial group is dropped.
+    volume = sum; a trailing partial group is dropped. A group whose summed
+    volume exceeds the candle volume bound raises ``OhlcViolation``.
     """
     if factor < 1:
         raise ValidationError(f"factor must be >= 1, got {factor}")

@@ -25,6 +25,7 @@ from __future__ import annotations
 import inspect
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -306,11 +307,14 @@ class MfiStream:
 
     A bar with unchanged typical price contributes to neither flow; zero
     negative flow reads 100, and a window with no flow at all reads 50.
+    Positive and negative flows sit in two windows of p floats, and each bar
+    sums each window oldest first with ``sum``.
     """
 
     def __init__(self, p: int):
         self.p = require_period(p)
-        self._flows: deque[tuple[float, float]] = deque(maxlen=self.p)
+        self._pos: deque[float] = deque(maxlen=self.p)
+        self._neg: deque[float] = deque(maxlen=self.p)
         self._prev_tp: float | None = None
 
     def push(self, candle: Candle) -> float | None:
@@ -320,16 +324,12 @@ class MfiStream:
         if prev is None:
             return None
         flow = tp * candle.volume
-        if tp > prev:
-            self._flows.append((flow, 0.0))
-        elif tp < prev:
-            self._flows.append((0.0, flow))
-        else:
-            self._flows.append((0.0, 0.0))
-        if len(self._flows) < self.p:
+        self._pos.append(flow if tp > prev else 0.0)
+        self._neg.append(flow if tp < prev else 0.0)
+        if len(self._pos) < self.p:
             return None
-        pos = sum(f[0] for f in self._flows)
-        neg = sum(f[1] for f in self._flows)
+        pos = sum(self._pos)
+        neg = sum(self._neg)
         if neg == 0.0:
             return 50.0 if pos == 0.0 else 100.0
         return 100.0 - 100.0 / (1.0 + pos / neg)
@@ -442,34 +442,65 @@ class VpvrStream:
 
     The window's typical-price range is split into ``buckets`` equal bins;
     each bar's full volume lands in the bin of its typical price. The output
-    at bar i is the accumulated volume in bar i's own bin. A flat window
-    degenerates to a single bin holding the whole window volume.
+    at bar i is the accumulated volume in bar i's own bin, summed oldest bar
+    first. A flat window degenerates to a single bin holding the whole window
+    volume.
+
+    Beside the window, the stream keeps its typical prices sorted (ties
+    oldest first) with each price's bar number. The range is the first and
+    last sorted price. A bar's bin never decreases as its price grows, so
+    the bars sharing the new bar's bin are one run of the sorted prices
+    around it; only that run is visited, and its volumes are added in bar
+    order, so every value is the same float a full rescan of the window
+    gives.
     """
 
     def __init__(self, p: int, buckets: int):
         self.p = require_period(p)
         self.buckets = require_period(buckets, "buckets")
-        self._win: deque[tuple[float, float]] = deque(maxlen=self.p)
+        self._tps: deque[float] = deque(maxlen=self.p)
+        self._vols: deque[float] = deque(maxlen=self.p)
+        self._prices: list[float] = []  # the window's typical prices, sorted
+        self._bars: list[int] = []  # the bar number of each sorted price
+        self._n = 0  # bars pushed so far
 
     def push(self, candle: Candle) -> float | None:
         tp = (candle.high + candle.low + candle.close) / 3.0
-        self._win.append((tp, candle.volume))
-        if len(self._win) < self.p:
+        prices, bars, n, p = self._prices, self._bars, self._n, self.p
+        if n >= p:
+            # the evicted bar is the oldest, so it comes first among its ties
+            k = bisect_left(prices, self._tps[0])
+            del prices[k], bars[k]
+        i = bisect_right(prices, tp)
+        prices.insert(i, tp)
+        bars.insert(i, n)
+        self._tps.append(tp)
+        self._vols.append(candle.volume)
+        self._n = n = n + 1
+        if n < p:
             return None
-        return self.profile_value(tp)
-
-    def profile_value(self, tp: float) -> float:
-        lo = min(t for t, _ in self._win)
-        hi = max(t for t, _ in self._win)
+        lo, hi = prices[0], prices[-1]
         if hi == lo:
-            return sum(v for _, v in self._win)
+            return sum(self._vols)
         width = (hi - lo) / self.buckets
-        mine = min(int((tp - lo) / width), self.buckets - 1)
-        total = 0.0
-        for t, v in self._win:
-            b = min(int((t - lo) / width), self.buckets - 1)
-            if b == mine:
-                total += v
+        # bin(t) = min(int((t - lo) / width), buckets - 1); below the new bar
+        # a price shares its bin iff (t - lo) / width >= mine, and above it
+        # iff (t - lo) / width < mine + 1 or mine is the top bin
+        mine = int((tp - lo) / width)
+        start, stop = i, i + 1
+        if mine >= self.buckets - 1:
+            mine = self.buckets - 1
+            stop = len(prices)
+        else:
+            while stop < len(prices) and (prices[stop] - lo) / width < mine + 1:
+                stop += 1
+        while start and (prices[start - 1] - lo) / width >= mine:
+            start -= 1
+        first = n - p  # bar number of the window's oldest bar
+        vols = self._vols
+        total = 0.0  # one addition per bar as in a rescan; sum() compensates from 3.12
+        for bar in sorted(bars[start:stop]):
+            total += vols[bar - first]
         return total
 
 

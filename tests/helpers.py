@@ -61,6 +61,14 @@ def series_from_ohlc(rows, symbol: str = "OHLC") -> CandleSeries:
     return CandleSeries(symbol, INTERVAL, candles)
 
 
+def rewrite_after(series: CandleSeries, t: int, seed: int) -> CandleSeries:
+    """The series with every bar after bar ``t`` replaced by the same bar of
+    another seeded walk (same timestamps, other prices and volumes)."""
+    other = random_series(seed, n=len(series), symbol=series.symbol, vol=0.02)
+    candles = series.candles[:t + 1] + other.candles[t + 1:]
+    return CandleSeries(series.symbol, series.interval, candles)
+
+
 def trending_fixture() -> CandleSeries:
     return parse_csv(FIXTURES / "trending.csv", "TRENDY", INTERVAL)
 

@@ -1,5 +1,5 @@
-"""Brute-force definitional indicator oracles, and a reference network
-evaluator.
+"""Brute-force definitional indicator oracles, reference MFI and VPVR
+streams, and a reference network evaluator.
 
 Deliberately naive second implementations (window re-summation, explicit
 recurrences over numpy arrays) kept independent of the streaming code under
@@ -9,9 +9,12 @@ test. Each oracle returns a list aligned with the input, None during warm-up.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 
+from tradelab.data import Candle
+from tradelab.indicators import require_period
 from tradelab.neat import ArityMismatch, NodeKind, _topological_order, steep_sigmoid
 
 
@@ -276,6 +279,82 @@ def oracle_vpvr(highs, lows, closes, volumes, p, buckets):
         out[i] = sum(volumes[j] for j in window
                      if min(int((tp[j] - lo) / width), buckets - 1) == mine)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference streams: MFI over one window of flow tuples and VPVR by a full
+# rescan of its window. The streams in tradelab.indicators must give the
+# same bits on every bar.
+# ---------------------------------------------------------------------------
+
+class TupleMfiStream:
+    """Money Flow Index over typical-price flows.
+
+    A bar with unchanged typical price contributes to neither flow; zero
+    negative flow reads 100, and a window with no flow at all reads 50.
+    """
+
+    def __init__(self, p: int):
+        self.p = require_period(p)
+        self._flows: deque[tuple[float, float]] = deque(maxlen=self.p)
+        self._prev_tp: float | None = None
+
+    def push(self, candle: Candle) -> float | None:
+        tp = (candle.high + candle.low + candle.close) / 3.0
+        prev = self._prev_tp
+        self._prev_tp = tp
+        if prev is None:
+            return None
+        flow = tp * candle.volume
+        if tp > prev:
+            self._flows.append((flow, 0.0))
+        elif tp < prev:
+            self._flows.append((0.0, flow))
+        else:
+            self._flows.append((0.0, 0.0))
+        if len(self._flows) < self.p:
+            return None
+        pos = sum(f[0] for f in self._flows)
+        neg = sum(f[1] for f in self._flows)
+        if neg == 0.0:
+            return 50.0 if pos == 0.0 else 100.0
+        return 100.0 - 100.0 / (1.0 + pos / neg)
+
+
+class RescanVpvrStream:
+    """Volume-by-price over a trailing window.
+
+    The window's typical-price range is split into ``buckets`` equal bins;
+    each bar's full volume lands in the bin of its typical price. The output
+    at bar i is the accumulated volume in bar i's own bin. A flat window
+    degenerates to a single bin holding the whole window volume.
+    """
+
+    def __init__(self, p: int, buckets: int):
+        self.p = require_period(p)
+        self.buckets = require_period(buckets, "buckets")
+        self._win: deque[tuple[float, float]] = deque(maxlen=self.p)
+
+    def push(self, candle: Candle) -> float | None:
+        tp = (candle.high + candle.low + candle.close) / 3.0
+        self._win.append((tp, candle.volume))
+        if len(self._win) < self.p:
+            return None
+        return self.profile_value(tp)
+
+    def profile_value(self, tp: float) -> float:
+        lo = min(t for t, _ in self._win)
+        hi = max(t for t, _ in self._win)
+        if hi == lo:
+            return sum(v for _, v in self._win)
+        width = (hi - lo) / self.buckets
+        mine = min(int((tp - lo) / width), self.buckets - 1)
+        total = 0.0
+        for t, v in self._win:
+            b = min(int((t - lo) / width), self.buckets - 1)
+            if b == mine:
+                total += v
+        return total
 
 
 class DictNetworkEvaluator:

@@ -34,9 +34,12 @@ from helpers import (
     RandomStrategy,
     ScriptedStrategy,
     random_series,
+    rewrite_after,
     series_from_ohlc,
+    streamed_backtest,
     trending_fixture,
 )
+from test_backtest import emitted_until, ema_with_stops, neat_inputs
 from test_neat import mutation_fuzz, random_genome, sibling_genomes, weight_sum_fitness
 from tradelab.backtest import CostModel, ZERO_COSTS, run_backtest
 from tradelab.broker import SimulatedBroker, paper_trade_loop
@@ -252,6 +255,33 @@ def test_criterion_4_no_lookahead():
             settled_full = [f for f in full.fills if f.bar <= t + 1 and not f.forced]
             settled_cut = [f for f in cut.fills if not f.forced]
             assert settled_cut == settled_full, f"case {case}: fills <= t+1 changed"
+
+
+def streamed_ema_cross(case):
+    return StrategyConfig("RND", EmaCrossParams(3 + case % 5, 12 + case))
+
+
+@pytest.mark.parametrize("make_config,run", [
+    (streamed_ema_cross, streamed_backtest),
+    (ema_with_stops, run_backtest),
+    (neat_inputs, run_backtest),
+], ids=["streamed_ema_cross", "column_ema_cross_with_stops", "column_neat"])
+def test_rewritten_future_bars_never_alter_intents(make_config, run):
+    """Criterion 4's guarantee on the full-length path: rewriting every bar
+    after t+1 leaves the intents emitted up to t+1 unchanged, whether the
+    stepper streams its indicators or reads columns of the whole series."""
+    emitted = 0
+    for case in range(12):
+        config = make_config(case)
+        series = random_series(40_000 + case, n=240, vol=0.02)
+        full = run(config, series, 2_000.0, CostModel())
+        for t in (30, 110, 190):
+            rewritten = run(config, rewrite_after(series, t + 1, 50_000 + case),
+                            2_000.0, CostModel())
+            assert emitted_until(rewritten, t + 1) == emitted_until(full, t + 1), (case, t)
+            assert rewritten.equity != full.equity  # the rewrite reached the run
+            emitted += len(emitted_until(full, t + 1))
+    assert emitted > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 import re
 from pathlib import Path
 
@@ -437,6 +438,39 @@ def test_cmd_ingest_non_finite_row_exit_1(tmp_path, capsys, row):
     assert main(["ingest", "--csv", str(bad), "--symbol", "X", "--interval", "60",
                  "--warehouse", str(tmp_path / "wh")]) == 1
     assert_one_line_error(capsys, ":2:")
+
+
+@pytest.mark.parametrize("row,needle", [
+    ("0,1e300,1e300,1e300,1e300,1", "prices"), ("0,1.7e308,1.7e308,1.7e308,1.7e308,1", "prices"),
+    ("0,5e-324,5e-324,5e-324,5e-324,1", "prices"), ("0,1,1e101,1,1,1", "prices"),
+    ("0,1,1,1e-101,1,1", "prices"), ("0,1,1,1,1,1.1e100", "volume"),
+])
+def test_cmd_ingest_out_of_range_row_exit_1(tmp_path, capsys, row, needle):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"timestamp,open,high,low,close,volume\n{row}\n")
+    assert main(["ingest", "--csv", str(bad), "--symbol", "X", "--interval", "60",
+                 "--warehouse", str(tmp_path / "wh")]) == 1
+    assert_one_line_error(capsys, needle)
+
+
+def test_cmd_indicator_finite_at_the_price_and_volume_bounds(tmp_path):
+    rows = ["timestamp,open,high,low,close,volume"]
+    for i, (price, volume) in enumerate([(1e100, 1e100), (1e-100, 0.0), (1e100, 1e100),
+                                         (1e-100, 1e100), (1e100, 5e-324), (1e-100, 1e100)]):
+        rows.append(f"{i * 3_600_000},{price},{price},{price},{price},{volume}")
+    (tmp_path / "edge.csv").write_text("\n".join(rows) + "\n")
+    wh = tmp_path / "wh"
+    assert main(["ingest", "--csv", str(tmp_path / "edge.csv"), "--symbol", "TRENDY",
+                 "--interval", "3600", "--warehouse", str(wh)]) == 0
+    cfg = write_config(tmp_path, wh)
+    specs = ["vpvr:p=2,buckets=12", "vpvr:p=3,buckets=2147483647", "bollinger:p=2",
+             "cci:p=2", "mfi:p=2", "force_index:p=2", "rsi:p=2"]
+    assert main(["indicator", "--config", str(cfg)]
+                + [arg for spec in specs for arg in ("--indicator", spec)]) == 0
+    lines = (tmp_path / "out" / "indicators.csv").read_text().splitlines()
+    cells = [cell for line in lines[1:] for cell in line.split(",")[1:]]
+    assert all(math.isfinite(float(cell)) for cell in cells if cell)
+    assert all(lines[-1].split(","))
 
 
 @pytest.mark.parametrize("name", ["evolve", "tune", "replay", "xor"])

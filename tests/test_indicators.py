@@ -1,12 +1,19 @@
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import flat_series, random_series, series_from_closes, series_from_ohlc
+from helpers import (
+    flat_series,
+    random_series,
+    rewrite_after,
+    series_from_closes,
+    series_from_ohlc,
+)
 from tradelab import indicators as ind
 from tradelab.data import CandleSeries
 from tradelab.errors import ValidationError
@@ -16,6 +23,7 @@ from tradelab.indicators import (
     PeriodExceedsSeries,
     UnknownIndicator,
     compute,
+    indicator_lines,
     spec_lines,
     volume_profile,
 )
@@ -382,3 +390,128 @@ def test_all_registry_names_compute():
         assert len(outs) == len(spec_lines(filtered))
         for o in outs:
             assert len(o.values) == len(series)
+
+
+# ---------------------------------------------------------------------------
+# Windowed VPVR and MFI: the same bits as a full rescan of the window
+# ---------------------------------------------------------------------------
+
+# volumes spanning 20 orders of magnitude, so that adding a window's volumes
+# in another order than the bars' own usually rounds differently
+ORDER_SENSITIVE_VOLUMES = (1e16, 1.0, 3.0, 1e-3, 7.5, 2.0**53, 0.1, 0.0, 999.0, 1e-4)
+
+
+def bars_at(prices, volumes=ORDER_SENSITIVE_VOLUMES):
+    """Degenerate candles at the given typical prices, cycling volumes."""
+    return series_from_closes(
+        prices, volumes=[volumes[i % len(volumes)] for i in range(len(prices))]).candles
+
+
+def tie_heavy_bars(rng, n):
+    """Bars on a few price levels, some one ulp apart, with volumes over
+    many magnitudes."""
+    levels = [rng.choice([1.0, 1.0000000000000002, 1.5, 2.0, 2.25, 3.0,
+                          3.0000000000000004]) for _ in range(5)]
+    return bars_at([rng.choice(levels) for _ in range(n)],
+                   [10.0 ** rng.uniform(-3, 17) for _ in range(n)])
+
+
+def named_windows():
+    """(label, candles, p, buckets) for the windows the sorted-window VPVR
+    and the split-flow MFI must get right."""
+    walk = random_series(5, n=300).candles
+    cases = [(f"walk_p{p}_b{b}", walk, p, b)
+             for p, b in ((1, 12), (2, 1), (7, 3), (14, 12), (50, 12), (30, 100))]
+    cases += [(f"walk_seed{seed}", random_series(seed, n=200, vol=0.03).candles, 20, 8)
+              for seed in (41, 42, 43)]
+    ties = [2.0, 1.0, 2.0, 2.0, 1.0, 3.0, 1.0, 1.0, 2.0, 3.0, 3.0, 2.0] * 6
+    cases += [("repeated_prices_p4", bars_at(ties), 4, 2),
+              ("repeated_prices_p9", bars_at(ties), 9, 5)]
+    lo_hi = [5.0, 1.0, 9.0, 1.0, 9.0, 1.0, 9.0, 5.0, 5.0, 1.0, 1.0, 9.0, 9.0, 0.5, 12.0] * 4
+    cases += [(f"new_bar_at_lo_or_hi_p{p}", bars_at(lo_hi), p, 4) for p in (3, 5)]
+    edges = [float(x) for x in (7, 1, 13, 4, 10, 2, 12, 6, 8, 3, 11, 5, 9)] * 5
+    cases += [(f"bin_edges_b{b}", bars_at(edges), 13, b) for b in (4, 12, 24)]
+    cases += [("flat", bars_at([50.0] * 40), 10, 12),
+              ("flat_then_step", bars_at([50.0] * 15 + [51.0] + [50.0] * 15), 10, 3),
+              ("p_1", bars_at(edges), 1, 12),
+              ("buckets_1", bars_at(edges), 6, 1),
+              ("buckets_above_p", walk, 5, 1000),
+              ("shorter_than_p", walk[:10], 20, 12)]
+    return cases
+
+
+NAMED_WINDOWS = named_windows()
+_rng = random.Random(2024)
+TIE_HEAVY_WINDOWS = [(f"tie_heavy_{i}", tie_heavy_bars(_rng, _rng.randint(1, 120)),
+                      _rng.randint(1, 50), _rng.randint(1, 100)) for i in range(300)]
+
+
+def pushed(stream, candles):
+    return [repr(stream.push(c)) for c in candles]
+
+
+@pytest.mark.parametrize("label,candles,p,buckets", NAMED_WINDOWS,
+                         ids=[case[0] for case in NAMED_WINDOWS])
+def test_vpvr_matches_window_rescan_bit_for_bit(label, candles, p, buckets):
+    assert pushed(ind.VpvrStream(p, buckets), candles) == \
+        pushed(oracles.RescanVpvrStream(p, buckets), candles)
+
+
+def test_vpvr_matches_window_rescan_on_tie_heavy_series():
+    for label, candles, p, buckets in TIE_HEAVY_WINDOWS:
+        assert pushed(ind.VpvrStream(p, buckets), candles) == \
+            pushed(oracles.RescanVpvrStream(p, buckets), candles), label
+
+
+def test_mfi_matches_tuple_window_bit_for_bit():
+    for label, candles, p, _ in NAMED_WINDOWS + TIE_HEAVY_WINDOWS:
+        assert pushed(ind.MfiStream(p), candles) == \
+            pushed(oracles.TupleMfiStream(p), candles), label
+
+
+# ---------------------------------------------------------------------------
+# No lookahead and finiteness over every registered indicator
+# ---------------------------------------------------------------------------
+
+EVERY_PARAM = {"p": 10, "buckets": 8, "fast": 5, "slow": 10, "signal": 4, "k": 2.0}
+
+
+@pytest.mark.parametrize("name", ind.INDICATOR_NAMES)
+def test_rewritten_future_bars_leave_past_values_unchanged(name):
+    spec = IndicatorSpec(name, EVERY_PARAM)
+    series = random_series(606, n=120)
+    full = indicator_lines(spec, series)
+    for t in (0, 9, 47, 80, 118):
+        rewritten = indicator_lines(spec, rewrite_after(series, t, 607 + t))
+        for whole, line in zip(full, rewritten):
+            assert line[:t + 1] == whole[:t + 1], (name, t)
+            assert t > 110 or line != whole  # the rewrite reaches the outputs
+
+
+BOUNDS = (1e-100, 1e100)
+BOUND_PRICES = st.one_of(st.sampled_from(BOUNDS), st.floats(*BOUNDS))
+BOUND_VOLUMES = st.one_of(st.sampled_from([0.0, 5e-324, 1e100]), st.floats(0.0, 1e100))
+
+
+@st.composite
+def bars_at_the_bounds(draw):
+    rows = draw(st.lists(st.tuples(st.lists(BOUND_PRICES, min_size=4, max_size=4),
+                                   st.booleans(), BOUND_VOLUMES),
+                         min_size=1, max_size=40))
+    candles = []
+    for prices, rising, volume in rows:
+        low, a, b, high = sorted(prices)
+        o, c = (a, b) if rising else (b, a)
+        candles.append((o, high, low, c, volume))
+    return series_from_ohlc(candles)
+
+
+@given(series=bars_at_the_bounds(), p=st.integers(1, 40),
+       buckets=st.one_of(st.integers(1, 200), st.just(2**31 - 1), st.integers(1, 2**31 - 1)))
+@settings(max_examples=300, deadline=None)
+def test_every_indicator_stays_finite_at_the_price_and_volume_bounds(series, p, buckets):
+    params = {"p": p, "buckets": buckets, "fast": p, "slow": p + 1, "signal": p}
+    for name in ind.INDICATOR_NAMES:
+        spec = IndicatorSpec(name, dict(params, p=max(p, 2)) if name == "bollinger" else params)
+        for line in indicator_lines(spec, series):
+            assert all(v is None or math.isfinite(v) for v in line), (name, line)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -85,6 +84,8 @@ class IndicatorOutput:
 
 
 _MAX_PERIOD = 2**31 - 1  # beyond any series; keeps window sizes in range
+# with prices bounded by 1e100, a band width up to 1e100 keeps the bands finite
+_MAX_BAND_WIDTH = 1e100
 
 
 def require_period(p, name: str = "p") -> int:
@@ -242,8 +243,8 @@ class BollingerStream:
         p = require_period(p)
         if p < 2:
             raise InvalidPeriods(f"bollinger period must be >= 2, got {p}")
-        if type(k) not in (int, float) or not 0 < k <= sys.float_info.max:
-            raise InvalidPeriods(f"band width multiplier must be a finite number > 0, got {k!r}")
+        if type(k) not in (int, float) or not 0 < k <= _MAX_BAND_WIDTH:
+            raise InvalidPeriods(f"band width multiplier must be a number in (0, 1e100], got {k!r}")
         self.p = p
         self.k = float(k)
         self._win: deque[float] = deque(maxlen=p)

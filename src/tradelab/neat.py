@@ -19,6 +19,7 @@ import heapq
 import logging
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -157,6 +158,26 @@ def _topological_order(genome: Genome) -> list[int]:
     return order
 
 
+def _ids_by_kind(genome: Genome) -> tuple[list[int], list[int], list[int]]:
+    """The sorted input, bias and output node ids, from one pass over the
+    nodes that compares kinds by identity."""
+    inputs, biases, outputs = [], [], []
+    # reading a member off an Enum class is several times dearer than a local
+    input_kind, bias_kind, output_kind = NodeKind.INPUT, NodeKind.BIAS, NodeKind.OUTPUT
+    for node in genome.nodes:
+        kind = node.kind
+        if kind is input_kind:
+            inputs.append(node.id)
+        elif kind is output_kind:
+            outputs.append(node.id)
+        elif kind is bias_kind:
+            biases.append(node.id)
+    inputs.sort()
+    biases.sort()
+    outputs.sort()
+    return inputs, biases, outputs
+
+
 class NetworkEvaluator:
     """Compiled feed-forward evaluator for one genome.
 
@@ -169,9 +190,7 @@ class NetworkEvaluator:
     """
 
     def __init__(self, genome: Genome):
-        self.input_ids = genome.ids_of(NodeKind.INPUT)
-        self.bias_ids = genome.ids_of(NodeKind.BIAS)
-        self.output_ids = genome.ids_of(NodeKind.OUTPUT)
+        self.input_ids, self.bias_ids, self.output_ids = _ids_by_kind(genome)
         fixed = self.input_ids + self.bias_ids
         skip = set(fixed)
         computed = [nid for nid in _topological_order(genome) if nid not in skip]
@@ -230,7 +249,8 @@ def activate(genome: Genome, inputs: list[float]) -> list[float]:
 def outputs_reachable(genome: Genome) -> bool:
     """True when every output node is fed, via enabled connections, from some
     input or bias node."""
-    frontier = list(set(genome.ids_of(NodeKind.INPUT)) | set(genome.ids_of(NodeKind.BIAS)))
+    input_ids, bias_ids, output_ids = _ids_by_kind(genome)
+    frontier = input_ids + bias_ids
     edges: dict[int, list[int]] = {}
     for c in genome.connections:
         if c.enabled:
@@ -242,7 +262,7 @@ def outputs_reachable(genome: Genome) -> bool:
             if dst not in seen:
                 seen.add(dst)
                 frontier.append(dst)
-    return all(nid in seen for nid in genome.ids_of(NodeKind.OUTPUT))
+    return all(nid in seen for nid in output_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +369,9 @@ class EvolutionConfig:
                 raise ValidationError(f"{name} must be in [0, 1], got {v}")
         if self.elitism < 0 or self.elitism >= self.population_size:
             raise ValidationError("elitism must be in [0, population_size)")
+        for name in ("c1", "c2", "c3"):
+            if not getattr(self, name) >= 0:
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("compatibility_threshold", "weight_cap"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -356,40 +379,60 @@ class EvolutionConfig:
             raise ValidationError(f"max_generations must be >= 0, got {self.max_generations}")
 
 
-def compatibility_distance(a: Genome, b: Genome, config: EvolutionConfig) -> float:
-    """c1*E/N + c2*D/N + c3*mean|dw| over matching innovations; N is the
-    larger gene count, forced to 1 when both genomes are small (< 20)."""
-    ca, cb = a.connections, b.connections
-    ia = ib = 0
-    excess = disjoint = matching = 0
-    weight_diff = 0.0
-    max_a = ca[-1].innovation if ca else -1
-    max_b = cb[-1].innovation if cb else -1
-    while ia < len(ca) or ib < len(cb):
-        ga = ca[ia] if ia < len(ca) else None
-        gb = cb[ib] if ib < len(cb) else None
-        if ga is not None and gb is not None and ga.innovation == gb.innovation:
-            matching += 1
-            weight_diff += abs(ga.weight - gb.weight)
-            ia += 1
-            ib += 1
-        elif gb is None or (ga is not None and ga.innovation < gb.innovation):
-            if ga.innovation > max_b:
-                excess += 1
-            else:
-                disjoint += 1
-            ia += 1
-        else:
-            if gb.innovation > max_a:
-                excess += 1
-            else:
-                disjoint += 1
-            ib += 1
-    n = max(len(ca), len(cb))
+def _gene_key(genome: Genome) -> tuple[list[int], dict[int, float]]:
+    """What the distance reads of a genome: its innovation list in gene
+    (ascending) order and an ``{innovation: weight}`` map."""
+    conns = genome.connections
+    return [c.innovation for c in conns], {c.innovation: c.weight for c in conns}
+
+
+def _keyed_distance(key_a, key_b, config: EvolutionConfig,
+                    threshold: float | None = None) -> float:
+    """The compatibility distance of two gene keys.
+
+    The shared innovations match. Only the genome with the larger top
+    innovation holds excess genes: those above the other's top. The other
+    unmatched genes are disjoint. ``|dw|`` is summed along ``key_a``'s
+    innovation list, which is the order and the floats of a merge walk over
+    both gene lists. With a ``threshold``, a structural part
+    ``c1*E/N + c2*D/N`` already at or above it is returned as it is: adding
+    ``c3*mean|dw| >= 0`` cannot bring a sum below it under round-to-nearest,
+    so ``distance < threshold`` is answered exactly."""
+    innovations_a, weights_a = key_a
+    innovations_b, weights_b = key_b
+    len_a, len_b = len(innovations_a), len(innovations_b)
+    max_a = innovations_a[-1] if innovations_a else -1
+    max_b = innovations_b[-1] if innovations_b else -1
+    matching = len(weights_a.keys() & weights_b.keys())
+    if max_a > max_b:
+        excess = len_a - bisect_right(innovations_a, max_b)
+    elif max_b > max_a:
+        excess = len_b - bisect_right(innovations_b, max_a)
+    else:
+        excess = 0
+    disjoint = len_a + len_b - 2 * matching - excess
+    n = max(len_a, len_b)
     if n < 20:
         n = 1
+    structural = config.c1 * excess / n + config.c2 * disjoint / n
+    if threshold is not None and structural >= threshold:
+        return structural
+    weight_diff = 0.0
+    for innovation in innovations_a:
+        if innovation in weights_b:
+            weight_diff += abs(weights_a[innovation] - weights_b[innovation])
     avg_w = weight_diff / matching if matching else 0.0
-    return config.c1 * excess / n + config.c2 * disjoint / n + config.c3 * avg_w
+    return structural + config.c3 * avg_w
+
+
+def compatibility_distance(a: Genome, b: Genome, config: EvolutionConfig) -> float:
+    """c1*E/N + c2*D/N + c3*mean|dw| over matching innovations; N is the
+    larger gene count, forced to 1 when both genomes are small (< 20).
+
+    E counts the excess genes, D the disjoint ones. Both genomes are read
+    through their gene keys (innovation list and ``{innovation: weight}``
+    map), the same code :func:`speciate` runs, but without its early exit."""
+    return _keyed_distance(_gene_key(a), _gene_key(b), config)
 
 
 def _descendants(genome: Genome) -> dict[int, set[int]]:
@@ -433,6 +476,13 @@ def mutate(genome: Genome, config: EvolutionConfig, rng: random.Random,
     """Return a mutated copy: weight perturbation/reset, node insertion by
     splitting a connection, and acyclicity-preserving connection addition."""
     g = genome.copy()
+    _mutate_in_place(g, config, rng, tracker)
+    return g
+
+
+def _mutate_in_place(g: Genome, config: EvolutionConfig, rng: random.Random,
+                     tracker: InnovationTracker) -> None:
+    """The body of :func:`mutate`, applied to a genome nobody else holds."""
     if g.connections and rng.random() < config.weight_mutation_rate:
         for conn in g.connections:
             if rng.random() < config.weight_reset_rate:
@@ -465,7 +515,6 @@ def mutate(genome: Genome, config: EvolutionConfig, rng: random.Random,
             logger.debug("add-connection skipped: topology saturated")
 
     g.connections.sort(key=lambda c: c.innovation)
-    return g
 
 
 def crossover(parent_a: Genome, parent_b: Genome, rng: random.Random) -> Genome:
@@ -512,17 +561,27 @@ class Species:
 def speciate(genomes: list[Genome], previous: list[Species],
              config: EvolutionConfig) -> list[Species]:
     """Assign genomes to the first compatible species (distance below the
-    threshold against the representative), creating new species as needed."""
+    threshold against the representative), creating new species as needed.
+
+    Each genome and representative gets one gene key per call: its
+    innovation list and ``{innovation: weight}`` map. A pair whose excess and
+    disjoint terms alone reach the threshold is rejected without the weight
+    term; since ``c3 >= 0`` that is exactly the decision the full
+    :func:`compatibility_distance` gives."""
     shells = [Species(s.id, s.representative, [], s.staleness, s.best_fitness)
               for s in previous]
+    keys = [_gene_key(s.representative) for s in shells]
+    threshold = config.compatibility_threshold
     next_id = max((s.id for s in shells), default=-1) + 1
     for g in genomes:
-        for s in shells:
-            if compatibility_distance(g, s.representative, config) < config.compatibility_threshold:
+        key = _gene_key(g)
+        for s, rep_key in zip(shells, keys):
+            if _keyed_distance(key, rep_key, config, threshold) < threshold:
                 s.members.append(g)
                 break
         else:
             shells.append(Species(next_id, g, [g]))
+            keys.append(key)
             next_id += 1
     return [s for s in shells if s.members]
 
@@ -667,9 +726,10 @@ class Evolution:
                     p1 = pool[rng.randrange(len(pool))]
                     p2 = pool[rng.randrange(len(pool))]
                     child = crossover(p1, p2, rng)
+                    _mutate_in_place(child, config, rng, self.tracker)
                 else:
-                    child = pool[rng.randrange(len(pool))].copy()
-                new_population.append(mutate(child, config, rng, self.tracker))
+                    child = mutate(pool[rng.randrange(len(pool))], config, rng, self.tracker)
+                new_population.append(child)
                 slot += 1
         self.population = new_population
         self.species = alive

@@ -1,5 +1,6 @@
 """Shared builders for test data: seeded random-walk candle series plus
-scripted/random strategies used to fuzz the execution layer."""
+scripted/random strategies used to fuzz the execution layer, and the XOR
+fitness function."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import numpy as np
 
 from tradelab.backtest import Book, CostModel, run_bars
 from tradelab.data import Candle, CandleSeries, parse_csv
+from tradelab.neat import NetworkEvaluator
 from tradelab.strategy import Side, TradeIntent
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -158,3 +160,16 @@ def conservation_violation(report, series, initial_cash: float,
             expected = cash  # engine rewrites the last point after liquidation
         worst = max(worst, abs(report.equity[t] - expected))
     return worst
+
+
+XOR_CASES = [((0.0, 0.0), 0.0), ((0.0, 1.0), 1.0), ((1.0, 0.0), 1.0), ((1.0, 1.0), 0.0)]
+
+
+def xor_fitness(genome) -> float:
+    """4 minus the squared error of the genome's output over the XOR table."""
+    net = NetworkEvaluator(genome)
+    err = 0.0
+    for inputs, target in XOR_CASES:
+        out = net.activate(list(inputs))[0]
+        err += (out - target) ** 2
+    return 4.0 - err

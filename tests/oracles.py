@@ -1,5 +1,6 @@
 """Brute-force definitional indicator oracles, reference MFI and VPVR
-streams, and a reference network evaluator.
+streams, a reference network evaluator and a merge-walk compatibility
+distance.
 
 Deliberately naive second implementations (window re-summation, explicit
 recurrences over numpy arrays) kept independent of the streaming code under
@@ -388,3 +389,40 @@ class DictNetworkEvaluator:
                 total += values[src] * weight
             values[nid] = steep_sigmoid(total)
         return [values[nid] for nid in self.output_ids]
+
+
+def merge_walk_distance(a, b, config):
+    """Reference compatibility distance: one merge walk over both genomes'
+    innovation-ordered genes, classifying each as matching, disjoint or
+    excess and summing ``|dw|`` over the matches in innovation order."""
+    ca, cb = a.connections, b.connections
+    ia = ib = 0
+    excess = disjoint = matching = 0
+    weight_diff = 0.0
+    max_a = ca[-1].innovation if ca else -1
+    max_b = cb[-1].innovation if cb else -1
+    while ia < len(ca) or ib < len(cb):
+        ga = ca[ia] if ia < len(ca) else None
+        gb = cb[ib] if ib < len(cb) else None
+        if ga is not None and gb is not None and ga.innovation == gb.innovation:
+            matching += 1
+            weight_diff += abs(ga.weight - gb.weight)
+            ia += 1
+            ib += 1
+        elif gb is None or (ga is not None and ga.innovation < gb.innovation):
+            if ga.innovation > max_b:
+                excess += 1
+            else:
+                disjoint += 1
+            ia += 1
+        else:
+            if gb.innovation > max_a:
+                excess += 1
+            else:
+                disjoint += 1
+            ib += 1
+    n = max(len(ca), len(cb))
+    if n < 20:
+        n = 1
+    avg_w = weight_diff / matching if matching else 0.0
+    return config.c1 * excess / n + config.c2 * disjoint / n + config.c3 * avg_w

@@ -38,6 +38,7 @@ from helpers import (
     series_from_ohlc,
     streamed_backtest,
     trending_fixture,
+    xor_fitness,
 )
 from test_backtest import emitted_until, ema_with_stops, neat_inputs
 from test_neat import mutation_fuzz, random_genome, sibling_genomes, weight_sum_fitness
@@ -49,7 +50,6 @@ from tradelab.indicators import IndicatorSpec, compute
 from tradelab.neat import (
     Evolution,
     EvolutionConfig,
-    NetworkEvaluator,
     compatibility_distance,
     crossover,
     validate_genome,
@@ -317,17 +317,7 @@ def test_criterion_5_neat_mechanics():
 # 6. Capability: XOR
 # ---------------------------------------------------------------------------
 
-XOR_CASES = [((0.0, 0.0), 0.0), ((0.0, 1.0), 1.0), ((1.0, 0.0), 1.0), ((1.0, 1.0), 0.0)]
 XOR_THRESHOLD = 3.9
-
-
-def xor_fitness(genome):
-    net = NetworkEvaluator(genome)
-    err = 0.0
-    for inputs, target in XOR_CASES:
-        out = net.activate(list(inputs))[0]
-        err += (out - target) ** 2
-    return 4.0 - err
 
 
 def test_criterion_6_xor_capability():

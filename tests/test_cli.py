@@ -156,7 +156,8 @@ def assert_one_line_error(capsys, needle):
 
 @pytest.mark.parametrize("spec,needle", [
     ("ema:p=1e1", "ema:p=1e1"), ("ema:p=abc", "ema:p=abc"), ("ema:p=2.5", "2.5"),
-    ("bollinger:p=20,k=-1.0", "-1.0"), ("ema:p=5000", "ema_5000"),
+    ("bollinger:p=20,k=-1.0", "-1.0"), ("bollinger:p=20,k=1.7e308", "1.7e+308"),
+    ("ema:p=5000", "ema_5000"),
     ("sma", "missing parameter"), ("vwap:p=3", "vwap"),
 ])
 def test_cmd_indicator_bad_spec_exit_1(tmp_path, capsys, spec, needle):

@@ -250,6 +250,15 @@ def test_bollinger_non_finite_width_rejected():
             compute(IndicatorSpec("bollinger", {"p": 5, "k": k}), random_series(0, 32))
 
 
+def test_bollinger_width_is_bounded_like_prices():
+    candles = series_from_closes([100.0, 101.0, 103.0, 99.0]).candles
+    with pytest.raises(InvalidPeriods, match=r"\(0, 1e100\]"):
+        ind.BollingerStream(3, k=1.7e308)
+    stream = ind.BollingerStream(3, k=1e100)
+    bands = [stream.push(c) for c in candles][2:]
+    assert all(math.isfinite(v) for band in bands for v in band)
+
+
 def test_bollinger_width_defaults_to_two():
     series = random_series(3, 64)
     default = compute(IndicatorSpec("bollinger", {"p": 20}), series)
@@ -507,10 +516,11 @@ def bars_at_the_bounds(draw):
 
 
 @given(series=bars_at_the_bounds(), p=st.integers(1, 40),
-       buckets=st.one_of(st.integers(1, 200), st.just(2**31 - 1), st.integers(1, 2**31 - 1)))
+       buckets=st.one_of(st.integers(1, 200), st.just(2**31 - 1), st.integers(1, 2**31 - 1)),
+       k=st.one_of(st.just(1e100), st.floats(0.0, 1e100, exclude_min=True)))
 @settings(max_examples=300, deadline=None)
-def test_every_indicator_stays_finite_at_the_price_and_volume_bounds(series, p, buckets):
-    params = {"p": p, "buckets": buckets, "fast": p, "slow": p + 1, "signal": p}
+def test_every_indicator_stays_finite_at_the_price_and_volume_bounds(series, p, buckets, k):
+    params = {"p": p, "buckets": buckets, "fast": p, "slow": p + 1, "signal": p, "k": k}
     for name in ind.INDICATOR_NAMES:
         spec = IndicatorSpec(name, dict(params, p=max(p, 2)) if name == "bollinger" else params)
         for line in indicator_lines(spec, series):

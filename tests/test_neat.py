@@ -1,9 +1,11 @@
+import hashlib
 import math
 import random
 
 import pytest
 
-from oracles import DictNetworkEvaluator
+from helpers import xor_fitness
+from oracles import DictNetworkEvaluator, merge_walk_distance
 from test_cli import TRADING_GENOME, assert_one_line_error, setup_warehouse, write_config
 from tradelab.cli import main
 from tradelab.neat import (
@@ -17,6 +19,7 @@ from tradelab.neat import (
     NetworkEvaluator,
     NodeGene,
     NodeKind,
+    Species,
     UnevaluatedParent,
     activate,
     allocate_offspring,
@@ -224,6 +227,45 @@ def test_distance_matches_alignment_oracle():
         assert got == pytest.approx(distance_oracle(a, b, CONFIG), rel=1e-12)
 
 
+def random_gene_pair(rng):
+    """Two genomes whose connection lists are random innovation subsets of a
+    shared range; most are long enough (>= 20 genes) for N to be the gene
+    count, some are empty, and some share their top innovation."""
+    span = rng.choice([5, 30, 60])
+
+    def genes():
+        count = rng.choice([0, rng.randint(0, span)])
+        innovations = sorted(rng.sample(range(span), count))
+        return Genome([], [ConnectionGene(i, 0, 1, rng.uniform(-8, 8)) for i in innovations])
+
+    a, b = genes(), genes()
+    if a.connections and b.connections and rng.random() < 0.25:
+        top = max(a.connections[-1].innovation, b.connections[-1].innovation)
+        for g in (a, b):
+            if g.connections[-1].innovation != top:
+                g.connections.append(ConnectionGene(top, 0, 1, rng.uniform(-8, 8)))
+    return a, b
+
+
+def test_distance_equals_the_merge_walk_bit_for_bit():
+    rng = random.Random(41)
+    configs = [CONFIG, EvolutionConfig(c1=2.5, c2=0.3, c3=1.7), EvolutionConfig(c1=0.0, c3=0.0)]
+    seen = {"long": 0, "empty": 0, "equal tops": 0, "excess in a": 0, "excess in b": 0}
+    pairs = [random_gene_pair(rng) for _ in range(600)]
+    pairs += [(random_genome(s, rounds=18), random_genome(s + 1000, rounds=18)) for s in range(20)]
+    for a, b in pairs:
+        tops = [g.connections[-1].innovation if g.connections else -1 for g in (a, b)]
+        seen["long"] += max(a.size(), b.size()) >= 20
+        seen["empty"] += not (a.connections and b.connections)
+        seen["equal tops"] += tops[0] == tops[1] and tops[0] >= 0
+        seen["excess in a"] += tops[0] > tops[1]
+        seen["excess in b"] += tops[1] > tops[0]
+        for config in configs:
+            assert compatibility_distance(a, b, config) == merge_walk_distance(a, b, config)
+            assert compatibility_distance(b, a, config) == merge_walk_distance(b, a, config)
+    assert min(seen.values()) >= 30, seen
+
+
 # ---------------------------------------------------------------------------
 # Mutation
 # ---------------------------------------------------------------------------
@@ -392,6 +434,49 @@ def test_speciation_matches_threshold_oracle():
     assert sum(len(s.members) for s in species) == len(genomes)
 
 
+def merge_walk_speciate(genomes, previous, config):
+    """First-fit speciation that measures every pair with the merge walk."""
+    shells = [Species(s.id, s.representative, [], s.staleness, s.best_fitness)
+              for s in previous]
+    next_id = max((s.id for s in shells), default=-1) + 1
+    for g in genomes:
+        for s in shells:
+            if merge_walk_distance(g, s.representative, config) < config.compatibility_threshold:
+                s.members.append(g)
+                break
+        else:
+            shells.append(Species(next_id, g, [g]))
+            next_id += 1
+    return [s for s in shells if s.members]
+
+
+def species_layout(species):
+    return [(s.id, id(s.representative), [id(m) for m in s.members]) for s in species]
+
+
+def test_speciate_places_genomes_as_the_merge_walk_does():
+    rng = random.Random(5)
+    cases = 0
+    for seed in range(6):
+        evo = Evolution(3, 2, EvolutionConfig(population_size=40, add_connection_rate=0.3,
+                                              add_node_rate=0.2, seed=seed))
+        evo.evaluate(weight_sum_fitness)
+        for _ in range(6):
+            evo.next_generation()
+            evo.evaluate(weight_sum_fitness)
+        grown = [random_genome(seed * 50 + i, rounds=rng.randint(0, 25)) for i in range(30)]
+        for population, previous in ((evo.population, evo.species),
+                                     (grown, speciate(grown[::3], [], CONFIG)),
+                                     (grown + evo.population, [])):
+            for threshold, c3 in ((0.5, 0.4), (1.0, 3.0), (3.0, 0.4), (6.0, 1.0)):
+                config = EvolutionConfig(compatibility_threshold=threshold, c3=c3)
+                got = speciate(population, previous, config)
+                assert species_layout(got) == \
+                    species_layout(merge_walk_speciate(population, previous, config))
+                cases += len(got) > 1
+    assert cases > 30
+
+
 def test_allocate_offspring_sums_exactly():
     rng = random.Random(8)
     for _ in range(200):
@@ -503,6 +588,19 @@ def test_seeded_run_is_bit_identical():
            [(c.innovation, c.weight, c.enabled) for c in best_b.connections]
 
 
+# sha256 of repr((history, best.nodes, best.connections, best.fitness)) for
+# XOR, population 50, seed 4, 15 generations: eight species by the end, so
+# speciation, crossover and mutation all shape it
+XOR_RUN_GOLDEN = "0d35a37d6cf1b4232e9496d02e512b755751c8c63d8b8bd9d562825cc731cb17"
+
+
+def test_seeded_xor_run_matches_its_golden():
+    evo = Evolution(2, 1, EvolutionConfig(population_size=50, seed=4))
+    best, history = evo.run(xor_fitness, 15)
+    text = repr((history, best.nodes, best.connections, best.fitness))
+    assert hashlib.sha256(text.encode()).hexdigest() == XOR_RUN_GOLDEN
+
+
 def test_extinction_reseeds_from_best():
     # decreasing rewards + no elitism: every species goes stale, nothing
     # matches the best-ever fitness, so the run reseeds from the best genome
@@ -573,6 +671,21 @@ def test_validate_genome_checks_activation_per_kind():
             validate_genome(Genome(nodes, []))
 
 
+def test_connections_into_input_and_bias_nodes_are_ignored(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("node 0 input identity\nnode 1 input identity\nnode 2 bias identity\n"
+                    "node 3 hidden sigmoid\nnode 4 output sigmoid\n"
+                    "conn 0 0 4 0.75 1\nconn 1 1 3 -1.25 1\nconn 2 3 4 2.5 1\n"
+                    "conn 3 2 4 -0.5 1\nconn 4 3 0 1.5 1\nconn 5 2 1 -3.0 1\n")
+    genome = read_genome(path)
+    net = NetworkEvaluator(genome)
+    rows = [[0.0, 0.0], [0.5, -1.0], [2.0, 3.0]]
+    expected = [[0.9752773002196243], [0.9999909321085084], [0.9926084595964978]]
+    assert [net.activate(row) for row in rows] == expected
+    assert net.activate_rows(rows) == expected
+    assert outputs_reachable(genome)
+
+
 def test_genome_file_missing_is_validation_error(tmp_path):
     with pytest.raises(ValidationError, match="cannot read genome"):
         read_genome(tmp_path / "absent.txt")
@@ -581,11 +694,20 @@ def test_genome_file_missing_is_validation_error(tmp_path):
 @pytest.mark.parametrize("field,value", [
     ("compatibility_threshold", 0.0), ("compatibility_threshold", -1.0),
     ("compatibility_threshold", math.nan), ("weight_cap", 0.0), ("weight_cap", -2.0),
-    ("max_generations", -1),
+    ("max_generations", -1), ("c1", -1.0), ("c2", -5.0), ("c3", -0.4), ("c3", math.nan),
 ])
 def test_evolution_config_rejects_out_of_range(field, value):
     with pytest.raises(ValidationError, match=field):
         EvolutionConfig(**{field: value}).validate()
+
+
+def test_cmd_optimize_negative_c3_exit_1(tmp_path, capsys):
+    wh = setup_warehouse(tmp_path)
+    cfg = write_config(tmp_path, wh, optimize={
+        "mode": "evolve", "inputs": ["ema:p=3"],
+        "evolution": {"population_size": 6, "max_generations": 1, "c3": -0.4}})
+    assert main(["optimize", "--config", str(cfg)]) == 1
+    assert_one_line_error(capsys, "c3 must be >= 0, got -0.4")
 
 
 @pytest.mark.parametrize("record", ["conn 0 0 2 nan 1", "conn 1 1 2 inf 1",

@@ -12,8 +12,9 @@ intent into a quantity, ``Book`` turns an order into a fill, and
 
 ``run_bars`` is the one bar loop. ``run_backtest`` runs it on a ``Book``;
 ``broker.paper_trade_loop`` runs it on an adapter over a broker endpoint,
-which is the only difference between a backtest and a paper session. Both
-reports list every order with its status and reject reason.
+which is the only difference between a backtest and a paper session, apart
+from a backtest jumping over bars where nothing can happen. Both reports
+list every order with its status and reject reason.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 from .data import CandleSeries
 from .errors import TradeLabError, ValidationError
@@ -354,6 +356,14 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
     ``FeedInterrupted`` ends the run with its open positions left open and
     the report flagged ``interrupted``; otherwise the venue flattens them at
     the last close (``forced_close``).
+
+    A backtest jumps over quiet bars: when the venue is a ``Book``, the
+    candles are the series' own and the loop built a column-fed stepper
+    from a config, then at a bar with no queued order and no armed stop it
+    asks the stepper for the next bar at which it can emit
+    (``quiet_until``), marks the book for every bar before that one in bulk
+    and skips them. Paper sessions and prebuilt or duck-typed steppers walk
+    every bar. Both give the same report, bit for bit.
     """
     store = None
     if series is not None:
@@ -373,6 +383,10 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
             stream = AtrStream(stop_settings.atr_period)
         else:
             (atr,) = store.lines(IndicatorSpec("atr", {"p": stop_settings.atr_period}))
+    quiet_until = None  # the stepper's next possible emission, when the loop may jump
+    if (isinstance(strategy, StrategyConfig) and store is not None
+            and isinstance(venue, Book) and candles is series.candles):
+        quiet_until = getattr(stepper, "quiet_until", None)
     stamps: list[int] | None = [] if series is None else None
     candles_b = aux.candles if aux is not None else None
     symbol_b = aux.symbol if aux is not None else None
@@ -403,8 +417,27 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
         ledger.record(result, venue.positions.get(name, 0.0) == 0.0, last_atr)
 
     interrupted = False
+    bars = enumerate(candles)
     try:
-        for t, candle in enumerate(candles):
+        for t, candle in bars:
+            if quiet_until is not None and not queue and ledger.stop is None:
+                until = quiet_until(t)
+                if until > t:
+                    # bars t to until-1 fill nothing, arm no stop and emit
+                    # nothing: mark the book with the per-bar walk's floats
+                    # and leave the loop's state as the walk would
+                    cash = venue.cash
+                    if venue.positions:
+                        (qty,) = venue.positions.values()
+                        equity.extend([cash + qty * close for close in series.closes[t:until]])
+                    else:
+                        equity.extend([cash] * (until - t))
+                    stepper.bars_seen = until
+                    if atr is not None:
+                        last_atr = atr[until - 1]
+                    candle = series.candles[until - 1]  # the last bar marked so far
+                    next(islice(bars, until - t - 1, until - t - 1), None)
+                    continue
             if queue:
                 open_price = candle.open
                 for intent in queue:

@@ -225,13 +225,16 @@ def write_csv(series: CandleSeries, path: str | Path) -> None:
 
 
 def slice_window(series: CandleSeries, from_ts: int, to_ts: int) -> CandleSeries:
-    """Return the contiguous sub-series with from_ts <= ts <= to_ts."""
+    """Return the contiguous sub-series with from_ts <= ts <= to_ts; it is
+    marked ``has_gaps`` only when a gap falls inside the window."""
     if from_ts > to_ts:
         raise ValidationError(f"from_ts {from_ts} > to_ts {to_ts}")
     picked = tuple(c for c in series.candles if from_ts <= c.ts <= to_ts)
     if not picked:
         raise EmptyWindow(f"{series.symbol}: no candles in [{from_ts}, {to_ts}]")
-    return CandleSeries(series.symbol, series.interval, picked, has_gaps=series.has_gaps)
+    step = series.interval * 1000
+    has_gaps = series.has_gaps and any(b.ts - a.ts != step for a, b in zip(picked, picked[1:]))
+    return CandleSeries(series.symbol, series.interval, picked, has_gaps=has_gaps)
 
 
 def resample(series: CandleSeries, factor: int) -> CandleSeries:

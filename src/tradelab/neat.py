@@ -185,8 +185,8 @@ class NetworkEvaluator:
     other node in topological order. Each step computes one node from its
     ``(src_slot, weight)`` pairs, kept in connection-gene order. Build once
     per genome, then call :meth:`activate` per input vector, or
-    :meth:`activate_rows` for many vectors at once; both take the same float
-    operations in the same order for a given vector.
+    :meth:`activate_columns` for many vectors at once; both give the same
+    bits for a given vector.
     """
 
     def __init__(self, genome: Genome):
@@ -218,27 +218,35 @@ class NetworkEvaluator:
             values[dst] = steep_sigmoid(total)
         return [values[s] for s in self._output_slots]
 
-    def activate_rows(self, rows) -> list[list[float]]:
-        """Evaluate many input vectors node by node; ``result[k]`` equals
-        ``activate(rows[k])``."""
-        wrong = set(map(len, rows)) - {len(self.input_ids)}
-        if wrong:
-            raise self._arity_error(min(wrong))
-        if not rows:
-            return []
-        count = len(rows)
+    def activate_columns(self, columns) -> list[list[float]]:
+        """Evaluate many input vectors given as one column per input, node
+        by node; ``result[j][k]`` is output j of ``activate`` on row k.
+
+        The first connection's products seed a node's totals, where
+        ``activate`` adds them to 0.0; that changes at most the sign of a
+        zero total, and the sigmoid maps both zeros to 0.5. The sigmoid is
+        ``steep_sigmoid``'s expression inlined, clip branches included.
+        """
+        if len(columns) != len(self.input_ids):
+            raise self._arity_error(len(columns))
+        count = len(columns[0]) if columns else 0
+        if any(len(column) != count for column in columns):
+            raise ArityMismatch("input columns differ in length")
+        exp, slope = math.exp, SIGMOID_SLOPE
         # one column per slot: the inputs, 1.0 for each bias, then the computed nodes
-        columns = [*zip(*rows), *[[1.0] * count] * len(self.bias_ids),
-                   *[None] * len(self._steps)]
+        values = [*columns, *[[1.0] * count] * len(self.bias_ids), *[None] * len(self._steps)]
         for dst, incoming in self._steps:
-            totals = [0.0] * count
-            for src, weight in incoming:
-                totals = [t + v * weight for t, v in zip(totals, columns[src])]
-            columns[dst] = list(map(steep_sigmoid, totals))
-        outputs = [columns[s] for s in self._output_slots]
-        if not outputs:
-            return [[] for _ in rows]
-        return [list(values) for values in zip(*outputs)]
+            if not incoming:
+                values[dst] = [0.5] * count
+                continue
+            (src, weight), *rest = incoming
+            totals = [v * weight for v in values[src]]
+            for src, weight in rest:
+                totals = [t + v * weight for t, v in zip(totals, values[src])]
+            values[dst] = [1.0 if (z := slope * t) > 60.0
+                           else 0.0 if z < -60.0 else 1.0 / (1.0 + exp(-z))
+                           for t in totals]
+        return [values[s] for s in self._output_slots]
 
 
 def activate(genome: Genome, inputs: list[float]) -> list[float]:

@@ -144,9 +144,9 @@ def evolve_strategy(train: CandleSeries, input_specs: list[IndicatorSpec],
 
     Fitness of a genome is the backtest score of the strategy that feeds the
     normalized indicator columns through the network each bar. The columns
-    and their normalized rows belong to ``train`` and are computed once;
-    each genome's backtest evaluates all rows in one batched pass, with the
-    same float operations as a streamed backtest of the returned genome.
+    and their normalized input columns belong to ``train`` and are computed
+    once; each genome's backtest evaluates them in one column-wise pass and
+    gives the same bits as a streamed backtest of the returned genome.
     Returns the best genome ever seen, the per-generation fitness history,
     and the normalization constants needed to redeploy the genome.
     """

@@ -144,9 +144,9 @@ class ColumnStore:
 
     ``lines(spec)`` computes a spec's output lines on first request with
     streaming's warm-up semantics: a line that never warms up on the series
-    is all ``None``. ``rows`` serves a network's normalized input rows from
-    those lines. A stepper reads bar i of a column only for the very candle
-    object it was computed from.
+    is all ``None``. ``inputs`` serves a network's normalized input columns
+    from those lines. A stepper reads bar i of a column only for the very
+    candle object it was computed from.
     """
 
     def __init__(self, series: CandleSeries):
@@ -159,18 +159,23 @@ class ColumnStore:
             lines = self._memo[spec] = indicator_lines(spec, self.series)
         return lines
 
-    def rows(self, specs, norm: tuple[tuple[float, float], ...]
-             ) -> tuple[tuple[float, ...] | None, ...]:
-        """One row of normalized input values per bar, ``None`` while any
-        input line is warming up; built once per (specs, norm)."""
+    def inputs(self, specs, norm: tuple[tuple[float, float], ...]
+               ) -> tuple[int, list[list[float]]]:
+        """``(start, columns)``: the first bar where every input line is
+        defined (the series' length when one never warms up), and one column
+        of ``normalize_row``'s values per input line from that bar on. Lines
+        have no holes once defined. Built once per (specs, norm)."""
         key = (tuple(specs), norm)
-        rows = self._memo.get(key)
-        if rows is None:
-            columns = [line for spec in specs for line in self.lines(spec)]
-            rows = self._memo[key] = tuple(
-                None if None in raw else tuple(normalize_row(raw, norm))
-                for raw in zip(*columns))
-        return rows
+        found = self._memo.get(key)
+        if found is None:
+            lines = [line for spec in specs for line in self.lines(spec)]
+            n = len(self.series)
+            start = max((next((i for i, v in enumerate(line) if v is not None), n)
+                         for line in lines), default=0)
+            columns = [[(v - mean) / std for v in line[start:]] if std > 0 else [0.0] * (n - start)
+                       for line, (mean, std) in zip(lines, norm)]
+            found = self._memo[key] = (start, columns)
+        return found
 
 
 def _misaligned(bar: int) -> StrategyStateError:
@@ -262,57 +267,92 @@ def crossing_column(short: list[float | None], long_: list[float | None]) -> lis
                                               short[start:-1], long_[start:-1]))
 
 
-class EmaCrossStepper:
-    """Open long when the short EMA crosses above the long EMA, close when
-    it crosses back below.
+class SignalStepper:
+    """A long-only stepper driven by one signal per bar: +1 opens a position
+    when the stepper holds none, -1 closes it when it holds one, 0 does
+    nothing.
 
-    With a column store the stepper turns the two EMA columns into one
-    crossing column when it is built and looks each bar's crossing up;
-    without one it streams its EMAs one bar at a time.
+    Built with a column store, a subclass computes its whole signal column
+    (``_signals``) up front and ``step`` looks bar i up, for the very candle
+    the column was computed from only. Without one, ``_stream_signal``
+    computes each bar's signal as the bar arrives.
     """
 
-    def __init__(self, config: StrategyConfig, store: ColumnStore | None = None):
-        p = config.params
+    open_reason: str
+    close_reason: str
+
+    def __init__(self, config: StrategyConfig, store: ColumnStore | None):
         self.symbol = config.symbol
         self.size = config.size
-        if store is None:
-            self._short = EmaStream(p.p_short)
-            self._long = EmaStream(p.p_long)
-            self._prev: tuple[float, float] | None = None
-            self._crossings = None
-        else:
-            (short,) = store.lines(IndicatorSpec("ema", {"p": p.p_short}))
-            (long_,) = store.lines(IndicatorSpec("ema", {"p": p.p_long}))
-            self._candles = store.series.candles
-            self._crossings = crossing_column(short, long_)
+        self._candles = store.series.candles if store is not None else None
+        self._signals: list[int] | None = None
         self.in_position = False
         self.bars_seen = 0
 
     def step(self, candle: Candle):
         bar = self.bars_seen
         self.bars_seen += 1
-        crossings = self._crossings
-        if crossings is not None:
-            if bar >= len(crossings) or self._candles[bar] is not candle:
-                raise _misaligned(bar)
-            cross = crossings[bar]
+        signals = self._signals
+        if signals is None:
+            signal = self._stream_signal(candle)
+        elif bar < len(signals) and self._candles[bar] is candle:
+            signal = signals[bar]
         else:
-            s = self._short.push(candle)
-            l = self._long.push(candle)
-            if s is None or l is None:
-                return _NO_INTENTS
-            prev = self._prev
-            self._prev = (s, l)
-            if prev is None:
-                return _NO_INTENTS
-            cross = ema_crossing(s, l, *prev)
-        if cross > 0 and not self.in_position:
+            raise _misaligned(bar)
+        if signal > 0 and not self.in_position:
             self.in_position = True
-            return ([TradeIntent(Side.OPEN_LONG, self.symbol, self.size, reason="ema-cross")], [])
-        if cross < 0 and self.in_position:
+            return ([TradeIntent(Side.OPEN_LONG, self.symbol, self.size,
+                                 reason=self.open_reason)], [])
+        if signal < 0 and self.in_position:
             self.in_position = False
-            return ([], [TradeIntent(Side.CLOSE_LONG, self.symbol, reason="ema-cross")])
+            return ([], [TradeIntent(Side.CLOSE_LONG, self.symbol, reason=self.close_reason)])
         return _NO_INTENTS
+
+    def quiet_until(self, bar: int) -> int:
+        """The first bar from ``bar`` on where ``step`` can emit: the next
+        signal that acts on the stepper's own position flag, or the signal
+        column's length when none is left. For column-fed steppers only;
+        between ``bar`` and that bar, ``step`` would only count bars."""
+        signals = self._signals
+        try:
+            return signals.index(-1 if self.in_position else 1, bar)
+        except ValueError:
+            return len(signals)
+
+
+class EmaCrossStepper(SignalStepper):
+    """Open long when the short EMA crosses above the long EMA, close when
+    it crosses back below.
+
+    With a column store the stepper turns the two EMA columns into one
+    crossing column when it is built; without one it streams its EMAs one
+    bar at a time.
+    """
+
+    open_reason = close_reason = "ema-cross"
+
+    def __init__(self, config: StrategyConfig, store: ColumnStore | None = None):
+        super().__init__(config, store)
+        p = config.params
+        if store is None:
+            self._short = EmaStream(p.p_short)
+            self._long = EmaStream(p.p_long)
+            self._prev: tuple[float, float] | None = None
+        else:
+            (short,) = store.lines(IndicatorSpec("ema", {"p": p.p_short}))
+            (long_,) = store.lines(IndicatorSpec("ema", {"p": p.p_long}))
+            self._signals = crossing_column(short, long_)
+
+    def _stream_signal(self, candle: Candle) -> int:
+        s = self._short.push(candle)
+        l = self._long.push(candle)
+        if s is None or l is None:
+            return 0
+        prev = self._prev
+        self._prev = (s, l)
+        if prev is None:
+            return 0
+        return ema_crossing(s, l, *prev)
 
 
 class GridStepper:
@@ -450,19 +490,26 @@ def network_action(outputs) -> int:
     return 2 if o_hold > (o_close if best else o_open) else best
 
 
-class NeatStepper:
+# the signal of each network action: open, close, hold
+_ACTION_SIGNALS = (1, -1, 0)
+
+
+class NeatStepper(SignalStepper):
     """Feeds normalized indicator values through an evolved network and maps
     the argmax of its three outputs to open / close / hold.
 
-    With a column store the stepper evaluates every bar's row in one batched
-    pass when it is built and looks its actions up per bar; without one it
-    streams its indicators one bar at a time.
+    With a column store the stepper evaluates the input columns in one
+    column-wise pass when it is built and turns the three output columns
+    into its signal column; without one it streams its indicators one bar
+    at a time.
     """
 
+    open_reason = "net-open"
+    close_reason = "net-close"
+
     def __init__(self, config: StrategyConfig, store: ColumnStore | None = None):
+        super().__init__(config, store)
         p = config.params
-        self.symbol = config.symbol
-        self.size = config.size
         self._widths = [len(spec_lines(spec)) for spec in p.input_specs]
         self.norm = p.norm
         n_columns = sum(self._widths)
@@ -479,36 +526,17 @@ class NeatStepper:
             raise ValidationError("trading genomes need exactly 3 outputs (open/close/hold)")
         if store is None:
             self._streams = [make_stream(spec) for spec in p.input_specs]
-            self._actions = None
         else:
-            self._candles = store.series.candles
-            rows = store.rows(p.input_specs, p.norm)
-            outputs = iter(self._net.activate_rows([row for row in rows if row is not None]))
-            self._actions = [None if row is None else network_action(next(outputs))
-                             for row in rows]
-        self.in_position = False
-        self.bars_seen = 0
+            start, columns = store.inputs(p.input_specs, p.norm)
+            o_open, o_close, o_hold = self._net.activate_columns(columns)
+            # network_action's tie rules, as signals; no signal during warm-up
+            self._signals = [0] * start + [
+                0 if h > (c if c > o else o) else -1 if c > o else 1
+                for o, c, h in zip(o_open, o_close, o_hold)]
 
-    def step(self, candle: Candle):
-        bar = self.bars_seen
-        self.bars_seen += 1
-        if self._actions is None:
-            action = self._stream_action(candle)
-        elif bar < len(self._actions) and self._candles[bar] is candle:
-            action = self._actions[bar]
-        else:
-            raise _misaligned(bar)
-        if action == 0 and not self.in_position:
-            self.in_position = True
-            return ([TradeIntent(Side.OPEN_LONG, self.symbol, self.size, reason="net-open")], [])
-        if action == 1 and self.in_position:
-            self.in_position = False
-            return ([], [TradeIntent(Side.CLOSE_LONG, self.symbol, reason="net-close")])
-        return _NO_INTENTS
-
-    def _stream_action(self, candle: Candle) -> int | None:
-        """Push the bar into every input stream; the network's action, or
-        None while an input is still warming up."""
+    def _stream_signal(self, candle: Candle) -> int:
+        """Push the bar into every input stream; the signal of the network's
+        action, or 0 while an input is still warming up."""
         raw: list[float] = []
         ready = True
         for stream, width in zip(self._streams, self._widths):
@@ -522,8 +550,8 @@ class NeatStepper:
                 else:
                     raw.append(v)
         if not ready:
-            return None
-        return network_action(self._net.activate(normalize_row(raw, self.norm)))
+            return 0
+        return _ACTION_SIGNALS[network_action(self._net.activate(normalize_row(raw, self.norm)))]
 
 
 _STEPPERS = {

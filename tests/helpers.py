@@ -11,7 +11,7 @@ import numpy as np
 
 from tradelab.backtest import Book, CostModel, run_bars
 from tradelab.data import Candle, CandleSeries, parse_csv
-from tradelab.neat import NetworkEvaluator
+from tradelab.neat import EvolutionConfig, InnovationTracker, NetworkEvaluator, initial_genome, mutate
 from tradelab.strategy import Side, TradeIntent
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -173,3 +173,23 @@ def xor_fitness(genome) -> float:
         out = net.activate(list(inputs))[0]
         err += (out - target) ** 2
     return 4.0 - err
+
+
+def fresh_genome(seed=0, n_in=3, n_out=2, weight_span=2.0):
+    tracker = InnovationTracker()
+    tracker.begin_generation()
+    return initial_genome(n_in, n_out, tracker, random.Random(seed), weight_span), tracker
+
+
+def random_genome(seed, n_in=3, n_out=2, rounds=25, config=None, weight_span=2.0):
+    """Grow a genome by repeated mutation, one tracker generation per round
+    so every structural event gets fresh innovation numbers. Added nodes
+    split a connection and leave it disabled."""
+    config = config or EvolutionConfig(population_size=30, add_connection_rate=0.5,
+                                       add_node_rate=0.4)
+    genome, tracker = fresh_genome(seed, n_in, n_out, weight_span)
+    rng = random.Random(seed + 77)
+    for _ in range(rounds):
+        tracker.begin_generation()
+        genome = mutate(genome, config, rng, tracker)
+    return genome

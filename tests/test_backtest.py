@@ -2,15 +2,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     RandomStrategy,
     ScriptedStrategy,
     conservation_violation,
     flat_series,
+    random_genome,
     random_series,
     series_from_closes,
     series_from_ohlc,
+    streamed_backtest,
     trending_fixture,
 )
 from tradelab.backtest import (
@@ -26,7 +30,7 @@ from tradelab.backtest import (
 from tradelab.data import CandleSeries
 from tradelab.errors import ValidationError
 from tradelab.indicators import IndicatorSpec
-from tradelab.neat import InnovationTracker, initial_genome
+from tradelab.neat import InnovationTracker, NodeKind, initial_genome
 from tradelab.strategy import (
     EmaCrossParams,
     GridParams,
@@ -34,6 +38,7 @@ from tradelab.strategy import (
     NullParams,
     PairsParams,
     Side,
+    SignalStepper,
     StopSettings,
     StrategyConfig,
     TradeIntent,
@@ -218,6 +223,78 @@ def test_column_path_has_no_lookahead(make_config):
             assert [f for f in cut.fills if not f.forced] == settled_full, (case, t)
             settled += len(settled_full)
     assert settled > 0
+
+
+@st.composite
+def backtest_cases(draw):
+    """A random walk and a config whose stepper reads the walk's columns:
+    ema_cross with or without ATR stops, or a grown network whose inputs
+    may include a line that warms up near the end of the walk."""
+    n = draw(st.integers(2, 160))
+    series = random_series(draw(st.integers(0, 10_000)), n=n,
+                           vol=draw(st.sampled_from([0.005, 0.02, 0.05])))
+    size = draw(st.sampled_from([1.0, 0.5, 0.07]))
+    stops = draw(st.none() | st.builds(StopSettings, atr_period=st.integers(2, 20),
+                                       stop_mult=st.sampled_from([0.5, 2.0]),
+                                       profit_mult=st.sampled_from([1.0, 4.0])))
+    if draw(st.booleans()):
+        p_short = draw(st.integers(2, 8))
+        params = EmaCrossParams(p_short, draw(st.integers(p_short + 1, 30)))
+    else:
+        late = max(1, n - draw(st.integers(-2, 10)))
+        inputs = (IndicatorSpec("rsi", {"p": 5}),
+                  IndicatorSpec("macd", {"fast": 3, "slow": 8, "signal": 3}),
+                  IndicatorSpec("ema", {"p": late}))[:draw(st.integers(1, 3))]
+        width = {1: 1, 2: 4, 3: 5}[len(inputs)]
+        genome = random_genome(draw(st.integers(0, 10_000)), width, 3, draw(st.integers(0, 12)),
+                               weight_span=draw(st.sampled_from([0.5, 2.0, 30.0])))
+        norm = ((50.0, 15.0), (0.0, 1.0), (0.0, 0.0), (0.0, 1.0), (100.0, 5.0))[:width]
+        params = NeatParams(genome, inputs, norm)
+    costs = CostModel(fee_bps=draw(st.sampled_from([0.0, 10.0])),
+                      slippage_bps=draw(st.sampled_from([0.0, 5.0])))
+    return StrategyConfig("RND", params, size=size, stops=stops), series, costs
+
+
+def outcome(report):
+    """Everything a backtest reports, as text that tells every float bit."""
+    return repr((report.bars, report.timestamps, report.equity, report.fills, report.trades,
+                 [(o.id, o.intent, o.created_at_bar, o.status, o.reject_reason)
+                  for o in report.orders], report.forced_close, report.score))
+
+
+@given(case=backtest_cases())
+@settings(max_examples=150, deadline=None)
+def test_column_backtest_equals_per_bar_walk(case):
+    """``run_backtest`` reads columns and jumps over quiet bars; the streamed
+    reference steps and marks every bar."""
+    config, series, costs = case
+    assert outcome(run_backtest(config, series, 1_000.0, costs)) == outcome(
+        streamed_backtest(config, series, 1_000.0, costs))
+
+
+@pytest.mark.parametrize("stops", [None, StopSettings(atr_period=10)])
+def test_backtest_steps_only_where_something_can_happen(monkeypatch, stops):
+    steps = []
+    step = SignalStepper.step
+
+    def counting(self, candle):
+        steps.append(self.bars_seen)
+        return step(self, candle)
+
+    monkeypatch.setattr(SignalStepper, "step", counting)
+    series = random_series(5, n=1_000, vol=0.02)
+    configs = [StrategyConfig("RND", EmaCrossParams(5, 20), stops=stops),
+               StrategyConfig("RND", NeatParams(random_genome(3, 1, 3, 6),
+                                                (IndicatorSpec("rsi", {"p": 14}),),
+                                                ((50.0, 15.0),)), stops=stops)]
+    assert any(n.kind is NodeKind.HIDDEN for n in configs[1].params.genome.nodes)
+    for config in configs:
+        steps.clear()
+        report = run_backtest(config, series, 1_000.0, CostModel())
+        assert report.fills and len(steps) < len(series) // 2
+        walked = len(steps)
+        assert outcome(report) == outcome(streamed_backtest(config, series, 1_000.0, CostModel()))
+        assert len(steps) == walked + len(series)  # the reference steps every bar
 
 
 def test_determinism_identical_reports():

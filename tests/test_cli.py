@@ -669,6 +669,29 @@ def test_cmd_backtest_gappy_series_exit_1(tmp_path, capsys, paper):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("first,code", [(60, 0), (40, 1)])
+def test_cmd_backtest_window_of_gappy_warehouse(tmp_path, capsys, first, code):
+    rows = (FIXTURES / "trending.csv").read_text().splitlines()
+    gappy = tmp_path / "gappy.csv"
+    gappy.write_text("\n".join(rows[:51] + rows[52:122]) + "\n")  # 120 bars, gap after bar 49
+    wh = tmp_path / "wh"
+    assert main(["ingest", "--csv", str(gappy), "--symbol", "TRENDY", "--interval", "3600",
+                 "--warehouse", str(wh), "--allow-gaps"]) == 0
+    stamps = [int(row.split(",")[0]) for row in rows[1:]]
+    stamps = stamps[:50] + stamps[51:121]
+    cfg = json.loads(write_config(tmp_path, wh, strategy=EMA_STRATEGY).read_text())
+    cfg["data"].update(allow_gaps=True, from_ts=stamps[first], to_ts=stamps[119])
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["backtest", "--config", str(path)]) == code
+    if code:
+        assert_one_line_error(capsys, "backtest data must be gap-free")
+    else:
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["bars"] == 120 - first
+
+
 def test_cmd_backtest_paper_session_matches_metrics(tmp_path):
     wh = setup_warehouse(tmp_path)
     cfg = write_config(tmp_path, wh, strategy=EMA_STRATEGY)

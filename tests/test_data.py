@@ -118,6 +118,16 @@ def test_slice_empty_window():
         slice_window(series, 10**15, 10**15 + 1)
 
 
+def test_slice_of_gappy_series_is_gappy_only_across_the_gap():
+    candles = random_series(1, n=121).candles
+    gappy = CandleSeries("RND", 3600, candles[:50] + candles[51:], has_gaps=True)  # gap after bar 49
+    ts = gappy.timestamps
+    clean = slice_window(gappy, ts[60], ts[119])
+    assert not clean.has_gaps and clean.candles == gappy.candles[60:120]
+    assert slice_window(gappy, ts[40], ts[119]).has_gaps
+    assert not slice_window(gappy, ts[0], ts[49]).has_gaps
+
+
 @given(seed=st.integers(0, 5000), cut_a=st.integers(1, 30), cut_b=st.integers(1, 30))
 @settings(max_examples=40, deadline=None)
 def test_slice_concatenation_property(seed, cut_a, cut_b):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import xor_fitness
+from helpers import fresh_genome, random_genome, xor_fitness
 from oracles import DictNetworkEvaluator, merge_walk_distance
 from test_cli import TRADING_GENOME, assert_one_line_error, setup_warehouse, write_config
 from tradelab.cli import main
@@ -39,25 +39,6 @@ from tradelab.errors import ValidationError
 CONFIG = EvolutionConfig(population_size=30)
 
 
-def fresh_genome(seed=0, n_in=3, n_out=2):
-    tracker = InnovationTracker()
-    tracker.begin_generation()
-    return initial_genome(n_in, n_out, tracker, random.Random(seed), 2.0), tracker
-
-
-def random_genome(seed, n_in=3, n_out=2, rounds=25, config=None):
-    """Grow a genome by repeated mutation, one tracker generation per round
-    so every structural event gets fresh innovation numbers."""
-    config = config or EvolutionConfig(population_size=30, add_connection_rate=0.5,
-                                       add_node_rate=0.4)
-    genome, tracker = fresh_genome(seed, n_in, n_out)
-    rng = random.Random(seed + 77)
-    for _ in range(rounds):
-        tracker.begin_generation()
-        genome = mutate(genome, config, rng, tracker)
-    return genome
-
-
 # ---------------------------------------------------------------------------
 # Activation
 # ---------------------------------------------------------------------------
@@ -80,9 +61,11 @@ def test_activate_arity_mismatch():
     with pytest.raises(ArityMismatch):
         activate(g, [1.0])
     net = NetworkEvaluator(g)
-    assert net.activate_rows([]) == []
+    assert net.activate_columns([[], [], []]) == [[]] * len(net.output_ids)
     with pytest.raises(ArityMismatch):
-        net.activate_rows([[0.0, 0.0, 0.0], [1.0]])
+        net.activate_columns([[0.0], [1.0]])
+    with pytest.raises(ArityMismatch):
+        net.activate_columns([[0.0, 1.0], [1.0], [2.0, 3.0]])
 
 
 def test_activate_rejects_cycles():
@@ -157,9 +140,40 @@ def test_flat_evaluator_equals_dict_reference():
         reference = [DictNetworkEvaluator(genome).activate(row) for row in rows]
         net = NetworkEvaluator(genome)
         assert [net.activate(row) for row in rows] == reference
-        assert net.activate_rows(rows) == reference
+        assert net.activate_columns(columns_of(rows)) == columns_of(reference)
         ties += sum(len(set(out)) < len(out) for out in reference)
     assert ties > 0
+
+
+def columns_of(rows):
+    return [list(column) for column in zip(*rows)]
+
+
+def test_activate_columns_equals_activate_per_row():
+    nodes = [NodeGene(0, NodeKind.INPUT, "identity"), NodeGene(1, NodeKind.INPUT, "identity"),
+             NodeGene(2, NodeKind.BIAS, "identity"), NodeGene(3, NodeKind.HIDDEN),
+             NodeGene(4, NodeKind.OUTPUT), NodeGene(5, NodeKind.OUTPUT),
+             NodeGene(6, NodeKind.OUTPUT)]
+    conns = [ConnectionGene(0, 0, 3, 1.5, enabled=False),  # hidden 3 has no enabled input
+             ConnectionGene(1, 3, 4, 2.0),
+             ConnectionGene(2, 0, 5, -1.0), ConnectionGene(3, 1, 5, 0.0),
+             ConnectionGene(4, 0, 6, 1.0), ConnectionGene(5, 1, 6, 1.0),
+             ConnectionGene(6, 2, 6, 0.25)]
+    net = NetworkEvaluator(Genome(nodes, conns))
+    rng = random.Random(3)
+    rows = [[rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0)] for _ in range(200)]
+    # |4.9 * t| > 60 on both sides; 0.0 * -1.0 + -1.0 * 0.0 is -0.0 (activate's is 0.0)
+    rows += [[13.0, 0.0], [-13.0, 0.0], [40.0, 40.0], [-40.0, -40.0], [0.0, -1.0], [0.0, 0.0]]
+    assert math.copysign(1.0, 0.0 * -1.0 + -1.0 * 0.0) == -1.0
+    per_row = [net.activate(row) for row in rows]
+    assert net.activate_columns(columns_of(rows)) == columns_of(per_row)
+    outputs = {v for out in per_row for v in out}
+    assert {0.0, 0.5, 1.0} <= outputs
+    assert all(out[0] == steep_sigmoid(1.0) for out in per_row)  # 2.0 * sigmoid(0.0)
+    for genome in bred_genomes(n_in=2):
+        net = NetworkEvaluator(genome)
+        assert net.activate_columns(columns_of(rows)) == columns_of(
+            [net.activate(row) for row in rows])
 
 
 def test_outputs_in_unit_interval():
@@ -682,7 +696,7 @@ def test_connections_into_input_and_bias_nodes_are_ignored(tmp_path):
     rows = [[0.0, 0.0], [0.5, -1.0], [2.0, 3.0]]
     expected = [[0.9752773002196243], [0.9999909321085084], [0.9926084595964978]]
     assert [net.activate(row) for row in rows] == expected
-    assert net.activate_rows(rows) == expected
+    assert net.activate_columns(columns_of(rows)) == columns_of(expected)
     assert outputs_reachable(genome)
 
 

@@ -247,7 +247,7 @@ def test_evolve_fitness_equals_streamed_backtest(monkeypatch):
     assert len(calls) >= 20
     assert any(len(s.params.genome.ids_of(NodeKind.HIDDEN)) for s, _ in calls)
     assert sum(len(report.fills) for _, report in calls) > 0
-    assert (tuple(MIXED_INPUTS), norm) in series.column_memo  # genomes read the rows
+    assert (tuple(MIXED_INPUTS), norm) in series.column_memo  # genomes read the input columns
     for evolved, report in calls:
         genome = evolved.params.genome
         streamed = streamed_backtest(network_strategy(genome, series.symbol, MIXED_INPUTS, norm),
@@ -260,18 +260,24 @@ def test_precomputed_rows_equal_streamed_inputs(monkeypatch):
     series = random_series(21, n=300, vol=0.02)
     calls, norm = recorded_fitness_backtests(monkeypatch, series, CostModel())
     key = (tuple(MIXED_INPUTS), norm)
-    assert key in series.column_memo  # the rows the fitness backtests read
-    rows = ColumnStore(series).rows(MIXED_INPUTS, norm)
-    assert rows is series.column_memo[key]
+    assert key in series.column_memo  # the input columns the fitness backtests read
+    inputs = ColumnStore(series).inputs(MIXED_INPUTS, norm)
+    assert inputs is series.column_memo[key]
+    start, columns = inputs
+    assert len(columns) == len(norm)
+    assert all(len(column) == len(series) - start for column in columns)
     streams = [make_stream(spec) for spec in MIXED_INPUTS]
-    assert len(rows) == len(series)
-    for candle, row in zip(series.candles, rows):
+    for bar, candle in enumerate(series.candles):
         raw = []
         for stream in streams:
             out = stream.push(candle)
             raw.extend(out if isinstance(out, tuple) else (out,))
-        assert row == (None if None in raw else tuple(normalize_row(raw, norm)))
-    assert rows[-1] is not None
+        if bar < start:
+            assert None in raw
+        else:
+            row = [column[bar - start] for column in columns]  # bar's row of the columns
+            assert row == normalize_row(raw, norm)
+    assert 0 < start < len(series)
 
 
 @pytest.mark.parametrize("population", [4, 10])

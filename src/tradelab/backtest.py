@@ -425,7 +425,9 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
                 if until > t:
                     # bars t to until-1 fill nothing, arm no stop and emit
                     # nothing: mark the book with the per-bar walk's floats
-                    # and leave the loop's state as the walk would
+                    # and leave the loop's state as the walk would, but for
+                    # last_atr: only an opening fill reads it, and the next
+                    # walked bar sets it before any fill
                     cash = venue.cash
                     if venue.positions:
                         (qty,) = venue.positions.values()
@@ -433,8 +435,6 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
                     else:
                         equity.extend([cash] * (until - t))
                     stepper.bars_seen = until
-                    if atr is not None:
-                        last_atr = atr[until - 1]
                     candle = series.candles[until - 1]  # the last bar marked so far
                     next(islice(bars, until - t - 1, until - t - 1), None)
                     continue
@@ -513,13 +513,12 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
 def run_backtest(strategy, data: CandleSeries, initial_cash: float = 10_000.0,
                  costs: CostModel | None = None, *,
                  aux_series: dict[str, CandleSeries] | None = None,
-                 allow_short: bool | None = None,
                  drawdown_lambda: float = 0.5) -> BacktestReport:
     """Replay a strategy over a series with simulated execution on a ``Book``.
 
     ``strategy`` is a StrategyConfig, or any object with a
     ``step(candle) -> (opens, closes)`` method for custom strategies.
-    Shorting defaults to off (spot semantics) except for pairs configs.
+    Shorting is off (spot semantics) except for pairs configs.
     """
     if not data.candles:
         raise ValidationError("cannot backtest an empty series")
@@ -532,6 +531,6 @@ def run_backtest(strategy, data: CandleSeries, initial_cash: float = 10_000.0,
         if aux.timestamps != data.timestamps:
             raise ValidationError("pairs legs must share timestamps")
     costs = costs or CostModel()
-    book = Book(initial_cash, costs, aux is not None if allow_short is None else allow_short)
+    book = Book(initial_cash, costs, aux is not None)
     return run_bars(strategy, data.candles, book, costs, data.symbol, data.interval,
                     series=data, aux=aux, drawdown_lambda=drawdown_lambda)

@@ -14,16 +14,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import data as data_mod
 from .backtest import BacktestReport, CostModel, run_backtest
-from .config import RunConfig, load_config, parse_indicator_spec
+from .config import RunConfig, load_config, parse_indicator_spec, write_network_artifact
 from .errors import TradeLabError, ValidationError
 from .indicators import IndicatorSpec, compute, spec_lines
-from .neat import write_genome
 from .optimize import evolve_strategy, tune_parameters
-from .strategy import EmaCrossParams, StrategyKind
+from .strategy import EmaCrossParams, NeatParams, StrategyKind
 
 JSON_KW = {"sort_keys": True, "indent": 2}
 
@@ -125,27 +125,8 @@ def report_to_dict(report: BacktestReport) -> dict:
         "interrupted": report.interrupted,
         "score": report.score,
         "drawdown_lambda": report.drawdown_lambda,
-        "metrics": {
-            "net_profit_pct": report.metrics.net_profit_pct,
-            "max_drawdown_pct": report.metrics.max_drawdown_pct,
-            "win_rate": report.metrics.win_rate,
-            "trade_count": report.metrics.trade_count,
-        },
-        "trades": [
-            {
-                "symbol": t.symbol,
-                "quantity": t.quantity,
-                "entry_bar": t.entry_bar,
-                "entry_price": t.entry_price,
-                "exit_bar": t.exit_bar,
-                "exit_price": t.exit_price,
-                "profit_pct": t.profit_pct,
-                "exit_reason": t.exit_reason,
-                "forced": t.forced,
-                "is_long": t.is_long,
-            }
-            for t in report.trades
-        ],
+        "metrics": asdict(report.metrics),
+        "trades": [asdict(t) for t in report.trades],
     }
 
 
@@ -205,7 +186,7 @@ def cmd_optimize(args) -> int:
         best, leaderboard = tune_parameters(
             config.strategy.kind, config.optimize.grid, series,
             initial_cash=config.costs.initial_cash, costs=_costs(config),
-            stops=config.strategy.stops,
+            size=config.strategy.size, stops=config.strategy.stops,
             drawdown_lambda=config.optimize.drawdown_lambda,
             aux_series=_aux_series(config),
         )
@@ -232,16 +213,10 @@ def cmd_optimize(args) -> int:
         _write_rows(out / "fitness_history.csv",
                     ["generation", "best_fitness", "mean_fitness"],
                     ([h.generation, h.best_fitness, h.mean_fitness] for h in history))
-        genome_path = out / "best_genome.txt"
-        write_genome(best, genome_path)
+        genome_path, artifact_path = out / "best_genome.txt", out / "best_strategy.json"
+        write_network_artifact(artifact_path, NeatParams(best, config.optimize.inputs, norm),
+                               genome_path.name)
         print(f"wrote {genome_path}")
-        artifact = {
-            "genome": "best_genome.txt",
-            "inputs": [{"name": s.name, "params": s.params} for s in config.optimize.inputs],
-            "norm": [[m, s] for m, s in norm],
-        }
-        artifact_path = out / "best_strategy.json"
-        artifact_path.write_text(json.dumps(artifact, **JSON_KW) + "\n")
         print(f"wrote {artifact_path}")
         print(f"best fitness {best.fitness:.4f} over {len(history)} generations")
     return 0
@@ -273,9 +248,9 @@ def cmd_report(args) -> int:
         raise ValidationError(f"report {report_path} is malformed: {exc}") from exc
     out = _out_dir(args, config)
 
-    _write_rows(out / "candles.csv",
-                ["timestamp", "open", "high", "low", "close", "volume"],
-                ([c.ts, c.open, c.high, c.low, c.close, c.volume] for c in series.candles))
+    candles_path = out / "candles.csv"
+    data_mod.write_csv(series, candles_path)
+    print(f"wrote {candles_path}")
 
     specs = [parse_indicator_spec(s) for s in args.indicator]
     if not specs and isinstance(config.strategy.params if config.strategy else None, EmaCrossParams):

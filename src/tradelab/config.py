@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import ValidationError
 from .indicators import IndicatorSpec, require_period
-from .neat import EvolutionConfig, read_genome
+from .neat import EvolutionConfig, read_genome, write_genome
 from .strategy import PARAMS_BY_KIND, NeatParams, StopSettings, StrategyConfig, StrategyKind
 
 
@@ -235,7 +235,23 @@ def load_network_artifact(path: Path) -> NeatParams:
     if not all(math.isfinite(m) and 0 <= s < math.inf for m, s in norm):
         raise ConfigError(f"bad network artifact {path}: norm needs finite means and "
                           f"finite stds >= 0, got {list(norm)}")
-    return NeatParams(genome=genome, input_specs=inputs, norm=norm)
+    try:
+        return NeatParams(genome=genome, input_specs=inputs, norm=norm)
+    except ValidationError as exc:
+        raise ConfigError(f"bad network artifact {path}: {exc}") from exc
+
+
+def write_network_artifact(path: Path, params: NeatParams, genome_name: str) -> None:
+    """Write what ``load_network_artifact`` reads back: the genome to the
+    file ``genome_name`` beside ``path``, and the artifact at ``path``."""
+    path = Path(path)
+    write_genome(params.genome, path.parent / genome_name)
+    artifact = {
+        "genome": genome_name,
+        "inputs": [{"name": s.name, "params": s.params} for s in params.input_specs],
+        "norm": [[m, s] for m, s in params.norm],
+    }
+    path.write_text(json.dumps(artifact, sort_keys=True, indent=2) + "\n")
 
 
 def load_config(path: str | Path, seed: int | None = None) -> RunConfig:

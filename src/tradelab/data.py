@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -199,20 +199,20 @@ def parse_csv(path: str | Path, symbol: str, interval: int, allow_gaps: bool = F
             raise OhlcViolation(f"{path}:{lineno}: {exc}") from exc
 
     candles.sort(key=lambda c: c.ts)
-    step = interval * 1000
-    has_gaps = False
-    for prev, cur in zip(candles, candles[1:]):
-        if cur.ts == prev.ts:
-            raise DuplicateTimestamp(f"{path}: duplicate timestamp {cur.ts}")
-        if cur.ts - prev.ts != step:
-            if not allow_gaps:
-                raise GapDetected(
-                    f"{path}: missing bar between {prev.ts} and {cur.ts} at interval {interval}s"
-                )
-            has_gaps = True
-    if has_gaps:
-        logger.warning("%s: gaps present, series marked has_gaps", path)
-    return CandleSeries(symbol=symbol, interval=interval, candles=tuple(candles), has_gaps=has_gaps)
+
+    def series(has_gaps: bool) -> CandleSeries:
+        try:
+            return CandleSeries(symbol, interval, tuple(candles), has_gaps=has_gaps)
+        except ValidationError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
+
+    try:
+        return series(False)
+    except GapDetected:
+        if not allow_gaps:
+            raise
+    logger.warning("%s: gaps present, series marked has_gaps", path)
+    return series(True)
 
 
 def write_csv(series: CandleSeries, path: str | Path) -> None:
@@ -232,9 +232,10 @@ def slice_window(series: CandleSeries, from_ts: int, to_ts: int) -> CandleSeries
     picked = tuple(c for c in series.candles if from_ts <= c.ts <= to_ts)
     if not picked:
         raise EmptyWindow(f"{series.symbol}: no candles in [{from_ts}, {to_ts}]")
-    step = series.interval * 1000
-    has_gaps = series.has_gaps and any(b.ts - a.ts != step for a, b in zip(picked, picked[1:]))
-    return CandleSeries(series.symbol, series.interval, picked, has_gaps=has_gaps)
+    try:
+        return CandleSeries(series.symbol, series.interval, picked)
+    except GapDetected:  # only a gappy series has a gappy window
+        return CandleSeries(series.symbol, series.interval, picked, has_gaps=True)
 
 
 def resample(series: CandleSeries, factor: int) -> CandleSeries:
@@ -293,21 +294,7 @@ def ingest(csv_path: str | Path, root: str | Path, symbol: str, interval: int,
     os.replace(tmp, target)
     meta_target = warehouse_meta_path(root, symbol, interval)
     meta_tmp = meta_target.with_suffix(".json.tmp")
-    meta_tmp.write_text(
-        json.dumps(
-            {
-                "source": meta.source,
-                "symbol": meta.symbol,
-                "interval": meta.interval,
-                "first_ts": meta.first_ts,
-                "last_ts": meta.last_ts,
-                "bar_count": meta.bar_count,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        + "\n"
-    )
+    meta_tmp.write_text(json.dumps(asdict(meta), sort_keys=True, separators=(",", ":")) + "\n")
     os.replace(meta_tmp, meta_target)
     return meta
 

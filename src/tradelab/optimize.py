@@ -66,11 +66,13 @@ def tune_parameters(kind: StrategyKind, search_space, train: CandleSeries, *,
                     symbol: str | None = None,
                     initial_cash: float = 10_000.0,
                     costs: CostModel | None = None,
+                    size: float = 1.0,
                     stops=None,
                     drawdown_lambda: float = 0.5,
                     aux_series: dict[str, CandleSeries] | None = None,
                     ) -> tuple[dict, list[LeaderboardEntry]]:
     """Score every candidate parameter set by backtest and return the best.
+    Each candidate trades with the given position ``size`` and ``stops``.
 
     The leaderboard keeps every evaluated candidate, ordered by descending
     score (ties keep candidate order), so the returned best parameters are
@@ -83,7 +85,7 @@ def tune_parameters(kind: StrategyKind, search_space, train: CandleSeries, *,
     if not candidates:
         raise EmptySearchSpace("no candidates to evaluate")
     symbol = symbol or train.symbol
-    configs = [make_config(kind, symbol, params, stops=stops)
+    configs = [make_config(kind, symbol, params, size, stops)
                for params in candidates]  # a bad candidate fails before any backtest
     entries = []
     for params, config in zip(candidates, configs):

@@ -35,7 +35,7 @@ from .indicators import (
     make_stream,
     spec_lines,
 )
-from .neat import Genome, NetworkEvaluator
+from .neat import Genome, NetworkEvaluator, NodeKind
 
 
 class MisalignedSeries(ValidationError):
@@ -185,11 +185,29 @@ def _misaligned(bar: int) -> StrategyStateError:
 @dataclass(frozen=True)
 class NeatParams:
     """A frozen evolved network: the genome, its indicator inputs, and the
-    normalization constants fitted on the training window."""
+    normalization constants fitted on the training window. The inputs expand
+    to one column per output line; the genome reads that many inputs and has
+    three outputs (open/close/hold)."""
 
     genome: Genome
     input_specs: tuple[IndicatorSpec, ...]
     norm: tuple[tuple[float, float], ...]  # (mean, std) per expanded input column
+
+    def __post_init__(self) -> None:
+        if not self.input_specs:
+            raise ValidationError("a trading network needs at least one indicator input")
+        n_columns = sum(len(spec_lines(spec)) for spec in self.input_specs)
+        if len(self.norm) != n_columns:
+            raise ValidationError(
+                f"normalization has {len(self.norm)} columns, inputs expand to {n_columns}"
+            )
+        kinds = [node.kind for node in self.genome.nodes]
+        if kinds.count(NodeKind.INPUT) != n_columns:
+            raise ValidationError(
+                f"genome expects {kinds.count(NodeKind.INPUT)} inputs, specs expand to {n_columns}"
+            )
+        if kinds.count(NodeKind.OUTPUT) != 3:
+            raise ValidationError("trading genomes need exactly 3 outputs (open/close/hold)")
 
 
 @dataclass(frozen=True)
@@ -510,21 +528,10 @@ class NeatStepper(SignalStepper):
     def __init__(self, config: StrategyConfig, store: ColumnStore | None = None):
         super().__init__(config, store)
         p = config.params
-        self._widths = [len(spec_lines(spec)) for spec in p.input_specs]
-        self.norm = p.norm
-        n_columns = sum(self._widths)
-        if len(p.norm) != n_columns:
-            raise ValidationError(
-                f"normalization has {len(p.norm)} columns, inputs expand to {n_columns}"
-            )
         self._net = NetworkEvaluator(p.genome)
-        if len(self._net.input_ids) != n_columns:
-            raise ValidationError(
-                f"genome expects {len(self._net.input_ids)} inputs, specs expand to {n_columns}"
-            )
-        if len(self._net.output_ids) != 3:
-            raise ValidationError("trading genomes need exactly 3 outputs (open/close/hold)")
         if store is None:
+            self.norm = p.norm
+            self._widths = [len(spec_lines(spec)) for spec in p.input_specs]
             self._streams = [make_stream(spec) for spec in p.input_specs]
         else:
             start, columns = store.inputs(p.input_specs, p.norm)
@@ -612,8 +619,7 @@ def ema_crossover_signals(series: CandleSeries, p_short: int, p_long: int
     Buy at bar i iff short[i] > long[i] and short[i-1] <= long[i-1]; sell is
     symmetric. No signals during warm-up.
     """
-    if p_short >= p_long:
-        raise InvalidPeriods(f"p_short {p_short} must be < p_long {p_long}")
+    EmaCrossParams(p_short, p_long)  # raises InvalidPeriods unless p_short < p_long
     (short,) = indicator_lines(IndicatorSpec("ema", {"p": p_short}), series)
     (long_,) = indicator_lines(IndicatorSpec("ema", {"p": p_long}), series)
     return [(i, SignalDirection.BUY if cross > 0 else SignalDirection.SELL)
@@ -631,8 +637,6 @@ def pairs_signals(series_a: CandleSeries, series_b: CandleSeries, lookback: int,
     """Entry/exit bars for the mean-reverting log spread of two aligned series."""
     if len(series_a) != len(series_b) or series_a.timestamps != series_b.timestamps:
         raise MisalignedSeries("pairs series must share timestamps")
-    if not (0 <= z_exit < z_entry):
-        raise ValidationError(f"need 0 <= z_exit < z_entry, got {z_exit}, {z_entry}")
     config = StrategyConfig(
         symbol=series_a.symbol,
         params=PairsParams(symbol_b=series_b.symbol, lookback=lookback,
@@ -665,8 +669,7 @@ def trend_identify(series: CandleSeries, p_short: int, p_long: int,
     Bullish iff short EMA > long EMA and ADX >= adx_min; bearish symmetric;
     sideways otherwise and throughout warm-up.
     """
-    if p_short >= p_long:
-        raise InvalidPeriods(f"p_short {p_short} must be < p_long {p_long}")
+    EmaCrossParams(p_short, p_long)  # raises InvalidPeriods unless p_short < p_long
     short = EmaStream(p_short)
     long_ = EmaStream(p_long)
     strength = AdxStream(adx_p)

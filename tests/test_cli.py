@@ -7,11 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from helpers import FIXTURES, random_series, series_from_closes
+from helpers import FIXTURES, random_genome, random_series, series_from_closes
 from tradelab.cli import main
-from tradelab.config import ConfigError, load_config, parse_indicator_spec
+from tradelab.config import (
+    ConfigError,
+    load_config,
+    load_network_artifact,
+    parse_indicator_spec,
+    write_network_artifact,
+)
 from tradelab.data import ingest, write_csv
-from tradelab.strategy import StrategyKind
+from tradelab.strategy import NeatParams, StrategyKind
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,6 +62,15 @@ def test_parse_indicator_spec_strings():
     assert parse_indicator_spec("bollinger:p=20,k=2.5").params["k"] == 2.5
     with pytest.raises(ConfigError):
         parse_indicator_spec("sma:p")
+
+
+def test_network_artifact_reads_back_what_was_written(tmp_path):
+    inputs = (parse_indicator_spec("rsi:p=14"), parse_indicator_spec("macd:fast=3,slow=8,signal=3"))
+    genome = random_genome(7, 4, 3, 12)
+    genome.fitness = 1.25
+    params = NeatParams(genome, inputs, ((50.0, 15.5), (0.0, 1.0), (0.1, 0.0), (-2.0, 3.0)))
+    write_network_artifact(tmp_path / "net.json", params, "net_genome.txt")
+    assert load_network_artifact(tmp_path / "net.json") == params
 
 
 def test_load_config_defaults_and_strategy(tmp_path):
@@ -251,6 +266,8 @@ def test_cmd_backtest_bad_strategy_section_exit_1(tmp_path, capsys, strategy, ne
 
 TRADING_GENOME = ("node 0 input identity\nnode 1 bias identity\nnode 2 output sigmoid\n"
                   "node 3 output sigmoid\nnode 4 output sigmoid\n")
+BIAS_ONLY_GENOME = ("node 0 bias identity\nnode 1 output sigmoid\nnode 2 output sigmoid\n"
+                    "node 3 output sigmoid\nconn 0 0 1 1.5 1\n")
 
 
 @pytest.mark.parametrize("artifact,needle", [
@@ -264,14 +281,17 @@ TRADING_GENOME = ("node 0 input identity\nnode 1 bias identity\nnode 2 output si
     ({"genome": "g.txt", "inputs": ["rsi:p=14"], "norm": [[float("nan"), 1.0]]}, "finite means"),
     ({"genome": "g.txt", "inputs": ["rsi:p=14"], "norm": [[50.0, float("inf")]]}, "finite means"),
     ({"genome": "g.txt", "inputs": ["rsi:p=14"], "norm": [[50.0, -3.0]]}, "finite means"),
+    ({"genome": "bias.txt", "inputs": [], "norm": []}, "at least one indicator input"),
 ])
 def test_cmd_backtest_bad_network_artifact_exit_1(tmp_path, capsys, artifact, needle):
     wh = setup_warehouse(tmp_path)
     (tmp_path / "g.txt").write_text(TRADING_GENOME)
+    (tmp_path / "bias.txt").write_text(BIAS_ONLY_GENOME)
     (tmp_path / "artifact.json").write_text(json.dumps(artifact))
     cfg = write_config(tmp_path, wh, strategy={"kind": "neat", "artifact": "artifact.json"})
-    assert main(["backtest", "--config", str(cfg)]) == 1
-    assert_one_line_error(capsys, needle)
+    for paper in ([], ["--paper"]):
+        assert main(["backtest", "--config", str(cfg)] + paper) == 1
+        assert_one_line_error(capsys, needle)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +318,22 @@ def test_cmd_optimize_tune_fixture_grid_best(tmp_path):
     assert main(["optimize", "--config", str(cfg)]) == 0
     best = json.loads((tmp_path / "out" / "best_params.json").read_text())
     assert best == {"p_short": 20, "p_long": 50}
+
+
+@pytest.mark.parametrize("stops", [None, {"atr_period": 10}])
+def test_cmd_optimize_tune_scores_the_configured_size(tmp_path, stops):
+    """A candidate trades as ``backtest`` trades the same config: with the
+    strategy's position size and stops."""
+    wh = setup_warehouse(tmp_path)
+    cfg = write_config(tmp_path, wh, strategy={**EMA_STRATEGY, "size": 0.5, "stops": stops},
+                       optimize={"mode": "tune", "grid": [EMA_STRATEGY["params"]]})
+    assert main(["optimize", "--config", str(cfg)]) == 0
+    assert main(["backtest", "--config", str(cfg)]) == 0
+    board = (tmp_path / "out" / "leaderboard.csv").read_text().splitlines()
+    top = dict(zip(board[0].split(","), board[1].split(",")))
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["metrics"]["trade_count"] > 0
+    assert float(top["score"]) == report["score"]
 
 
 TINY_EVOLUTION = {"population_size": 10, "max_generations": 2}

@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -62,16 +64,35 @@ def test_parse_sorts_shuffled_rows(tmp_path):
 
 def test_parse_rejects_duplicate_timestamp(tmp_path):
     path = write_lines(tmp_path / "x.csv", ["0,1,2,0.5,1.5,10", "0,1,2,0.5,1.5,10"])
-    with pytest.raises(DuplicateTimestamp):
+    with pytest.raises(DuplicateTimestamp, match=f"^{re.escape(str(path))}: "):
         parse_csv(path, "AB", 60)
 
 
 def test_parse_gap_handling(tmp_path):
     path = write_lines(tmp_path / "x.csv", ["0,1,2,0.5,1.5,10", "120000,1,2,0.5,1.5,10"])
-    with pytest.raises(GapDetected):
+    with pytest.raises(GapDetected, match=f"^{re.escape(str(path))}: "):
         parse_csv(path, "AB", 60)
     series = parse_csv(path, "AB", 60, allow_gaps=True)
     assert series.has_gaps
+
+
+def test_parse_allowed_gaps_are_marked_and_warned(tmp_path, caplog):
+    path = write_lines(tmp_path / "x.csv", ["0,1,2,0.5,1.5,10", "60000,1,2,0.5,1.5,10",
+                                            "180000,1,2,0.5,1.5,10"])
+    with caplog.at_level(logging.WARNING, logger="tradelab.data"):
+        series = parse_csv(path, "AB", 60, allow_gaps=True)
+    assert series.has_gaps and series.timestamps == [0, 60_000, 180_000]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{path}: gaps present, series marked has_gaps"]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="tradelab.data"):
+        series = parse_csv(write_lines(tmp_path / "y.csv", ["60000,1,2,0.5,1.5,10",
+                                                            "0,1,2,0.5,1.5,10"]),
+                           "AB", 60, allow_gaps=True)
+    assert not series.has_gaps and not caplog.records
+    with pytest.raises(DuplicateTimestamp, match="x.csv"):
+        parse_csv(write_lines(path, ["0,1,2,0.5,1.5,10", "180000,1,2,0.5,1.5,10",
+                                     "180000,1,2,0.5,1.5,10"]), "AB", 60, allow_gaps=True)
 
 
 @pytest.mark.parametrize("rows,message", [

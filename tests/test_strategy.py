@@ -5,18 +5,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import STEP_MS, flat_series, random_series, series_from_closes, trending_fixture
+from helpers import (STEP_MS, flat_series, random_genome, random_series, series_from_closes,
+                     trending_fixture)
 from oracles import oracle_ema
 from tradelab.backtest import run_backtest
 from tradelab.data import Candle, CandleSeries
 from tradelab.errors import ValidationError
-from tradelab.indicators import InvalidPeriods
+from tradelab.indicators import IndicatorSpec, InvalidPeriods
 from tradelab.strategy import (
     DEGENERATE_SPREAD_STD,
     ColumnStore,
     EmaCrossParams,
     GridParams,
     MisalignedSeries,
+    NeatParams,
     NullParams,
     PairsAction,
     PairsParams,
@@ -75,6 +77,21 @@ def test_config_kind_derived_from_params():
     assert StrategyConfig("X", NullParams()).kind is StrategyKind.NULL
     with pytest.raises(InvalidPeriods):
         EmaCrossParams(21, 9)
+
+
+RSI = IndicatorSpec("rsi", {"p": 14})
+MACD = IndicatorSpec("macd", {"fast": 12, "slow": 26, "signal": 9})  # three lines
+
+
+@pytest.mark.parametrize("inputs,norm,genome,needle", [
+    ((), (), random_genome(0, 0, 3, 0), "at least one indicator input"),
+    ((RSI, MACD), ((50.0, 15.0),) * 3, random_genome(0, 4, 3, 0), "normalization has 3 columns"),
+    ((RSI, MACD), ((50.0, 15.0),) * 4, random_genome(0, 3, 3, 0), "genome expects 3 inputs"),
+    ((RSI,), ((50.0, 15.0),), random_genome(0, 1, 2, 0), "exactly 3 outputs"),
+])
+def test_neat_params_check_the_network_shape(inputs, norm, genome, needle):
+    with pytest.raises(ValidationError, match=needle):
+        NeatParams(genome, inputs, norm)
 
 
 # ---------------------------------------------------------------------------

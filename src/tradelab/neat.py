@@ -178,6 +178,51 @@ def _ids_by_kind(genome: Genome) -> tuple[list[int], list[int], list[int]]:
     return inputs, biases, outputs
 
 
+# Weighted inputs per generated node kernel. A generated sum nests one level
+# per term, and the compiler overflows its stack near 3,000 terms (1,000
+# compile on CPython 3.10 and 3.11), so longer sums run in chunks.
+_KERNEL_TERMS = 256
+# (terms, carry, squash) -> kernel; see _node_kernel. Shared by every
+# evaluator in the process and bounded: terms never exceed _KERNEL_TERMS.
+_KERNELS: dict = {}
+
+
+def _node_kernel(terms: int, carry: bool, squash: bool):
+    """The column kernel for ``terms`` weighted inputs of one node, generated
+    on first use and cached.
+
+    ``kernel(columns, weights, totals)`` returns, row by row, ``[t +] x0 * w0
+    + x1 * w1 + ...`` summed left to right, where ``t`` is the row's entry
+    of ``totals`` when ``carry`` (an earlier chunk's sums) and ``totals`` is
+    unused otherwise. With ``squash`` the sum goes through ``steep_sigmoid``'s
+    expression, inlined with its clip branches, in the same comprehension.
+    The source is built from the integer ``terms`` alone and the weights
+    arrive as arguments, so the cache holds one kernel per key, never one
+    per genome.
+    """
+    key = (terms, carry, squash)
+    kernel = _KERNELS.get(key)
+    if kernel is None:
+        index = range(terms)
+        total = " + ".join(["t"] * carry + [f"x{i} * w{i}" for i in index])
+        if squash:
+            total = (f"1.0 if (z := slope * ({total})) > 60.0"
+                     " else 0.0 if z < -60.0 else 1.0 / (1.0 + exp(-z))")
+        targets = ["t"] * carry + [f"x{i}" for i in index]
+        sources = ["totals"] * carry + [f"c{i}" for i in index]
+        # one column needs no zip
+        iterable = sources[0] if len(sources) == 1 else f"zip({', '.join(sources)})"
+        source = (
+            "def kernel(columns, weights, totals, slope=slope, exp=exp):\n"
+            f"    {''.join(f'c{i}, ' for i in index)}= columns\n"
+            f"    {''.join(f'w{i}, ' for i in index)}= weights\n"
+            f"    return [{total} for {', '.join(targets)} in {iterable}]\n")
+        namespace = {"slope": SIGMOID_SLOPE, "exp": math.exp}
+        exec(source, namespace)
+        kernel = _KERNELS[key] = namespace["kernel"]
+    return kernel
+
+
 class NetworkEvaluator:
     """Compiled feed-forward evaluator for one genome.
 
@@ -186,7 +231,9 @@ class NetworkEvaluator:
     ``(src_slot, weight)`` pairs, kept in connection-gene order. Build once
     per genome, then call :meth:`activate` per input vector, or
     :meth:`activate_columns` for many vectors at once; both give the same
-    bits for a given vector.
+    bits for a given vector. ``activate_columns`` runs each node as one
+    fused pass over its source columns, through a kernel generated once per
+    in-degree and shared by every genome (see :func:`_node_kernel`).
     """
 
     def __init__(self, genome: Genome):
@@ -222,30 +269,36 @@ class NetworkEvaluator:
         """Evaluate many input vectors given as one column per input, node
         by node; ``result[j][k]`` is output j of ``activate`` on row k.
 
-        The first connection's products seed a node's totals, where
-        ``activate`` adds them to 0.0; that changes at most the sign of a
-        zero total, and the sigmoid maps both zeros to 0.5. The sigmoid is
-        ``steep_sigmoid``'s expression inlined, clip branches included.
+        Each node is one comprehension over its source columns that sums
+        ``x0 * w0 + x1 * w1 + ...`` left to right and applies the sigmoid
+        in the same pass; a node with more than ``_KERNEL_TERMS`` inputs
+        sums in chunks, each continuing from the previous chunk's totals,
+        so the order of the additions does not change. The bits equal
+        ``activate``'s: the products and additions are the same floats in
+        the same order, except that the first product seeds the sum where
+        ``activate`` adds it to 0.0. That changes at most the sign of a zero
+        sum, and the sigmoid maps both zeros to 0.5. A node with no enabled
+        input is 0.5 on every row, as in ``activate``.
         """
         if len(columns) != len(self.input_ids):
             raise self._arity_error(len(columns))
         count = len(columns[0]) if columns else 0
         if any(len(column) != count for column in columns):
             raise ArityMismatch("input columns differ in length")
-        exp, slope = math.exp, SIGMOID_SLOPE
         # one column per slot: the inputs, 1.0 for each bias, then the computed nodes
         values = [*columns, *[[1.0] * count] * len(self.bias_ids), *[None] * len(self._steps)]
         for dst, incoming in self._steps:
             if not incoming:
                 values[dst] = [0.5] * count
                 continue
-            (src, weight), *rest = incoming
-            totals = [v * weight for v in values[src]]
-            for src, weight in rest:
-                totals = [t + v * weight for t, v in zip(totals, values[src])]
-            values[dst] = [1.0 if (z := slope * t) > 60.0
-                           else 0.0 if z < -60.0 else 1.0 / (1.0 + exp(-z))
-                           for t in totals]
+            column = None
+            for start in range(0, len(incoming), _KERNEL_TERMS):
+                chunk = incoming[start:start + _KERNEL_TERMS]
+                kernel = _node_kernel(len(chunk), start > 0,
+                                      start + _KERNEL_TERMS >= len(incoming))
+                column = kernel([values[src] for src, _ in chunk],
+                                [weight for _, weight in chunk], column)
+            values[dst] = column
         return [values[s] for s in self._output_slots]
 
 
@@ -383,6 +436,12 @@ class EvolutionConfig:
         for name in ("compatibility_threshold", "weight_cap"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be > 0, got {getattr(self, name)}")
+        # newborn weights are drawn from [-span, span] without clamping to the cap
+        if not 0.0 <= self.weight_init_span <= self.weight_cap:
+            raise ValidationError(f"weight_init_span must be in [0, weight_cap "
+                                  f"{self.weight_cap}], got {self.weight_init_span}")
+        if not self.weight_step >= 0:
+            raise ValidationError(f"weight_step must be >= 0, got {self.weight_step}")
         if self.max_generations < 0:
             raise ValidationError(f"max_generations must be >= 0, got {self.max_generations}")
 

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from helpers import fresh_genome, random_genome, xor_fitness
+from helpers import fresh_genome, random_genome, trending_fixture, xor_fitness
 from oracles import DictNetworkEvaluator, merge_walk_distance
 from test_cli import TRADING_GENOME, assert_one_line_error, setup_warehouse, write_config
+from tradelab import neat as neat_module
 from tradelab.cli import main
+from tradelab.indicators import IndicatorSpec
 from tradelab.neat import (
     ArityMismatch,
     ConnectionGene,
@@ -34,6 +36,7 @@ from tradelab.neat import (
     validate_genome,
     write_genome,
 )
+from tradelab.optimize import evolve_strategy
 from tradelab.errors import ValidationError
 
 CONFIG = EvolutionConfig(population_size=30)
@@ -174,6 +177,89 @@ def test_activate_columns_equals_activate_per_row():
         net = NetworkEvaluator(genome)
         assert net.activate_columns(columns_of(rows)) == columns_of(
             [net.activate(row) for row in rows])
+
+
+def assert_columns_equal_rows(genome, rows):
+    """activate_columns on the rows' columns equals activate row by row;
+    returns the rows' outputs. Zero rows make one empty column per input."""
+    net = NetworkEvaluator(genome)
+    per_row = [net.activate(row) for row in rows]
+    columns = [[row[i] for row in rows] for i in range(len(net.input_ids))]
+    assert net.activate_columns(columns) == \
+        [[out[j] for out in per_row] for j in range(len(net.output_ids))]
+    return per_row
+
+
+def wide_genome(n_in, seed):
+    """n_in inputs and a bias, each wired to one output with a random weight,
+    in innovation order after the bias."""
+    rng = random.Random(seed)
+    nodes = [NodeGene(i, NodeKind.INPUT, "identity") for i in range(n_in)]
+    nodes += [NodeGene(n_in, NodeKind.BIAS, "identity"), NodeGene(n_in + 1, NodeKind.OUTPUT)]
+    conns = [ConnectionGene(0, n_in, n_in + 1, rng.uniform(-1.0, 1.0))]
+    conns += [ConnectionGene(i + 1, i, n_in + 1, rng.uniform(-1.0, 1.0)) for i in range(n_in)]
+    return Genome(nodes, conns)
+
+
+@pytest.mark.parametrize("n_in", [5_000, 511])
+def test_activate_columns_chunks_a_node_above_the_compile_limit(n_in):
+    # one generated sum of 3,000 terms overflows the compiler's stack
+    genome = wide_genome(n_in, seed=n_in)
+    rng = random.Random(1)
+    rows = [[rng.uniform(-0.01, 0.01) for _ in range(n_in)] for _ in range(12)]
+    outputs = {out[0] for out in assert_columns_equal_rows(genome, rows)}
+    assert len(outputs) == len(rows)
+    # the bias makes n_in + 1 terms; the last chunk continues a carried sum
+    chunk = neat_module._KERNEL_TERMS
+    assert ((n_in + 1) % chunk or chunk, True, True) in neat_module._KERNELS
+    assert assert_columns_equal_rows(genome, []) == []
+
+
+def test_activate_columns_node_fed_only_by_the_bias():
+    nodes = [NodeGene(0, NodeKind.INPUT, "identity"), NodeGene(1, NodeKind.INPUT, "identity"),
+             NodeGene(2, NodeKind.BIAS, "identity"), NodeGene(3, NodeKind.HIDDEN),
+             NodeGene(4, NodeKind.OUTPUT), NodeGene(5, NodeKind.OUTPUT)]
+    conns = [ConnectionGene(0, 2, 3, 0.7), ConnectionGene(1, 3, 4, -2.0),
+             ConnectionGene(2, 2, 5, -0.3)]
+    rows = [[float(i), -float(i)] for i in range(5)]
+    per_row = assert_columns_equal_rows(Genome(nodes, conns), rows)
+    assert per_row == [[steep_sigmoid(-2.0 * steep_sigmoid(0.7)), steep_sigmoid(-0.3)]] * 5
+    assert assert_columns_equal_rows(Genome(nodes, conns), []) == []
+
+
+def test_activate_columns_node_whose_first_gene_is_the_bias():
+    rng = random.Random(8)
+    rows = [[rng.uniform(-20.0, 20.0) for _ in range(3)] for _ in range(100)]
+    rows += [[0.0] * 3, [15.0] * 3, [-15.0] * 3]
+    assert_columns_equal_rows(wide_genome(3, seed=2), rows)
+
+
+def test_node_kernels_take_weights_as_arguments():
+    # same in-degree, so the second genome runs the first one's cached kernel
+    rng = random.Random(4)
+    rows = [[rng.uniform(-1.0, 1.0) for _ in range(4)] for _ in range(50)]
+    first = assert_columns_equal_rows(wide_genome(4, seed=10), rows)
+    second = assert_columns_equal_rows(wide_genome(4, seed=11), rows)
+    assert first != second
+
+
+def test_evolve_run_caches_one_kernel_per_in_degree(monkeypatch):
+    in_degrees = set()
+    activate_columns = NetworkEvaluator.activate_columns
+
+    def recording(self, columns):
+        in_degrees.update(len(incoming) for _, incoming in self._steps if incoming)
+        return activate_columns(self, columns)
+
+    monkeypatch.setattr(NetworkEvaluator, "activate_columns", recording)
+    monkeypatch.setattr(neat_module, "_KERNELS", {})
+    config = EvolutionConfig(population_size=12, max_generations=3, add_node_rate=0.3,
+                             add_connection_rate=0.3, seed=6)
+    evolve_strategy(trending_fixture(), [IndicatorSpec("rsi", {"p": 7}),
+                                         IndicatorSpec("ema", {"p": 9})], config)
+    assert max(in_degrees) < neat_module._KERNEL_TERMS
+    assert set(neat_module._KERNELS) == {(k, False, True) for k in in_degrees}
+    assert len(neat_module._KERNELS) <= max(in_degrees)
 
 
 def test_outputs_in_unit_interval():
@@ -709,6 +795,8 @@ def test_genome_file_missing_is_validation_error(tmp_path):
     ("compatibility_threshold", 0.0), ("compatibility_threshold", -1.0),
     ("compatibility_threshold", math.nan), ("weight_cap", 0.0), ("weight_cap", -2.0),
     ("max_generations", -1), ("c1", -1.0), ("c2", -5.0), ("c3", -0.4), ("c3", math.nan),
+    ("weight_init_span", 8.5), ("weight_init_span", -0.1), ("weight_init_span", math.nan),
+    ("weight_step", -0.5), ("weight_step", math.nan),
 ])
 def test_evolution_config_rejects_out_of_range(field, value):
     with pytest.raises(ValidationError, match=field):
@@ -722,6 +810,21 @@ def test_cmd_optimize_negative_c3_exit_1(tmp_path, capsys):
         "evolution": {"population_size": 6, "max_generations": 1, "c3": -0.4}})
     assert main(["optimize", "--config", str(cfg)]) == 1
     assert_one_line_error(capsys, "c3 must be >= 0, got -0.4")
+
+
+def test_evolution_config_accepts_a_span_up_to_the_cap():
+    EvolutionConfig(weight_init_span=8.0, weight_cap=8.0, weight_step=0.0).validate()
+    EvolutionConfig(weight_init_span=0.0).validate()
+
+
+def test_cmd_optimize_init_span_above_cap_exit_1(tmp_path, capsys):
+    wh = setup_warehouse(tmp_path)
+    cfg = write_config(tmp_path, wh, optimize={
+        "mode": "evolve", "inputs": ["ema:p=3"],
+        "evolution": {"population_size": 6, "max_generations": 1, "weight_init_span": 20.0}})
+    assert main(["optimize", "--config", str(cfg)]) == 1
+    assert_one_line_error(capsys, "weight_init_span must be in [0, weight_cap 8.0], got 20.0")
+    assert not (tmp_path / "out" / "best_genome.txt").exists()
 
 
 @pytest.mark.parametrize("record", ["conn 0 0 2 nan 1", "conn 1 1 2 inf 1",

@@ -178,48 +178,102 @@ def _ids_by_kind(genome: Genome) -> tuple[list[int], list[int], list[int]]:
     return inputs, biases, outputs
 
 
-# Weighted inputs per generated node kernel. A generated sum nests one level
-# per term, and the compiler overflows its stack near 3,000 terms (1,000
-# compile on CPython 3.10 and 3.11), so longer sums run in chunks.
-_KERNEL_TERMS = 256
-# (terms, carry, squash) -> kernel; see _node_kernel. Shared by every
-# evaluator in the process and bounded: terms never exceed _KERNEL_TERMS.
-_KERNELS: dict = {}
+# Weighted inputs per generated sum. A generated sum nests one level per
+# term, and the compiler overflows its stack near 3,000 terms (1,000
+# compile on CPython 3.10 and 3.11), so a longer sum is chained: each part
+# of at most this many terms continues the previous part's total.
+_SUM_TERMS = 256
+# The most network kernels kept at once; the oldest is dropped first.
+_KERNEL_LIMIT = 1024
+# network shape -> kernel, in the order they were generated; see
+# _network_kernel. Shared by every evaluator in the process.
+_NETWORK_KERNELS: dict = {}
 
 
-def _node_kernel(terms: int, carry: bool, squash: bool):
-    """The column kernel for ``terms`` weighted inputs of one node, generated
-    on first use and cached.
+def _network_kernel(shape):
+    """The row kernel for one network shape, generated on first use and
+    cached.
 
-    ``kernel(columns, weights, totals)`` returns, row by row, ``[t +] x0 * w0
-    + x1 * w1 + ...`` summed left to right, where ``t`` is the row's entry
-    of ``totals`` when ``carry`` (an earlier chunk's sums) and ``totals`` is
-    unused otherwise. With ``squash`` the sum goes through ``steep_sigmoid``'s
-    expression, inlined with its clip branches, in the same comprehension.
-    The source is built from the integer ``terms`` alone and the weights
-    arrive as arguments, so the cache holds one kernel per key, never one
-    per genome.
+    ``shape`` is ``(inputs, biases, sources, outputs, labelled)``: the
+    number of input and of bias slots, the source slots of each computed
+    node in evaluation order (each in connection-gene order), the output
+    slots, and whether a row yields a label or the tuple of its outputs.
+    Slots are numbered as in :class:`NetworkEvaluator`.
+
+    ``kernel(columns, weights, labels)`` is one comprehension over the rows
+    of the input columns. Per row it binds every computed node in turn with
+    ``for v in [...]`` (which CPython compiles to a plain assignment, not a
+    loop): the node's terms summed left to right, the first
+    seeding the sum, through ``steep_sigmoid``'s expression inlined with its
+    clip branches. A term is ``x * w`` for an input or a node and the
+    weight itself for a bias. A node with no terms is 0.5. A labelled row
+    yields ``labels[i]`` for the first output i that holds the largest value
+    (the tie rule of ``max``). The weights, one per term in node and gene
+    order, and the labels are arguments and never part of the source, so
+    every genome of one shape shares its kernel.
     """
-    key = (terms, carry, squash)
-    kernel = _KERNELS.get(key)
-    if kernel is None:
-        index = range(terms)
-        total = " + ".join(["t"] * carry + [f"x{i} * w{i}" for i in index])
-        if squash:
-            total = (f"1.0 if (z := slope * ({total})) > 60.0"
-                     " else 0.0 if z < -60.0 else 1.0 / (1.0 + exp(-z))")
-        targets = ["t"] * carry + [f"x{i}" for i in index]
-        sources = ["totals"] * carry + [f"c{i}" for i in index]
-        # one column needs no zip
-        iterable = sources[0] if len(sources) == 1 else f"zip({', '.join(sources)})"
-        source = (
-            "def kernel(columns, weights, totals, slope=slope, exp=exp):\n"
-            f"    {''.join(f'c{i}, ' for i in index)}= columns\n"
-            f"    {''.join(f'w{i}, ' for i in index)}= weights\n"
-            f"    return [{total} for {', '.join(targets)} in {iterable}]\n")
-        namespace = {"slope": SIGMOID_SLOPE, "exp": math.exp}
-        exec(source, namespace)
-        kernel = _KERNELS[key] = namespace["kernel"]
+    kernel = _NETWORK_KERNELS.get(shape)
+    if kernel is not None:
+        return kernel
+    n_inputs, n_biases, sources, outputs, labelled = shape
+    first_node = n_inputs + n_biases
+    clauses = []
+    n_weights = 0
+    for dst, slots in enumerate(sources, first_node):
+        if not slots:
+            clauses.append(f"for v{dst} in [0.5]")
+            continue
+        terms = []
+        for src in slots:
+            if src < n_inputs:
+                terms.append(f"x{src} * w{n_weights}")
+            elif src < first_node:
+                terms.append(f"w{n_weights}")
+            else:
+                terms.append(f"v{src} * w{n_weights}")
+            n_weights += 1
+        total = " + ".join(terms[:_SUM_TERMS])
+        for start in range(_SUM_TERMS, len(terms), _SUM_TERMS):
+            clauses.append(f"for t in [{total}]")
+            total = " + ".join(["t"] + terms[start:start + _SUM_TERMS])
+        clauses.append(f"for z in [slope * ({total})]")
+        clauses.append(f"for v{dst} in [1.0 if z > 60.0 else 0.0 if z < -60.0"
+                       " else 1.0 / (1.0 + exp(-z))]")
+    names = [f"v{slot}" for slot in outputs]
+    if labelled:
+        # row: labels[i] for the last output i that exceeds every earlier
+        # one, else labels[0]; best: the largest of the outputs so far, the
+        # earliest on a tie, bound to a name when it is read more than once
+        best, row = names[0], "l0"
+        for i, name in enumerate(names[1:], 1):
+            row = f"l{i} if {name} > {best} else {row}"
+            larger = f"{name} if {name} > {best} else {best}"
+            if i + 2 < len(names):
+                clauses.append(f"for m{i} in [{larger}]")
+                best = f"m{i}"
+            else:
+                best = f"({larger})"
+    else:
+        row = f"({''.join(f'{name}, ' for name in names)})"
+    if n_inputs == 0:
+        rows = "for _ in ()"
+    elif n_inputs == 1:
+        rows = "for x0 in columns[0]"
+    else:
+        rows = f"for {', '.join(f'x{i}' for i in range(n_inputs))} in zip(*columns)"
+    source = "def kernel(columns, weights, labels, slope=slope, exp=exp):\n"
+    if n_weights:
+        source += f"    {''.join(f'w{k}, ' for k in range(n_weights))}= weights\n"
+    if labelled:
+        source += f"    {''.join(f'l{i}, ' for i in range(len(names)))}= labels\n"
+    # one clause a line: short lines keep the code's position table small
+    body = "".join(f"        {clause}\n" for clause in [rows, *clauses])
+    source += f"    return [{row}\n{body}    ]\n"
+    namespace = {"slope": SIGMOID_SLOPE, "exp": math.exp}
+    exec(source, namespace)
+    if len(_NETWORK_KERNELS) >= _KERNEL_LIMIT:
+        del _NETWORK_KERNELS[next(iter(_NETWORK_KERNELS))]
+    kernel = _NETWORK_KERNELS[shape] = namespace["kernel"]
     return kernel
 
 
@@ -230,10 +284,10 @@ class NetworkEvaluator:
     other node in topological order. Each step computes one node from its
     ``(src_slot, weight)`` pairs, kept in connection-gene order. Build once
     per genome, then call :meth:`activate` per input vector, or
-    :meth:`activate_columns` for many vectors at once; both give the same
-    bits for a given vector. ``activate_columns`` runs each node as one
-    fused pass over its source columns, through a kernel generated once per
-    in-degree and shared by every genome (see :func:`_node_kernel`).
+    :meth:`argmax_columns` (or :meth:`activate_columns`) for many vectors at
+    once; all give the same bits for a given vector. The column methods run
+    one kernel per network shape that computes every node of a row in one
+    pass (see :func:`_network_kernel`); genomes of the same shape share it.
     """
 
     def __init__(self, genome: Genome):
@@ -265,41 +319,46 @@ class NetworkEvaluator:
             values[dst] = steep_sigmoid(total)
         return [values[s] for s in self._output_slots]
 
-    def activate_columns(self, columns) -> list[list[float]]:
-        """Evaluate many input vectors given as one column per input, node
-        by node; ``result[j][k]`` is output j of ``activate`` on row k.
-
-        Each node is one comprehension over its source columns that sums
-        ``x0 * w0 + x1 * w1 + ...`` left to right and applies the sigmoid
-        in the same pass; a node with more than ``_KERNEL_TERMS`` inputs
-        sums in chunks, each continuing from the previous chunk's totals,
-        so the order of the additions does not change. The bits equal
-        ``activate``'s: the products and additions are the same floats in
-        the same order, except that the first product seeds the sum where
-        ``activate`` adds it to 0.0. That changes at most the sign of a zero
-        sum, and the sigmoid maps both zeros to 0.5. A node with no enabled
-        input is 0.5 on every row, as in ``activate``.
-        """
+    def _run_rows(self, columns, labels) -> list:
+        """Run this network's kernel over the rows of ``columns``, one column
+        per input; labelled when ``labels`` is not None."""
         if len(columns) != len(self.input_ids):
             raise self._arity_error(len(columns))
         count = len(columns[0]) if columns else 0
         if any(len(column) != count for column in columns):
             raise ArityMismatch("input columns differ in length")
-        # one column per slot: the inputs, 1.0 for each bias, then the computed nodes
-        values = [*columns, *[[1.0] * count] * len(self.bias_ids), *[None] * len(self._steps)]
-        for dst, incoming in self._steps:
-            if not incoming:
-                values[dst] = [0.5] * count
-                continue
-            column = None
-            for start in range(0, len(incoming), _KERNEL_TERMS):
-                chunk = incoming[start:start + _KERNEL_TERMS]
-                kernel = _node_kernel(len(chunk), start > 0,
-                                      start + _KERNEL_TERMS >= len(incoming))
-                column = kernel([values[src] for src, _ in chunk],
-                                [weight for _, weight in chunk], column)
-            values[dst] = column
-        return [values[s] for s in self._output_slots]
+        steps = self._steps
+        shape = (len(self.input_ids), len(self.bias_ids),
+                 tuple([tuple([src for src, _ in incoming]) for _, incoming in steps]),
+                 tuple(self._output_slots), labels is not None)
+        weights = [weight for _, incoming in steps for _, weight in incoming]
+        return _network_kernel(shape)(columns, weights, labels)
+
+    def argmax_columns(self, columns, labels) -> list:
+        """For each row of the input columns, ``labels[i]`` for the output i
+        that ``activate`` gives the largest value; the first such output wins
+        a tie, as with ``max``.
+
+        The bits equal ``activate``'s. A node's sum has the same products in
+        the same order, except that the first term seeds the sum where
+        ``activate`` adds it to 0.0, which changes at most the sign of a zero
+        sum (the sigmoid maps both zeros to 0.5), and a bias term is its
+        weight, which equals ``1.0 * weight`` exactly.
+        """
+        if len(labels) != len(self.output_ids) or not labels:
+            raise ArityMismatch(f"expected one label per output ({len(self.output_ids)}), "
+                                f"got {len(labels)}")
+        return self._run_rows(columns, labels)
+
+    def activate_columns(self, columns) -> list[list[float]]:
+        """The outputs of ``activate`` on each row of the input columns, as
+        one column per output: ``result[j][k]`` is output j of row k. The
+        same kernel generator as :meth:`argmax_columns`, with the same bits.
+        """
+        rows = self._run_rows(columns, None)
+        if not rows:
+            return [[] for _ in self.output_ids]
+        return [list(column) for column in zip(*rows)]
 
 
 def activate(genome: Genome, inputs: list[float]) -> list[float]:
@@ -399,6 +458,11 @@ def initial_genome(n_inputs: int, n_outputs: int, tracker: InnovationTracker,
 # Distance, mutation, crossover
 # ---------------------------------------------------------------------------
 
+# The largest weight_cap and weight_step, like the price bound: uniform()
+# over [-1e100, 1e100] and a weight plus a step stay far from overflow.
+_MAX_WEIGHT = 1e100
+
+
 @dataclass(frozen=True)
 class EvolutionConfig:
     population_size: int = 150
@@ -433,15 +497,17 @@ class EvolutionConfig:
         for name in ("c1", "c2", "c3"):
             if not getattr(self, name) >= 0:
                 raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("compatibility_threshold", "weight_cap"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not self.compatibility_threshold > 0:
+            raise ValidationError(
+                f"compatibility_threshold must be > 0, got {self.compatibility_threshold}")
+        if not 0.0 < self.weight_cap <= _MAX_WEIGHT:
+            raise ValidationError(f"weight_cap must be in (0, 1e100], got {self.weight_cap}")
         # newborn weights are drawn from [-span, span] without clamping to the cap
         if not 0.0 <= self.weight_init_span <= self.weight_cap:
             raise ValidationError(f"weight_init_span must be in [0, weight_cap "
                                   f"{self.weight_cap}], got {self.weight_init_span}")
-        if not self.weight_step >= 0:
-            raise ValidationError(f"weight_step must be >= 0, got {self.weight_step}")
+        if not 0.0 <= self.weight_step <= _MAX_WEIGHT:
+            raise ValidationError(f"weight_step must be in [0, 1e100], got {self.weight_step}")
         if self.max_generations < 0:
             raise ValidationError(f"max_generations must be >= 0, got {self.max_generations}")
 

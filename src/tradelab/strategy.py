@@ -516,10 +516,10 @@ class NeatStepper(SignalStepper):
     """Feeds normalized indicator values through an evolved network and maps
     the argmax of its three outputs to open / close / hold.
 
-    With a column store the stepper evaluates the input columns in one
-    column-wise pass when it is built and turns the three output columns
-    into its signal column; without one it streams its indicators one bar
-    at a time.
+    With a column store the stepper gets its signal column when it is
+    built, from one pass of the network's kernel over the input columns
+    that yields each row's action as its signal; without one it streams its
+    indicators one bar at a time.
     """
 
     open_reason = "net-open"
@@ -535,11 +535,8 @@ class NeatStepper(SignalStepper):
             self._streams = [make_stream(spec) for spec in p.input_specs]
         else:
             start, columns = store.inputs(p.input_specs, p.norm)
-            o_open, o_close, o_hold = self._net.activate_columns(columns)
-            # network_action's tie rules, as signals; no signal during warm-up
-            self._signals = [0] * start + [
-                0 if h > (c if c > o else o) else -1 if c > o else 1
-                for o, c, h in zip(o_open, o_close, o_hold)]
+            # no signal during warm-up
+            self._signals = [0] * start + self._net.argmax_columns(columns, _ACTION_SIGNALS)
 
     def _stream_signal(self, candle: Candle) -> int:
         """Push the bar into every input stream; the signal of the network's

@@ -30,8 +30,17 @@ from tradelab.backtest import (
 from tradelab.data import CandleSeries
 from tradelab.errors import ValidationError
 from tradelab.indicators import IndicatorSpec
-from tradelab.neat import InnovationTracker, NodeKind, initial_genome
+from tradelab.neat import (
+    ConnectionGene,
+    Genome,
+    InnovationTracker,
+    NetworkEvaluator,
+    NodeGene,
+    NodeKind,
+    initial_genome,
+)
 from tradelab.strategy import (
+    ColumnStore,
     EmaCrossParams,
     GridParams,
     NeatParams,
@@ -42,6 +51,7 @@ from tradelab.strategy import (
     StopSettings,
     StrategyConfig,
     TradeIntent,
+    network_action,
 )
 
 
@@ -295,6 +305,34 @@ def test_backtest_steps_only_where_something_can_happen(monkeypatch, stops):
         walked = len(steps)
         assert outcome(report) == outcome(streamed_backtest(config, series, 1_000.0, CostModel()))
         assert len(steps) == walked + len(series)  # the reference steps every bar
+
+
+def test_network_signals_with_non_finite_sums_equal_activate():
+    """Inputs near 1e300 times weights of 1e10 overflow to +-inf, and inf -
+    inf is NaN; the column signal and the column backtest still equal
+    activate row by row and the streamed backtest."""
+    nodes = [NodeGene(0, NodeKind.INPUT, "identity"), NodeGene(1, NodeKind.INPUT, "identity"),
+             NodeGene(2, NodeKind.BIAS, "identity"), NodeGene(3, NodeKind.HIDDEN)]
+    nodes += [NodeGene(i, NodeKind.OUTPUT) for i in (4, 5, 6)]
+    wiring = [(0, 4, 1e10), (1, 4, -1e10), (0, 3, -1e10), (2, 3, 0.5), (3, 5, 2.0),
+              (1, 5, 1e-300), (1, 6, 1e10), (2, 6, -0.2)]
+    genome = Genome(nodes, [ConnectionGene(i, *gene) for i, gene in enumerate(wiring)])
+    specs = (IndicatorSpec("ema", {"p": 2}), IndicatorSpec("ema", {"p": 3}))
+    series = random_series(12, n=400, vol=0.02)
+    norm = ((100.0, 1e-298), (100.0, 1e-298))
+    start, columns = ColumnStore(series).inputs(specs, norm)
+    assert max(abs(v) for column in columns for v in column) > 1e298
+    net = NetworkEvaluator(genome)
+    per_row = [net.activate(list(row)) for row in zip(*columns)]
+    assert any(v != v for out in per_row for v in out)  # NaN outputs
+    signals = (1, -1, 0)
+    expected = [signals[network_action(out)] for out in per_row]
+    assert net.argmax_columns(columns, signals) == expected
+    assert len(set(expected)) == 3
+    config = StrategyConfig("RND", NeatParams(genome, specs, norm))
+    report = run_backtest(config, series, 1_000.0, CostModel())
+    assert report.fills
+    assert outcome(report) == outcome(streamed_backtest(config, series, 1_000.0, CostModel()))
 
 
 def test_determinism_identical_reports():

@@ -391,6 +391,27 @@ def test_cmd_optimize_evolve_outputs_runnable_artifact(tmp_path):
     assert main(["backtest", "--config", str(cfg2), "--out", str(tmp_path / "out2")]) == 0
 
 
+@pytest.mark.parametrize("evolution", [
+    TINY_EVOLUTION,
+    {**TINY_EVOLUTION, "weight_init_span": 1e100, "weight_cap": 1e100, "weight_step": 1e100},
+])
+def test_evolve_artifact_reads_back_and_backtests_at_its_fitness(tmp_path, evolution):
+    wh = setup_warehouse(tmp_path)
+    cfg = write_config(tmp_path, wh, optimize={
+        "mode": "evolve", "inputs": EVOLVE_INPUTS, "evolution": evolution}, seed=3)
+    assert main(["optimize", "--config", str(cfg)]) == 0
+    artifact = tmp_path / "out" / "best_strategy.json"
+    genome = load_network_artifact(artifact).genome
+    cap = evolution.get("weight_cap", 8.0)
+    assert max(abs(c.weight) for c in genome.connections) > cap / 100
+    assert all(abs(c.weight) <= cap for c in genome.connections)
+    cfg = write_config(tmp_path, wh, strategy={"kind": "neat", "artifact": str(artifact)})
+    assert main(["backtest", "--config", str(cfg), "--out", str(tmp_path / "scored")]) == 0
+    report = json.loads((tmp_path / "scored" / "report.json").read_text())
+    assert report["metrics"]["trade_count"] > 0
+    assert report["score"] == genome.fitness
+
+
 def test_cmd_optimize_byte_identical_across_runs(tmp_path):
     wh = setup_warehouse(tmp_path)
     cfg = write_config(tmp_path, wh, optimize={

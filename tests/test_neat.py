@@ -69,6 +69,9 @@ def test_activate_arity_mismatch():
         net.activate_columns([[0.0], [1.0]])
     with pytest.raises(ArityMismatch):
         net.activate_columns([[0.0, 1.0], [1.0], [2.0, 3.0]])
+    assert net.argmax_columns([[], [], []], ("a", "b")) == []
+    with pytest.raises(ArityMismatch, match="one label per output"):
+        net.argmax_columns([[0.0], [1.0], [2.0]], ("a", "b", "c"))
 
 
 def test_activate_rejects_cycles():
@@ -144,12 +147,29 @@ def test_flat_evaluator_equals_dict_reference():
         net = NetworkEvaluator(genome)
         assert [net.activate(row) for row in rows] == reference
         assert net.activate_columns(columns_of(rows)) == columns_of(reference)
+        assert_argmax_equals_rows(net, columns_of(rows), reference)
         ties += sum(len(set(out)) < len(out) for out in reference)
     assert ties > 0
 
 
+@pytest.mark.parametrize("n_out", [1, 2, 5])
+def test_argmax_columns_for_any_output_count(n_out):
+    rng = random.Random(n_out)
+    rows = [[rng.uniform(-2, 2) for _ in range(4)] for _ in range(30)]
+    rows += [[50.0] * 4, [-50.0] * 4, [0.0] * 4]  # saturated rows tie
+    for genome in bred_genomes(n_out=n_out, rounds=4):
+        assert_columns_equal_rows(genome, rows)
+
+
 def columns_of(rows):
     return [list(column) for column in zip(*rows)]
+
+
+def assert_argmax_equals_rows(net, columns, per_row):
+    """argmax_columns labels each row with its first largest output, as max() picks it."""
+    labels = tuple(f"out{j}" for j in range(len(net.output_ids)))
+    assert net.argmax_columns(columns, labels) == \
+        [labels[max(range(len(out)), key=out.__getitem__)] for out in per_row]
 
 
 def test_activate_columns_equals_activate_per_row():
@@ -187,6 +207,7 @@ def assert_columns_equal_rows(genome, rows):
     columns = [[row[i] for row in rows] for i in range(len(net.input_ids))]
     assert net.activate_columns(columns) == \
         [[out[j] for out in per_row] for j in range(len(net.output_ids))]
+    assert_argmax_equals_rows(net, columns, per_row)
     return per_row
 
 
@@ -202,17 +223,20 @@ def wide_genome(n_in, seed):
 
 
 @pytest.mark.parametrize("n_in", [5_000, 511])
-def test_activate_columns_chunks_a_node_above_the_compile_limit(n_in):
+def test_activate_columns_chunks_a_node_above_the_compile_limit(n_in, monkeypatch):
     # one generated sum of 3,000 terms overflows the compiler's stack
+    monkeypatch.setattr(neat_module, "_NETWORK_KERNELS", {})
     genome = wide_genome(n_in, seed=n_in)
     rng = random.Random(1)
     rows = [[rng.uniform(-0.01, 0.01) for _ in range(n_in)] for _ in range(12)]
     outputs = {out[0] for out in assert_columns_equal_rows(genome, rows)}
     assert len(outputs) == len(rows)
-    # the bias makes n_in + 1 terms; the last chunk continues a carried sum
-    chunk = neat_module._KERNEL_TERMS
-    assert ((n_in + 1) % chunk or chunk, True, True) in neat_module._KERNELS
     assert assert_columns_equal_rows(genome, []) == []
+    # one output node of n_in + 1 terms, the bias first: longer than one sum
+    assert n_in + 1 > neat_module._SUM_TERMS
+    sources = ((n_in, *range(n_in)),)
+    assert set(neat_module._NETWORK_KERNELS) == {
+        (n_in, 1, sources, (n_in + 1,), labelled) for labelled in (False, True)}
 
 
 def test_activate_columns_node_fed_only_by_the_bias():
@@ -234,32 +258,76 @@ def test_activate_columns_node_whose_first_gene_is_the_bias():
     assert_columns_equal_rows(wide_genome(3, seed=2), rows)
 
 
-def test_node_kernels_take_weights_as_arguments():
-    # same in-degree, so the second genome runs the first one's cached kernel
+def test_network_kernels_take_weights_as_arguments(monkeypatch):
+    # same shape, so the second genome runs the first one's cached kernel
+    monkeypatch.setattr(neat_module, "_NETWORK_KERNELS", {})
     rng = random.Random(4)
     rows = [[rng.uniform(-1.0, 1.0) for _ in range(4)] for _ in range(50)]
     first = assert_columns_equal_rows(wide_genome(4, seed=10), rows)
+    kernels = dict(neat_module._NETWORK_KERNELS)
     second = assert_columns_equal_rows(wide_genome(4, seed=11), rows)
     assert first != second
+    assert neat_module._NETWORK_KERNELS == kernels
 
 
-def test_evolve_run_caches_one_kernel_per_in_degree(monkeypatch):
-    in_degrees = set()
-    activate_columns = NetworkEvaluator.activate_columns
+def test_evolve_run_caches_one_kernel_per_network_shape(monkeypatch):
+    requested = []
+    network_kernel = neat_module._network_kernel
 
-    def recording(self, columns):
-        in_degrees.update(len(incoming) for _, incoming in self._steps if incoming)
-        return activate_columns(self, columns)
+    def recording(shape):
+        requested.append(shape)
+        return network_kernel(shape)
 
-    monkeypatch.setattr(NetworkEvaluator, "activate_columns", recording)
-    monkeypatch.setattr(neat_module, "_KERNELS", {})
+    monkeypatch.setattr(neat_module, "_network_kernel", recording)
+    monkeypatch.setattr(neat_module, "_NETWORK_KERNELS", {})
     config = EvolutionConfig(population_size=12, max_generations=3, add_node_rate=0.3,
                              add_connection_rate=0.3, seed=6)
     evolve_strategy(trending_fixture(), [IndicatorSpec("rsi", {"p": 7}),
                                          IndicatorSpec("ema", {"p": 9})], config)
-    assert max(in_degrees) < neat_module._KERNEL_TERMS
-    assert set(neat_module._KERNELS) == {(k, False, True) for k in in_degrees}
-    assert len(neat_module._KERNELS) <= max(in_degrees)
+    # one labelled kernel per shape, shared by the genomes of that shape
+    assert set(neat_module._NETWORK_KERNELS) == set(requested)
+    assert len(requested) > len(set(requested)) > 1
+    assert all(shape[:2] == (2, 1) and shape[-1] for shape in requested)
+    assert any(len(shape[2]) > 3 for shape in requested)  # a hidden node was added
+
+
+def test_network_kernel_cache_drops_the_oldest_beyond_its_bound(monkeypatch):
+    assert neat_module._KERNEL_LIMIT == 1024
+    monkeypatch.setattr(neat_module, "_KERNEL_LIMIT", 3)
+    monkeypatch.setattr(neat_module, "_NETWORK_KERNELS", {})
+    # one input wired k times into one output: a sum of k terms
+    shapes = [(1, 0, ((0,) * k,), (1,), True) for k in range(1, 7)]
+    for count, shape in enumerate(shapes, 1):
+        kernel = neat_module._network_kernel(shape)
+        assert kernel([[0.5, -0.5]], [1.0] * len(shape[2][0]), ["only"]) == ["only"] * 2
+        assert list(neat_module._NETWORK_KERNELS) == shapes[max(0, count - 3):count]
+    assert neat_module._network_kernel(shapes[-1]) is kernel
+
+
+@pytest.mark.parametrize("depth", [40, 64])
+def test_column_pass_runs_a_deep_chain_of_hidden_nodes(depth, monkeypatch):
+    # one binding per node in one comprehension: a deep network's kernel
+    # must compile and keep activate's bits
+    monkeypatch.setattr(neat_module, "_NETWORK_KERNELS", {})
+    hidden = list(range(3, 3 + depth))
+    nodes = [NodeGene(0, NodeKind.INPUT, "identity"), NodeGene(1, NodeKind.INPUT, "identity"),
+             NodeGene(2, NodeKind.BIAS, "identity")]
+    nodes += [NodeGene(h, NodeKind.HIDDEN) for h in hidden]
+    nodes += [NodeGene(3 + depth + j, NodeKind.OUTPUT) for j in range(3)]
+    chain = [0, *hidden, 3 + depth]
+    conns = [ConnectionGene(i, src, dst, 2.5 if i % 2 else -1.5)
+             for i, (src, dst) in enumerate(zip(chain, chain[1:]))]
+    conns += [ConnectionGene(len(conns), 1, 4 + depth, 0.75),
+              ConnectionGene(len(conns) + 1, 2, 5 + depth, 0.1),
+              ConnectionGene(len(conns) + 2, 2, hidden[depth // 2], -0.3)]
+    genome = Genome(nodes, conns)
+    validate_genome(genome)
+    rng = random.Random(depth)
+    rows = [[rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)] for _ in range(80)]
+    rows += [[0.0, 0.0], [50.0, -50.0], [-50.0, 50.0]]
+    per_row = assert_columns_equal_rows(genome, rows)
+    assert len({out[0] for out in per_row}) > 1
+    assert len(neat_module._NETWORK_KERNELS) == 2  # labelled and unlabelled
 
 
 def test_outputs_in_unit_interval():
@@ -797,6 +865,8 @@ def test_genome_file_missing_is_validation_error(tmp_path):
     ("max_generations", -1), ("c1", -1.0), ("c2", -5.0), ("c3", -0.4), ("c3", math.nan),
     ("weight_init_span", 8.5), ("weight_init_span", -0.1), ("weight_init_span", math.nan),
     ("weight_step", -0.5), ("weight_step", math.nan),
+    ("weight_cap", 1e308), ("weight_cap", 1.0000001e100), ("weight_cap", math.inf),
+    ("weight_step", 1e308), ("weight_step", math.inf),
 ])
 def test_evolution_config_rejects_out_of_range(field, value):
     with pytest.raises(ValidationError, match=field):
@@ -815,6 +885,22 @@ def test_cmd_optimize_negative_c3_exit_1(tmp_path, capsys):
 def test_evolution_config_accepts_a_span_up_to_the_cap():
     EvolutionConfig(weight_init_span=8.0, weight_cap=8.0, weight_step=0.0).validate()
     EvolutionConfig(weight_init_span=0.0).validate()
+    EvolutionConfig(weight_init_span=1e100, weight_cap=1e100, weight_step=1e100).validate()
+
+
+@pytest.mark.parametrize("evolution,message", [
+    ({"weight_init_span": 1e308, "weight_cap": 1e308}, "weight_cap must be in (0, 1e100], got 1e+308"),
+    ({"weight_step": 1e308}, "weight_step must be in [0, 1e100], got 1e+308"),
+])
+def test_cmd_optimize_huge_weight_bounds_exit_1(tmp_path, capsys, evolution, message):
+    # uniform(-1e308, 1e308) overflows to inf, and w + 1e308 - 1e308 steps to NaN
+    wh = setup_warehouse(tmp_path)
+    cfg = write_config(tmp_path, wh, optimize={
+        "mode": "evolve", "inputs": ["ema:p=3"],
+        "evolution": {"population_size": 6, "max_generations": 1, **evolution}})
+    assert main(["optimize", "--config", str(cfg)]) == 1
+    assert_one_line_error(capsys, message)
+    assert not (tmp_path / "out" / "best_genome.txt").exists()
 
 
 def test_cmd_optimize_init_span_above_cap_exit_1(tmp_path, capsys):

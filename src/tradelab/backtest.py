@@ -13,8 +13,9 @@ intent into a quantity, ``Book`` turns an order into a fill, and
 ``run_bars`` is the one bar loop. ``run_backtest`` runs it on a ``Book``;
 ``broker.paper_trade_loop`` runs it on an adapter over a broker endpoint,
 which is the only difference between a backtest and a paper session, apart
-from a backtest jumping over bars where nothing can happen. Both reports
-list every order with its status and reject reason.
+from a backtest not stepping its stepper on bars where it cannot emit: such
+a stretch is marked in bulk, or walked by the stop alone while one is
+armed. Both reports list every order with its status and reject reason.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from functools import cached_property
+from itertools import groupby, islice
 
 from .data import CandleSeries
 from .errors import TradeLabError, ValidationError
@@ -56,11 +58,11 @@ class CostModel:
             if type(value) not in (int, float) or not 0 <= value < 10_000:
                 raise ValidationError(f"{name} must be a number in [0, 10000), got {value!r}")
 
-    @property
+    @cached_property
     def fee_rate(self) -> float:
         return self.fee_bps / 10_000.0
 
-    @property
+    @cached_property
     def slippage_rate(self) -> float:
         return self.slippage_bps / 10_000.0
 
@@ -144,14 +146,18 @@ class BacktestReport:
 
 
 def compute_metrics(equity: list[float], trades: list[TradeRecord]) -> Metrics:
-    """Net profit, peak-to-trough drawdown and win rate over a run."""
+    """Net profit, peak-to-trough drawdown and win rate over a run.
+
+    The drawdown visits each run of equal consecutive marks once: a repeat
+    of a mark changes neither the peak nor the largest drawdown.
+    """
     if not equity:
         raise ValidationError("equity curve is empty")
     initial = equity[0]
     net = (equity[-1] - initial) / initial * 100.0
     peak = equity[0]
     max_dd = 0.0
-    for value in equity:
+    for value, _ in groupby(equity):
         if value > peak:
             peak = value
         elif peak > 0:
@@ -359,11 +365,14 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
 
     A backtest jumps over quiet bars: when the venue is a ``Book``, the
     candles are the series' own and the loop built a column-fed stepper
-    from a config, then at a bar with no queued order and no armed stop it
-    asks the stepper for the next bar at which it can emit
-    (``quiet_until``), marks the book for every bar before that one in bulk
-    and skips them. Paper sessions and prebuilt or duck-typed steppers walk
-    every bar. Both give the same report, bit for bit.
+    from a config, then at a bar with no queued order it asks the stepper
+    for the next bar at which it can emit (``quiet_until``) and does not
+    step it before that bar. With no armed stop it marks the book for every
+    bar of the stretch in bulk. With an armed stop it walks the stretch
+    with ``apply_stops`` and the mark alone, and ends it at the bar where
+    the stop fires, whose close intent fills at the next open as usual.
+    Paper sessions and prebuilt or duck-typed steppers walk every bar. Both
+    give the same report, bit for bit.
     """
     store = None
     if series is not None:
@@ -420,23 +429,39 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
     bars = enumerate(candles)
     try:
         for t, candle in bars:
-            if quiet_until is not None and not queue and ledger.stop is None:
+            if quiet_until is not None and not queue:
                 until = quiet_until(t)
                 if until > t:
-                    # bars t to until-1 fill nothing, arm no stop and emit
-                    # nothing: mark the book with the per-bar walk's floats
-                    # and leave the loop's state as the walk would, but for
-                    # last_atr: only an opening fill reads it, and the next
-                    # walked bar sets it before any fill
+                    # from bar t to until-1 nothing fills and the stepper
+                    # emits nothing: mark the book with the per-bar walk's
+                    # floats and leave the loop's state as the walk would
                     cash = venue.cash
-                    if venue.positions:
-                        (qty,) = venue.positions.values()
-                        equity.extend([cash + qty * close for close in series.closes[t:until]])
+                    stop = ledger.stop
+                    if stop is None:
+                        # no stop either; last_atr is left stale: only an
+                        # opening fill reads it, and the next walked bar
+                        # sets it before any fill
+                        end = until
+                        if venue.positions:
+                            (qty,) = venue.positions.values()
+                            equity.extend([cash + qty * close for close in series.closes[t:end]])
+                        else:
+                            equity.extend([cash] * (end - t))
                     else:
-                        equity.extend([cash] * (until - t))
-                    stepper.bars_seen = until
-                    candle = series.candles[until - 1]  # the last bar marked so far
-                    next(islice(bars, until - t - 1, until - t - 1), None)
+                        # a stop-armed stretch: only the stop is walked, up
+                        # to the bar where it fires
+                        (qty,) = venue.positions.values()
+                        for end, candle in enumerate(series.candles[t:until], t):
+                            last_atr = atr[end]
+                            equity.append(cash + qty * candle.close)
+                            intent = apply_stops(stop, candle, last_atr, stop_settings)
+                            if intent is not None:
+                                queue.append(intent)
+                                break
+                        end += 1
+                    stepper.bars_seen = end
+                    candle = series.candles[end - 1]  # the last bar marked so far
+                    next(islice(bars, end - t - 1, end - t - 1), None)
                     continue
             if queue:
                 open_price = candle.open

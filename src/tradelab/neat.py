@@ -16,6 +16,7 @@ carried into the next generation keep their fitness and are not re-scored.
 from __future__ import annotations
 
 import heapq
+import itertools
 import logging
 import math
 import random
@@ -108,9 +109,6 @@ class Genome:
     def connection_pairs(self) -> set[tuple[int, int]]:
         return {(c.src, c.dst) for c in self.connections}
 
-    def size(self) -> int:
-        return len(self.connections)
-
 
 def validate_genome(genome: Genome) -> None:
     """Raise if the genome breaks its structural invariants."""
@@ -188,6 +186,7 @@ _KERNEL_LIMIT = 1024
 # network shape -> kernel, in the order they were generated; see
 # _network_kernel. Shared by every evaluator in the process.
 _NETWORK_KERNELS: dict = {}
+_KERNEL_NUMBERS = itertools.count()
 
 
 def _network_kernel(shape):
@@ -270,7 +269,8 @@ def _network_kernel(shape):
     body = "".join(f"        {clause}\n" for clause in [rows, *clauses])
     source += f"    return [{row}\n{body}    ]\n"
     namespace = {"slope": SIGMOID_SLOPE, "exp": math.exp}
-    exec(source, namespace)
+    # a file name of its own gives each kernel its own row in a profile
+    exec(compile(source, f"<network kernel {next(_KERNEL_NUMBERS)}>", "exec"), namespace)
     if len(_NETWORK_KERNELS) >= _KERNEL_LIMIT:
         del _NETWORK_KERNELS[next(iter(_NETWORK_KERNELS))]
     kernel = _NETWORK_KERNELS[shape] = namespace["kernel"]

@@ -7,7 +7,9 @@ at bar i depends only on bars up to i, so no-lookahead holds either way;
 feeding the same prefix always reproduces the same intents.
 
 Signals are evaluated on bar closes; the backtester fills the resulting
-intents at the next bar's open.
+intents at the next bar's open. Intents are frozen, and a stepper may return
+the same intent objects and lists on every bar that emits them, so callers
+read the lists and never modify them.
 
 Intent sizing:
 
@@ -88,6 +90,18 @@ class StopSettings:
     profit_mult: float = 4.0
     fallback_stop_pct: float = 0.05
     fallback_profit_pct: float = 0.10
+
+    def __post_init__(self) -> None:
+        # a multiple or a profit share of zero or less puts the stop or the
+        # target on the wrong side of the close, and a stop share of 1 or
+        # more puts the stop at or below zero, where it never fires
+        for name in ("stop_mult", "profit_mult", "fallback_profit_pct"):
+            value = getattr(self, name)
+            if not 0 < value <= 1e100:
+                raise ValidationError(f"{name} must be in (0, 1e100], got {value!r}")
+        if not 0 < self.fallback_stop_pct < 1:
+            raise ValidationError(
+                f"fallback_stop_pct must be in (0, 1), got {self.fallback_stop_pct!r}")
 
 
 @dataclass(frozen=True)
@@ -304,6 +318,10 @@ class SignalStepper:
         self.size = config.size
         self._candles = store.series.candles if store is not None else None
         self._signals: list[int] | None = None
+        # intents are frozen, so every emission returns the same ones
+        self._open = ([TradeIntent(Side.OPEN_LONG, self.symbol, self.size,
+                                   reason=self.open_reason)], [])
+        self._close = ([], [TradeIntent(Side.CLOSE_LONG, self.symbol, reason=self.close_reason)])
         self.in_position = False
         self.bars_seen = 0
 
@@ -319,11 +337,10 @@ class SignalStepper:
             raise _misaligned(bar)
         if signal > 0 and not self.in_position:
             self.in_position = True
-            return ([TradeIntent(Side.OPEN_LONG, self.symbol, self.size,
-                                 reason=self.open_reason)], [])
+            return self._open
         if signal < 0 and self.in_position:
             self.in_position = False
-            return ([], [TradeIntent(Side.CLOSE_LONG, self.symbol, reason=self.close_reason)])
+            return self._close
         return _NO_INTENTS
 
     def quiet_until(self, bar: int) -> int:

@@ -307,6 +307,56 @@ def test_backtest_steps_only_where_something_can_happen(monkeypatch, stops):
         assert len(steps) == walked + len(series)  # the reference steps every bar
 
 
+def test_stop_armed_stretches_step_only_on_execution_and_emission_bars(monkeypatch):
+    """While a stop is armed, the backtest walks the bars where the stepper
+    cannot emit with the stop alone: the stepper steps only where an order
+    executes or where it emits itself, and the report is the streamed
+    walk's. Among the cases are stops that fire on a stretch's last bar, the
+    one before the stepper emits, and stretches that run into the
+    end-of-data flatten."""
+    steps = []
+    step = SignalStepper.step
+
+    def counting(self, candle):
+        steps.append(self.bars_seen)
+        return step(self, candle)
+
+    monkeypatch.setattr(SignalStepper, "step", counting)
+    stop_reasons = ("stop-loss", "take-profit")
+    seen = {f"{kind} {event}": 0 for kind in ("ema_cross", "neat")
+            for event in ("stop on a stretch's last bar", "stretch into the flatten")}
+    for seed in range(32):
+        series = random_series(600 + seed, n=300, vol=0.02)
+        genome = random_genome(seed, 1, 3, 6, weight_span=8.0)
+        strategies = {"ema_cross": EmaCrossParams(3 + seed % 5, 12 + seed % 17),
+                      "neat": NeatParams(genome, (IndicatorSpec("rsi", {"p": 5}),),
+                                         ((50.0, 15.0),))}
+        for stops in (StopSettings(atr_period=10, stop_mult=0.5, profit_mult=1.0),
+                      StopSettings(atr_period=10)):
+            for kind, params in strategies.items():
+                config = StrategyConfig("RND", params, stops=stops)
+                steps.clear()
+                report = run_backtest(config, series, 1_000.0, CostModel())
+                orders = [o for o in report.orders if o.intent.reason != "end-of-data"]
+                executed_or_emitted = {o.created_at_bar + d for o in orders for d in (0, 1)}
+                assert set(steps) <= executed_or_emitted
+                assert len(steps) <= 2 * len(report.orders)
+                assert outcome(report) == outcome(
+                    streamed_backtest(config, series, 1_000.0, CostModel()))
+                stop_bars = {o.created_at_bar for o in orders if o.intent.reason in stop_reasons}
+                emitted = {o.created_at_bar for o in orders}
+                stepper_bars = {o.created_at_bar for o in orders
+                                if o.intent.reason not in stop_reasons}
+                # bar k starts with no queued order and the stepper emits on k + 1
+                seen[f"{kind} stop on a stretch's last bar"] += sum(
+                    k - 1 not in emitted and k not in stepper_bars and k + 1 in stepper_bars
+                    for k in stop_bars)
+                last = report.bars - 1
+                seen[f"{kind} stretch into the flatten"] += (
+                    report.forced_close and not emitted & {last - 1, last})
+    assert min(seen.values()) >= 3, seen
+
+
 def test_network_signals_with_non_finite_sums_equal_activate():
     """Inputs near 1e300 times weights of 1e10 overflow to +-inf, and inf -
     inf is NaN; the column signal and the column backtest still equal

@@ -482,6 +482,13 @@ def edited_config(tmp_path, path, value):
     ("optimize.inputs", "rsi:p=5", ["backtest"], "'inputs' must be a list"),
     ("optimize.evolution.seed", 3, ["backtest"], "unknown key 'seed'"),
     ("costs.slippage_bps", 20000, ["backtest"], "slippage_bps must be a number in [0, 10000)"),
+    ("strategy.stops.stop_mult", -2.0, ["backtest"], "stop_mult must be in (0, 1e100]"),
+    ("strategy.stops.profit_mult", 0, ["backtest"], "profit_mult must be in (0, 1e100]"),
+    ("strategy.stops.fallback_stop_pct", 7.0, ["backtest"],
+     "fallback_stop_pct must be in (0, 1)"),
+    ("strategy.stops.fallback_profit_pct", -0.1, ["backtest"],
+     "fallback_profit_pct must be in (0, 1e100]"),
+    ("strategy.stops.stop_mult", 1e101, TUNE, "stop_mult must be in (0, 1e100]"),
 ])
 def test_cmd_bad_config_entry_exit_1(tmp_path, capsys, path, value, command, needle):
     cfg = edited_config(tmp_path, path, value)

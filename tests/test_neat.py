@@ -270,6 +270,15 @@ def test_network_kernels_take_weights_as_arguments(monkeypatch):
     assert neat_module._NETWORK_KERNELS == kernels
 
 
+def test_network_kernels_compile_under_their_own_file_names(monkeypatch):
+    # a profile then shows one row per kernel, not one shared "<string>" row
+    monkeypatch.setattr(neat_module, "_NETWORK_KERNELS", {})
+    shapes = [(1, 0, ((0,) * k,), (1,), True) for k in (1, 2)]
+    names = [neat_module._network_kernel(shape).__code__.co_filename for shape in shapes]
+    assert names[0] != names[1]
+    assert all(name.startswith("<network kernel ") for name in names)
+
+
 def test_evolve_run_caches_one_kernel_per_network_shape(monkeypatch):
     requested = []
     network_kernel = neat_module._network_kernel
@@ -423,7 +432,7 @@ def test_distance_equals_the_merge_walk_bit_for_bit():
     pairs += [(random_genome(s, rounds=18), random_genome(s + 1000, rounds=18)) for s in range(20)]
     for a, b in pairs:
         tops = [g.connections[-1].innovation if g.connections else -1 for g in (a, b)]
-        seen["long"] += max(a.size(), b.size()) >= 20
+        seen["long"] += max(len(a.connections), len(b.connections)) >= 20
         seen["empty"] += not (a.connections and b.connections)
         seen["equal tops"] += tops[0] == tops[1] and tops[0] >= 0
         seen["excess in a"] += tops[0] > tops[1]

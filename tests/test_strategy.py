@@ -403,6 +403,25 @@ SETTINGS = StopSettings(atr_period=14, stop_mult=2.0, profit_mult=4.0,
                         fallback_stop_pct=0.05, fallback_profit_pct=0.10)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("stop_mult", 0.0), ("stop_mult", -2.0), ("stop_mult", 1.1e100),
+    ("profit_mult", 0.0), ("profit_mult", -1.0), ("profit_mult", math.inf),
+    ("fallback_stop_pct", 0.0), ("fallback_stop_pct", 1.0), ("fallback_stop_pct", 7.0),
+    ("fallback_stop_pct", -0.05), ("fallback_profit_pct", 0.0),
+    ("fallback_profit_pct", -0.1), ("fallback_profit_pct", 1e101),
+    ("stop_mult", math.nan), ("fallback_stop_pct", math.nan),
+])
+def test_stop_settings_reject_stops_on_the_wrong_side(field, value):
+    with pytest.raises(ValidationError, match=field):
+        StopSettings(**{field: value})
+
+
+def test_stop_settings_accept_the_range_edges():
+    StopSettings(stop_mult=1e100, profit_mult=1e-300, fallback_stop_pct=0.999,
+                 fallback_profit_pct=1e100)
+    StopSettings(stop_mult=5e-324, fallback_stop_pct=5e-324, fallback_profit_pct=2.0)
+
+
 def bar_at(price, i=0):
     return Candle(i * STEP_MS, price, price, price, price, 1.0)
 

@@ -216,16 +216,17 @@ class Book:
     """One account: cash plus signed base-asset positions, and fees paid.
 
     :meth:`fill` is the only place where an order becomes a fill. It applies
-    slippage against the trader and the proportional fee, checks funds for
-    buys that do not cover a short, refuses shorts when shorting is off and
-    closing orders larger than the position, and drops a symbol from
-    ``positions`` when a closing fill leaves it flat, dust included. The
-    fill's side follows from the position held before it.
+    slippage against the trader and the proportional fee, checks funds (up
+    to rounding relative to the cash) for buys that do not cover a short,
+    refuses shorts when shorting is off and closing orders larger than the
+    position, and drops a symbol from ``positions`` when a closing fill
+    leaves it flat, dust included. The fill's side follows from the
+    position held before it.
     """
 
     def __init__(self, cash: float, costs: CostModel, allow_short: bool):
-        if not cash > 0:
-            raise ValidationError("initial cash must be > 0")
+        if not (isinstance(cash, (int, float)) and 0 < cash < float("inf")):
+            raise ValidationError(f"initial cash must be a finite number > 0, got {cash!r}")
         self.cash = cash
         self.costs = costs
         self.allow_short = allow_short
@@ -248,7 +249,7 @@ class Book:
         notional = size * price
         fee = notional * self.costs.fee_rate
         if buy:
-            if not closing and notional + fee > self.cash + 1e-9:
+            if not closing and notional + fee > self.cash + max(1e-9, 1e-12 * self.cash):
                 return "InsufficientFunds"
             self.cash -= notional + fee
             side = Side.CLOSE_SHORT if closing else Side.OPEN_LONG
@@ -277,9 +278,9 @@ class TradeLedger:
     """Fills in the order they happened, FIFO-matched into trade records,
     plus the stop state of the primary symbol's open position.
 
-    The stop is armed on the primary symbol's first entry fill and dropped
-    when a fill leaves that position flat, so added entries keep the first
-    entry's stop.
+    The stop is armed on the primary symbol's first entry fill, with the
+    ATR of the bar before that fill, and dropped when a fill leaves that
+    position flat, so added entries keep the first entry's stop.
     """
 
     def __init__(self, symbol: str, stop_settings: StopSettings | None, fee_rate: float):
@@ -293,7 +294,7 @@ class TradeLedger:
 
     def record(self, fill: Fill, flat: bool, atr: float | None) -> None:
         """Add a fill. ``flat`` tells whether it left its symbol's position
-        at zero; ``atr`` is the last ATR value before it, for arming a stop."""
+        at zero; ``atr`` is the ATR of the bar before it, for arming a stop."""
         self.fills.append(fill)
         symbol = fill.symbol
         side = fill.side
@@ -352,10 +353,12 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
 
     ``candles`` yields the primary symbol's bars. ``series`` is the whole
     series they come from, when there is one, and must be gap-free: a
-    config's stepper and the stop ATR then read the series' indicator
-    columns. Fed from a candle iterator alone, they stream. ``aux`` is the
-    second pairs leg. ``venue`` is where orders fill: a ``Book``, or any
-    object with the same ``cash``, ``positions``, ``fill`` and ``flatten``.
+    config's stepper then reads the series' indicator columns; fed from a
+    candle iterator alone, it streams. The stop reads its ATR as one line
+    indexed by bar: the series' column, or the values the loop has streamed
+    so far. ``aux`` is the second pairs leg. ``venue`` is where orders
+    fill: a ``Book``, or any object with the same ``cash``, ``positions``,
+    ``fill`` and ``flatten``.
 
     Intents emitted on bar t become orders, sized with ``size_order`` and
     filled by the venue at bar t+1's open. A feed that raises
@@ -386,10 +389,10 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
         stepper = strategy  # duck-typed: anything with .step(candle)
         stop_settings = getattr(strategy, "stops", None)
     ledger = TradeLedger(symbol, stop_settings, costs.fee_rate)
-    atr = stream = None  # the stop's ATR: a column over the series, or a stream
+    atr = push_atr = None  # the stop's ATR by bar: the series' column, or streamed so far
     if stop_settings is not None:
         if store is None:
-            stream = AtrStream(stop_settings.atr_period)
+            atr, push_atr = [], AtrStream(stop_settings.atr_period).push
         else:
             (atr,) = store.lines(IndicatorSpec("atr", {"p": stop_settings.atr_period}))
     quiet_until = None  # the stepper's next possible emission, when the loop may jump
@@ -402,7 +405,6 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
     orders: list[Order] = []
     queue: list[TradeIntent] = []  # emitted on the previous bar
     equity: list[float] = []
-    last_atr: float | None = None
 
     def execute(intent: TradeIntent, bar: int, raw_price: float) -> None:
         order = Order(id=len(orders), intent=intent, created_at_bar=bar - 1)
@@ -423,7 +425,8 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
             logger.debug("order %d rejected: %s", order.id, result)
             return
         order.status = OrderStatus.FILLED
-        ledger.record(result, venue.positions.get(name, 0.0) == 0.0, last_atr)
+        ledger.record(result, venue.positions.get(name, 0.0) == 0.0,
+                      None if atr is None else atr[bar - 1])
 
     interrupted = False
     bars = enumerate(candles)
@@ -438,9 +441,6 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
                     cash = venue.cash
                     stop = ledger.stop
                     if stop is None:
-                        # no stop either; last_atr is left stale: only an
-                        # opening fill reads it, and the next walked bar
-                        # sets it before any fill
                         end = until
                         if venue.positions:
                             (qty,) = venue.positions.values()
@@ -452,9 +452,8 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
                         # to the bar where it fires
                         (qty,) = venue.positions.values()
                         for end, candle in enumerate(series.candles[t:until], t):
-                            last_atr = atr[end]
                             equity.append(cash + qty * candle.close)
-                            intent = apply_stops(stop, candle, last_atr, stop_settings)
+                            intent = apply_stops(stop, candle, atr[end], stop_settings)
                             if intent is not None:
                                 queue.append(intent)
                                 break
@@ -468,15 +467,15 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
                 for intent in queue:
                     execute(intent, t, open_price)
                 queue.clear()
-            if stop_settings is not None:
+            if push_atr is not None:
+                atr.append(push_atr(candle))
+            stop = ledger.stop
+            if stop is not None:
                 # the stop component watches the primary series; pairs legs
                 # exit on their own signal, not on per-leg stops
-                atr_value = atr[t] if stream is None else stream.push(candle)
-                if ledger.stop is not None:
-                    intent = apply_stops(ledger.stop, candle, atr_value, stop_settings)
-                    if intent is not None:
-                        queue.append(intent)
-                last_atr = atr_value
+                intent = apply_stops(stop, candle, atr[t], stop_settings)
+                if intent is not None:
+                    queue.append(intent)
             if candles_b is not None:
                 opens_i, closes_i = stepper.step_pair(candle, candles_b[t])
             else:
@@ -511,7 +510,7 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
         intent = TradeIntent(fill.side, fill.symbol, reason="end-of-data")
         orders.append(Order(id=len(orders), intent=intent, created_at_bar=last,
                             status=OrderStatus.FILLED))
-        ledger.record(fill, True, last_atr)
+        ledger.record(fill, True, None)  # a closing fill arms no stop
     if forced:
         equity[-1] = venue.cash
 

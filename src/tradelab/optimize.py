@@ -63,7 +63,6 @@ class LeaderboardEntry:
 
 
 def tune_parameters(kind: StrategyKind, search_space, train: CandleSeries, *,
-                    symbol: str | None = None,
                     initial_cash: float = 10_000.0,
                     costs: CostModel | None = None,
                     size: float = 1.0,
@@ -84,8 +83,7 @@ def tune_parameters(kind: StrategyKind, search_space, train: CandleSeries, *,
     candidates = expand_grid(search_space)
     if not candidates:
         raise EmptySearchSpace("no candidates to evaluate")
-    symbol = symbol or train.symbol
-    configs = [make_config(kind, symbol, params, size, stops)
+    configs = [make_config(kind, train.symbol, params, size, stops)
                for params in candidates]  # a bad candidate fails before any backtest
     entries = []
     for params, config in zip(candidates, configs):

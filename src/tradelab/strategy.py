@@ -29,12 +29,12 @@ from enum import Enum
 from .data import Candle, CandleSeries
 from .errors import TradeLabError, ValidationError
 from .indicators import (
-    AdxStream,
     EmaStream,
     IndicatorSpec,
     InvalidPeriods,
     indicator_lines,
     make_stream,
+    require_period,
     spec_lines,
 )
 from .neat import Genome, NetworkEvaluator, NodeKind
@@ -110,7 +110,8 @@ class EmaCrossParams:
     p_long: int = 21
 
     def __post_init__(self) -> None:
-        if self.p_short >= self.p_long:
+        # checked here too: a memoized column serves any equal spec (True == 1)
+        if require_period(self.p_short, "p_short") >= require_period(self.p_long, "p_long"):
             raise InvalidPeriods(
                 f"p_short {self.p_short} must be < p_long {self.p_long}"
             )
@@ -153,8 +154,8 @@ class PairsParams:
 class ColumnStore:
     """The indicator columns of one series. They live in the series' own
     ``column_memo``, so each is computed once and shared by every backtest
-    of that series object: a tune's candidates, an evolution's genomes, the
-    stop ATR.
+    of that series object (a tune's candidates, an evolution's genomes, the
+    stop ATR) and by the standalone signal functions.
 
     ``lines(spec)`` computes a spec's output lines on first request with
     streaming's warm-up semantics: a line that never warms up on the series
@@ -443,31 +444,53 @@ class GridStepper:
 DEGENERATE_SPREAD_STD = 1e-12
 
 
+class PairsAction(Enum):
+    LONG_A_SHORT_B = "long_a_short_b"
+    SHORT_A_LONG_B = "short_a_long_b"
+    EXIT = "exit"
+
+
 class PairsStepper:
     """Mean-reversion on the log-price spread of two legs.
 
-    Enters when |z| crosses above the entry threshold (shorting the rich
-    leg), exits when |z| falls back below the exit threshold. Bars where the
-    rolling deviation is degenerate produce no signal.
+    ``decide`` is the pairs rule, which ``pairs_signals`` lists too: it
+    enters when |z| crosses above the entry threshold (shorting the rich
+    leg) and exits when |z| falls back below the exit threshold. Bars where
+    the rolling deviation is degenerate produce no signal. ``step_pair``
+    maps each decision to the two legs' intents, built once per stepper.
     """
 
     def __init__(self, config: StrategyConfig, store: ColumnStore | None = None):
         p = config.params
-        self.symbol_a = config.symbol
-        self.symbol_b = p.symbol_b
         self.lookback = p.lookback
         self.z_entry = p.z_entry
         self.z_exit = p.z_exit
-        self.fraction = p.leg_fraction
         self._win: deque[float] = deque(maxlen=p.lookback)
         self._prev_abs_z: float | None = None
-        self.position: str | None = None  # None | "short_a" | "long_a"
+        self.position: PairsAction | None = None  # the entry held, if any
         self.bars_seen = 0
+        a, b, f = config.symbol, p.symbol_b, p.leg_fraction
+        short_a, long_a = PairsAction.SHORT_A_LONG_B, PairsAction.LONG_A_SHORT_B
+        # intents are frozen, so every emission returns the same ones
+        self._opens = {
+            short_a: ([TradeIntent(Side.OPEN_SHORT, a, f, reason="pairs-entry"),
+                       TradeIntent(Side.OPEN_LONG, b, f, reason="pairs-entry")], []),
+            long_a: ([TradeIntent(Side.OPEN_LONG, a, f, reason="pairs-entry"),
+                      TradeIntent(Side.OPEN_SHORT, b, f, reason="pairs-entry")], []),
+        }
+        self._closes = {  # keyed by the entry they exit
+            short_a: ([], [TradeIntent(Side.CLOSE_SHORT, a, reason="pairs-exit"),
+                           TradeIntent(Side.CLOSE_LONG, b, reason="pairs-exit")]),
+            long_a: ([], [TradeIntent(Side.CLOSE_LONG, a, reason="pairs-exit"),
+                          TradeIntent(Side.CLOSE_SHORT, b, reason="pairs-exit")]),
+        }
 
     def step(self, candle: Candle):
         raise StrategyStateError("pairs strategies step on two candles; use step_pair")
 
-    def step_pair(self, candle_a: Candle, candle_b: Candle):
+    def decide(self, candle_a: Candle, candle_b: Candle) -> PairsAction | None:
+        """Consume one aligned bar of both legs: the entry taken or the exit
+        made at it, or None."""
         self.bars_seen += 1
         if candle_a.ts != candle_b.ts:
             raise MisalignedSeries(
@@ -476,39 +499,32 @@ class PairsStepper:
         spread = math.log(candle_a.close) - math.log(candle_b.close)
         self._win.append(spread)
         if len(self._win) < self.lookback:
-            return _NO_INTENTS
+            return None
         mean = sum(self._win) / self.lookback
         var = sum((x - mean) ** 2 for x in self._win) / self.lookback
         std = math.sqrt(var)
         if std <= DEGENERATE_SPREAD_STD:
-            return _NO_INTENTS  # degenerate spread: no signal at this bar
+            return None  # degenerate spread: no signal at this bar
         z = (spread - mean) / std
         prev_abs = self._prev_abs_z
         self._prev_abs_z = abs(z)
-        opens: list[TradeIntent] = []
-        closes: list[TradeIntent] = []
         if self.position is None:
-            crossed = prev_abs is not None and prev_abs <= self.z_entry < abs(z)
-            if crossed:
-                if z > 0:  # leg A rich: short A, long B
-                    opens.append(TradeIntent(Side.OPEN_SHORT, self.symbol_a, self.fraction, reason="pairs-entry"))
-                    opens.append(TradeIntent(Side.OPEN_LONG, self.symbol_b, self.fraction, reason="pairs-entry"))
-                    self.position = "short_a"
-                else:
-                    opens.append(TradeIntent(Side.OPEN_LONG, self.symbol_a, self.fraction, reason="pairs-entry"))
-                    opens.append(TradeIntent(Side.OPEN_SHORT, self.symbol_b, self.fraction, reason="pairs-entry"))
-                    self.position = "long_a"
+            if prev_abs is not None and prev_abs <= self.z_entry < abs(z):
+                # z > 0: leg A rich, so short A and long B
+                self.position = (PairsAction.SHORT_A_LONG_B if z > 0
+                                 else PairsAction.LONG_A_SHORT_B)
+                return self.position
         elif abs(z) < self.z_exit:
-            if self.position == "short_a":
-                closes.append(TradeIntent(Side.CLOSE_SHORT, self.symbol_a, reason="pairs-exit"))
-                closes.append(TradeIntent(Side.CLOSE_LONG, self.symbol_b, reason="pairs-exit"))
-            else:
-                closes.append(TradeIntent(Side.CLOSE_LONG, self.symbol_a, reason="pairs-exit"))
-                closes.append(TradeIntent(Side.CLOSE_SHORT, self.symbol_b, reason="pairs-exit"))
             self.position = None
-        if opens or closes:
-            return (opens, closes)
-        return _NO_INTENTS
+            return PairsAction.EXIT
+        return None
+
+    def step_pair(self, candle_a: Candle, candle_b: Candle):
+        held = self.position
+        action = self.decide(candle_a, candle_b)
+        if action is None:
+            return _NO_INTENTS
+        return self._closes[held] if action is PairsAction.EXIT else self._opens[action]
 
 
 def normalize_row(raw, norm: tuple[tuple[float, float], ...]) -> list[float]:
@@ -634,16 +650,11 @@ def ema_crossover_signals(series: CandleSeries, p_short: int, p_long: int
     symmetric. No signals during warm-up.
     """
     EmaCrossParams(p_short, p_long)  # raises InvalidPeriods unless p_short < p_long
-    (short,) = indicator_lines(IndicatorSpec("ema", {"p": p_short}), series)
-    (long_,) = indicator_lines(IndicatorSpec("ema", {"p": p_long}), series)
+    store = ColumnStore(series)
+    (short,) = store.lines(IndicatorSpec("ema", {"p": p_short}))
+    (long_,) = store.lines(IndicatorSpec("ema", {"p": p_long}))
     return [(i, SignalDirection.BUY if cross > 0 else SignalDirection.SELL)
             for i, cross in enumerate(crossing_column(short, long_)) if cross]
-
-
-class PairsAction(Enum):
-    LONG_A_SHORT_B = "long_a_short_b"
-    SHORT_A_LONG_B = "short_a_long_b"
-    EXIT = "exit"
 
 
 def pairs_signals(series_a: CandleSeries, series_b: CandleSeries, lookback: int,
@@ -656,18 +667,9 @@ def pairs_signals(series_a: CandleSeries, series_b: CandleSeries, lookback: int,
         params=PairsParams(symbol_b=series_b.symbol, lookback=lookback,
                            z_entry=z_entry, z_exit=z_exit),
     )
-    stepper = PairsStepper(config)
-    signals: list[tuple[int, PairsAction]] = []
-    for i, (ca, cb) in enumerate(zip(series_a.candles, series_b.candles)):
-        opens, closes = stepper.step_pair(ca, cb)
-        for intent in opens:
-            if intent.symbol == series_a.symbol:
-                action = (PairsAction.SHORT_A_LONG_B if intent.side is Side.OPEN_SHORT
-                          else PairsAction.LONG_A_SHORT_B)
-                signals.append((i, action))
-        if closes:
-            signals.append((i, PairsAction.EXIT))
-    return signals
+    decide = PairsStepper(config).decide
+    return [(i, action) for i, (ca, cb) in enumerate(zip(series_a.candles, series_b.candles))
+            if (action := decide(ca, cb)) is not None]
 
 
 class TrendLabel(Enum):
@@ -684,22 +686,16 @@ def trend_identify(series: CandleSeries, p_short: int, p_long: int,
     sideways otherwise and throughout warm-up.
     """
     EmaCrossParams(p_short, p_long)  # raises InvalidPeriods unless p_short < p_long
-    short = EmaStream(p_short)
-    long_ = EmaStream(p_long)
-    strength = AdxStream(adx_p)
+    store = ColumnStore(series)
+    (short,) = store.lines(IndicatorSpec("ema", {"p": p_short}))
+    (long_,) = store.lines(IndicatorSpec("ema", {"p": p_long}))
+    (strength,) = store.lines(IndicatorSpec("adx", {"p": require_period(adx_p, "adx_p")}))
     labels = []
-    for candle in series.candles:
-        s = short.push(candle)
-        l = long_.push(candle)
-        a = strength.push(candle)
-        if s is None or l is None or a is None or a < adx_min:
+    for s, l, a in zip(short, long_, strength):
+        if s is None or l is None or a is None or a < adx_min or s == l:
             labels.append(TrendLabel.SIDEWAYS)
-        elif s > l:
-            labels.append(TrendLabel.BULLISH)
-        elif s < l:
-            labels.append(TrendLabel.BEARISH)
         else:
-            labels.append(TrendLabel.SIDEWAYS)
+            labels.append(TrendLabel.BULLISH if s > l else TrendLabel.BEARISH)
     return labels
 
 

@@ -423,6 +423,35 @@ def test_stop_loss_closes_position():
     assert "stop-loss" in reasons
 
 
+def test_stop_arms_with_the_atr_of_the_bar_before_the_fill():
+    """An open signalled at bar t fills at bar t+1's open; its target is the
+    entry price plus profit_mult times the ATR of bar t, so take-profit
+    fires at the first bar whose close exceeds it and not before, whether
+    the ATR is streamed or read from the series' column."""
+    closes = [100.0, 101.0] * 5 + [110.0] + [110.5 + 0.5 * k for k in range(30)]
+    series = series_from_closes(closes, symbol="RND")
+    stops = StopSettings(atr_period=3, stop_mult=2.0, profit_mult=2.0)
+    (atr,) = ColumnStore(series).lines(IndicatorSpec("atr", {"p": 3}))
+    t = 10
+    entry = series.candles[t + 1].open
+
+    def take_profit_bar(atr_value):
+        target = entry + stops.profit_mult * atr_value
+        return next(k for k in range(t + 1, len(closes)) if closes[k] > target)
+
+    expected = take_profit_bar(atr[t])
+    # the ATR of the neighbouring bars would fire elsewhere
+    assert expected not in (take_profit_bar(atr[t - 1]), take_profit_bar(atr[t + 1]))
+    for backtest in (run_backtest, streamed_backtest):
+        strategy = ScriptedStrategy({t: ([TradeIntent(Side.OPEN_LONG, "RND")], [])})
+        strategy.stops = stops
+        report = backtest(strategy, series, 1_000.0, ZERO_COSTS)
+        (trade,) = report.trades
+        assert (trade.entry_bar, trade.entry_price) == (t + 1, entry)
+        assert (trade.exit_reason, trade.exit_bar) == ("take-profit", expected + 1)
+        assert [o.created_at_bar for o in report.orders] == [t, expected]
+
+
 def test_take_profit_closes_position():
     closes = [100.0] * 30 + [130.0] * 10
     series = series_from_closes(closes, symbol="RND")
@@ -488,6 +517,33 @@ def test_pairs_leg_b_is_sized_from_cash_left_after_leg_a(params, sides, notional
 def test_book_rejects_nan_cash():
     with pytest.raises(ValidationError, match="initial cash"):
         Book(float("nan"), CostModel(), False)
+
+
+@pytest.mark.parametrize("cash", [float("inf"), float("-inf"), float("nan")])
+def test_backtest_rejects_non_finite_cash(cash):
+    with pytest.raises(ValidationError, match="initial cash"):
+        run_backtest(null_config(), random_series(0, n=20), cash)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_account_size_does_not_change_trading(seed):
+    """A full-size open is affordable at any account size: seeded ema_cross
+    walks make the same fills, trades and score at 1e4, 1e8 and 1e12 cash,
+    with quantities in proportion to the cash and no order rejected."""
+    series = random_series(seed + 1, n=400)
+    config = StrategyConfig("RND", EmaCrossParams(5, 20))
+    reports = {cash: run_backtest(config, series, cash) for cash in (1e4, 1e8, 1e12)}
+    base = reports[1e4]
+    assert len(base.fills) >= 8
+    for cash, report in reports.items():
+        assert not [o.reject_reason for o in report.orders if o.status is OrderStatus.REJECTED]
+        assert [(f.bar, f.side, f.price, f.reason, f.forced) for f in report.fills] == \
+            [(f.bar, f.side, f.price, f.reason, f.forced) for f in base.fills]
+        assert [f.quantity / cash for f in report.fills] == \
+            pytest.approx([f.quantity / 1e4 for f in base.fills], rel=1e-9)
+        assert [(t.entry_bar, t.exit_bar, t.profit_pct) for t in report.trades] == \
+            [(t.entry_bar, t.exit_bar, t.profit_pct) for t in base.trades]
+        assert report.score == pytest.approx(base.score, rel=1e-9, abs=1e-9)
 
 
 def test_random_strategy_conservation_small():

@@ -47,6 +47,12 @@ def test_fill_price_and_fee_example():
     assert broker.account().positions["AB"] == 1.0
 
 
+@pytest.mark.parametrize("cash", [float("inf"), float("nan")])
+def test_simulator_rejects_non_finite_cash(cash):
+    with pytest.raises(ValidationError, match="initial cash"):
+        SimulatedBroker(random_series(0, n=20), cash)
+
+
 def test_duplicate_client_id_is_idempotent():
     series = flat_series(5, price=100.0, symbol="AB")
     broker = started_broker(series)

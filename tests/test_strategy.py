@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -373,6 +374,46 @@ def test_pairs_stepper_emits_two_legged_intents():
         assert sorted(s.value for s in sides.values()) == ["open_long", "open_short"]
 
 
+# the pairs stepper's entry opens, by the side leg A opens with
+ENTRY_BY_A_SIDE = {Side.OPEN_SHORT: PairsAction.SHORT_A_LONG_B,
+                   Side.OPEN_LONG: PairsAction.LONG_A_SHORT_B}
+
+
+def test_pairs_signals_list_the_steppers_entries_and_exits():
+    """Over seeded pairs with random lookbacks and thresholds, pairs_signals
+    lists exactly the bars and directions at which step_pair emits: an
+    entry opens leg A on the listed side and leg B on the other, and an exit
+    closes both legs of the entry held."""
+    rng = random.Random(17)
+    listed = 0
+    for seed in range(40):
+        a, b = synthetic_pair(seed, n=rng.randint(60, 400))
+        lookback = rng.randint(2, 60)
+        z_entry = rng.uniform(0.5, 3.0)
+        z_exit = rng.uniform(0.0, z_entry * 0.95)
+        config = StrategyConfig("A", PairsParams(symbol_b="B", lookback=lookback,
+                                                 z_entry=z_entry, z_exit=z_exit))
+        emitted = []
+        held = None
+        for i, (opens, closes) in enumerate(run_stepper(config, a, series_b=b)):
+            assert not (opens and closes)
+            if opens:
+                (leg_a, leg_b) = opens
+                assert (leg_a.symbol, leg_b.symbol) == ("A", "B")
+                assert {leg_a.side, leg_b.side} == {Side.OPEN_LONG, Side.OPEN_SHORT}
+                held = ENTRY_BY_A_SIDE[leg_a.side]
+                emitted.append((i, held))
+            elif closes:
+                (leg_a, leg_b) = closes
+                long_a = held is PairsAction.LONG_A_SHORT_B
+                assert leg_a.side is (Side.CLOSE_LONG if long_a else Side.CLOSE_SHORT)
+                assert leg_b.side is (Side.CLOSE_SHORT if long_a else Side.CLOSE_LONG)
+                emitted.append((i, PairsAction.EXIT))
+        assert pairs_signals(a, b, lookback, z_entry, z_exit) == emitted
+        listed += len(emitted)
+    assert listed > 100, "the cases should enter and exit many times"
+
+
 # ---------------------------------------------------------------------------
 # Trend identification
 # ---------------------------------------------------------------------------
@@ -393,6 +434,30 @@ def test_trend_downward_ramp_bearish():
     closes = [100.0 * 0.997 ** i for i in range(160)]
     labels = trend_identify(series_from_closes(closes), 9, 21)
     assert labels[-1] is TrendLabel.BEARISH
+
+
+def test_signal_functions_read_the_series_columns():
+    """trend_identify and ema_crossover_signals read the series' memoized
+    EMA and ADX lines, which a later backtest of the series shares, and a
+    memoized column still refuses a period its indicator refuses."""
+    series = random_series(21, n=200)
+    labels = trend_identify(series, 5, 20, adx_p=10)
+    crosses = ema_crossover_signals(series, 5, 20)
+    read = {IndicatorSpec("ema", {"p": 5}), IndicatorSpec("ema", {"p": 20}),
+            IndicatorSpec("adx", {"p": 10})}
+    assert set(series.column_memo) == read
+    run_backtest(StrategyConfig("RND", EmaCrossParams(5, 20)), series)
+    assert set(series.column_memo) == read
+    fresh = random_series(21, n=200)
+    assert trend_identify(fresh, 5, 20, adx_p=10) == labels
+    assert ema_crossover_signals(fresh, 5, 20) == crosses
+    trend_identify(series, 1, 20, adx_p=1)
+    with pytest.raises(InvalidPeriods):
+        ema_crossover_signals(series, True, 20)  # True == 1 keys the p=1 column
+    with pytest.raises(InvalidPeriods):
+        trend_identify(series, 5, 20, adx_p=True)
+    with pytest.raises(InvalidPeriods):
+        run_backtest(StrategyConfig("RND", EmaCrossParams(True, 20)), series)
 
 
 # ---------------------------------------------------------------------------

@@ -552,6 +552,9 @@ def run_backtest(strategy, data: CandleSeries, initial_cash: float = 10_000.0,
         if not aux_series or symbol_b not in aux_series:
             raise ValidationError(f"pairs strategy needs aux series for '{symbol_b}'")
         aux = aux_series[symbol_b]
+        if aux.symbol == data.symbol:
+            raise ValidationError(f"pairs legs must be two symbols, both series are "
+                                  f"'{data.symbol}'")
         if aux.timestamps != data.timestamps:
             raise ValidationError("pairs legs must share timestamps")
     costs = costs or CostModel()

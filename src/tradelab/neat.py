@@ -10,7 +10,11 @@ Determinism contract: a run is fully determined by (seed, fitness function,
 config). Every child's mutation RNG is derived from (run seed, generation,
 slot index in the new population), so outcomes do not depend on evaluation
 order. The fitness function must be a function of the genome alone: elites
-carried into the next generation keep their fitness and are not re-scored.
+carried into the next generation keep their fitness and are not re-scored,
+and so does a bred child that mutation left unchanged (a mutation-only
+child, or a crossover of a parent with itself), which is a copy of its
+parent. A genome whose outputs are unreachable is the exception: its score
+is a floor relative to its own generation and is set again in the next.
 """
 
 from __future__ import annotations
@@ -512,31 +516,17 @@ class EvolutionConfig:
             raise ValidationError(f"max_generations must be >= 0, got {self.max_generations}")
 
 
-def _gene_key(genome: Genome) -> tuple[list[int], dict[int, float]]:
-    """What the distance reads of a genome: its innovation list in gene
-    (ascending) order and an ``{innovation: weight}`` map."""
-    conns = genome.connections
-    return [c.innovation for c in conns], {c.innovation: c.weight for c in conns}
+def _structure(innovations_a, innovations_b, config: EvolutionConfig) -> tuple[float, int]:
+    """``(c1*E/N + c2*D/N, matching)`` of two ascending innovation lists.
 
-
-def _keyed_distance(key_a, key_b, config: EvolutionConfig,
-                    threshold: float | None = None) -> float:
-    """The compatibility distance of two gene keys.
-
-    The shared innovations match. Only the genome with the larger top
+    The shared innovations match. Only the list with the larger top
     innovation holds excess genes: those above the other's top. The other
-    unmatched genes are disjoint. ``|dw|`` is summed along ``key_a``'s
-    innovation list, which is the order and the floats of a merge walk over
-    both gene lists. With a ``threshold``, a structural part
-    ``c1*E/N + c2*D/N`` already at or above it is returned as it is: adding
-    ``c3*mean|dw| >= 0`` cannot bring a sum below it under round-to-nearest,
-    so ``distance < threshold`` is answered exactly."""
-    innovations_a, weights_a = key_a
-    innovations_b, weights_b = key_b
+    unmatched genes are disjoint. The result depends on the lists alone, and
+    on neither their order nor the weights."""
     len_a, len_b = len(innovations_a), len(innovations_b)
     max_a = innovations_a[-1] if innovations_a else -1
     max_b = innovations_b[-1] if innovations_b else -1
-    matching = len(weights_a.keys() & weights_b.keys())
+    matching = len(set(innovations_a).intersection(innovations_b))
     if max_a > max_b:
         excess = len_a - bisect_right(innovations_a, max_b)
     elif max_b > max_a:
@@ -547,25 +537,34 @@ def _keyed_distance(key_a, key_b, config: EvolutionConfig,
     n = max(len_a, len_b)
     if n < 20:
         n = 1
-    structural = config.c1 * excess / n + config.c2 * disjoint / n
-    if threshold is not None and structural >= threshold:
-        return structural
+    return config.c1 * excess / n + config.c2 * disjoint / n, matching
+
+
+def _weight_term(connections, weights: dict[int, float], matching: int,
+                 config: EvolutionConfig) -> float:
+    """``c3*mean|dw|`` of a genome's genes against another's
+    ``{innovation: weight}`` map, given their ``matching`` count. ``|dw|`` is
+    summed in the genome's (ascending) innovation order, which is the order
+    and the floats of a merge walk over both gene lists."""
     weight_diff = 0.0
-    for innovation in innovations_a:
-        if innovation in weights_b:
-            weight_diff += abs(weights_a[innovation] - weights_b[innovation])
-    avg_w = weight_diff / matching if matching else 0.0
-    return structural + config.c3 * avg_w
+    for c in connections:
+        other = weights.get(c.innovation)
+        if other is not None:
+            weight_diff += abs(c.weight - other)
+    return config.c3 * (weight_diff / matching if matching else 0.0)
 
 
 def compatibility_distance(a: Genome, b: Genome, config: EvolutionConfig) -> float:
     """c1*E/N + c2*D/N + c3*mean|dw| over matching innovations; N is the
     larger gene count, forced to 1 when both genomes are small (< 20).
 
-    E counts the excess genes, D the disjoint ones. Both genomes are read
-    through their gene keys (innovation list and ``{innovation: weight}``
-    map), the same code :func:`speciate` runs, but without its early exit."""
-    return _keyed_distance(_gene_key(a), _gene_key(b), config)
+    E counts the excess genes, D the disjoint ones. The structural part and
+    the weight term are the two functions :func:`speciate` runs, without its
+    memo and early exit."""
+    structural, matching = _structure([c.innovation for c in a.connections],
+                                      [c.innovation for c in b.connections], config)
+    weights_b = {c.innovation: c.weight for c in b.connections}
+    return structural + _weight_term(a.connections, weights_b, matching, config)
 
 
 def _descendants(genome: Genome) -> dict[int, set[int]]:
@@ -614,9 +613,13 @@ def mutate(genome: Genome, config: EvolutionConfig, rng: random.Random,
 
 
 def _mutate_in_place(g: Genome, config: EvolutionConfig, rng: random.Random,
-                     tracker: InnovationTracker) -> None:
-    """The body of :func:`mutate`, applied to a genome nobody else holds."""
+                     tracker: InnovationTracker) -> bool:
+    """The body of :func:`mutate`, applied to a genome nobody else holds.
+    Returns whether it changed the genome: weights perturbed, a node split
+    applied or a gene added. The RNG draws are the same either way."""
+    changed = False
     if g.connections and rng.random() < config.weight_mutation_rate:
+        changed = True
         for conn in g.connections:
             if rng.random() < config.weight_reset_rate:
                 conn.weight = rng.uniform(-config.weight_init_span, config.weight_init_span)
@@ -624,6 +627,7 @@ def _mutate_in_place(g: Genome, config: EvolutionConfig, rng: random.Random,
                 conn.weight += rng.uniform(-config.weight_step, config.weight_step)
             conn.weight = max(-config.weight_cap, min(config.weight_cap, conn.weight))
 
+    appended = False
     if rng.random() < config.add_node_rate:
         enabled = [c for c in g.connections if c.enabled]
         if enabled:
@@ -635,6 +639,7 @@ def _mutate_in_place(g: Genome, config: EvolutionConfig, rng: random.Random,
                 g.nodes.append(NodeGene(node_id, NodeKind.HIDDEN))
                 g.connections.append(ConnectionGene(innov_in, conn.src, node_id, 1.0))
                 g.connections.append(ConnectionGene(innov_out, node_id, conn.dst, old_weight))
+                appended = True
 
     if rng.random() < config.add_connection_rate:
         candidates = _legal_new_connections(g)
@@ -644,10 +649,13 @@ def _mutate_in_place(g: Genome, config: EvolutionConfig, rng: random.Random,
                 ConnectionGene(tracker.connection(src, dst), src, dst,
                                rng.uniform(-config.weight_init_span, config.weight_init_span))
             )
+            appended = True
         else:
             logger.debug("add-connection skipped: topology saturated")
 
-    g.connections.sort(key=lambda c: c.innovation)
+    if appended:
+        g.connections.sort(key=lambda c: c.innovation)
+    return changed or appended
 
 
 def crossover(parent_a: Genome, parent_b: Genome, rng: random.Random) -> Genome:
@@ -696,25 +704,40 @@ def speciate(genomes: list[Genome], previous: list[Species],
     """Assign genomes to the first compatible species (distance below the
     threshold against the representative), creating new species as needed.
 
-    Each genome and representative gets one gene key per call: its
-    innovation list and ``{innovation: weight}`` map. A pair whose excess and
-    disjoint terms alone reach the threshold is rejected without the weight
-    term; since ``c3 >= 0`` that is exactly the decision the full
+    The structural part of a distance depends on the innovation lists alone,
+    and a population holds few distinct lists, so each distinct list gets one
+    row per call: the structural result against each representative, filled
+    in representative order as far as some genome of that list has walked.
+    The weight term is added only where the structural part is below the
+    threshold. A structural part at or above it rejects the pair as it is:
+    adding ``c3*mean|dw| >= 0`` cannot bring a sum below it under
+    round-to-nearest, so every decision is exactly the one the full
     :func:`compatibility_distance` gives."""
     shells = [Species(s.id, s.representative, [], s.staleness, s.best_fitness)
               for s in previous]
-    keys = [_gene_key(s.representative) for s in shells]
+    # per representative: its innovation list and {innovation: weight} map
+    reps = []
+    for s in shells:
+        conns = s.representative.connections
+        reps.append(([c.innovation for c in conns], {c.innovation: c.weight for c in conns}))
+    rows: dict[tuple[int, ...], list[tuple[float, int]]] = {}
     threshold = config.compatibility_threshold
     next_id = max((s.id for s in shells), default=-1) + 1
     for g in genomes:
-        key = _gene_key(g)
-        for s, rep_key in zip(shells, keys):
-            if _keyed_distance(key, rep_key, config, threshold) < threshold:
+        conns = g.connections
+        innovations = tuple([c.innovation for c in conns])
+        row = rows.setdefault(innovations, [])
+        for i, (s, (rep_innovations, rep_weights)) in enumerate(zip(shells, reps)):
+            if i == len(row):
+                row.append(_structure(innovations, rep_innovations, config))
+            structural, matching = row[i]
+            if structural < threshold and structural + _weight_term(
+                    conns, rep_weights, matching, config) < threshold:
                 s.members.append(g)
                 break
         else:
             shells.append(Species(next_id, g, [g]))
-            keys.append(key)
+            reps.append((innovations, {c.innovation: c.weight for c in conns}))
             next_id += 1
     return [s for s in shells if s.members]
 
@@ -859,9 +882,15 @@ class Evolution:
                     p1 = pool[rng.randrange(len(pool))]
                     p2 = pool[rng.randrange(len(pool))]
                     child = crossover(p1, p2, rng)
-                    _mutate_in_place(child, config, rng, self.tracker)
+                    # a crossover of a parent with itself copies it gene for gene
+                    parent = p1 if p1 is p2 else None
                 else:
-                    child = mutate(pool[rng.randrange(len(pool))], config, rng, self.tracker)
+                    parent = pool[rng.randrange(len(pool))]
+                    child = parent.copy()
+                if (not _mutate_in_place(child, config, rng, self.tracker)
+                        and parent is not None and outputs_reachable(parent)):
+                    # an unchanged copy keeps its parent's score, as a carried elite does
+                    child.fitness = parent.fitness
                 new_population.append(child)
                 slot += 1
         self.population = new_population

@@ -259,6 +259,10 @@ class StrategyConfig:
             raise ValidationError(f"unsupported params type {type(self.params).__name__}")
         if not 0 < self.size <= 1.0:
             raise ValidationError(f"size must be in (0, 1], got {self.size}")
+        # the bar loop keys prices, marks and positions by symbol
+        if isinstance(self.params, PairsParams) and self.params.symbol_b == self.symbol:
+            raise ValidationError(
+                f"pairs symbol_b {self.symbol!r} must differ from the traded symbol")
 
     @property
     def kind(self) -> StrategyKind:

@@ -514,6 +514,21 @@ def test_pairs_leg_b_is_sized_from_cash_left_after_leg_a(params, sides, notional
         pytest.approx(notionals, rel=1e-12)
 
 
+def test_pairs_legs_under_one_symbol_are_refused():
+    """The bar loop keys prices, marks and positions by symbol, so two legs
+    under one symbol would book into one position and close leg A at leg B's
+    price; the config and the series are both refused."""
+    a = random_series(1, n=300)
+    b = random_series(2, n=300)
+    assert a.symbol == b.symbol == "RND"
+    with pytest.raises(ValidationError, match="symbol_b 'RND' must differ"):
+        run_backtest(StrategyConfig("RND", PairsParams(symbol_b="RND", lookback=30)),
+                     a, 10_000.0, aux_series={"RND": b})
+    with pytest.raises(ValidationError, match="both series are 'RND'"):
+        run_backtest(StrategyConfig("RND", PairsParams(symbol_b="B", lookback=30)),
+                     a, 10_000.0, aux_series={"B": b})
+
+
 def test_book_rejects_nan_cash():
     with pytest.raises(ValidationError, match="initial cash"):
         Book(float("nan"), CostModel(), False)

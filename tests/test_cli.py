@@ -489,6 +489,8 @@ def edited_config(tmp_path, path, value):
     ("strategy.stops.fallback_profit_pct", -0.1, ["backtest"],
      "fallback_profit_pct must be in (0, 1e100]"),
     ("strategy.stops.stop_mult", 1e101, TUNE, "stop_mult must be in (0, 1e100]"),
+    ("strategy", {"kind": "pairs", "params": {"symbol_b": "TRENDY"}}, ["backtest"],
+     "symbol_b 'TRENDY' must differ from the traded symbol"),
 ])
 def test_cmd_bad_config_entry_exit_1(tmp_path, capsys, path, value, command, needle):
     cfg = edited_config(tmp_path, path, value)

@@ -654,6 +654,40 @@ def test_speciate_places_genomes_as_the_merge_walk_does():
     assert cases > 30
 
 
+def test_speciate_memo_of_shared_innovation_lists_is_exact():
+    """Many genomes share a few long innovation lists (N is the gene count)
+    but not their weights; at low thresholds the structural part alone
+    rejects most pairs, at high ones the weight term decides."""
+    rng = random.Random(17)
+    lists = [sorted(rng.sample(range(70), rng.randint(20, 45))) for _ in range(6)]
+    lists += [lists[0] + [70 + k for k in range(j)] for j in (1, 3)]
+
+    def genome(innovations):
+        return Genome([], [ConnectionGene(i, 0, 1, rng.uniform(-8, 8)) for i in innovations])
+
+    population = [genome(rng.choice(lists)) for _ in range(80)]
+    previous = speciate([genome(innovations) for innovations in lists[::2]], [], CONFIG)
+    decided = {"structural": 0, "weights": 0, "joined": 0}
+    for threshold in (0.05, 0.5, 1.0, 2.5):
+        for c3 in (0.0, 0.4, 3.0):
+            config = EvolutionConfig(compatibility_threshold=threshold, c3=c3)
+            structure_only = EvolutionConfig(compatibility_threshold=threshold, c3=0.0)
+            for prior in ([], previous):
+                got = speciate(population, prior, config)
+                assert species_layout(got) == \
+                    species_layout(merge_walk_speciate(population, prior, config))
+                for s in got:
+                    for g in s.members[1:]:
+                        decided["joined"] += 1
+                        for other in got[:got.index(s)]:
+                            rep = other.representative
+                            if merge_walk_distance(g, rep, structure_only) >= threshold:
+                                decided["structural"] += 1
+                            else:
+                                decided["weights"] += 1
+    assert min(decided.values()) >= 100, decided
+
+
 def test_allocate_offspring_sums_exactly():
     rng = random.Random(8)
     for _ in range(200):
@@ -696,9 +730,15 @@ def test_carried_elites_are_not_scored_again():
     reference.evaluate(weight_sum_fitness)
     for _ in range(8):
         evo.next_generation()
+        elites = evo.population[:config.elitism]
+        unscored = [g for g in evo.population if g.fitness is None and outputs_reachable(g)]
         del scored[:]
         evo.evaluate(counted)
-        assert len(scored) == config.population_size - config.elitism
+        # only genomes bred unscored are scored: never a carried elite, and a
+        # bred child only when mutation changed it
+        assert [id(g) for g in scored] == [id(g) for g in unscored]
+        assert not any(g is elite for g in scored for elite in elites)
+        assert len(scored) <= config.population_size - config.elitism
         # scoring every genome again, carried elites included, changes nothing
         reference.next_generation()
         for g in reference.population:
@@ -724,6 +764,79 @@ def test_carried_unreachable_elite_gets_the_new_floor():
     evo.evaluate(weight_sum_fitness)
     assert unreachable.fitness == min(g.fitness for g in evo.population[2:] + [kept]
                                       if outputs_reachable(g)) - 1.0
+
+
+def evolution_trace(fitness_fn, seed, generations=12):
+    """Every population's fitnesses, the history and the best genome of a
+    seeded run, with the number of fitness calls it made."""
+    calls = []
+
+    def counted(genome):
+        calls.append(1)
+        return fitness_fn(genome)
+
+    evo = Evolution(2, 1, EvolutionConfig(population_size=40, add_node_rate=0.1,
+                                          add_connection_rate=0.2, seed=seed))
+    evo.evaluate(counted)
+    fitnesses = [[g.fitness for g in evo.population]]
+    for _ in range(generations):
+        evo.next_generation()
+        evo.evaluate(counted)
+        fitnesses.append([g.fitness for g in evo.population])
+    best = (evo.best.nodes, evo.best.connections, evo.best.fitness)
+    return (fitnesses, evo.history, best), len(calls)
+
+
+@pytest.mark.parametrize("fitness_fn", [xor_fitness, weight_sum_fitness])
+def test_unchanged_children_keep_the_score_a_new_evaluation_gives(monkeypatch, fitness_fn):
+    real = {seed: evolution_trace(fitness_fn, seed) for seed in range(5)}
+    mutate_in_place = neat_module._mutate_in_place
+
+    def always_changed(*args):
+        mutate_in_place(*args)
+        return True
+
+    monkeypatch.setattr(neat_module, "_mutate_in_place", always_changed)
+    for seed, (trace, calls) in real.items():
+        rescored, rescored_calls = evolution_trace(fitness_fn, seed)
+        assert trace == rescored
+        assert calls < rescored_calls
+
+
+def test_children_left_unchanged_are_not_scored_again():
+    frozen = EvolutionConfig(population_size=20, weight_mutation_rate=0.0,
+                             add_connection_rate=0.0, add_node_rate=0.0,
+                             crossover_rate=0.0, seed=3)
+    scored = []
+    evo = Evolution(2, 1, frozen)
+    evo.evaluate(lambda genome: scored.append(genome) or weight_sum_fitness(genome))
+    assert len(scored) == frozen.population_size
+    for _ in range(5):
+        evo.next_generation()
+        assert all(g.fitness is not None for g in evo.population)
+        evo.evaluate(lambda genome: scored.append(genome) or weight_sum_fitness(genome))
+    assert len(scored) == frozen.population_size
+
+
+def test_unchanged_child_of_an_unreachable_parent_gets_the_new_floor():
+    frozen = EvolutionConfig(population_size=6, elitism=1, weight_mutation_rate=0.0,
+                             add_connection_rate=0.0, add_node_rate=0.0,
+                             crossover_rate=0.0, survival_fraction=1.0, seed=0)
+    evo = Evolution(2, 1, frozen)
+    for g in evo.population[3:]:
+        for c in g.connections:
+            c.enabled = False
+    evo.evaluate(weight_sum_fitness)
+    evo.next_generation()
+    children = evo.population[frozen.elitism:]
+    unreachable = [g for g in children if not outputs_reachable(g)]
+    reachable = [g for g in children if outputs_reachable(g)]
+    assert unreachable and reachable
+    assert all(g.fitness is None for g in unreachable)
+    assert all(g.fitness == weight_sum_fitness(g) for g in reachable)
+    evo.evaluate(weight_sum_fitness)
+    floor = min(g.fitness for g in evo.population if outputs_reachable(g)) - 1.0
+    assert all(g.fitness == floor for g in unreachable)
 
 
 def test_reseed_keeps_the_best_genome_fitness():

@@ -28,6 +28,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import TradeLabError, ValidationError
 
@@ -85,9 +86,6 @@ class ConnectionGene:
     weight: float
     enabled: bool = True
 
-    def copy(self) -> "ConnectionGene":
-        return ConnectionGene(self.innovation, self.src, self.dst, self.weight, self.enabled)
-
 
 @dataclass
 class Genome:
@@ -100,7 +98,8 @@ class Genome:
     def copy(self, keep_fitness: bool = False) -> "Genome":
         return Genome(
             nodes=list(self.nodes),
-            connections=[c.copy() for c in self.connections],
+            connections=[ConnectionGene(c.innovation, c.src, c.dst, c.weight, c.enabled)
+                         for c in self.connections],
             fitness=self.fitness if keep_fitness else None,
         )
 
@@ -158,26 +157,6 @@ def _topological_order(genome: Genome) -> list[int]:
     if len(order) != len(genome.nodes):
         raise CyclicGenome("connection graph contains a cycle")
     return order
-
-
-def _ids_by_kind(genome: Genome) -> tuple[list[int], list[int], list[int]]:
-    """The sorted input, bias and output node ids, from one pass over the
-    nodes that compares kinds by identity."""
-    inputs, biases, outputs = [], [], []
-    # reading a member off an Enum class is several times dearer than a local
-    input_kind, bias_kind, output_kind = NodeKind.INPUT, NodeKind.BIAS, NodeKind.OUTPUT
-    for node in genome.nodes:
-        kind = node.kind
-        if kind is input_kind:
-            inputs.append(node.id)
-        elif kind is output_kind:
-            outputs.append(node.id)
-        elif kind is bias_kind:
-            biases.append(node.id)
-    inputs.sort()
-    biases.sort()
-    outputs.sort()
-    return inputs, biases, outputs
 
 
 # Weighted inputs per generated sum. A generated sum nests one level per
@@ -281,6 +260,72 @@ def _network_kernel(shape):
     return kernel
 
 
+# The most structural plans kept at once; the oldest is dropped first.
+_PLAN_LIMIT = 256
+# structure key -> plan, in the order they were built; see _plan
+_PLANS: dict = {}
+
+
+class _Plan(NamedTuple):
+    """What evaluating a genome needs of its structure alone; see _plan."""
+    input_ids: tuple
+    bias_ids: tuple
+    output_ids: tuple
+    genes: tuple  # the gene index of each term, in node then gene order
+    shape: tuple | None  # the kernel shape without labelled; None if cyclic
+    tail: tuple  # the slots after the inputs: 1.0 per bias, 0.0 per computed node
+    reachable: bool
+
+
+def _plan(genome: Genome) -> _Plan:
+    """The structural plan of a genome, built on first use and cached per
+    process. The key, taken afresh on every call so that an edit in place is
+    seen, is the node ids and kinds and each gene's ``(src, dst, enabled)``
+    in gene order: never weights, innovation numbers or object identity. A
+    kind enters it as its value string, whose hash is cached, not as the
+    member, whose hash is a Python call. A cyclic genome's plan has no shape."""
+    nodes, conns = genome.nodes, genome.connections
+    # one flat tuple: node ids, node kinds, None, then gene srcs, dsts and flags
+    key = (*[n.id for n in nodes], *[n.kind._value_ for n in nodes], None,
+           *[c.src for c in conns], *[c.dst for c in conns], *[c.enabled for c in conns])
+    plan = _PLANS.get(key)
+    if plan is not None:
+        return plan
+    input_ids, bias_ids, output_ids = [genome.ids_of(kind) for kind in
+                                       (NodeKind.INPUT, NodeKind.BIAS, NodeKind.OUTPUT)]
+    fixed = input_ids + bias_ids
+    edges: dict[int, list[int]] = {}
+    incoming: dict[int, list[int]] = {n.id: [] for n in nodes}
+    for i, c in enumerate(conns):
+        if c.enabled:
+            edges.setdefault(c.src, []).append(c.dst)
+            incoming[c.dst].append(i)
+    frontier, seen = list(fixed), set(fixed)
+    while frontier:
+        for dst in edges.get(frontier.pop(), ()):
+            if dst not in seen:
+                seen.add(dst)
+                frontier.append(dst)
+    try:
+        order = _topological_order(genome)
+    except CyclicGenome:
+        genes, shape, tail = (), None, ()
+    else:
+        skip = set(fixed)
+        computed = [nid for nid in order if nid not in skip]
+        slot = {nid: i for i, nid in enumerate(fixed + computed)}
+        genes = tuple([i for nid in computed for i in incoming[nid]])
+        sources = tuple([tuple([slot[conns[i].src] for i in incoming[nid]]) for nid in computed])
+        shape = (len(input_ids), len(bias_ids), sources, tuple([slot[nid] for nid in output_ids]))
+        tail = (1.0,) * len(bias_ids) + (0.0,) * len(computed)
+    plan = _Plan(tuple(input_ids), tuple(bias_ids), tuple(output_ids), genes, shape, tail,
+                 all(nid in seen for nid in output_ids))
+    if len(_PLANS) >= _PLAN_LIMIT:
+        del _PLANS[next(iter(_PLANS))]
+    _PLANS[key] = plan
+    return plan
+
+
 class NetworkEvaluator:
     """Compiled feed-forward evaluator for one genome.
 
@@ -292,22 +337,26 @@ class NetworkEvaluator:
     once; all give the same bits for a given vector. The column methods run
     one kernel per network shape that computes every node of a row in one
     pass (see :func:`_network_kernel`); genomes of the same shape share it.
+
+    The slots, each node's sources and the kernel shape depend on the
+    structure alone, and come from the genome's plan, which is cached per
+    process and keyed by node ids and kinds and each gene's ``(src, dst,
+    enabled)`` (see :func:`_plan`). A build only gathers the weights.
     """
 
     def __init__(self, genome: Genome):
-        self.input_ids, self.bias_ids, self.output_ids = _ids_by_kind(genome)
-        fixed = self.input_ids + self.bias_ids
-        skip = set(fixed)
-        computed = [nid for nid in _topological_order(genome) if nid not in skip]
-        slot = {nid: i for i, nid in enumerate(fixed + computed)}
-        incoming: dict[int, list[tuple[int, float]]] = {n.id: [] for n in genome.nodes}
-        for c in genome.connections:
-            if c.enabled:
-                incoming[c.dst].append((slot[c.src], c.weight))
-        self._steps = [(slot[nid], incoming[nid]) for nid in computed]
-        self._output_slots = [slot[nid] for nid in self.output_ids]
-        # the slots after the inputs: 1.0 for each bias, then the computed nodes
-        self._tail = [1.0] * len(self.bias_ids) + [0.0] * len(computed)
+        plan = _plan(genome)
+        if plan.shape is None:
+            raise CyclicGenome("connection graph contains a cycle")
+        self.input_ids, self.bias_ids, self.output_ids = plan[:3]
+        n_inputs, n_biases, sources, self._output_slots = self._shape = plan.shape
+        conns = genome.connections
+        self._weights = [conns[i].weight for i in plan.genes]
+        # zip stops at the end of a node's sources, so it takes that node's weights
+        weights = iter(self._weights)
+        self._steps = [(slot, list(zip(srcs, weights)))
+                       for slot, srcs in enumerate(sources, n_inputs + n_biases)]
+        self._tail = plan.tail
 
     def _arity_error(self, length: int) -> ArityMismatch:
         return ArityMismatch(f"expected {len(self.input_ids)} inputs, got {length}")
@@ -331,12 +380,7 @@ class NetworkEvaluator:
         count = len(columns[0]) if columns else 0
         if any(len(column) != count for column in columns):
             raise ArityMismatch("input columns differ in length")
-        steps = self._steps
-        shape = (len(self.input_ids), len(self.bias_ids),
-                 tuple([tuple([src for src, _ in incoming]) for _, incoming in steps]),
-                 tuple(self._output_slots), labels is not None)
-        weights = [weight for _, incoming in steps for _, weight in incoming]
-        return _network_kernel(shape)(columns, weights, labels)
+        return _network_kernel(self._shape + (labels is not None,))(columns, self._weights, labels)
 
     def argmax_columns(self, columns, labels) -> list:
         """For each row of the input columns, ``labels[i]`` for the output i
@@ -372,21 +416,8 @@ def activate(genome: Genome, inputs: list[float]) -> list[float]:
 
 def outputs_reachable(genome: Genome) -> bool:
     """True when every output node is fed, via enabled connections, from some
-    input or bias node."""
-    input_ids, bias_ids, output_ids = _ids_by_kind(genome)
-    frontier = input_ids + bias_ids
-    edges: dict[int, list[int]] = {}
-    for c in genome.connections:
-        if c.enabled:
-            edges.setdefault(c.src, []).append(c.dst)
-    seen = set(frontier)
-    while frontier:
-        nid = frontier.pop()
-        for dst in edges.get(nid, ()):
-            if dst not in seen:
-                seen.add(dst)
-                frontier.append(dst)
-    return all(nid in seen for nid in output_ids)
+    input or bias node. Read off the genome's cached plan."""
+    return _plan(genome).reachable
 
 
 # ---------------------------------------------------------------------------
@@ -678,11 +709,9 @@ def crossover(parent_a: Genome, parent_b: Genome, rng: random.Random) -> Genome:
     child_conns = []
     for gene in lead.connections:
         match = other_genes.get(gene.innovation)
-        new = gene.copy()
-        if match is not None and rng.random() < 0.5:
-            new.weight = match.weight
-            new.enabled = match.enabled
-        child_conns.append(new)
+        source = match if match is not None and rng.random() < 0.5 else gene
+        child_conns.append(ConnectionGene(gene.innovation, gene.src, gene.dst,
+                                          source.weight, source.enabled))
     return Genome(nodes=list(lead.nodes), connections=child_conns)
 
 
@@ -805,13 +834,18 @@ class Evolution:
 
     def evaluate(self, fitness_fn) -> GenerationStats:
         """Assign fitness to every genome that has none; unreachable-output
-        genomes get a floor just below the worst fitness in the population."""
+        genomes get a floor just below the worst fitness in the population.
+        A non-finite fitness is a ValidationError and is not stored."""
         unreachable = []
         for g in self.population:
             if g.fitness is not None:
                 continue
             if outputs_reachable(g):
-                g.fitness = float(fitness_fn(g))
+                fitness = float(fitness_fn(g))
+                if not math.isfinite(fitness):
+                    raise ValidationError(f"fitness function returned {fitness} at generation "
+                                          f"{self.generation}; fitness must be finite")
+                g.fitness = fitness
             else:
                 unreachable.append(g)
         if unreachable:

@@ -1,6 +1,6 @@
 """Brute-force definitional indicator oracles, reference MFI and VPVR
-streams, a reference network evaluator and a merge-walk compatibility
-distance.
+streams, a reference network evaluator and reachability, and a merge-walk
+compatibility distance.
 
 Deliberately naive second implementations (window re-summation, explicit
 recurrences over numpy arrays) kept independent of the streaming code under
@@ -389,6 +389,21 @@ class DictNetworkEvaluator:
                 total += values[src] * weight
             values[nid] = steep_sigmoid(total)
         return [values[nid] for nid in self.output_ids]
+
+
+def fixpoint_outputs_reachable(genome):
+    """Reference reachability: grow the set of fed nodes from the inputs and
+    the bias over enabled genes, one sweep of all genes at a time, until a
+    sweep adds nothing; True when every output is fed."""
+    fed = set(genome.ids_of(NodeKind.INPUT)) | set(genome.ids_of(NodeKind.BIAS))
+    grown = True
+    while grown:
+        grown = False
+        for c in genome.connections:
+            if c.enabled and c.src in fed and c.dst not in fed:
+                fed.add(c.dst)
+                grown = True
+    return all(nid in fed for nid in genome.ids_of(NodeKind.OUTPUT))
 
 
 def merge_walk_distance(a, b, config):

@@ -1,16 +1,18 @@
 import hashlib
 import math
 import random
+import re
 
 import pytest
 
 from helpers import fresh_genome, random_genome, trending_fixture, xor_fitness
-from oracles import DictNetworkEvaluator, merge_walk_distance
+from oracles import DictNetworkEvaluator, fixpoint_outputs_reachable, merge_walk_distance
 from test_cli import TRADING_GENOME, assert_one_line_error, setup_warehouse, write_config
 from tradelab import neat as neat_module
 from tradelab.cli import main
 from tradelab.indicators import IndicatorSpec
 from tradelab.neat import (
+    ACTIVATIONS,
     ArityMismatch,
     ConnectionGene,
     CyclicGenome,
@@ -353,6 +355,132 @@ def test_outputs_reachable_detection():
     for c in g.connections:
         c.enabled = False
     assert not outputs_reachable(g)
+
+
+def assert_evaluation_equals_oracles(genome, rows):
+    """A fresh evaluator equals the reference evaluator on the rows, and
+    outputs_reachable equals the reference reachability; returns the latter."""
+    reference = [DictNetworkEvaluator(genome).activate(row) for row in rows]
+    net = NetworkEvaluator(genome)
+    assert [net.activate(row) for row in rows] == reference
+    assert net.activate_columns(columns_of(rows)) == columns_of(reference)
+    reachable = outputs_reachable(genome)
+    assert reachable == fixpoint_outputs_reachable(genome)
+    return reachable
+
+
+def test_edits_in_place_are_seen_by_the_next_build():
+    rng = random.Random(9)
+    rows = [[rng.uniform(-2.0, 2.0) for _ in range(3)] for _ in range(20)]
+    genome = random_genome(4, rounds=12)
+    assert any(n.kind is NodeKind.HIDDEN for n in genome.nodes)
+    seen = {assert_evaluation_equals_oracles(genome, rows)}
+    # toggle each gene off or on and back, then disable them all in turn
+    # and enable them again
+    enabled = [gene.enabled for gene in genome.connections]
+    for gene in genome.connections:
+        gene.enabled = not gene.enabled
+        seen.add(assert_evaluation_equals_oracles(genome, rows))
+        gene.enabled = not gene.enabled
+    for state in (False, True):
+        for gene in genome.connections:
+            gene.enabled = state
+            seen.add(assert_evaluation_equals_oracles(genome, rows))
+    for gene, state in zip(genome.connections, enabled):
+        gene.enabled = state
+    assert seen == {True, False}
+    # repoint a gene to another source that cannot close a cycle: an input
+    inputs = genome.ids_of(NodeKind.INPUT)
+    pairs = genome.connection_pairs()
+    gene, src = next((c, i) for c in genome.connections for i in inputs
+                     if c.enabled and c.src != i and (i, c.dst) not in pairs)
+    before = [NetworkEvaluator(genome).activate(row) for row in rows]
+    gene.src = src
+    assert_evaluation_equals_oracles(genome, rows)
+    assert [NetworkEvaluator(genome).activate(row) for row in rows] != before
+    # and a gene to another output, which feeds nothing
+    outputs = genome.ids_of(NodeKind.OUTPUT)
+    pairs = genome.connection_pairs()
+    gene, dst = next((c, o) for c in genome.connections for o in outputs
+                     if c.enabled and c.dst in outputs and c.dst != o and (c.src, o) not in pairs)
+    before = [NetworkEvaluator(genome).activate(row) for row in rows]
+    gene.dst = dst
+    assert_evaluation_equals_oracles(genome, rows)
+    assert [NetworkEvaluator(genome).activate(row) for row in rows] != before
+    # split an enabled gene with a new hidden node and its two genes
+    gene = next(c for c in genome.connections if c.enabled)
+    hidden = max(genome.node_ids()) + 1
+    top = genome.connections[-1].innovation
+    gene.enabled = False
+    genome.nodes.append(NodeGene(hidden, NodeKind.HIDDEN))
+    genome.connections += [ConnectionGene(top + 1, gene.src, hidden, 1.0),
+                           ConnectionGene(top + 2, hidden, gene.dst, -3.0)]
+    validate_genome(genome)
+    assert_evaluation_equals_oracles(genome, rows)
+
+
+def test_genomes_that_differ_only_in_weights_share_a_plan():
+    genome = random_genome(5, rounds=10)
+    twin = genome.copy()
+    for gene in twin.connections:
+        gene.weight = -2.0 * gene.weight + 0.5
+    rows = [[0.3, -1.2, 0.8], [1.0, 1.0, -1.0]]
+    assert neat_module._plan(twin) is neat_module._plan(genome)
+    assert [NetworkEvaluator(twin).activate(row) for row in rows] != \
+        [NetworkEvaluator(genome).activate(row) for row in rows]
+    assert_evaluation_equals_oracles(twin, rows)
+    assert_evaluation_equals_oracles(genome, rows)
+
+
+def test_genomes_with_the_same_genes_but_other_nodes_get_their_own_plans(monkeypatch):
+    def genome(kinds):
+        nodes = [NodeGene(nid, kind, ACTIVATIONS[kind]) for nid, kind in kinds.items()]
+        genes = [ConnectionGene(i, src, 4, 0.5 - i) for i, src in enumerate((0, 1, 2))]
+        return Genome(nodes, genes)
+
+    base = {0: NodeKind.INPUT, 1: NodeKind.INPUT, 2: NodeKind.BIAS, 4: NodeKind.OUTPUT}
+    # a kind changed, a node added, and an added node under two ids
+    variants = [genome(base), genome({**base, 1: NodeKind.BIAS}),
+                genome({**base, 5: NodeKind.OUTPUT}), genome({**base, 3: NodeKind.HIDDEN}),
+                genome({**base, 5: NodeKind.HIDDEN})]
+    plans = [neat_module._plan(g) for g in variants]
+    assert len(set(plans)) == len(plans)
+    for g, plan in zip(variants, plans):
+        monkeypatch.setattr(neat_module, "_PLANS", {})
+        assert neat_module._plan(g) == plan
+        assert_evaluation_equals_oracles(g, [[0.7] * len(plan.input_ids)])
+
+
+def test_cyclic_genome_raises_on_every_build(monkeypatch):
+    monkeypatch.setattr(neat_module, "_PLANS", {})
+    nodes = [NodeGene(0, NodeKind.INPUT, "identity"), NodeGene(1, NodeKind.BIAS, "identity"),
+             NodeGene(2, NodeKind.HIDDEN), NodeGene(3, NodeKind.HIDDEN),
+             NodeGene(4, NodeKind.OUTPUT)]
+    conns = [ConnectionGene(0, 0, 2, 1.0), ConnectionGene(1, 2, 3, 1.0),
+             ConnectionGene(2, 3, 2, 1.0), ConnectionGene(3, 3, 4, 1.0)]
+    cyclic = Genome(nodes, conns)
+    for _ in range(2):
+        with pytest.raises(CyclicGenome):
+            NetworkEvaluator(cyclic)
+        assert outputs_reachable(cyclic) == fixpoint_outputs_reachable(cyclic) is True
+    assert len(neat_module._PLANS) == 1
+    conns[0].enabled = False
+    assert outputs_reachable(cyclic) == fixpoint_outputs_reachable(cyclic) is False
+    with pytest.raises(CyclicGenome):
+        NetworkEvaluator(cyclic)
+
+
+def test_plan_cache_drops_the_oldest_beyond_its_bound(monkeypatch):
+    assert neat_module._PLAN_LIMIT == 256
+    monkeypatch.setattr(neat_module, "_PLAN_LIMIT", 3)
+    monkeypatch.setattr(neat_module, "_PLANS", {})
+    genomes = [wide_genome(n_in, seed=n_in) for n_in in range(1, 7)]
+    for count, genome in enumerate(genomes, 1):
+        plan = neat_module._plan(genome)
+        assert_evaluation_equals_oracles(genome, [[0.25] * len(plan.input_ids)])
+        assert [len(p.input_ids) for p in neat_module._PLANS.values()] == \
+            list(range(max(1, count - 2), count + 1))
+    assert neat_module._plan(genomes[-1]) is plan
 
 
 # ---------------------------------------------------------------------------
@@ -787,6 +915,23 @@ def evolution_trace(fitness_fn, seed, generations=12):
     return (fitnesses, evo.history, best), len(calls)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_fitness_is_a_validation_error(bad):
+    evo = Evolution(2, 1, EvolutionConfig(population_size=14, seed=1))
+    evo.evaluate(weight_sum_fitness)
+    evo.next_generation()
+    scored = []
+
+    def one_in_seven_bad(genome):
+        scored.append(genome)
+        return bad if len(scored) % 7 == 0 else weight_sum_fitness(genome)
+
+    with pytest.raises(ValidationError, match=re.escape(f"returned {bad} at generation 1")):
+        evo.evaluate(one_in_seven_bad)
+    assert len(scored) == 7
+    assert scored[-1].fitness is None
+
+
 @pytest.mark.parametrize("fitness_fn", [xor_fitness, weight_sum_fitness])
 def test_unchanged_children_keep_the_score_a_new_evaluation_gives(monkeypatch, fitness_fn):
     real = {seed: evolution_trace(fitness_fn, seed) for seed in range(5)}
@@ -801,6 +946,33 @@ def test_unchanged_children_keep_the_score_a_new_evaluation_gives(monkeypatch, f
         rescored, rescored_calls = evolution_trace(fitness_fn, seed)
         assert trace == rescored
         assert calls < rescored_calls
+
+
+@pytest.mark.parametrize("fitness_fn", [xor_fitness, weight_sum_fitness])
+def test_plan_cache_leaves_every_run_as_it_is(monkeypatch, fitness_fn):
+    builds = []
+    topological_order = neat_module._topological_order
+
+    def counting(genome):
+        builds.append(1)
+        return topological_order(genome)
+
+    monkeypatch.setattr(neat_module, "_topological_order", counting)
+
+    def runs():
+        del builds[:]
+        return [evolution_trace(fitness_fn, seed) for seed in range(4)], len(builds)
+
+    cached, _ = runs()
+    monkeypatch.setattr(neat_module, "_PLANS", {})
+    cleared, cleared_builds = runs()
+    # a bound of one evicts the last plan on every miss
+    monkeypatch.setattr(neat_module, "_PLAN_LIMIT", 1)
+    monkeypatch.setattr(neat_module, "_PLANS", {})
+    evicting, evicting_builds = runs()
+    assert cached == cleared == evicting
+    assert len(neat_module._PLANS) == 1
+    assert 0 < cleared_builds < evicting_builds
 
 
 def test_children_left_unchanged_are_not_scored_again():

@@ -213,7 +213,7 @@ def size_order(intent: TradeIntent, held: float, cash: float, raw_price: float,
 
 
 class Book:
-    """One account: cash plus signed base-asset positions, and fees paid.
+    """One account: cash plus signed base-asset positions.
 
     :meth:`fill` is the only place where an order becomes a fill. It applies
     slippage against the trader and the proportional fee, checks funds (up
@@ -231,7 +231,6 @@ class Book:
         self.costs = costs
         self.allow_short = allow_short
         self.positions: dict[str, float] = {}
-        self.fees_paid = 0.0
 
     def fill(self, order_id: int, bar: int, symbol: str, quantity: float, raw_price: float,
              reason: str = "", forced: bool = False) -> Fill | str:
@@ -261,7 +260,6 @@ class Book:
             del self.positions[symbol]
         else:
             self.positions[symbol] = after
-        self.fees_paid += fee
         return Fill(order_id=order_id, bar=bar, symbol=symbol, side=side, price=price,
                     quantity=size, fee=fee, reason=reason, forced=forced)
 
@@ -340,8 +338,6 @@ class TradeLedger:
                 self.stop = None
 
 
-
-
 class FeedInterrupted(TradeLabError):
     """Raised by a candle feed to signal an aborted stream."""
 
@@ -359,6 +355,10 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
     so far. ``aux`` is the second pairs leg. ``venue`` is where orders
     fill: a ``Book``, or any object with the same ``cash``, ``positions``,
     ``fill`` and ``flatten``.
+
+    A config must trade the symbols of its bars, and this loop checks it:
+    its ``symbol`` is ``symbol``, and a pairs config's ``aux`` is the series
+    of its ``symbol_b``, with the timestamps of ``series`` if there is one.
 
     Intents emitted on bar t become orders, sized with ``size_order`` and
     filled by the venue at bar t+1's open. A feed that raises
@@ -383,6 +383,18 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
             raise ValidationError("backtest data must be gap-free")
         store = ColumnStore(series)
     if isinstance(strategy, StrategyConfig):
+        if strategy.symbol != symbol:
+            raise ValidationError(f"the config trades '{strategy.symbol}' but the bars are "
+                                  f"'{symbol}'")
+        if strategy.kind is StrategyKind.PAIRS:
+            symbol_b = strategy.params.symbol_b
+            if aux is None:
+                raise ValidationError(f"pairs strategy needs aux series for '{symbol_b}'")
+            if aux.symbol != symbol_b:
+                raise ValidationError(f"pairs symbol_b is '{symbol_b}' but the second leg's "
+                                      f"series is '{aux.symbol}'")
+            if series is not None and aux.timestamps != series.timestamps:
+                raise ValidationError("pairs legs must share timestamps")
         stepper = new_state(strategy, store)
         stop_settings = strategy.stops
     else:
@@ -548,15 +560,7 @@ def run_backtest(strategy, data: CandleSeries, initial_cash: float = 10_000.0,
         raise ValidationError("cannot backtest an empty series")
     aux = None
     if isinstance(strategy, StrategyConfig) and strategy.kind is StrategyKind.PAIRS:
-        symbol_b = strategy.params.symbol_b
-        if not aux_series or symbol_b not in aux_series:
-            raise ValidationError(f"pairs strategy needs aux series for '{symbol_b}'")
-        aux = aux_series[symbol_b]
-        if aux.symbol == data.symbol:
-            raise ValidationError(f"pairs legs must be two symbols, both series are "
-                                  f"'{data.symbol}'")
-        if aux.timestamps != data.timestamps:
-            raise ValidationError("pairs legs must share timestamps")
+        aux = (aux_series or {}).get(strategy.params.symbol_b)
     costs = costs or CostModel()
     book = Book(initial_cash, costs, aux is not None)
     return run_bars(strategy, data.candles, book, costs, data.symbol, data.interval,

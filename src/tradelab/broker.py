@@ -2,8 +2,7 @@
 
 The endpoint contract is five calls (connect, place_order, account,
 symbol_info, close) so real exchange adapters can slot in without touching
-the rest of the system. Only market orders exist; the request type carries
-an order-type field reserved for extension.
+the rest of the system. Only market orders exist.
 
 ``paper_trade_loop`` replays a candle feed through ``backtest.run_bars``, the
 bar loop ``run_backtest`` uses, with a thin adapter over an endpoint in the
@@ -31,7 +30,6 @@ from .backtest import (  # noqa: F401  FeedInterrupted is re-exported
 )
 from .data import CandleSeries
 from .errors import ValidationError
-from .strategy import StrategyConfig, StrategyKind
 
 logger = logging.getLogger(__name__)
 
@@ -56,13 +54,10 @@ class OrderRequest:
     symbol: str
     side: OrderSide
     quantity: float
-    order_type: str = "market"
 
     def __post_init__(self) -> None:
         if self.quantity <= 0:
             raise ValidationError(f"order quantity must be > 0, got {self.quantity}")
-        if self.order_type != "market":
-            raise ValidationError("only market orders are supported")
 
 
 @dataclass(frozen=True)
@@ -80,7 +75,6 @@ class AccountSnapshot:
 
     cash: float
     positions: dict[str, float]
-    fees_paid: float
 
 
 @dataclass(frozen=True)
@@ -157,9 +151,7 @@ class SimulatedBroker(BrokerEndpoint):
         return SymbolInfo(symbol=symbol, interval=series.interval, bar_count=len(series))
 
     def account(self) -> AccountSnapshot:
-        book = self.book
-        return AccountSnapshot(cash=book.cash, positions=dict(book.positions),
-                               fees_paid=book.fees_paid)
+        return AccountSnapshot(cash=self.book.cash, positions=dict(self.book.positions))
 
     def close(self, liquidate: bool = True) -> tuple[AccountSnapshot, list[Fill]]:
         """End the session; by default flattens open positions at the last
@@ -268,7 +260,8 @@ def paper_trade_loop(strategy, feed, endpoint: BrokerEndpoint, *,
     to abort mid-session: the report then covers the processed bars only and
     open positions stay open, flagged via ``interrupted``. On normal
     exhaustion the endpoint session is closed with liquidation, matching the
-    backtester's end-of-data force close.
+    backtester's end-of-data force close; when the loop raises, it is closed
+    without liquidation and the error propagates.
 
     ``costs`` must describe the venue's actual costs; they are used to size
     fractional intents exactly the way the backtester does. The report lists
@@ -282,13 +275,14 @@ def paper_trade_loop(strategy, feed, endpoint: BrokerEndpoint, *,
         raise ValidationError("candle-iterator feeds need an explicit symbol")
     else:
         series, candles = None, feed
-    if (isinstance(strategy, StrategyConfig) and strategy.kind is StrategyKind.PAIRS
-            and aux_feed is None):
-        raise ValidationError("pairs strategies need aux_feed for the second leg")
     endpoint.connect()
     venue = _EndpointBook(endpoint)
-    report = run_bars(strategy, venue.bars(candles), venue, costs or CostModel(), symbol,
-                      interval, series=series, aux=aux_feed, drawdown_lambda=drawdown_lambda)
+    try:
+        report = run_bars(strategy, venue.bars(candles), venue, costs or CostModel(), symbol,
+                          interval, series=series, aux=aux_feed, drawdown_lambda=drawdown_lambda)
+    except BaseException:
+        endpoint.close(liquidate=False)
+        raise
     if report.interrupted:
         endpoint.close(liquidate=False)
     return report

@@ -18,7 +18,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import data as data_mod
-from .backtest import BacktestReport, CostModel, run_backtest
+from .backtest import BacktestReport, run_backtest
 from .config import RunConfig, load_config, parse_indicator_spec, write_network_artifact
 from .errors import TradeLabError, ValidationError
 from .indicators import IndicatorSpec, compute, spec_lines
@@ -79,10 +79,6 @@ def _load_series(config: RunConfig, symbol: str | None = None):
         hi = config.data.to_ts if config.data.to_ts is not None else series.candles[-1].ts
         series = data_mod.slice_window(series, lo, hi)
     return series
-
-
-def _costs(config: RunConfig) -> CostModel:
-    return CostModel(fee_bps=config.costs.fee_bps, slippage_bps=config.costs.slippage_bps)
 
 
 def _aux_series(config: RunConfig):
@@ -156,14 +152,14 @@ def cmd_backtest(args) -> int:
         from .broker import SimulatedBroker, paper_trade_loop
 
         feeds = {series.symbol: series, **(aux or {})}
-        endpoint = SimulatedBroker(feeds, config.costs.initial_cash, _costs(config),
+        endpoint = SimulatedBroker(feeds, config.costs.initial_cash, config.costs,
                                    allow_short=aux is not None)
         aux_feed = next(iter(aux.values())) if aux else None
         report = paper_trade_loop(config.strategy, series, endpoint,
-                                  costs=_costs(config), aux_feed=aux_feed)
+                                  costs=config.costs, aux_feed=aux_feed)
     else:
         report = run_backtest(config.strategy, series, config.costs.initial_cash,
-                              _costs(config), aux_series=aux)
+                              config.costs, aux_series=aux)
     write_report_files(report, _out_dir(args, config))
     m = report.metrics
     print(f"net profit {m.net_profit_pct:.4f}%  max drawdown {m.max_drawdown_pct:.4f}%  "
@@ -185,7 +181,7 @@ def cmd_optimize(args) -> int:
             raise ValidationError("tune mode needs an optimize.grid")
         best, leaderboard = tune_parameters(
             config.strategy.kind, config.optimize.grid, series,
-            initial_cash=config.costs.initial_cash, costs=_costs(config),
+            initial_cash=config.costs.initial_cash, costs=config.costs,
             size=config.strategy.size, stops=config.strategy.stops,
             drawdown_lambda=config.optimize.drawdown_lambda,
             aux_series=_aux_series(config),
@@ -207,7 +203,7 @@ def cmd_optimize(args) -> int:
             raise ValidationError("evolve mode needs optimize.inputs indicator specs")
         best, history, norm = evolve_strategy(
             series, list(config.optimize.inputs), config.optimize.evolution,
-            initial_cash=config.costs.initial_cash, costs=_costs(config),
+            initial_cash=config.costs.initial_cash, costs=config.costs,
             drawdown_lambda=config.optimize.drawdown_lambda,
         )
         _write_rows(out / "fitness_history.csv",

@@ -9,13 +9,13 @@ section through the field table of its dataclass. See README for the schema.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
+from .backtest import CostModel
 from .errors import ValidationError
-from .indicators import IndicatorSpec, require_period
+from .indicators import IndicatorSpec
 from .neat import EvolutionConfig, read_genome, write_genome
 from .strategy import PARAMS_BY_KIND, NeatParams, StopSettings, StrategyConfig, StrategyKind
 
@@ -35,12 +35,13 @@ class DataSection:
 
 
 @dataclass(frozen=True)
-class CostsSection:
-    fee_bps: float = 10.0
-    slippage_bps: float = 5.0
+class CostsSection(CostModel):
+    """The run's cost model plus the cash it starts with."""
+
     initial_cash: float = 10_000.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.initial_cash > 0:
             raise ConfigError("initial_cash must be > 0")
 
@@ -136,7 +137,6 @@ _CHECKS = {  # annotation -> type rule: check(value, key) gives the value to sto
     "StrategyConfig | None": _maybe_object, "OptimizeSection | None": _maybe_object,
     "EvolutionConfig": _object,
 }
-_PERIODS = ("p_short", "p_long", "levels", "lookback", "atr_period")
 _KEYS = {"drawdown_lambda": "lambda"}  # field -> key, where they differ
 _KINDS = {kind.value: kind for kind in StrategyKind}
 
@@ -144,8 +144,7 @@ _KINDS = {kind.value: kind for kind in StrategyKind}
 def _table(cls, skip: tuple[str, ...] = ()):
     """key -> (field, check) for the fields of ``cls`` a file sets; required fields."""
     declared = [f for f in fields(cls) if f.name not in skip]
-    return ({_KEYS.get(f.name, f.name): (f.name, require_period if f.name in _PERIODS
-                                         else _CHECKS[f.type]) for f in declared},
+    return ({_KEYS.get(f.name, f.name): (f.name, _CHECKS[f.type]) for f in declared},
             tuple(f.name for f in declared
                   if f.default is MISSING and f.default_factory is MISSING))
 
@@ -232,9 +231,6 @@ def load_network_artifact(path: Path) -> NeatParams:
         raise ConfigError(f"network artifact {path} missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad network artifact {path}: {exc}") from exc
-    if not all(math.isfinite(m) and 0 <= s < math.inf for m, s in norm):
-        raise ConfigError(f"bad network artifact {path}: norm needs finite means and "
-                          f"finite stds >= 0, got {list(norm)}")
     try:
         return NeatParams(genome=genome, input_specs=inputs, norm=norm)
     except ValidationError as exc:
@@ -275,7 +271,6 @@ def load_config(path: str | Path, seed: int | None = None) -> RunConfig:
     if optimize:
         evolution = EvolutionConfig(**_read(EvolutionConfig, optimize.get("evolution", {}),
                                             "evolution"), seed=values.get("seed", RunConfig.seed))
-        evolution.validate()
         values["optimize"] = OptimizeSection(**{**_read(OptimizeSection, optimize, "optimize"),
                                                 "evolution": evolution})
     return RunConfig(**values)

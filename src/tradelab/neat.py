@@ -546,6 +546,8 @@ class EvolutionConfig:
         if self.max_generations < 0:
             raise ValidationError(f"max_generations must be >= 0, got {self.max_generations}")
 
+    __post_init__ = validate  # a config that exists is valid
+
 
 def _structure(innovations_a, innovations_b, config: EvolutionConfig) -> tuple[float, int]:
     """``(c1*E/N + c2*D/N, matching)`` of two ascending innovation lists.
@@ -815,7 +817,6 @@ class Evolution:
     """One seeded evolution run over a fixed input/output arity."""
 
     def __init__(self, n_inputs: int, n_outputs: int, config: EvolutionConfig):
-        config.validate()
         if n_inputs < 1 or n_outputs < 1:
             raise ValidationError("need at least one input and one output")
         self.config = config

@@ -55,7 +55,6 @@ class Side(Enum):
     CLOSE_SHORT = "close_short"
 
 
-
 @dataclass(frozen=True, slots=True)
 class TradeIntent:
     side: Side
@@ -78,6 +77,13 @@ _NO_INTENTS: tuple[list[TradeIntent], list[TradeIntent]] = ([], [])
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _period(params, name: str) -> int:
+    """``require_period`` on a frozen params field, stored as an int (2.0 is 2)."""
+    value = require_period(getattr(params, name), name)
+    object.__setattr__(params, name, value)
+    return value
+
+
 @dataclass(frozen=True)
 class StopSettings:
     """ATR-scaled trailing stop and fixed take-profit.
@@ -92,6 +98,7 @@ class StopSettings:
     fallback_profit_pct: float = 0.10
 
     def __post_init__(self) -> None:
+        _period(self, "atr_period")
         # a multiple or a profit share of zero or less puts the stop or the
         # target on the wrong side of the close, and a stop share of 1 or
         # more puts the stop at or below zero, where it never fires
@@ -110,8 +117,7 @@ class EmaCrossParams:
     p_long: int = 21
 
     def __post_init__(self) -> None:
-        # checked here too: a memoized column serves any equal spec (True == 1)
-        if require_period(self.p_short, "p_short") >= require_period(self.p_long, "p_long"):
+        if _period(self, "p_short") >= _period(self, "p_long"):
             raise InvalidPeriods(
                 f"p_short {self.p_short} must be < p_long {self.p_long}"
             )
@@ -126,8 +132,7 @@ class GridParams:
     def __post_init__(self) -> None:
         if self.spacing <= 0:
             raise ValidationError(f"grid spacing must be > 0, got {self.spacing}")
-        if self.levels < 1:
-            raise ValidationError(f"grid needs at least one level, got {self.levels}")
+        _period(self, "levels")
         if self.level_quantity <= 0:
             raise ValidationError("grid level_quantity must be > 0")
 
@@ -141,8 +146,8 @@ class PairsParams:
     leg_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.lookback < 2:
-            raise ValidationError("pairs lookback must be >= 2")
+        if _period(self, "lookback") < 2:
+            raise ValidationError(f"pairs lookback must be >= 2, got {self.lookback}")
         if not (0 <= self.z_exit < self.z_entry):
             raise ValidationError(
                 f"need 0 <= z_exit < z_entry, got exit={self.z_exit} entry={self.z_entry}"
@@ -223,6 +228,9 @@ class NeatParams:
             )
         if kinds.count(NodeKind.OUTPUT) != 3:
             raise ValidationError("trading genomes need exactly 3 outputs (open/close/hold)")
+        if not all(math.isfinite(m) and 0 <= s < math.inf for m, s in self.norm):
+            raise ValidationError(f"norm needs finite means and finite stds >= 0, "
+                                  f"got {list(self.norm)}")
 
 
 @dataclass(frozen=True)

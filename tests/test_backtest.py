@@ -524,7 +524,8 @@ def test_pairs_legs_under_one_symbol_are_refused():
     with pytest.raises(ValidationError, match="symbol_b 'RND' must differ"):
         run_backtest(StrategyConfig("RND", PairsParams(symbol_b="RND", lookback=30)),
                      a, 10_000.0, aux_series={"RND": b})
-    with pytest.raises(ValidationError, match="both series are 'RND'"):
+    with pytest.raises(ValidationError,
+                       match="symbol_b is 'B' but the second leg's series is 'RND'"):
         run_backtest(StrategyConfig("RND", PairsParams(symbol_b="B", lookback=30)),
                      a, 10_000.0, aux_series={"B": b})
 

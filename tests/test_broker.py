@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from helpers import (
@@ -18,6 +20,7 @@ from tradelab.broker import (
     UnknownSymbol,
     paper_trade_loop,
 )
+from tradelab.data import CandleSeries
 from tradelab.errors import ValidationError
 from tradelab.strategy import (
     EmaCrossParams,
@@ -308,3 +311,69 @@ def test_session_reads_the_account_once_per_bar_and_order():
         report = paper_trade_loop(strategy, series, broker, costs=CostModel())
         assert broker.places > 0
         assert broker.reads <= report.bars + broker.places + 2
+
+
+# ---------------------------------------------------------------------------
+# A config trades the symbols of its bars; a session that fails is closed
+# ---------------------------------------------------------------------------
+
+class ClosingBroker(SimulatedBroker):
+    """Records the ``liquidate`` flag of every ``close`` call."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.closes = []
+
+    def close(self, liquidate=True):
+        self.closes.append(liquidate)
+        return super().close(liquidate)
+
+
+def refused_run(case):
+    """``(series A, config, leg B, needle)`` of a run the bar loop refuses."""
+    from test_strategy import synthetic_pair
+
+    a, b = synthetic_pair(21, n=400)
+    pairs = StrategyConfig("A", PairsParams(symbol_b="B", lookback=40, z_entry=1.6, z_exit=0.4))
+    shifted = tuple(replace(c, ts=c.ts + b.interval * 1000) for c in b.candles)
+    config, leg_b, needle = {
+        "symbol": (StrategyConfig("X", EmaCrossParams(9, 21)), None,
+                   "the config trades 'X' but the bars are 'A'"),
+        "missing leg": (pairs, None, "pairs strategy needs aux series for 'B'"),
+        "leg under another symbol": (pairs, CandleSeries("C", b.interval, b.candles),
+                                     "pairs symbol_b is 'B' but the second leg's series is 'C'"),
+        "shifted leg": (pairs, CandleSeries("B", b.interval, shifted),
+                        "pairs legs must share timestamps"),
+    }[case]
+    return a, config, leg_b, needle
+
+
+@pytest.mark.parametrize("case", ["symbol", "missing leg", "leg under another symbol",
+                                  "shifted leg"])
+@pytest.mark.parametrize("route", ["backtest", "paper"])
+def test_a_config_trades_the_symbols_of_its_bars(route, case):
+    """The bar loop refuses a config for another symbol and a pairs leg that
+    is not the series of ``symbol_b``, on both routes; run, such a config
+    would score with every order of the unpriced symbol rejected."""
+    series, config, leg_b, needle = refused_run(case)
+    if route == "backtest":
+        with pytest.raises(ValidationError, match=needle):
+            run_backtest(config, series, aux_series=None if leg_b is None else {"B": leg_b})
+        return
+    broker = ClosingBroker(series, 10_000.0, CostModel(), allow_short=True)
+    with pytest.raises(ValidationError, match=needle):
+        paper_trade_loop(config, series, broker, costs=CostModel(), aux_feed=leg_b)
+    assert broker.closes == [False]
+
+
+def test_a_session_that_raises_closes_its_endpoint_without_liquidating():
+    series = random_series(31, n=120, symbol="RND", vol=0.02)
+    # from bar 50 on, the feed's stamps are not the endpoint's
+    feed = series.candles[:50] + tuple(replace(c, ts=c.ts + 1) for c in series.candles[50:])
+    broker = ClosingBroker(series, 1_000.0, ZERO_COSTS)
+    strategy = RandomStrategy(3, open_p=0.5, close_p=0.0)
+    with pytest.raises(ValidationError, match="feed and endpoint diverged"):
+        paper_trade_loop(strategy, feed, broker, costs=ZERO_COSTS, symbol="RND",
+                         interval=series.interval)
+    assert broker.closes == [False]
+    assert broker.account().positions["RND"] > 0.0  # left open, not liquidated

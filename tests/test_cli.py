@@ -491,6 +491,10 @@ def edited_config(tmp_path, path, value):
     ("strategy.stops.stop_mult", 1e101, TUNE, "stop_mult must be in (0, 1e100]"),
     ("strategy", {"kind": "pairs", "params": {"symbol_b": "TRENDY"}}, ["backtest"],
      "symbol_b 'TRENDY' must differ from the traded symbol"),
+    ("costs.fee_bps", 20000, ["indicator", "--indicator", "rsi:p=5"],
+     "fee_bps must be a number in [0, 10000)"),
+    ("costs.fee_bps", 20000, ["report", "--report", "report.json"],
+     "fee_bps must be a number in [0, 10000)"),
 ])
 def test_cmd_bad_config_entry_exit_1(tmp_path, capsys, path, value, command, needle):
     cfg = edited_config(tmp_path, path, value)

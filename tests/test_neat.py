@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -1165,6 +1166,17 @@ def test_genome_file_missing_is_validation_error(tmp_path):
 def test_evolution_config_rejects_out_of_range(field, value):
     with pytest.raises(ValidationError, match=field):
         EvolutionConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("field,value", [("c3", -1.0), ("population_size", 1),
+                                         ("weight_init_span", 9.0)])
+def test_evolution_config_refuses_bad_values_when_built(field, value):
+    """An EvolutionConfig that exists is valid: it checks itself when it is
+    built or replaced, not when a caller remembers to validate it."""
+    with pytest.raises(ValidationError, match=field):
+        EvolutionConfig(**{field: value})
+    with pytest.raises(ValidationError, match=field):
+        replace(EvolutionConfig(), **{field: value})
 
 
 def test_cmd_optimize_negative_c3_exit_1(tmp_path, capsys):

@@ -89,10 +89,47 @@ MACD = IndicatorSpec("macd", {"fast": 12, "slow": 26, "signal": 9})  # three lin
     ((RSI, MACD), ((50.0, 15.0),) * 3, random_genome(0, 4, 3, 0), "normalization has 3 columns"),
     ((RSI, MACD), ((50.0, 15.0),) * 4, random_genome(0, 3, 3, 0), "genome expects 3 inputs"),
     ((RSI,), ((50.0, 15.0),), random_genome(0, 1, 2, 0), "exactly 3 outputs"),
+    ((RSI,), ((math.nan, 15.0),), random_genome(0, 1, 3, 0), "finite means"),
+    ((RSI,), ((50.0, -1.0),), random_genome(0, 1, 3, 0), "finite stds >= 0"),
+    ((RSI,), ((50.0, math.inf),), random_genome(0, 1, 3, 0), "finite stds >= 0"),
 ])
 def test_neat_params_check_the_network_shape(inputs, norm, genome, needle):
     with pytest.raises(ValidationError, match=needle):
         NeatParams(genome, inputs, norm)
+
+
+@pytest.mark.parametrize("params,bad", [
+    (GridParams, {"levels": 2.5}), (GridParams, {"levels": True}), (GridParams, {"levels": 0}),
+    (PairsParams, {"lookback": 2.5}), (PairsParams, {"lookback": 1}),
+    (StopSettings, {"atr_period": 0}), (StopSettings, {"atr_period": 14.5}),
+    (EmaCrossParams, {"p_short": 9.5}),
+], ids=lambda v: v.__name__ if isinstance(v, type) else ",".join(f"{k}={x!r}"
+                                                                 for k, x in v.items()))
+def test_params_check_their_periods(params, bad):
+    """A period is checked by the params type that holds it, so a library
+    caller is refused where a config file is, not at backtest time."""
+    valid = {GridParams: {"spacing": 1.0, "levels": 2, "level_quantity": 1.0},
+             PairsParams: {"symbol_b": "B"}}
+    (field,) = bad
+    with pytest.raises(ValidationError, match=field):
+        params(**{**valid.get(params, {}), **bad})
+
+
+@pytest.mark.parametrize("as_float,as_int", [
+    (GridParams(spacing=0.5, levels=2.0, level_quantity=1.0),
+     GridParams(spacing=0.5, levels=2, level_quantity=1.0)),
+    (PairsParams(symbol_b="B", lookback=20.0, z_entry=1.6, z_exit=0.4),
+     PairsParams(symbol_b="B", lookback=20, z_entry=1.6, z_exit=0.4)),
+    (EmaCrossParams(5.0, 13.0), EmaCrossParams(5, 13)),
+], ids=["grid", "pairs", "ema_cross"])
+def test_integral_float_periods_backtest_like_ints(as_float, as_int):
+    a, b = synthetic_pair(21, n=400)
+    with_floats, with_ints = (
+        run_backtest(StrategyConfig("A", params, stops=StopSettings(atr_period=atr_period)), a,
+                     aux_series={"B": b})
+        for params, atr_period in ((as_float, 14.0), (as_int, 14)))
+    assert with_floats.fills
+    assert with_floats == with_ints
 
 
 # ---------------------------------------------------------------------------

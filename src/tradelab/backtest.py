@@ -260,8 +260,8 @@ class Book:
             del self.positions[symbol]
         else:
             self.positions[symbol] = after
-        return Fill(order_id=order_id, bar=bar, symbol=symbol, side=side, price=price,
-                    quantity=size, fee=fee, reason=reason, forced=forced)
+        # positional arguments: a keyword call costs more on every fill
+        return Fill(order_id, bar, symbol, side, price, size, fee, reason, forced)
 
     def flatten(self, next_id: int, bar: int, closes: dict[str, float]) -> list[Fill]:
         """The end-of-data close: flatten every open position at its symbol's
@@ -319,13 +319,9 @@ class TradeLedger:
                 entry_unit = entry_fill.price * (1.0 - fee_rate)
                 exit_unit = fill.price * (1.0 + fee_rate)
                 pct = (entry_unit - exit_unit) / entry_fill.price * 100.0
-            self.trades.append(
-                TradeRecord(symbol=symbol, quantity=take,
-                            entry_bar=entry_fill.bar, entry_price=entry_fill.price,
-                            exit_bar=fill.bar, exit_price=fill.price,
-                            profit_pct=pct, exit_reason=fill.reason or "close",
-                            forced=fill.forced, is_long=is_long)
-            )
+            self.trades.append(TradeRecord(symbol, take, entry_fill.bar, entry_fill.price,
+                                           fill.bar, fill.price, pct, fill.reason or "close",
+                                           fill.forced, is_long))
             lot[0] -= take
             remaining -= take
             if lot[0] <= 1e-12:
@@ -419,7 +415,7 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
     equity: list[float] = []
 
     def execute(intent: TradeIntent, bar: int, raw_price: float) -> None:
-        order = Order(id=len(orders), intent=intent, created_at_bar=bar - 1)
+        order = Order(len(orders), intent, bar - 1)
         orders.append(order)
         name = intent.symbol
         if name != symbol:
@@ -513,15 +509,14 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
         raise ValidationError("feed produced no bars")
     last = len(equity) - 1
     for intent in queue:  # emitted on the last bar, never executed
-        orders.append(Order(id=len(orders), intent=intent, created_at_bar=last))
+        orders.append(Order(len(orders), intent, last))
     marks = {symbol: candle.close}
     if candles_b is not None:
         marks[symbol_b] = candles_b[last].close
     forced = [] if interrupted else venue.flatten(len(orders), last, marks)
     for fill in forced:
         intent = TradeIntent(fill.side, fill.symbol, reason="end-of-data")
-        orders.append(Order(id=len(orders), intent=intent, created_at_bar=last,
-                            status=OrderStatus.FILLED))
+        orders.append(Order(len(orders), intent, last, OrderStatus.FILLED))
         ledger.record(fill, True, None)  # a closing fill arms no stop
     if forced:
         equity[-1] = venue.cash

@@ -30,7 +30,7 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import TradeLabError, ValidationError
+from .errors import TradeLabError, ValidationError, require_finite
 
 logger = logging.getLogger(__name__)
 
@@ -49,13 +49,18 @@ class UnevaluatedParent(TradeLabError):
     """An operation that needs fitness was given an unevaluated genome."""
 
 
-def steep_sigmoid(x: float) -> float:
-    z = SIGMOID_SLOPE * x
+def _squash(z: float) -> float:
+    """The sigmoid of a pre-activation ``z = SIGMOID_SLOPE * x``, clipped
+    to 1.0 above 60 and 0.0 below -60."""
     if z > 60.0:
         return 1.0
     if z < -60.0:
         return 0.0
     return 1.0 / (1.0 + math.exp(-z))
+
+
+def steep_sigmoid(x: float) -> float:
+    return _squash(SIGMOID_SLOPE * x)
 
 
 class NodeKind(Enum):
@@ -164,12 +169,29 @@ def _topological_order(genome: Genome) -> list[int]:
 # compile on CPython 3.10 and 3.11), so a longer sum is chained: each part
 # of at most this many terms continues the previous part's total.
 _SUM_TERMS = 256
+# A labelled row is labelled by pre-activation alone when its top output's
+# z exceeds every other output's by more than _WIN_GAP and lies in
+# [-60, _WIN_CEILING]; see _network_kernel for why the label is exact.
+_WIN_GAP = 1 / 32
+_WIN_CEILING = 30.0
 # The most network kernels kept at once; the oldest is dropped first.
 _KERNEL_LIMIT = 1024
 # network shape -> kernel, in the order they were generated; see
 # _network_kernel. Shared by every evaluator in the process.
 _NETWORK_KERNELS: dict = {}
 _KERNEL_NUMBERS = itertools.count()
+
+
+def _first_largest(labels, *zs):
+    """``labels[i]`` for the first output i whose squashed pre-activation
+    ``zs[i]`` is the largest: the last one that exceeds every value before
+    it, else the first (the tie rule of ``max``; a NaN never exceeds)."""
+    label, best = labels[0], _squash(zs[0])
+    for other, z in zip(labels[1:], zs[1:]):
+        value = _squash(z)
+        if value > best:
+            label, best = other, value
+    return label
 
 
 def _network_kernel(shape):
@@ -185,25 +207,56 @@ def _network_kernel(shape):
     ``kernel(columns, weights, labels)`` is one comprehension over the rows
     of the input columns. Per row it binds every computed node in turn with
     ``for v in [...]`` (which CPython compiles to a plain assignment, not a
-    loop): the node's terms summed left to right, the first
-    seeding the sum, through ``steep_sigmoid``'s expression inlined with its
-    clip branches. A term is ``x * w`` for an input or a node and the
-    weight itself for a bias. A node with no terms is 0.5. A labelled row
-    yields ``labels[i]`` for the first output i that holds the largest value
-    (the tie rule of ``max``). The weights, one per term in node and gene
-    order, and the labels are arguments and never part of the source, so
-    every genome of one shape shares its kernel.
+    loop): the node's terms summed left to right, the first seeding the sum,
+    times the slope, through ``_squash``'s expression inlined with its clip
+    branches. A term is ``x * w`` for an input or a node and the weight
+    itself for a bias. A node with no terms is 0.5. The weights, one per
+    term in node and gene order, and the labels are arguments and never
+    part of the source, so every genome of one shape shares its kernel.
+
+    A labelled row yields ``labels[i]`` for the first output i that holds
+    the largest value (the tie rule of ``max``). With one output that is
+    ``labels[0]``. With more, each output binds its pre-activation ``z``
+    (the same float the sigmoid is taken of); one that feeds another node
+    binds its sigmoid value too. The row yields ``labels[i]`` without any
+    sigmoid when ``-60 <= z_i <= T`` and ``z_i - G > z_j`` for every other
+    output j (``G`` is ``_WIN_GAP``, 1/32, and ``T`` is ``_WIN_CEILING``,
+    30); any other row goes to ``_first_largest``, which squashes every z
+    and applies the tie rule, with the bits of the sigmoid path.
+
+    The shortcut gives the same label. Take ``-60 <= z_b`` and
+    ``z_b + G <= z_a <= T`` (``fl(z_a - G) > z_b`` implies it, rounding
+    being monotone), and write ``e = exp(-z)``. Then ``e_b - e_a >=
+    (1 - e^-G) * e_b``: at least 3% of ``e_b``, and, as ``e_b >= e^-30``,
+    at least about 2.9e-15, 13 ulps of 1.0. An ``exp`` within 4 ulps (glibc
+    documents at most 1) moves each e by at most 4 ulps of 1.0 when
+    ``e_b <= 1``, and by a negligible share of the 3% when ``e_b > 1``, so
+    after ``1 + e`` is rounded ``fl(1 + e_b) > fl(1 + e_a)`` still holds,
+    several ulps apart, and the correctly rounded reciprocal keeps the two
+    sigmoids strictly ordered: ``s(z_a) > s(z_b)``. Both z are at most
+    T < 60, so neither is clipped to 1.0. An output with ``z_j < -60``
+    squashes to 0.0, below ``s(-60) > 0``. So the z-maximum is the unique
+    sigmoid maximum and the tie rule never applies. NaN and infinite z fail
+    the comparisons and take ``_first_largest``.
     """
     kernel = _NETWORK_KERNELS.get(shape)
     if kernel is not None:
         return kernel
     n_inputs, n_biases, sources, outputs, labelled = shape
     first_node = n_inputs + n_biases
+    ranked = set(outputs) if labelled and len(outputs) > 1 else set()
+    fed = {src for slots in sources for src in slots}
     clauses = []
     n_weights = 0
     for dst, slots in enumerate(sources, first_node):
+        # a ranked output binds z{dst}; its value v{dst} only when a node reads it
+        z = f"z{dst}" if dst in ranked else "z"
+        squashed = dst not in ranked or dst in fed
         if not slots:
-            clauses.append(f"for v{dst} in [0.5]")
+            if dst in ranked:
+                clauses.append(f"for {z} in [0.0]")
+            if squashed:
+                clauses.append(f"for v{dst} in [0.5]")
             continue
         terms = []
         for src in slots:
@@ -218,40 +271,41 @@ def _network_kernel(shape):
         for start in range(_SUM_TERMS, len(terms), _SUM_TERMS):
             clauses.append(f"for t in [{total}]")
             total = " + ".join(["t"] + terms[start:start + _SUM_TERMS])
-        clauses.append(f"for z in [slope * ({total})]")
-        clauses.append(f"for v{dst} in [1.0 if z > 60.0 else 0.0 if z < -60.0"
-                       " else 1.0 / (1.0 + exp(-z))]")
-    names = [f"v{slot}" for slot in outputs]
-    if labelled:
-        # row: labels[i] for the last output i that exceeds every earlier
-        # one, else labels[0]; best: the largest of the outputs so far, the
-        # earliest on a tie, bound to a name when it is read more than once
-        best, row = names[0], "l0"
-        for i, name in enumerate(names[1:], 1):
-            row = f"l{i} if {name} > {best} else {row}"
-            larger = f"{name} if {name} > {best} else {best}"
-            if i + 2 < len(names):
-                clauses.append(f"for m{i} in [{larger}]")
-                best = f"m{i}"
-            else:
-                best = f"({larger})"
+        clauses.append(f"for {z} in [slope * ({total})]")
+        if squashed:
+            clauses.append(f"for v{dst} in [1.0 if {z} > 60.0 else 0.0 if {z} < -60.0"
+                           f" else 1.0 / (1.0 + exp(-{z}))]")
+    if ranked:
+        zs = [f"z{slot}" for slot in outputs]
+        row = f"first_largest(labels, {', '.join(zs)})"
+        for i in reversed(range(len(zs))):
+            # z_i - G > z_j for every other j, two others to a chained comparison
+            lead, others = f"{zs[i]} - {_WIN_GAP!r}", zs[:i] + zs[i + 1:]
+            gaps = [f"{a} < {lead} > {b}" for a, b in zip(others[::2], others[1::2])]
+            if len(others) % 2:
+                gaps.append(f"{lead} > {others[-1]}")
+            row = (f"l{i} if {' and '.join(gaps)} and -60.0 <= {zs[i]} <= {_WIN_CEILING!r}"
+                   f" else {row}")
+    elif labelled:
+        row = "l0"
     else:
-        row = f"({''.join(f'{name}, ' for name in names)})"
+        row = f"({''.join(f'v{slot}, ' for slot in outputs)})"
     if n_inputs == 0:
         rows = "for _ in ()"
     elif n_inputs == 1:
         rows = "for x0 in columns[0]"
     else:
         rows = f"for {', '.join(f'x{i}' for i in range(n_inputs))} in zip(*columns)"
-    source = "def kernel(columns, weights, labels, slope=slope, exp=exp):\n"
+    source = ("def kernel(columns, weights, labels, slope=slope, exp=exp,"
+              " first_largest=first_largest):\n")
     if n_weights:
         source += f"    {''.join(f'w{k}, ' for k in range(n_weights))}= weights\n"
     if labelled:
-        source += f"    {''.join(f'l{i}, ' for i in range(len(names)))}= labels\n"
+        source += f"    {''.join(f'l{i}, ' for i in range(len(outputs)))}= labels\n"
     # one clause a line: short lines keep the code's position table small
     body = "".join(f"        {clause}\n" for clause in [rows, *clauses])
     source += f"    return [{row}\n{body}    ]\n"
-    namespace = {"slope": SIGMOID_SLOPE, "exp": math.exp}
+    namespace = {"slope": SIGMOID_SLOPE, "exp": math.exp, "first_largest": _first_largest}
     # a file name of its own gives each kernel its own row in a profile
     exec(compile(source, f"<network kernel {next(_KERNEL_NUMBERS)}>", "exec"), namespace)
     if len(_NETWORK_KERNELS) >= _KERNEL_LIMIT:
@@ -369,7 +423,7 @@ class NetworkEvaluator:
             total = 0.0
             for src, weight in incoming:
                 total += values[src] * weight
-            values[dst] = steep_sigmoid(total)
+            values[dst] = _squash(SIGMOID_SLOPE * total)
         return [values[s] for s in self._output_slots]
 
     def _run_rows(self, columns, labels) -> list:
@@ -520,6 +574,7 @@ class EvolutionConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        require_finite(self)
         if self.population_size < 2:
             raise ValidationError("population_size must be >= 2")
         for name in ("weight_mutation_rate", "weight_reset_rate", "add_connection_rate",

@@ -25,9 +25,10 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 from .data import Candle, CandleSeries
-from .errors import TradeLabError, ValidationError
+from .errors import TradeLabError, ValidationError, require_finite
 from .indicators import (
     EmaStream,
     IndicatorSpec,
@@ -130,6 +131,7 @@ class GridParams:
     level_quantity: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.spacing <= 0:
             raise ValidationError(f"grid spacing must be > 0, got {self.spacing}")
         _period(self, "levels")
@@ -146,6 +148,7 @@ class PairsParams:
     leg_fraction: float = 0.5
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if _period(self, "lookback") < 2:
             raise ValidationError(f"pairs lookback must be >= 2, got {self.lookback}")
         if not (0 <= self.z_exit < self.z_entry):
@@ -304,12 +307,15 @@ def ema_crossing(s: float, l: float, ps: float, pl: float) -> int:
 def crossing_column(short: list[float | None], long_: list[float | None]) -> list[int]:
     """``ema_crossing`` at every bar of two indicator lines, which have no
     holes once defined; 0 while either line warms up and at the first bar
-    where both are defined."""
+    where both are defined. Its comparisons are inlined: a call per bar
+    costs more than the comparisons."""
     n = len(short)
     start = next((i for i, (s, l) in enumerate(zip(short, long_))
                   if s is not None and l is not None), n)
-    return [0] * min(start + 1, n) + list(map(ema_crossing, short[start + 1:], long_[start + 1:],
-                                              short[start:-1], long_[start:-1]))
+    return [0] * min(start + 1, n) + [
+        1 if s > l and ps <= pl else -1 if s < l and ps >= pl else 0
+        for s, l, ps, pl in zip(short[start + 1:], long_[start + 1:],
+                                short[start:-1], long_[start:-1])]
 
 
 class SignalStepper:
@@ -739,8 +745,14 @@ class PositionStopState:
         else:
             pct = settings.fallback_profit_pct
             target = entry_price * (1 + pct) if is_long else entry_price * (1 - pct)
-        return cls(symbol=symbol, is_long=is_long, entry_price=entry_price,
-                   entry_bar=entry_bar, target=target)
+        return cls(symbol, is_long, entry_price, entry_bar, target)
+
+
+@cache
+def _stop_intent(side: Side, symbol: str, reason: str) -> TradeIntent:
+    """The close intent of a fired stop: intents are frozen, so one object
+    serves every stop of that (side, symbol, reason)."""
+    return TradeIntent(side, symbol, reason=reason)
 
 
 def apply_stops(position: PositionStopState, bar: Candle, atr_value: float | None,
@@ -756,9 +768,9 @@ def apply_stops(position: PositionStopState, bar: Candle, atr_value: float | Non
         if position.stop is None or candidate > position.stop:
             position.stop = candidate
         if close > position.target:
-            return TradeIntent(Side.CLOSE_LONG, position.symbol, reason="take-profit")
+            return _stop_intent(Side.CLOSE_LONG, position.symbol, "take-profit")
         if close < position.stop:
-            return TradeIntent(Side.CLOSE_LONG, position.symbol, reason="stop-loss")
+            return _stop_intent(Side.CLOSE_LONG, position.symbol, "stop-loss")
     else:
         if atr_value is not None:
             candidate = close + settings.stop_mult * atr_value
@@ -767,7 +779,7 @@ def apply_stops(position: PositionStopState, bar: Candle, atr_value: float | Non
         if position.stop is None or candidate < position.stop:
             position.stop = candidate
         if close < position.target:
-            return TradeIntent(Side.CLOSE_SHORT, position.symbol, reason="take-profit")
+            return _stop_intent(Side.CLOSE_SHORT, position.symbol, "take-profit")
         if close > position.stop:
-            return TradeIntent(Side.CLOSE_SHORT, position.symbol, reason="stop-loss")
+            return _stop_intent(Side.CLOSE_SHORT, position.symbol, "stop-loss")
     return None

@@ -14,6 +14,7 @@ from tradelab.cli import main
 from tradelab.indicators import IndicatorSpec
 from tradelab.neat import (
     ACTIVATIONS,
+    SIGMOID_SLOPE,
     ArityMismatch,
     ConnectionGene,
     CyclicGenome,
@@ -40,6 +41,7 @@ from tradelab.neat import (
     write_genome,
 )
 from tradelab.optimize import evolve_strategy
+from tradelab.strategy import network_action
 from tradelab.errors import ValidationError
 
 CONFIG = EvolutionConfig(population_size=30)
@@ -340,6 +342,188 @@ def test_column_pass_runs_a_deep_chain_of_hidden_nodes(depth, monkeypatch):
     per_row = assert_columns_equal_rows(genome, rows)
     assert len({out[0] for out in per_row}) > 1
     assert len(neat_module._NETWORK_KERNELS) == 2  # labelled and unlabelled
+
+
+# ---------------------------------------------------------------------------
+# Labelled kernels: ranking by pre-activation
+# ---------------------------------------------------------------------------
+
+GAP, CEILING = neat_module._WIN_GAP, neat_module._WIN_CEILING
+NON_FINITE = [math.nan, math.inf, -math.inf, 1e308, -1e308]
+
+
+def action_labels(net, rows):
+    """The label of each row from activate's outputs: network_action for
+    three outputs, else the first largest output as max picks it."""
+    labels = tuple(f"out{j}" for j in range(len(net.output_ids)))
+    per_row = [net.activate(row) for row in rows]
+    return labels, [labels[network_action(out) if len(out) == 3
+                           else max(range(len(out)), key=out.__getitem__)] for out in per_row]
+
+
+def counting_fallback(monkeypatch):
+    """Fresh kernels that record each fallback row; returns the record."""
+    calls = []
+    first_largest = neat_module._first_largest
+
+    def counting(labels, *zs):
+        calls.append(zs)
+        return first_largest(labels, *zs)
+
+    monkeypatch.setattr(neat_module, "_first_largest", counting)
+    monkeypatch.setattr(neat_module, "_NETWORK_KERNELS", {})
+    return calls
+
+
+def assert_labels_equal_actions(genome, rows):
+    net = NetworkEvaluator(genome)
+    labels, want = action_labels(net, rows)
+    assert net.argmax_columns(columns_of(rows), labels) == want
+
+
+def diagonal_genome(n_out):
+    """Input i feeds output i alone with weight 1.0, so output i's
+    pre-activation is SIGMOID_SLOPE * x_i."""
+    nodes = [NodeGene(i, NodeKind.INPUT, "identity") for i in range(n_out)]
+    nodes += [NodeGene(n_out + i, NodeKind.OUTPUT) for i in range(n_out)]
+    return Genome(nodes, [ConnectionGene(i, i, n_out + i, 1.0) for i in range(n_out)])
+
+
+def inputs_near(z):
+    """Inputs x whose pre-activation SIGMOID_SLOPE * x lies nearest z, a few
+    floats on each side."""
+    x = z / SIGMOID_SLOPE
+    below = above = x
+    near = [x]
+    for _ in range(3):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        near += [below, above]
+    return near
+
+
+def threshold_rows(n_out, rng):
+    """Rows of a diagonal genome whose top z lies at or near the ceiling,
+    at and beyond ±60 or anywhere, with the runner-up at, just inside and
+    just outside the gap, tied or far below, in every output position."""
+    rows = []
+    tops = [CEILING, 37.0, 60.0, -60.0, 59.0, -59.0, 61.0, -61.0, 0.0, rng.uniform(-70.0, 70.0)]
+    # just below the ceiling the sigmoids of z and z - gap are fewest floats apart
+    tops += [rng.uniform(CEILING - 1.0, CEILING) for _ in range(8)]
+    for top in tops:
+        for gap in [GAP, GAP * (1 + 1e-15), GAP * (1 - 1e-15), 0.0, 1e-15, 2 * GAP, 200.0]:
+            for x_top in inputs_near(top)[:3]:
+                for x_next in inputs_near(top - gap)[:3]:
+                    row = [x_next] + [rng.uniform(-20.0, 0.0) for _ in range(n_out - 2)]
+                    slot = rng.randrange(n_out)
+                    row.insert(slot, x_top)
+                    rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("n_out", [1, 2, 3, 5])
+def test_argmax_columns_equals_the_action_of_activate(n_out, monkeypatch):
+    fallbacks = counting_fallback(monkeypatch)
+    rng = random.Random(20 + n_out)
+    rows = [[rng.uniform(-2.0, 2.0) for _ in range(4)] for _ in range(60)]
+    rows += [[scale * v for v in row] for row in rows[:10] for scale in (8.0, 30.0, 1e3)]
+    rows += [[0.0] * 4, [50.0] * 4, [-50.0] * 4]
+    # non-finite and overflowing inputs, alone or two at a time
+    rows += [[bad if i == j else 0.5 for i in range(4)] for bad in NON_FINITE for j in range(4)]
+    rows += [[a, b, 0.25, -0.25] for a in NON_FINITE for b in NON_FINITE]
+    genomes = bred_genomes(n_out=n_out, rounds=5)
+    genomes += [random_genome(seed, n_in=4, n_out=n_out) for seed in range(6)]
+    assert any(n.kind is NodeKind.HIDDEN for g in genomes for n in g.nodes)
+    for genome in genomes:
+        assert_labels_equal_actions(genome, rows)
+    if n_out > 1:  # rows of both kinds were checked
+        assert 0 < len(fallbacks) < len(genomes) * len(rows)
+    else:
+        assert not fallbacks
+
+
+@pytest.mark.parametrize("n_out", [2, 3, 4])
+def test_argmax_columns_at_the_shortcut_thresholds(n_out, monkeypatch):
+    fallbacks = counting_fallback(monkeypatch)
+    rng = random.Random(n_out)
+    rows = threshold_rows(n_out, rng)
+    rows += [[bad] + [0.0] * (n_out - 1) for bad in NON_FINITE]
+    rows += [[3.0] * (n_out - 1) + [bad] for bad in NON_FINITE]
+    assert_labels_equal_actions(diagonal_genome(n_out), rows)
+    net = NetworkEvaluator(diagonal_genome(n_out))
+    tops = [max(SIGMOID_SLOPE * x for x in row) for row in rows]
+    assert any(CEILING < top <= 60.0 for top in tops) and any(top > 60.0 for top in tops)
+    assert any(net.activate(row).count(1.0) > 1 for row in rows)  # saturated ties
+    assert 0 < len(fallbacks) < len(rows)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-17, 1e-15, 1e-9, GAP / 4 / SIGMOID_SLOPE, 0.05])
+def test_argmax_columns_with_near_tie_output_weights(delta):
+    # every output reads the same inputs; output j's weights are shifted by j * delta
+    n_out = 3
+    nodes = [NodeGene(0, NodeKind.INPUT, "identity"), NodeGene(1, NodeKind.INPUT, "identity"),
+             NodeGene(2, NodeKind.BIAS, "identity")]
+    nodes += [NodeGene(3 + j, NodeKind.OUTPUT) for j in range(n_out)]
+    conns = [ConnectionGene(3 * j + src, src, 3 + j, w + j * delta)
+             for j in range(n_out) for src, w in ((0, 0.8), (1, -1.3), (2, 0.4))]
+    rng = random.Random(17)
+    rows = [[rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)] for _ in range(200)]
+    rows += [[10.0, -10.0], [-10.0, 10.0], [0.0, 0.0], [1e308, 0.0], [math.nan, 1.0]]
+    assert_labels_equal_actions(Genome(nodes, conns), rows)
+
+
+def test_argmax_columns_with_an_output_that_feeds_a_hidden_node():
+    # output 3 feeds hidden 5, which feeds output 4: 3 keeps its sigmoid value
+    nodes = [NodeGene(0, NodeKind.INPUT, "identity"), NodeGene(1, NodeKind.INPUT, "identity"),
+             NodeGene(2, NodeKind.BIAS, "identity"), NodeGene(3, NodeKind.OUTPUT),
+             NodeGene(4, NodeKind.OUTPUT), NodeGene(5, NodeKind.HIDDEN),
+             NodeGene(6, NodeKind.OUTPUT)]
+    conns = [ConnectionGene(0, 0, 3, 1.5), ConnectionGene(1, 2, 3, -0.2),
+             ConnectionGene(2, 3, 5, 3.0), ConnectionGene(3, 5, 4, 2.0),
+             ConnectionGene(4, 1, 4, -0.7), ConnectionGene(5, 1, 6, 1.1),
+             ConnectionGene(6, 2, 6, -1.0)]
+    genome = Genome(nodes, conns)
+    validate_genome(genome)
+    rng = random.Random(41)
+    rows = [[rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)] for _ in range(300)]
+    rows += [[bad, 0.5] for bad in NON_FINITE] + [[0.5, bad] for bad in NON_FINITE]
+    assert_labels_equal_actions(genome, rows)
+    _, actions = action_labels(NetworkEvaluator(genome), rows)
+    assert len(set(actions)) == 3
+
+
+@pytest.mark.parametrize("sign", [1, -1, 0])
+def test_shortcut_labels_survive_an_inexact_exp(sign, monkeypatch):
+    """With exp off by 2**-50 relative (up or down, or either way by the
+    argument's hash), every shortcut row keeps the label that the perturbed
+    sigmoids give. Fallback rows and activate use the perturbed exp, so the
+    two agree on every row exactly when the shortcut's margin holds."""
+    exact = math.exp
+
+    def inexact(x):
+        up = sign > 0 or (sign == 0 and hash(x) % 2)
+        return exact(x) * (1 + 2**-50 if up else 1 - 2**-50)
+
+    rng = random.Random(3)
+    # outputs a few floats apart, where a perturbed exp can reorder the sigmoids
+    near_ties = []
+    for _ in range(100):
+        x = y = rng.uniform(-2.0, 2.0)
+        for _ in range(rng.randint(1, 4)):
+            y = math.nextafter(y, math.inf)
+        near_ties.append([x, y, -5.0])
+    cases = [(diagonal_genome(3), threshold_rows(3, rng) + near_ties)]
+    rows = [[rng.uniform(-3.0, 3.0) for _ in range(4)] for _ in range(150)]
+    cases += [(genome, rows) for genome in bred_genomes(n_out=3, rounds=4)[::3]]
+    flipped = 0
+    for genome, case_rows in cases:
+        exact_labels = action_labels(NetworkEvaluator(genome), case_rows)[1]
+        with monkeypatch.context() as patch:
+            patch.setattr(math, "exp", inexact)
+            patch.setattr(neat_module, "_NETWORK_KERNELS", {})
+            assert_labels_equal_actions(genome, case_rows)
+            flipped += action_labels(NetworkEvaluator(genome), case_rows)[1] != exact_labels
+    if sign == 0:
+        assert flipped  # the perturbation moves some labels, so the check has teeth
 
 
 def test_outputs_in_unit_interval():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -5,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (STEP_MS, flat_series, random_genome, random_series, series_from_closes,
                      trending_fixture)
@@ -13,6 +15,7 @@ from tradelab.backtest import run_backtest
 from tradelab.data import Candle, CandleSeries
 from tradelab.errors import ValidationError
 from tradelab.indicators import IndicatorSpec, InvalidPeriods
+from tradelab.neat import EvolutionConfig
 from tradelab.strategy import (
     DEGENERATE_SPREAD_STD,
     ColumnStore,
@@ -33,6 +36,8 @@ from tradelab.strategy import (
     TradeIntent,
     TrendLabel,
     apply_stops,
+    crossing_column,
+    ema_crossing,
     ema_crossover_signals,
     network_action,
     new_state,
@@ -113,6 +118,47 @@ def test_params_check_their_periods(params, bad):
     (field,) = bad
     with pytest.raises(ValidationError, match=field):
         params(**{**valid.get(params, {}), **bad})
+
+
+FLOAT_FIELDS = [(params, f.name) for params in (GridParams, PairsParams, EvolutionConfig)
+                for f in dataclasses.fields(params) if f.type == "float"]
+VALID_ARGS = {GridParams: {"spacing": 1.0, "levels": 2, "level_quantity": 1.0},
+              PairsParams: {"symbol_b": "B"}, EvolutionConfig: {}}
+
+
+@st.composite
+def non_finite_fields(draw):
+    """A type, the name of one float field, and arguments that give that
+    field NaN or ±inf and some other float fields any finite value."""
+    params, name = draw(st.sampled_from(FLOAT_FIELDS))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    others = {other: draw(finite) for cls, other in FLOAT_FIELDS
+              if cls is params and other != name and draw(st.booleans())}
+    bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return params, name, {**VALID_ARGS[params], **others, name: bad}
+
+
+@given(case=non_finite_fields())
+@settings(max_examples=200, deadline=None)
+def test_non_finite_float_fields_are_validation_errors(case):
+    """A NaN or infinite float field is refused by the type that holds it,
+    as a config file's number is, whatever the other fields hold."""
+    params, name, args = case
+    with pytest.raises(ValidationError, match=f"^{name} must be a finite number"):
+        params(**args)
+
+
+def test_crossing_column_equals_ema_crossing_per_bar():
+    rng = random.Random(5)
+    # coarse values make equal lines and ties with the previous bar common
+    short = [None] * 7 + [float(rng.randint(0, 4)) for _ in range(300)]
+    long_ = [None] * 9 + [float(rng.randint(0, 4)) for _ in range(298)]
+    column = crossing_column(short, long_)
+    assert column == [0] * 10 + [ema_crossing(short[t], long_[t], short[t - 1], long_[t - 1])
+                                 for t in range(10, len(short))]
+    assert {1, -1, 0} <= set(column)
+    assert crossing_column([None] * 5, [1.0] * 5) == [0] * 5
+    assert crossing_column([], []) == []
 
 
 @pytest.mark.parametrize("as_float,as_int", [

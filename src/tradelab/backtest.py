@@ -348,13 +348,16 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
     config's stepper then reads the series' indicator columns; fed from a
     candle iterator alone, it streams. The stop reads its ATR as one line
     indexed by bar: the series' column, or the values the loop has streamed
-    so far. ``aux`` is the second pairs leg. ``venue`` is where orders
-    fill: a ``Book``, or any object with the same ``cash``, ``positions``,
-    ``fill`` and ``flatten``.
+    so far. ``aux`` is the second pairs leg, stepped with ``step_pair``.
+    ``venue`` is where orders fill: a ``Book``, or any object with the same
+    ``cash``, ``positions``, ``fill`` and ``flatten``.
 
     A config must trade the symbols of its bars, and this loop checks it:
-    its ``symbol`` is ``symbol``, and a pairs config's ``aux`` is the series
-    of its ``symbol_b``, with the timestamps of ``series`` if there is one.
+    its ``symbol`` is ``symbol``; a pairs config's ``aux`` is the series of
+    its ``symbol_b``, with the timestamps of ``series`` if there is one; any
+    other config takes no ``aux``. A duck-typed stepper is given ``aux``
+    whenever there is one. A second leg that ends before the feed ends the
+    run with a ``ValidationError`` at the bar it lacks.
 
     Intents emitted on bar t become orders, sized with ``size_order`` and
     filled by the venue at bar t+1's open. A feed that raises
@@ -378,6 +381,7 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
         if series.has_gaps:
             raise ValidationError("backtest data must be gap-free")
         store = ColumnStore(series)
+    candles_b = symbol_b = None  # the second leg, stepped with step_pair
     if isinstance(strategy, StrategyConfig):
         if strategy.symbol != symbol:
             raise ValidationError(f"the config trades '{strategy.symbol}' but the bars are "
@@ -391,11 +395,17 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
                                       f"series is '{aux.symbol}'")
             if series is not None and aux.timestamps != series.timestamps:
                 raise ValidationError("pairs legs must share timestamps")
+            candles_b = aux.candles
+        elif aux is not None:
+            raise ValidationError(f"'{strategy.kind.value}' strategies trade one leg, but a "
+                                  f"second leg '{aux.symbol}' was given")
         stepper = new_state(strategy, store)
         stop_settings = strategy.stops
     else:
         stepper = strategy  # duck-typed: anything with .step(candle)
         stop_settings = getattr(strategy, "stops", None)
+        if aux is not None:
+            candles_b, symbol_b = aux.candles, aux.symbol
     ledger = TradeLedger(symbol, stop_settings, costs.fee_rate)
     atr = push_atr = None  # the stop's ATR by bar: the series' column, or streamed so far
     if stop_settings is not None:
@@ -408,8 +418,6 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
             and isinstance(venue, Book) and candles is series.candles):
         quiet_until = getattr(stepper, "quiet_until", None)
     stamps: list[int] | None = [] if series is None else None
-    candles_b = aux.candles if aux is not None else None
-    symbol_b = aux.symbol if aux is not None else None
     orders: list[Order] = []
     queue: list[TradeIntent] = []  # emitted on the previous bar
     equity: list[float] = []
@@ -419,7 +427,9 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
         orders.append(order)
         name = intent.symbol
         if name != symbol:
-            raw_price = candles_b[bar].open if name == symbol_b else None
+            # a second leg that ends at this bar is refused when the bar steps
+            raw_price = (candles_b[bar].open if name == symbol_b and bar < len(candles_b)
+                         else None)
         if raw_price is None:
             result = f"no price feed for symbol '{name}'"
         else:
@@ -485,6 +495,9 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
                 if intent is not None:
                     queue.append(intent)
             if candles_b is not None:
+                if t == len(candles_b):
+                    raise ValidationError(f"the second leg '{symbol_b}' ends at bar {t}, "
+                                          f"before the feed")
                 opens_i, closes_i = stepper.step_pair(candle, candles_b[t])
             else:
                 opens_i, closes_i = stepper.step(candle)

@@ -256,12 +256,14 @@ def paper_trade_loop(strategy, feed, endpoint: BrokerEndpoint, *,
 
     ``feed`` is a gap-free CandleSeries, whose indicator columns the
     strategy then reads, or any iterable of candles, which it streams (then
-    pass ``symbol``/``interval`` explicitly). The feed may raise FeedInterrupted
-    to abort mid-session: the report then covers the processed bars only and
-    open positions stay open, flagged via ``interrupted``. On normal
-    exhaustion the endpoint session is closed with liquidation, matching the
-    backtester's end-of-data force close; when the loop raises, it is closed
-    without liquidation and the error propagates.
+    pass ``symbol``/``interval`` explicitly). ``aux_feed`` is a pairs
+    config's second leg, refused for any other config. The feed may raise
+    FeedInterrupted to abort mid-session: the report then covers the
+    processed bars only and open positions stay open, flagged via
+    ``interrupted``. On normal exhaustion the endpoint session is closed
+    with liquidation, matching the backtester's end-of-data force close;
+    when the loop raises, it is closed without liquidation and the error
+    propagates.
 
     ``costs`` must describe the venue's actual costs; they are used to size
     fractional intents exactly the way the backtester does. The report lists

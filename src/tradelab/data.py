@@ -1,4 +1,4 @@
-"""OHLCV market data: candle types, CSV ingestion, windowing and resampling.
+"""OHLCV market data: candle types, CSV ingestion and windowing.
 
 Series are stored as plain CSV files under a warehouse directory laid out as
 ``<root>/<symbol>/<interval>.csv`` with a ``<interval>.meta.json`` sidecar.
@@ -45,10 +45,6 @@ class GapDetected(ValidationError):
 
 class EmptyWindow(ValidationError):
     """A slice request matched no candles."""
-
-
-class EmptyResult(ValidationError):
-    """Resampling produced no complete group."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -236,38 +232,6 @@ def slice_window(series: CandleSeries, from_ts: int, to_ts: int) -> CandleSeries
         return CandleSeries(series.symbol, series.interval, picked)
     except GapDetected:  # only a gappy series has a gappy window
         return CandleSeries(series.symbol, series.interval, picked, has_gaps=True)
-
-
-def resample(series: CandleSeries, factor: int) -> CandleSeries:
-    """Aggregate every ``factor`` consecutive bars into one wider bar.
-
-    open = first open, close = last close, high = max, low = min,
-    volume = sum; a trailing partial group is dropped. A group whose summed
-    volume exceeds the candle volume bound raises ``OhlcViolation``.
-    """
-    if factor < 1:
-        raise ValidationError(f"factor must be >= 1, got {factor}")
-    if series.has_gaps:
-        raise ValidationError(f"{series.symbol}: cannot resample a series with gaps")
-    if len(series) < factor:
-        raise EmptyResult(f"{series.symbol}: {len(series)} bars is shorter than factor {factor}")
-    if factor == 1:
-        return series
-    out = []
-    candles = series.candles
-    for start in range(0, len(candles) - factor + 1, factor):
-        group = candles[start:start + factor]
-        out.append(
-            Candle(
-                ts=group[0].ts,
-                open=group[0].open,
-                high=max(c.high for c in group),
-                low=min(c.low for c in group),
-                close=group[-1].close,
-                volume=sum(c.volume for c in group),
-            )
-        )
-    return CandleSeries(series.symbol, series.interval * factor, tuple(out))
 
 
 def warehouse_csv_path(root: str | Path, symbol: str, interval: int) -> Path:

@@ -505,23 +505,6 @@ class VpvrStream:
         return total
 
 
-def volume_profile(series: CandleSeries, buckets: int) -> list[tuple[float, float, float]]:
-    """Whole-series volume-by-price histogram as (low_edge, high_edge, volume)."""
-    buckets = require_period(buckets, "buckets")
-    if not series.candles:
-        return []
-    tps = [(c.high + c.low + c.close) / 3.0 for c in series.candles]
-    lo, hi = min(tps), max(tps)
-    if hi == lo:
-        return [(lo, hi, sum(series.volumes))] + [(hi, hi, 0.0)] * (buckets - 1)
-    vols = [0.0] * buckets
-    width = (hi - lo) / buckets
-    for tp, c in zip(tps, series.candles):
-        b = min(int((tp - lo) / width), buckets - 1)
-        vols[b] += c.volume
-    return [(lo + i * width, lo + (i + 1) * width, v) for i, v in enumerate(vols)]
-
-
 # ---------------------------------------------------------------------------
 # Registry (name -> stream class) and batch API. A spec's parameters are the
 # class's constructor keywords; multi-line classes name their output ``lines``.

@@ -169,7 +169,7 @@ def _topological_order(genome: Genome) -> list[int]:
 # compile on CPython 3.10 and 3.11), so a longer sum is chained: each part
 # of at most this many terms continues the previous part's total.
 _SUM_TERMS = 256
-# A labelled row is labelled by pre-activation alone when its top output's
+# A row is labelled by pre-activation alone when its top output's
 # z exceeds every other output's by more than _WIN_GAP and lies in
 # [-60, _WIN_CEILING]; see _network_kernel for why the label is exact.
 _WIN_GAP = 1 / 32
@@ -198,10 +198,9 @@ def _network_kernel(shape):
     """The row kernel for one network shape, generated on first use and
     cached.
 
-    ``shape`` is ``(inputs, biases, sources, outputs, labelled)``: the
-    number of input and of bias slots, the source slots of each computed
-    node in evaluation order (each in connection-gene order), the output
-    slots, and whether a row yields a label or the tuple of its outputs.
+    ``shape`` is ``(inputs, biases, sources, outputs)``: the number of
+    input and of bias slots, the source slots of each computed node in
+    evaluation order (each in connection-gene order), and the output slots.
     Slots are numbered as in :class:`NetworkEvaluator`.
 
     ``kernel(columns, weights, labels)`` is one comprehension over the rows
@@ -214,8 +213,8 @@ def _network_kernel(shape):
     term in node and gene order, and the labels are arguments and never
     part of the source, so every genome of one shape shares its kernel.
 
-    A labelled row yields ``labels[i]`` for the first output i that holds
-    the largest value (the tie rule of ``max``). With one output that is
+    A row yields ``labels[i]`` for the first output i that holds the
+    largest value (the tie rule of ``max``). With one output that is
     ``labels[0]``. With more, each output binds its pre-activation ``z``
     (the same float the sigmoid is taken of); one that feeds another node
     binds its sigmoid value too. The row yields ``labels[i]`` without any
@@ -242,9 +241,9 @@ def _network_kernel(shape):
     kernel = _NETWORK_KERNELS.get(shape)
     if kernel is not None:
         return kernel
-    n_inputs, n_biases, sources, outputs, labelled = shape
+    n_inputs, n_biases, sources, outputs = shape
     first_node = n_inputs + n_biases
-    ranked = set(outputs) if labelled and len(outputs) > 1 else set()
+    ranked = set(outputs) if len(outputs) > 1 else set()
     fed = {src for slots in sources for src in slots}
     clauses = []
     n_weights = 0
@@ -286,10 +285,8 @@ def _network_kernel(shape):
                 gaps.append(f"{lead} > {others[-1]}")
             row = (f"l{i} if {' and '.join(gaps)} and -60.0 <= {zs[i]} <= {_WIN_CEILING!r}"
                    f" else {row}")
-    elif labelled:
-        row = "l0"
     else:
-        row = f"({''.join(f'v{slot}, ' for slot in outputs)})"
+        row = "l0"
     if n_inputs == 0:
         rows = "for _ in ()"
     elif n_inputs == 1:
@@ -300,8 +297,7 @@ def _network_kernel(shape):
               " first_largest=first_largest):\n")
     if n_weights:
         source += f"    {''.join(f'w{k}, ' for k in range(n_weights))}= weights\n"
-    if labelled:
-        source += f"    {''.join(f'l{i}, ' for i in range(len(outputs)))}= labels\n"
+    source += f"    {''.join(f'l{i}, ' for i in range(len(outputs)))}= labels\n"
     # one clause a line: short lines keep the code's position table small
     body = "".join(f"        {clause}\n" for clause in [rows, *clauses])
     source += f"    return [{row}\n{body}    ]\n"
@@ -326,7 +322,7 @@ class _Plan(NamedTuple):
     bias_ids: tuple
     output_ids: tuple
     genes: tuple  # the gene index of each term, in node then gene order
-    shape: tuple | None  # the kernel shape without labelled; None if cyclic
+    shape: tuple | None  # the kernel shape; None if cyclic
     tail: tuple  # the slots after the inputs: 1.0 per bias, 0.0 per computed node
     reachable: bool
 
@@ -387,10 +383,10 @@ class NetworkEvaluator:
     other node in topological order. Each step computes one node from its
     ``(src_slot, weight)`` pairs, kept in connection-gene order. Build once
     per genome, then call :meth:`activate` per input vector, or
-    :meth:`argmax_columns` (or :meth:`activate_columns`) for many vectors at
-    once; all give the same bits for a given vector. The column methods run
-    one kernel per network shape that computes every node of a row in one
-    pass (see :func:`_network_kernel`); genomes of the same shape share it.
+    :meth:`argmax_columns` for the label of its largest output on many
+    vectors at once, with the bits of :meth:`activate`. That runs one kernel
+    per network shape that computes every node of a row in one pass (see
+    :func:`_network_kernel`); genomes of the same shape share it.
 
     The slots, each node's sources and the kernel shape depend on the
     structure alone, and come from the genome's plan, which is cached per
@@ -412,12 +408,9 @@ class NetworkEvaluator:
                        for slot, srcs in enumerate(sources, n_inputs + n_biases)]
         self._tail = plan.tail
 
-    def _arity_error(self, length: int) -> ArityMismatch:
-        return ArityMismatch(f"expected {len(self.input_ids)} inputs, got {length}")
-
     def activate(self, inputs: list[float]) -> list[float]:
         if len(inputs) != len(self.input_ids):
-            raise self._arity_error(len(inputs))
+            raise ArityMismatch(f"expected {len(self.input_ids)} inputs, got {len(inputs)}")
         values = [*inputs, *self._tail]
         for dst, incoming in self._steps:
             total = 0.0
@@ -425,16 +418,6 @@ class NetworkEvaluator:
                 total += values[src] * weight
             values[dst] = _squash(SIGMOID_SLOPE * total)
         return [values[s] for s in self._output_slots]
-
-    def _run_rows(self, columns, labels) -> list:
-        """Run this network's kernel over the rows of ``columns``, one column
-        per input; labelled when ``labels`` is not None."""
-        if len(columns) != len(self.input_ids):
-            raise self._arity_error(len(columns))
-        count = len(columns[0]) if columns else 0
-        if any(len(column) != count for column in columns):
-            raise ArityMismatch("input columns differ in length")
-        return _network_kernel(self._shape + (labels is not None,))(columns, self._weights, labels)
 
     def argmax_columns(self, columns, labels) -> list:
         """For each row of the input columns, ``labels[i]`` for the output i
@@ -450,22 +433,12 @@ class NetworkEvaluator:
         if len(labels) != len(self.output_ids) or not labels:
             raise ArityMismatch(f"expected one label per output ({len(self.output_ids)}), "
                                 f"got {len(labels)}")
-        return self._run_rows(columns, labels)
-
-    def activate_columns(self, columns) -> list[list[float]]:
-        """The outputs of ``activate`` on each row of the input columns, as
-        one column per output: ``result[j][k]`` is output j of row k. The
-        same kernel generator as :meth:`argmax_columns`, with the same bits.
-        """
-        rows = self._run_rows(columns, None)
-        if not rows:
-            return [[] for _ in self.output_ids]
-        return [list(column) for column in zip(*rows)]
-
-
-def activate(genome: Genome, inputs: list[float]) -> list[float]:
-    """One-shot feed-forward evaluation (builds a fresh evaluator)."""
-    return NetworkEvaluator(genome).activate(inputs)
+        if len(columns) != len(self.input_ids):
+            raise ArityMismatch(f"expected {len(self.input_ids)} inputs, got {len(columns)}")
+        count = len(columns[0]) if columns else 0
+        if any(len(column) != count for column in columns):
+            raise ArityMismatch("input columns differ in length")
+        return _network_kernel(self._shape)(columns, self._weights, labels)
 
 
 def outputs_reachable(genome: Genome) -> bool:

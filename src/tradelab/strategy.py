@@ -46,7 +46,7 @@ class MisalignedSeries(ValidationError):
 
 
 class StrategyStateError(TradeLabError):
-    """The supplied state does not correspond to the history prefix."""
+    """A stepper was stepped on bars its state was not built for."""
 
 
 class Side(Enum):
@@ -285,11 +285,12 @@ class StrategyConfig:
 # ---------------------------------------------------------------------------
 
 class NullStepper:
+    """Never trades."""
+
     def __init__(self, config: StrategyConfig, store: ColumnStore | None = None):
-        self.bars_seen = 0
+        pass
 
     def step(self, candle: Candle):
-        self.bars_seen += 1
         return _NO_INTENTS
 
 
@@ -425,10 +426,8 @@ class GridStepper:
         self.quantity = p.level_quantity
         self.anchor: float | None = None
         self.filled: set[int] = set()
-        self.bars_seen = 0
 
     def step(self, candle: Candle):
-        self.bars_seen += 1
         close = candle.close
         if self.anchor is None:
             self.anchor = close
@@ -486,7 +485,6 @@ class PairsStepper:
         self._win: deque[float] = deque(maxlen=p.lookback)
         self._prev_abs_z: float | None = None
         self.position: PairsAction | None = None  # the entry held, if any
-        self.bars_seen = 0
         a, b, f = config.symbol, p.symbol_b, p.leg_fraction
         short_a, long_a = PairsAction.SHORT_A_LONG_B, PairsAction.LONG_A_SHORT_B
         # intents are frozen, so every emission returns the same ones
@@ -509,7 +507,6 @@ class PairsStepper:
     def decide(self, candle_a: Candle, candle_b: Candle) -> PairsAction | None:
         """Consume one aligned bar of both legs: the entry taken or the exit
         made at it, or None."""
-        self.bars_seen += 1
         if candle_a.ts != candle_b.ts:
             raise MisalignedSeries(
                 f"pair timestamps diverge: {candle_a.ts} vs {candle_b.ts}"
@@ -625,32 +622,6 @@ def new_state(config: StrategyConfig, store: ColumnStore | None = None):
     return _STEPPERS[config.kind](config, store)
 
 
-def strategy_step(config: StrategyConfig, state, history: CandleSeries,
-                  history_b: CandleSeries | None = None):
-    """Advance a strategy by the last bar of ``history``.
-
-    ``state`` must have consumed exactly the preceding prefix (pass None to
-    start). Returns (opens, closes, state). Intents depend only on bars up
-    to the current one. Pairs strategies additionally need the aligned
-    ``history_b``.
-    """
-    if not history.candles:
-        raise ValidationError("history must contain at least one bar")
-    if state is None:
-        state = new_state(config)
-    if state.bars_seen != len(history) - 1:
-        raise StrategyStateError(
-            f"state consumed {state.bars_seen} bars but history has {len(history)}"
-        )
-    if config.kind is StrategyKind.PAIRS:
-        if history_b is None or len(history_b) != len(history):
-            raise MisalignedSeries("pairs strategies need an aligned history_b")
-        opens, closes = state.step_pair(history.candles[-1], history_b.candles[-1])
-    else:
-        opens, closes = state.step(history.candles[-1])
-    return opens, closes, state
-
-
 # ---------------------------------------------------------------------------
 # Standalone signal operations
 # ---------------------------------------------------------------------------
@@ -688,33 +659,6 @@ def pairs_signals(series_a: CandleSeries, series_b: CandleSeries, lookback: int,
     decide = PairsStepper(config).decide
     return [(i, action) for i, (ca, cb) in enumerate(zip(series_a.candles, series_b.candles))
             if (action := decide(ca, cb)) is not None]
-
-
-class TrendLabel(Enum):
-    BULLISH = "bullish"
-    BEARISH = "bearish"
-    SIDEWAYS = "sideways"
-
-
-def trend_identify(series: CandleSeries, p_short: int, p_long: int,
-                   adx_p: int = 14, adx_min: float = 20.0) -> list[TrendLabel]:
-    """Per-bar market regime: EMA ordering gated by ADX strength.
-
-    Bullish iff short EMA > long EMA and ADX >= adx_min; bearish symmetric;
-    sideways otherwise and throughout warm-up.
-    """
-    EmaCrossParams(p_short, p_long)  # raises InvalidPeriods unless p_short < p_long
-    store = ColumnStore(series)
-    (short,) = store.lines(IndicatorSpec("ema", {"p": p_short}))
-    (long_,) = store.lines(IndicatorSpec("ema", {"p": p_long}))
-    (strength,) = store.lines(IndicatorSpec("adx", {"p": require_period(adx_p, "adx_p")}))
-    labels = []
-    for s, l, a in zip(short, long_, strength):
-        if s is None or l is None or a is None or a < adx_min or s == l:
-            labels.append(TrendLabel.SIDEWAYS)
-        else:
-            labels.append(TrendLabel.BULLISH if s > l else TrendLabel.BEARISH)
-    return labels
 
 
 # ---------------------------------------------------------------------------

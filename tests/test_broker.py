@@ -24,12 +24,14 @@ from tradelab.data import CandleSeries
 from tradelab.errors import ValidationError
 from tradelab.strategy import (
     EmaCrossParams,
+    MisalignedSeries,
     NullParams,
     PairsParams,
     Side,
     StopSettings,
     StrategyConfig,
     TradeIntent,
+    pairs_signals,
 )
 
 
@@ -377,3 +379,57 @@ def test_a_session_that_raises_closes_its_endpoint_without_liquidating():
                          interval=series.interval)
     assert broker.closes == [False]
     assert broker.account().positions["RND"] > 0.0  # left open, not liquidated
+
+
+@pytest.mark.parametrize("feed", ["series", "iterator"])
+def test_a_second_leg_for_a_one_leg_config_is_refused(feed):
+    """The bar loop decides from the config's kind whether it steps two
+    legs: a second leg given with an ema_cross config is refused on the
+    paper route, and the backtest route does not pass it on."""
+    from test_strategy import synthetic_pair
+
+    a, b = synthetic_pair(21, n=400)
+    config = StrategyConfig("A", EmaCrossParams(9, 21))
+    broker = ClosingBroker({"A": a, "B": b}, 10_000.0, CostModel())
+    with pytest.raises(ValidationError, match="'ema_cross' strategies trade one leg, but a "
+                                              "second leg 'B' was given"):
+        paper_trade_loop(config, a if feed == "series" else list(a.candles), broker,
+                         costs=CostModel(), aux_feed=b, symbol="A", interval=a.interval)
+    assert broker.closes == [False] and not broker.fills
+    assert run_backtest(config, a, aux_series={"B": b}).equity == run_backtest(config, a).equity
+
+
+def short_leg_run(case):
+    """``(pairs config, leg A, leg B, second leg fed, error, needle)`` of a
+    session over a candle iterator whose second leg ends or diverges."""
+    from test_strategy import synthetic_pair
+
+    a, b = synthetic_pair(21, n=400)
+    lookback, z_entry, z_exit = 40, 1.6, 0.4
+    config = StrategyConfig("A", PairsParams(symbol_b="B", lookback=lookback,
+                                             z_entry=z_entry, z_exit=z_exit))
+    # the bar after the first entry, where both legs' orders are queued
+    entry = pairs_signals(a, b, lookback, z_entry, z_exit)[0][0] + 1
+    # leg B without its bar 150: from there on its stamps are a bar ahead
+    skipped = CandleSeries("B", b.interval, b.candles[:150] + b.candles[151:], has_gaps=True)
+    leg, error, needle = {
+        "ends": (b.candles[:200], ValidationError, "the second leg 'B' ends at bar 200, "
+                                                   "before the feed"),
+        "ends after an entry": (b.candles[:entry], ValidationError,
+                                f"the second leg 'B' ends at bar {entry}, before the feed"),
+        "diverges": (skipped.candles, MisalignedSeries, "pair timestamps diverge"),
+    }[case]
+    return config, a, b, CandleSeries("B", b.interval, leg, has_gaps=True), error, needle
+
+
+@pytest.mark.parametrize("case", ["ends", "ends after an entry", "diverges"])
+def test_a_second_leg_that_ends_or_diverges_under_a_candle_iterator(case):
+    """Over a candle iterator no series is there to compare the second leg
+    with up front, so the loop refuses it at the bar it lacks or whose stamp
+    differs, and closes the endpoint without liquidating."""
+    config, a, b, leg, error, needle = short_leg_run(case)
+    broker = ClosingBroker({"A": a, "B": b}, 10_000.0, CostModel(), allow_short=True)
+    with pytest.raises(error, match=needle):
+        paper_trade_loop(config, list(a.candles), broker, costs=CostModel(), aux_feed=leg,
+                         symbol="A", interval=a.interval)
+    assert broker.closes == [False]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import FIXTURES, random_genome, random_series, series_from_closes
+from helpers import FIXTURES, random_genome, random_series
 from tradelab.cli import main
 from tradelab.config import (
     ConfigError,

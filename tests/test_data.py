@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import STEP_MS, random_series, series_from_ohlc
+from helpers import STEP_MS, random_series
 from tradelab.data import (
     Candle,
     CandleSeries,
     DatasetMeta,
     DuplicateTimestamp,
-    EmptyResult,
     EmptyWindow,
     GapDetected,
     MalformedRow,
@@ -20,11 +19,9 @@ from tradelab.data import (
     ingest,
     load_warehouse,
     parse_csv,
-    resample,
     slice_window,
     write_csv,
 )
-from tradelab.errors import ValidationError
 
 HEADER = "timestamp,open,high,low,close,volume"
 
@@ -161,65 +158,6 @@ def test_slice_concatenation_property(seed, cut_a, cut_b):
     right = slice_window(series, ts[i] + 1, ts[j]) if i < j else None
     joined = left.candles + (right.candles if right else ())
     assert joined == whole.candles
-
-
-def test_resample_factor_one_identity():
-    series = random_series(2, n=16)
-    assert resample(series, 1) == series
-
-
-def test_resample_two_bar_example():
-    series = series_from_ohlc([(1, 3, 1, 2, 5), (2, 4, 2, 3, 7)])
-    out = resample(series, 2)
-    assert len(out) == 1
-    c = out.candles[0]
-    assert (c.open, c.high, c.low, c.close, c.volume) == (1, 4, 1, 3, 12)
-    assert out.interval == series.interval * 2
-
-
-def test_resample_drops_trailing_partial_group():
-    series = random_series(7, n=1000)
-    out = resample(series, 7)
-    # independent count: 1000 // 7 full groups, 1000 - 142*7 = 6 bars dropped
-    assert len(out) == 142
-    assert out.candles[-1].ts == series.candles[141 * 7].ts
-
-
-def test_resample_too_short():
-    with pytest.raises(EmptyResult):
-        resample(random_series(1, n=3), 4)
-
-
-def test_resample_rejects_gappy_series(tmp_path):
-    path = write_lines(tmp_path / "x.csv", ["0,1,2,0.5,1.5,10", "120000,1,2,0.5,1.5,10"])
-    series = parse_csv(path, "AB", 60, allow_gaps=True)
-    with pytest.raises(ValidationError):
-        resample(series, 2)
-
-
-@given(seed=st.integers(0, 5000), a=st.integers(2, 4), b=st.integers(2, 4))
-@settings(max_examples=30, deadline=None)
-def test_resample_composition(seed, a, b):
-    n = a * b * 10
-    series = random_series(seed, n=n)
-    direct = resample(series, a * b)
-    staged = resample(resample(series, a), b)
-    assert len(direct) == len(staged)
-    for x, y in zip(direct.candles, staged.candles):
-        # prices are copies/extrema (exact); summed volume may re-associate
-        assert (x.ts, x.open, x.high, x.low, x.close) == (y.ts, y.open, y.high, y.low, y.close)
-        assert x.volume == pytest.approx(y.volume, abs=1e-9)
-
-
-@given(seed=st.integers(0, 5000), factor=st.integers(1, 9))
-@settings(max_examples=30, deadline=None)
-def test_resample_output_candles_satisfy_invariants(seed, factor):
-    series = random_series(seed, n=120)
-    out = resample(series, factor)
-    for c in out.candles:  # Candle.__post_init__ would raise, but check explicitly
-        assert c.low <= c.open <= c.high
-        assert c.low <= c.close <= c.high
-        assert c.volume >= 0
 
 
 def test_candle_invariant_rejections():

@@ -25,7 +25,6 @@ from tradelab.indicators import (
     compute,
     indicator_lines,
     spec_lines,
-    volume_profile,
 )
 
 
@@ -199,12 +198,6 @@ def test_williams_r_zero_when_close_at_lookback_high():
     rows = [(10, 12, 9, 10, 1)] * 9 + [(10, 12, 9, 12, 1)]
     out = ind.williams_r(series_from_ohlc(rows), 10)
     assert out.values[-1] == 0.0
-
-
-def test_vpvr_histogram_sums_to_total_volume():
-    series = random_series(5, n=200)
-    hist = volume_profile(series, 10)
-    assert sum(v for _, _, v in hist) == pytest.approx(sum(series.volumes), rel=1e-12)
 
 
 def test_compute_unknown_indicator():

@@ -27,7 +27,6 @@ from tradelab.neat import (
     NodeKind,
     Species,
     UnevaluatedParent,
-    activate,
     allocate_offspring,
     compatibility_distance,
     crossover,
@@ -54,26 +53,25 @@ CONFIG = EvolutionConfig(population_size=30)
 def test_activate_no_connections_gives_sigmoid_zero():
     nodes = [NodeGene(0, NodeKind.INPUT, "identity"), NodeGene(1, NodeKind.OUTPUT)]
     g = Genome(nodes=nodes, connections=[])
-    assert activate(g, [3.7]) == [steep_sigmoid(0.0)] == [0.5]
+    assert NetworkEvaluator(g).activate([3.7]) == [steep_sigmoid(0.0)] == [0.5]
 
 
 def test_activate_single_edge():
     nodes = [NodeGene(0, NodeKind.INPUT, "identity"), NodeGene(1, NodeKind.OUTPUT)]
     g = Genome(nodes=nodes, connections=[ConnectionGene(0, 0, 1, 0.8)])
     x = 0.35
-    assert activate(g, [x]) == [steep_sigmoid(0.8 * x)]
+    assert NetworkEvaluator(g).activate([x]) == [steep_sigmoid(0.8 * x)]
 
 
 def test_activate_arity_mismatch():
     g, _ = fresh_genome()
-    with pytest.raises(ArityMismatch):
-        activate(g, [1.0])
     net = NetworkEvaluator(g)
-    assert net.activate_columns([[], [], []]) == [[]] * len(net.output_ids)
     with pytest.raises(ArityMismatch):
-        net.activate_columns([[0.0], [1.0]])
+        net.activate([1.0])
     with pytest.raises(ArityMismatch):
-        net.activate_columns([[0.0, 1.0], [1.0], [2.0, 3.0]])
+        net.argmax_columns([[0.0], [1.0]], ("a", "b"))
+    with pytest.raises(ArityMismatch):
+        net.argmax_columns([[0.0, 1.0], [1.0], [2.0, 3.0]], ("a", "b"))
     assert net.argmax_columns([[], [], []], ("a", "b")) == []
     with pytest.raises(ArityMismatch, match="one label per output"):
         net.argmax_columns([[0.0], [1.0], [2.0]], ("a", "b", "c"))
@@ -86,7 +84,7 @@ def test_activate_rejects_cycles():
     conns = [ConnectionGene(0, 0, 1, 1.0), ConnectionGene(1, 1, 2, 1.0),
              ConnectionGene(2, 2, 1, 1.0), ConnectionGene(3, 2, 3, 1.0)]
     with pytest.raises(CyclicGenome):
-        activate(Genome(nodes=nodes, connections=conns), [1.0])
+        NetworkEvaluator(Genome(nodes=nodes, connections=conns))
 
 
 def eval_oracle(genome, inputs):
@@ -114,7 +112,7 @@ def test_activate_matches_recursive_oracle():
     for seed in range(15):
         genome = random_genome(seed)
         inputs = [rng.uniform(-2, 2) for _ in range(3)]
-        got = activate(genome, inputs)
+        got = NetworkEvaluator(genome).activate(inputs)
         want = eval_oracle(genome, inputs)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -151,7 +149,6 @@ def test_flat_evaluator_equals_dict_reference():
         reference = [DictNetworkEvaluator(genome).activate(row) for row in rows]
         net = NetworkEvaluator(genome)
         assert [net.activate(row) for row in rows] == reference
-        assert net.activate_columns(columns_of(rows)) == columns_of(reference)
         assert_argmax_equals_rows(net, columns_of(rows), reference)
         ties += sum(len(set(out)) < len(out) for out in reference)
     assert ties > 0
@@ -163,7 +160,7 @@ def test_argmax_columns_for_any_output_count(n_out):
     rows = [[rng.uniform(-2, 2) for _ in range(4)] for _ in range(30)]
     rows += [[50.0] * 4, [-50.0] * 4, [0.0] * 4]  # saturated rows tie
     for genome in bred_genomes(n_out=n_out, rounds=4):
-        assert_columns_equal_rows(genome, rows)
+        assert_labels_equal_rows(genome, rows)
 
 
 def columns_of(rows):
@@ -177,7 +174,7 @@ def assert_argmax_equals_rows(net, columns, per_row):
         [labels[max(range(len(out)), key=out.__getitem__)] for out in per_row]
 
 
-def test_activate_columns_equals_activate_per_row():
+def test_argmax_columns_equals_activate_per_row():
     nodes = [NodeGene(0, NodeKind.INPUT, "identity"), NodeGene(1, NodeKind.INPUT, "identity"),
              NodeGene(2, NodeKind.BIAS, "identity"), NodeGene(3, NodeKind.HIDDEN),
              NodeGene(4, NodeKind.OUTPUT), NodeGene(5, NodeKind.OUTPUT),
@@ -194,73 +191,82 @@ def test_activate_columns_equals_activate_per_row():
     rows += [[13.0, 0.0], [-13.0, 0.0], [40.0, 40.0], [-40.0, -40.0], [0.0, -1.0], [0.0, 0.0]]
     assert math.copysign(1.0, 0.0 * -1.0 + -1.0 * 0.0) == -1.0
     per_row = [net.activate(row) for row in rows]
-    assert net.activate_columns(columns_of(rows)) == columns_of(per_row)
+    assert_argmax_equals_rows(net, columns_of(rows), per_row)
     outputs = {v for out in per_row for v in out}
     assert {0.0, 0.5, 1.0} <= outputs
     assert all(out[0] == steep_sigmoid(1.0) for out in per_row)  # 2.0 * sigmoid(0.0)
+    assert len({max(range(3), key=out.__getitem__) for out in per_row}) == 3
     for genome in bred_genomes(n_in=2):
-        net = NetworkEvaluator(genome)
-        assert net.activate_columns(columns_of(rows)) == columns_of(
-            [net.activate(row) for row in rows])
+        assert_labels_equal_rows(genome, rows)
 
 
-def assert_columns_equal_rows(genome, rows):
-    """activate_columns on the rows' columns equals activate row by row;
-    returns the rows' outputs. Zero rows make one empty column per input."""
+def assert_labels_equal_rows(genome, rows):
+    """argmax_columns on the rows' columns labels each row as activate's
+    outputs rank it; returns the rows' outputs. Zero rows make one empty
+    column per input."""
     net = NetworkEvaluator(genome)
     per_row = [net.activate(row) for row in rows]
     columns = [[row[i] for row in rows] for i in range(len(net.input_ids))]
-    assert net.activate_columns(columns) == \
-        [[out[j] for out in per_row] for j in range(len(net.output_ids))]
     assert_argmax_equals_rows(net, columns, per_row)
     return per_row
 
 
 def wide_genome(n_in, seed):
-    """n_in inputs and a bias, each wired to one output with a random weight,
-    in innovation order after the bias."""
+    """n_in inputs and a bias, each wired to output A with a random weight,
+    in innovation order after the bias, and output B fed by the bias alone
+    with A's bias weight: B's pre-activation is A's bias term, so the label
+    turns on the sign of A's input terms and reads every one of them."""
     rng = random.Random(seed)
     nodes = [NodeGene(i, NodeKind.INPUT, "identity") for i in range(n_in)]
-    nodes += [NodeGene(n_in, NodeKind.BIAS, "identity"), NodeGene(n_in + 1, NodeKind.OUTPUT)]
-    conns = [ConnectionGene(0, n_in, n_in + 1, rng.uniform(-1.0, 1.0))]
+    nodes += [NodeGene(n_in, NodeKind.BIAS, "identity"), NodeGene(n_in + 1, NodeKind.OUTPUT),
+              NodeGene(n_in + 2, NodeKind.OUTPUT)]
+    bias_weight = rng.uniform(-1.0, 1.0)
+    conns = [ConnectionGene(0, n_in, n_in + 1, bias_weight)]
     conns += [ConnectionGene(i + 1, i, n_in + 1, rng.uniform(-1.0, 1.0)) for i in range(n_in)]
+    conns += [ConnectionGene(n_in + 1, n_in, n_in + 2, bias_weight)]
     return Genome(nodes, conns)
 
 
+def both_labels(per_row):
+    """Whether output A leads on some rows and B on others."""
+    return {out[0] > out[1] for out in per_row} == {True, False}
+
+
 @pytest.mark.parametrize("n_in", [5_000, 511])
-def test_activate_columns_chunks_a_node_above_the_compile_limit(n_in, monkeypatch):
+def test_argmax_columns_chunks_a_node_above_the_compile_limit(n_in, monkeypatch):
     # one generated sum of 3,000 terms overflows the compiler's stack
     monkeypatch.setattr(neat_module, "_NETWORK_KERNELS", {})
     genome = wide_genome(n_in, seed=n_in)
     rng = random.Random(1)
-    rows = [[rng.uniform(-0.01, 0.01) for _ in range(n_in)] for _ in range(12)]
-    outputs = {out[0] for out in assert_columns_equal_rows(genome, rows)}
-    assert len(outputs) == len(rows)
-    assert assert_columns_equal_rows(genome, []) == []
-    # one output node of n_in + 1 terms, the bias first: longer than one sum
+    rows = [[rng.uniform(-0.01, 0.01) for _ in range(n_in)] for _ in range(40)]
+    per_row = assert_labels_equal_rows(genome, rows)
+    assert len({out[0] for out in per_row}) == len(rows) and both_labels(per_row)
+    assert assert_labels_equal_rows(genome, []) == []
+    # output A sums n_in + 1 terms, the bias first: longer than one sum
     assert n_in + 1 > neat_module._SUM_TERMS
-    sources = ((n_in, *range(n_in)),)
-    assert set(neat_module._NETWORK_KERNELS) == {
-        (n_in, 1, sources, (n_in + 1,), labelled) for labelled in (False, True)}
+    sources = ((n_in, *range(n_in)), (n_in,))
+    assert set(neat_module._NETWORK_KERNELS) == {(n_in, 1, sources, (n_in + 1, n_in + 2))}
 
 
-def test_activate_columns_node_fed_only_by_the_bias():
+def test_argmax_columns_node_fed_only_by_the_bias():
+    # output 4 leads exactly when hidden 3 reads sigmoid(0.7), not 0.5 or less
     nodes = [NodeGene(0, NodeKind.INPUT, "identity"), NodeGene(1, NodeKind.INPUT, "identity"),
              NodeGene(2, NodeKind.BIAS, "identity"), NodeGene(3, NodeKind.HIDDEN),
              NodeGene(4, NodeKind.OUTPUT), NodeGene(5, NodeKind.OUTPUT)]
-    conns = [ConnectionGene(0, 2, 3, 0.7), ConnectionGene(1, 3, 4, -2.0),
-             ConnectionGene(2, 2, 5, -0.3)]
-    rows = [[float(i), -float(i)] for i in range(5)]
-    per_row = assert_columns_equal_rows(Genome(nodes, conns), rows)
-    assert per_row == [[steep_sigmoid(-2.0 * steep_sigmoid(0.7)), steep_sigmoid(-0.3)]] * 5
-    assert assert_columns_equal_rows(Genome(nodes, conns), []) == []
+    conns = [ConnectionGene(0, 2, 3, 0.7), ConnectionGene(1, 3, 4, 2.0),
+             ConnectionGene(2, 0, 5, 1.5)]
+    rows = [[1.0, float(i)] for i in range(5)]
+    per_row = assert_labels_equal_rows(Genome(nodes, conns), rows)
+    assert per_row == [[steep_sigmoid(2.0 * steep_sigmoid(0.7)), steep_sigmoid(1.5)]] * 5
+    assert 2.0 * 0.5 < 1.5 < 2.0 * steep_sigmoid(0.7)
+    assert assert_labels_equal_rows(Genome(nodes, conns), []) == []
 
 
-def test_activate_columns_node_whose_first_gene_is_the_bias():
+def test_argmax_columns_node_whose_first_gene_is_the_bias():
     rng = random.Random(8)
-    rows = [[rng.uniform(-20.0, 20.0) for _ in range(3)] for _ in range(100)]
+    rows = [[rng.uniform(-1.0, 1.0) for _ in range(3)] for _ in range(100)]
     rows += [[0.0] * 3, [15.0] * 3, [-15.0] * 3]
-    assert_columns_equal_rows(wide_genome(3, seed=2), rows)
+    assert both_labels(assert_labels_equal_rows(wide_genome(3, seed=2), rows))
 
 
 def test_network_kernels_take_weights_as_arguments(monkeypatch):
@@ -268,9 +274,9 @@ def test_network_kernels_take_weights_as_arguments(monkeypatch):
     monkeypatch.setattr(neat_module, "_NETWORK_KERNELS", {})
     rng = random.Random(4)
     rows = [[rng.uniform(-1.0, 1.0) for _ in range(4)] for _ in range(50)]
-    first = assert_columns_equal_rows(wide_genome(4, seed=10), rows)
+    first = assert_labels_equal_rows(wide_genome(4, seed=10), rows)
     kernels = dict(neat_module._NETWORK_KERNELS)
-    second = assert_columns_equal_rows(wide_genome(4, seed=11), rows)
+    second = assert_labels_equal_rows(wide_genome(4, seed=11), rows)
     assert first != second
     assert neat_module._NETWORK_KERNELS == kernels
 
@@ -278,7 +284,7 @@ def test_network_kernels_take_weights_as_arguments(monkeypatch):
 def test_network_kernels_compile_under_their_own_file_names(monkeypatch):
     # a profile then shows one row per kernel, not one shared "<string>" row
     monkeypatch.setattr(neat_module, "_NETWORK_KERNELS", {})
-    shapes = [(1, 0, ((0,) * k,), (1,), True) for k in (1, 2)]
+    shapes = [(1, 0, ((0,) * k,), (1,)) for k in (1, 2)]
     names = [neat_module._network_kernel(shape).__code__.co_filename for shape in shapes]
     assert names[0] != names[1]
     assert all(name.startswith("<network kernel ") for name in names)
@@ -298,10 +304,10 @@ def test_evolve_run_caches_one_kernel_per_network_shape(monkeypatch):
                              add_connection_rate=0.3, seed=6)
     evolve_strategy(trending_fixture(), [IndicatorSpec("rsi", {"p": 7}),
                                          IndicatorSpec("ema", {"p": 9})], config)
-    # one labelled kernel per shape, shared by the genomes of that shape
+    # one kernel per shape, shared by the genomes of that shape
     assert set(neat_module._NETWORK_KERNELS) == set(requested)
     assert len(requested) > len(set(requested)) > 1
-    assert all(shape[:2] == (2, 1) and shape[-1] for shape in requested)
+    assert all(shape[:2] == (2, 1) for shape in requested)
     assert any(len(shape[2]) > 3 for shape in requested)  # a hidden node was added
 
 
@@ -310,7 +316,7 @@ def test_network_kernel_cache_drops_the_oldest_beyond_its_bound(monkeypatch):
     monkeypatch.setattr(neat_module, "_KERNEL_LIMIT", 3)
     monkeypatch.setattr(neat_module, "_NETWORK_KERNELS", {})
     # one input wired k times into one output: a sum of k terms
-    shapes = [(1, 0, ((0,) * k,), (1,), True) for k in range(1, 7)]
+    shapes = [(1, 0, ((0,) * k,), (1,)) for k in range(1, 7)]
     for count, shape in enumerate(shapes, 1):
         kernel = neat_module._network_kernel(shape)
         assert kernel([[0.5, -0.5]], [1.0] * len(shape[2][0]), ["only"]) == ["only"] * 2
@@ -339,9 +345,10 @@ def test_column_pass_runs_a_deep_chain_of_hidden_nodes(depth, monkeypatch):
     rng = random.Random(depth)
     rows = [[rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)] for _ in range(80)]
     rows += [[0.0, 0.0], [50.0, -50.0], [-50.0, 50.0]]
-    per_row = assert_columns_equal_rows(genome, rows)
+    per_row = assert_labels_equal_rows(genome, rows)
     assert len({out[0] for out in per_row}) > 1
-    assert len(neat_module._NETWORK_KERNELS) == 2  # labelled and unlabelled
+    assert len({max(range(3), key=out.__getitem__) for out in per_row}) > 1
+    assert len(neat_module._NETWORK_KERNELS) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +537,7 @@ def test_outputs_in_unit_interval():
     rng = random.Random(5)
     for seed in range(10):
         genome = random_genome(seed)
-        out = activate(genome, [rng.uniform(-5, 5) for _ in range(3)])
+        out = NetworkEvaluator(genome).activate([rng.uniform(-5, 5) for _ in range(3)])
         assert all(0.0 <= v <= 1.0 for v in out)
 
 
@@ -548,7 +555,7 @@ def assert_evaluation_equals_oracles(genome, rows):
     reference = [DictNetworkEvaluator(genome).activate(row) for row in rows]
     net = NetworkEvaluator(genome)
     assert [net.activate(row) for row in rows] == reference
-    assert net.activate_columns(columns_of(rows)) == columns_of(reference)
+    assert_argmax_equals_rows(net, columns_of(rows), reference)
     reachable = outputs_reachable(genome)
     assert reachable == fixpoint_outputs_reachable(genome)
     return reachable
@@ -1329,7 +1336,6 @@ def test_connections_into_input_and_bias_nodes_are_ignored(tmp_path):
     rows = [[0.0, 0.0], [0.5, -1.0], [2.0, 3.0]]
     expected = [[0.9752773002196243], [0.9999909321085084], [0.9926084595964978]]
     assert [net.activate(row) for row in rows] == expected
-    assert net.activate_columns(columns_of(rows)) == columns_of(expected)
     assert outputs_reachable(genome)
 
 

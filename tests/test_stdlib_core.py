@@ -1,6 +1,7 @@
 """The core package stays pure standard library: every module imports only
 the standard library and tradelab itself, and the command line and the
-broker import with the test-only dependencies blocked."""
+broker import with the test-only dependencies blocked. Every name a module
+imports at module level is used in it."""
 
 import ast
 import subprocess
@@ -30,6 +31,32 @@ def test_core_modules_import_only_the_standard_library():
                                  if name != "tradelab" and name not in sys.stdlib_module_names)
                for path in sources}
     assert {name: found for name, found in foreign.items() if found} == {}
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names a module-level import of the file binds that the file never
+    names again; an import whose first line, or the alias's own line, is
+    marked ``# noqa: F401`` is a deliberate re-export and exempt."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source, str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        for alias in node.names:
+            if any("# noqa: F401" in lines[line - 1] for line in (node.lineno, alias.lineno)):
+                continue
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                unused.append(f"{path.name}:{alias.lineno}: {name}")
+    return unused
+
+
+def test_core_modules_use_every_name_they_import():
+    assert [found for path in sorted(PACKAGE.glob("*.py")) for found in unused_imports(path)] == []
 
 
 def test_cli_and_broker_import_without_test_dependencies():

@@ -34,7 +34,6 @@ from tradelab.strategy import (
     StrategyKind,
     StrategyStateError,
     TradeIntent,
-    TrendLabel,
     apply_stops,
     crossing_column,
     ema_crossing,
@@ -42,8 +41,6 @@ from tradelab.strategy import (
     network_action,
     new_state,
     pairs_signals,
-    strategy_step,
-    trend_identify,
 )
 
 
@@ -264,24 +261,14 @@ def test_store_fed_ema_stepper_runs_only_on_its_series():
 
 
 # ---------------------------------------------------------------------------
-# strategy_step contract
+# Stepping contract
 # ---------------------------------------------------------------------------
 
 def test_step_readies_empty_during_warmup():
-    series = random_series(7, n=10)
-    state = None
-    for n in range(1, 11):
-        prefix = CandleSeries(series.symbol, series.interval, series.candles[:n])
-        opens, closes, state = strategy_step(ema_config(), state, prefix)
-        assert opens == [] and closes == []
-
-
-def test_step_rejects_mismatched_state():
-    series = random_series(7, n=10)
-    state = new_state(ema_config())
-    prefix = CandleSeries(series.symbol, series.interval, series.candles[:5])
-    with pytest.raises(StrategyStateError):
-        strategy_step(ema_config(), state, prefix)
+    # the long EMA takes 21 bars to warm up
+    per_bar = run_stepper(ema_config(), random_series(7, n=10))
+    assert len(per_bar) == 10
+    assert all(not opens and not closes for opens, closes in per_bar)
 
 
 def test_step_pairs_needs_aligned_second_history():
@@ -289,14 +276,8 @@ def test_step_pairs_needs_aligned_second_history():
     config = StrategyConfig("A", PairsParams(symbol_b="B", lookback=40,
                                              z_entry=1.8, z_exit=0.4))
     with pytest.raises(MisalignedSeries):
-        strategy_step(config, None, CandleSeries("A", a.interval, a.candles[:1]))
-    state = None
-    emitted = []
-    for n in range(1, len(a) + 1):
-        ha = CandleSeries("A", a.interval, a.candles[:n])
-        hb = CandleSeries("B", b.interval, b.candles[:n])
-        opens, closes, state = strategy_step(config, state, ha, history_b=hb)
-        emitted.extend(opens)
+        new_state(config).step_pair(a.candles[0], b.candles[1])
+    emitted = [intent for opens, _ in run_stepper(config, a, b) for intent in opens]
     assert any(i.symbol == "B" for i in emitted)
 
 
@@ -497,48 +478,20 @@ def test_pairs_signals_list_the_steppers_entries_and_exits():
     assert listed > 100, "the cases should enter and exit many times"
 
 
-# ---------------------------------------------------------------------------
-# Trend identification
-# ---------------------------------------------------------------------------
-
-def test_trend_constant_series_sideways():
-    labels = trend_identify(flat_series(120), 9, 21)
-    assert set(labels) == {TrendLabel.SIDEWAYS}
-
-
-def test_trend_ramp_turns_bullish_after_warmup():
-    closes = [100.0 * 1.003 ** i for i in range(160)]
-    labels = trend_identify(series_from_closes(closes), 9, 21, adx_p=14, adx_min=20.0)
-    assert labels[-1] is TrendLabel.BULLISH
-    assert labels[:21] == [TrendLabel.SIDEWAYS] * 21  # warm-up region
-
-
-def test_trend_downward_ramp_bearish():
-    closes = [100.0 * 0.997 ** i for i in range(160)]
-    labels = trend_identify(series_from_closes(closes), 9, 21)
-    assert labels[-1] is TrendLabel.BEARISH
-
-
 def test_signal_functions_read_the_series_columns():
-    """trend_identify and ema_crossover_signals read the series' memoized
-    EMA and ADX lines, which a later backtest of the series shares, and a
-    memoized column still refuses a period its indicator refuses."""
+    """ema_crossover_signals reads the series' memoized EMA lines, which a
+    later backtest of the series shares, and a memoized column still
+    refuses a period its indicator refuses."""
     series = random_series(21, n=200)
-    labels = trend_identify(series, 5, 20, adx_p=10)
     crosses = ema_crossover_signals(series, 5, 20)
-    read = {IndicatorSpec("ema", {"p": 5}), IndicatorSpec("ema", {"p": 20}),
-            IndicatorSpec("adx", {"p": 10})}
+    read = {IndicatorSpec("ema", {"p": 5}), IndicatorSpec("ema", {"p": 20})}
     assert set(series.column_memo) == read
     run_backtest(StrategyConfig("RND", EmaCrossParams(5, 20)), series)
     assert set(series.column_memo) == read
-    fresh = random_series(21, n=200)
-    assert trend_identify(fresh, 5, 20, adx_p=10) == labels
-    assert ema_crossover_signals(fresh, 5, 20) == crosses
-    trend_identify(series, 1, 20, adx_p=1)
+    assert ema_crossover_signals(random_series(21, n=200), 5, 20) == crosses
+    ema_crossover_signals(series, 1, 20)
     with pytest.raises(InvalidPeriods):
         ema_crossover_signals(series, True, 20)  # True == 1 keys the p=1 column
-    with pytest.raises(InvalidPeriods):
-        trend_identify(series, 5, 20, adx_p=True)
     with pytest.raises(InvalidPeriods):
         run_backtest(StrategyConfig("RND", EmaCrossParams(True, 20)), series)
 

@@ -355,9 +355,9 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
     A config must trade the symbols of its bars, and this loop checks it:
     its ``symbol`` is ``symbol``; a pairs config's ``aux`` is the series of
     its ``symbol_b``, with the timestamps of ``series`` if there is one; any
-    other config takes no ``aux``. A duck-typed stepper is given ``aux``
-    whenever there is one. A second leg that ends before the feed ends the
-    run with a ``ValidationError`` at the bar it lacks.
+    other config, and any duck-typed stepper, takes no ``aux``. A second
+    leg that ends before the feed ends the run with a ``ValidationError``
+    at the bar it lacks, before that bar's queued orders execute.
 
     Intents emitted on bar t become orders, sized with ``size_order`` and
     filled by the venue at bar t+1's open. A feed that raises
@@ -405,7 +405,8 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
         stepper = strategy  # duck-typed: anything with .step(candle)
         stop_settings = getattr(strategy, "stops", None)
         if aux is not None:
-            candles_b, symbol_b = aux.candles, aux.symbol
+            raise ValidationError(f"only a pairs config trades a second leg, but '{aux.symbol}' "
+                                  f"was given with a {type(strategy).__name__}")
     ledger = TradeLedger(symbol, stop_settings, costs.fee_rate)
     atr = push_atr = None  # the stop's ATR by bar: the series' column, or streamed so far
     if stop_settings is not None:
@@ -427,9 +428,7 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
         orders.append(order)
         name = intent.symbol
         if name != symbol:
-            # a second leg that ends at this bar is refused when the bar steps
-            raw_price = (candles_b[bar].open if name == symbol_b and bar < len(candles_b)
-                         else None)
+            raw_price = candles_b[bar].open if name == symbol_b else None
         if raw_price is None:
             result = f"no price feed for symbol '{name}'"
         else:
@@ -450,6 +449,9 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
     bars = enumerate(candles)
     try:
         for t, candle in bars:
+            if candles_b is not None and t == len(candles_b):
+                raise ValidationError(f"the second leg '{symbol_b}' ends at bar {t}, "
+                                      f"before the feed")
             if quiet_until is not None and not queue:
                 until = quiet_until(t)
                 if until > t:
@@ -495,9 +497,6 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
                 if intent is not None:
                     queue.append(intent)
             if candles_b is not None:
-                if t == len(candles_b):
-                    raise ValidationError(f"the second leg '{symbol_b}' ends at bar {t}, "
-                                          f"before the feed")
                 opens_i, closes_i = stepper.step_pair(candle, candles_b[t])
             else:
                 opens_i, closes_i = stepper.step(candle)

@@ -257,7 +257,7 @@ def paper_trade_loop(strategy, feed, endpoint: BrokerEndpoint, *,
     ``feed`` is a gap-free CandleSeries, whose indicator columns the
     strategy then reads, or any iterable of candles, which it streams (then
     pass ``symbol``/``interval`` explicitly). ``aux_feed`` is a pairs
-    config's second leg, refused for any other config. The feed may raise
+    config's second leg, refused for any other strategy. The feed may raise
     FeedInterrupted to abort mid-session: the report then covers the
     processed bars only and open positions stay open, flagged via
     ``interrupted``. On normal exhaustion the endpoint session is closed

@@ -382,21 +382,27 @@ def test_a_session_that_raises_closes_its_endpoint_without_liquidating():
 
 
 @pytest.mark.parametrize("feed", ["series", "iterator"])
-def test_a_second_leg_for_a_one_leg_config_is_refused(feed):
-    """The bar loop decides from the config's kind whether it steps two
-    legs: a second leg given with an ema_cross config is refused on the
-    paper route, and the backtest route does not pass it on."""
+@pytest.mark.parametrize("strategy, needle", [
+    (StrategyConfig("A", EmaCrossParams(9, 21)),
+     "'ema_cross' strategies trade one leg, but a second leg 'B' was given"),
+    (RandomStrategy(3, symbol="A"),
+     "only a pairs config trades a second leg, but 'B' was given with a RandomStrategy"),
+], ids=["ema_cross", "duck-typed"])
+def test_a_second_leg_for_a_one_leg_strategy_is_refused(feed, strategy, needle):
+    """Only a pairs config steps two legs: a second leg given with an
+    ema_cross config or a duck-typed strategy is refused on the paper
+    route, and the backtest route does not pass it on."""
     from test_strategy import synthetic_pair
 
     a, b = synthetic_pair(21, n=400)
-    config = StrategyConfig("A", EmaCrossParams(9, 21))
     broker = ClosingBroker({"A": a, "B": b}, 10_000.0, CostModel())
-    with pytest.raises(ValidationError, match="'ema_cross' strategies trade one leg, but a "
-                                              "second leg 'B' was given"):
-        paper_trade_loop(config, a if feed == "series" else list(a.candles), broker,
+    with pytest.raises(ValidationError, match=needle):
+        paper_trade_loop(strategy, a if feed == "series" else list(a.candles), broker,
                          costs=CostModel(), aux_feed=b, symbol="A", interval=a.interval)
     assert broker.closes == [False] and not broker.fills
-    assert run_backtest(config, a, aux_series={"B": b}).equity == run_backtest(config, a).equity
+    if isinstance(strategy, StrategyConfig):
+        assert (run_backtest(strategy, a, aux_series={"B": b}).equity
+                == run_backtest(strategy, a).equity)
 
 
 def short_leg_run(case):
@@ -426,10 +432,14 @@ def short_leg_run(case):
 def test_a_second_leg_that_ends_or_diverges_under_a_candle_iterator(case):
     """Over a candle iterator no series is there to compare the second leg
     with up front, so the loop refuses it at the bar it lacks or whose stamp
-    differs, and closes the endpoint without liquidating."""
+    differs, before that bar's queued orders execute, and closes the
+    endpoint without liquidating."""
     config, a, b, leg, error, needle = short_leg_run(case)
     broker = ClosingBroker({"A": a, "B": b}, 10_000.0, CostModel(), allow_short=True)
     with pytest.raises(error, match=needle):
         paper_trade_loop(config, list(a.candles), broker, costs=CostModel(), aux_feed=leg,
                          symbol="A", interval=a.interval)
     assert broker.closes == [False]
+    if case == "ends after an entry":
+        # both legs' entry orders were queued for the bar the leg lacks
+        assert not broker.fills and not broker.account().positions

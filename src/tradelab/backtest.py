@@ -170,12 +170,8 @@ def compute_metrics(equity: list[float], trades: list[TradeRecord]) -> Metrics:
                    win_rate=win_rate, trade_count=len(trades))
 
 
-def score(report, drawdown_lambda: float = 0.5) -> float:
-    """Single scalar strategy score: profit penalized by drawdown.
-
-    Accepts a BacktestReport or its Metrics.
-    """
-    metrics = getattr(report, "metrics", report)
+def score(metrics: Metrics, drawdown_lambda: float = 0.5) -> float:
+    """Single scalar strategy score: profit penalized by drawdown."""
     return metrics.net_profit_pct - drawdown_lambda * metrics.max_drawdown_pct
 
 
@@ -555,19 +551,17 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
 
 def run_backtest(strategy, data: CandleSeries, initial_cash: float = 10_000.0,
                  costs: CostModel | None = None, *,
-                 aux_series: dict[str, CandleSeries] | None = None,
+                 aux: CandleSeries | None = None,
                  drawdown_lambda: float = 0.5) -> BacktestReport:
     """Replay a strategy over a series with simulated execution on a ``Book``.
 
     ``strategy`` is a StrategyConfig, or any object with a
     ``step(candle) -> (opens, closes)`` method for custom strategies.
+    ``aux`` is a pairs config's second leg, refused for any other strategy.
     Shorting is off (spot semantics) except for pairs configs.
     """
     if not data.candles:
         raise ValidationError("cannot backtest an empty series")
-    aux = None
-    if isinstance(strategy, StrategyConfig) and strategy.kind is StrategyKind.PAIRS:
-        aux = (aux_series or {}).get(strategy.params.symbol_b)
     costs = costs or CostModel()
     book = Book(initial_cash, costs, aux is not None)
     return run_bars(strategy, data.candles, book, costs, data.symbol, data.interval,

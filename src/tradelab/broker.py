@@ -248,7 +248,7 @@ class _EndpointBook:
 
 def paper_trade_loop(strategy, feed, endpoint: BrokerEndpoint, *,
                      costs: CostModel | None = None,
-                     aux_feed: CandleSeries | None = None,
+                     aux: CandleSeries | None = None,
                      drawdown_lambda: float = 0.5,
                      symbol: str | None = None,
                      interval: int = 0) -> BacktestReport:
@@ -256,7 +256,7 @@ def paper_trade_loop(strategy, feed, endpoint: BrokerEndpoint, *,
 
     ``feed`` is a gap-free CandleSeries, whose indicator columns the
     strategy then reads, or any iterable of candles, which it streams (then
-    pass ``symbol``/``interval`` explicitly). ``aux_feed`` is a pairs
+    pass ``symbol``/``interval`` explicitly). ``aux`` is a pairs
     config's second leg, refused for any other strategy. The feed may raise
     FeedInterrupted to abort mid-session: the report then covers the
     processed bars only and open positions stay open, flagged via
@@ -281,7 +281,7 @@ def paper_trade_loop(strategy, feed, endpoint: BrokerEndpoint, *,
     venue = _EndpointBook(endpoint)
     try:
         report = run_bars(strategy, venue.bars(candles), venue, costs or CostModel(), symbol,
-                          interval, series=series, aux=aux_feed, drawdown_lambda=drawdown_lambda)
+                          interval, series=series, aux=aux, drawdown_lambda=drawdown_lambda)
     except BaseException:
         endpoint.close(liquidate=False)
         raise

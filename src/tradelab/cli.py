@@ -81,10 +81,10 @@ def _load_series(config: RunConfig, symbol: str | None = None):
     return series
 
 
-def _aux_series(config: RunConfig):
+def _second_leg(config: RunConfig):
+    """A pairs config's second leg, loaded like its first; ``None`` otherwise."""
     if config.strategy is not None and config.strategy.kind is StrategyKind.PAIRS:
-        symbol_b = config.strategy.params.symbol_b
-        return {symbol_b: _load_series(config, symbol_b)}
+        return _load_series(config, config.strategy.params.symbol_b)
     return None
 
 
@@ -145,21 +145,20 @@ def cmd_backtest(args) -> int:
     if config.strategy is None:
         raise ValidationError("config has no strategy section")
     series = _load_series(config)
-    aux = _aux_series(config)
+    aux = _second_leg(config)
     if args.paper:
         # route execution through the configured endpoint instead of the
         # backtester's internal accounting; reports share one shape
         from .broker import SimulatedBroker, paper_trade_loop
 
-        feeds = {series.symbol: series, **(aux or {})}
+        feeds = {leg.symbol: leg for leg in (series, aux) if leg is not None}
         endpoint = SimulatedBroker(feeds, config.costs.initial_cash, config.costs,
                                    allow_short=aux is not None)
-        aux_feed = next(iter(aux.values())) if aux else None
         report = paper_trade_loop(config.strategy, series, endpoint,
-                                  costs=config.costs, aux_feed=aux_feed)
+                                  costs=config.costs, aux=aux)
     else:
         report = run_backtest(config.strategy, series, config.costs.initial_cash,
-                              config.costs, aux_series=aux)
+                              config.costs, aux=aux)
     write_report_files(report, _out_dir(args, config))
     m = report.metrics
     print(f"net profit {m.net_profit_pct:.4f}%  max drawdown {m.max_drawdown_pct:.4f}%  "
@@ -184,7 +183,7 @@ def cmd_optimize(args) -> int:
             initial_cash=config.costs.initial_cash, costs=config.costs,
             size=config.strategy.size, stops=config.strategy.stops,
             drawdown_lambda=config.optimize.drawdown_lambda,
-            aux_series=_aux_series(config),
+            aux=_second_leg(config),
         )
         param_names = sorted({k for e in leaderboard for k in e.params})
         _write_rows(

@@ -9,12 +9,11 @@ section through the field table of its dataclass. See README for the schema.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .backtest import CostModel
-from .errors import ValidationError
+from .errors import ValidationError, in_float_range
 from .indicators import IndicatorSpec
 from .neat import EvolutionConfig, read_genome, write_genome
 from .strategy import PARAMS_BY_KIND, NeatParams, StopSettings, StrategyConfig, StrategyKind
@@ -99,7 +98,7 @@ def _int(value, key: str) -> int:
 
 
 def _float(value, key: str) -> float:
-    if (type(value) is float or type(value) is int) and -_MAX_FLOAT <= value <= _MAX_FLOAT:
+    if (type(value) is float or type(value) is int) and in_float_range(value):
         return float(value)
     raise ConfigError(f"'{key}' must be a finite number, got {value!r}")
 
@@ -120,7 +119,6 @@ def _section(cls):  # null reads as an empty object
     return lambda value, key: cls(**_read(cls, {} if value is None else value, key))
 
 
-_MAX_FLOAT = sys.float_info.max
 _object, _list, _str, _bool, _maybe_object = (_exactly(types, what) for types, what in (
     ((dict,), "an object"), ((list,), "a list"), ((str,), "a string"),
     ((bool,), "true or false"), ((dict, type(None)), "an object")))

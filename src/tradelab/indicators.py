@@ -79,9 +79,6 @@ class IndicatorOutput:
     values: list[float | None]
     warmup: int
 
-    def defined(self) -> list[float]:
-        return [v for v in self.values[self.warmup:]]
-
 
 _MAX_PERIOD = 2**31 - 1  # beyond any series; keeps window sizes in range
 # with prices bounded by 1e100, a band width up to 1e100 keeps the bands finite
@@ -584,65 +581,3 @@ def compute(spec: IndicatorSpec, series: CandleSeries):
             raise PeriodExceedsSeries(f"{spec.label()}: needs more than {len(series)} bars")
         outputs.append(IndicatorOutput(values, warmup))
     return outputs[0] if len(outputs) == 1 else tuple(outputs)
-
-
-def sma(series: CandleSeries, p: int) -> IndicatorOutput:
-    return compute(IndicatorSpec("sma", {"p": p}), series)
-
-
-def ema(series: CandleSeries, p: int) -> IndicatorOutput:
-    return compute(IndicatorSpec("ema", {"p": p}), series)
-
-
-def rsi(series: CandleSeries, p: int) -> IndicatorOutput:
-    return compute(IndicatorSpec("rsi", {"p": p}), series)
-
-
-def atr(series: CandleSeries, p: int) -> IndicatorOutput:
-    return compute(IndicatorSpec("atr", {"p": p}), series)
-
-
-def macd(series: CandleSeries, fast: int, slow: int, signal: int
-         ) -> tuple[IndicatorOutput, IndicatorOutput, IndicatorOutput]:
-    return compute(IndicatorSpec("macd", {"fast": fast, "slow": slow, "signal": signal}), series)
-
-
-def bollinger(series: CandleSeries, p: int, k: float
-              ) -> tuple[IndicatorOutput, IndicatorOutput, IndicatorOutput]:
-    return compute(IndicatorSpec("bollinger", {"p": p, "k": k}), series)
-
-
-def obv(series: CandleSeries) -> IndicatorOutput:
-    return compute(IndicatorSpec("obv"), series)
-
-
-def momentum(series: CandleSeries, p: int) -> IndicatorOutput:
-    return compute(IndicatorSpec("momentum", {"p": p}), series)
-
-
-def force_index(series: CandleSeries, p: int) -> IndicatorOutput:
-    return compute(IndicatorSpec("force_index", {"p": p}), series)
-
-
-def mfi(series: CandleSeries, p: int) -> IndicatorOutput:
-    return compute(IndicatorSpec("mfi", {"p": p}), series)
-
-
-def cci(series: CandleSeries, p: int) -> IndicatorOutput:
-    return compute(IndicatorSpec("cci", {"p": p}), series)
-
-
-def williams_r(series: CandleSeries, p: int) -> IndicatorOutput:
-    return compute(IndicatorSpec("williams_r", {"p": p}), series)
-
-
-def adx(series: CandleSeries, p: int) -> IndicatorOutput:
-    return compute(IndicatorSpec("adx", {"p": p}), series)
-
-
-def kst(series: CandleSeries) -> IndicatorOutput:
-    return compute(IndicatorSpec("kst"), series)
-
-
-def vpvr(series: CandleSeries, p: int, buckets: int) -> IndicatorOutput:
-    return compute(IndicatorSpec("vpvr", {"p": p, "buckets": buckets}), series)

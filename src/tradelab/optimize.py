@@ -68,7 +68,7 @@ def tune_parameters(kind: StrategyKind, search_space, train: CandleSeries, *,
                     size: float = 1.0,
                     stops=None,
                     drawdown_lambda: float = 0.5,
-                    aux_series: dict[str, CandleSeries] | None = None,
+                    aux: CandleSeries | None = None,
                     ) -> tuple[dict, list[LeaderboardEntry]]:
     """Score every candidate parameter set by backtest and return the best.
     Each candidate trades with the given position ``size`` and ``stops``.
@@ -88,7 +88,7 @@ def tune_parameters(kind: StrategyKind, search_space, train: CandleSeries, *,
     entries = []
     for params, config in zip(candidates, configs):
         report = run_backtest(config, train, initial_cash, costs,
-                              aux_series=aux_series, drawdown_lambda=drawdown_lambda)
+                              aux=aux, drawdown_lambda=drawdown_lambda)
         entries.append(
             LeaderboardEntry(params=params, score=report.score,
                              net_profit_pct=report.metrics.net_profit_pct,

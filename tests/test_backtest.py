@@ -469,7 +469,7 @@ def test_pairs_margin_backtest_runs_and_conserves():
     a, b = synthetic_pair(11, n=420)
     config = StrategyConfig("A", PairsParams(symbol_b="B", lookback=40,
                                              z_entry=1.6, z_exit=0.4))
-    report = run_backtest(config, a, 10_000.0, CostModel(), aux_series={"B": b})
+    report = run_backtest(config, a, 10_000.0, CostModel(), aux=b)
     assert report.metrics.trade_count >= 2
     sides = {f.side for f in report.fills}
     assert Side.OPEN_SHORT in sides or any(f.quantity for f in report.fills)
@@ -506,7 +506,7 @@ def test_pairs_leg_b_is_sized_from_cash_left_after_leg_a(params, sides, notional
 
     a, b = synthetic_pair(8, n=400)
     config = StrategyConfig("A", PairsParams(symbol_b="B", **params))
-    report = run_backtest(config, a, 10_000.0, ZERO_COSTS, aux_series={"B": b})
+    report = run_backtest(config, a, 10_000.0, ZERO_COSTS, aux=b)
     leg_a, leg_b = report.fills[:2]
     assert (leg_a.symbol, leg_b.symbol) == ("A", "B") and leg_a.bar == leg_b.bar
     assert (leg_a.side, leg_b.side) == sides
@@ -523,11 +523,11 @@ def test_pairs_legs_under_one_symbol_are_refused():
     assert a.symbol == b.symbol == "RND"
     with pytest.raises(ValidationError, match="symbol_b 'RND' must differ"):
         run_backtest(StrategyConfig("RND", PairsParams(symbol_b="RND", lookback=30)),
-                     a, 10_000.0, aux_series={"RND": b})
+                     a, 10_000.0, aux=b)
     with pytest.raises(ValidationError,
                        match="symbol_b is 'B' but the second leg's series is 'RND'"):
         run_backtest(StrategyConfig("RND", PairsParams(symbol_b="B", lookback=30)),
-                     a, 10_000.0, aux_series={"B": b})
+                     a, 10_000.0, aux=b)
 
 
 def test_book_rejects_nan_cash():
@@ -615,6 +615,6 @@ def test_score_examples():
     assert score(Metrics(30.0, 25.0, 1.0, 2), 0.5) == pytest.approx(17.5)
 
 
-def test_score_accepts_full_report():
+def test_score_of_report_metrics_is_report_score():
     report = run_backtest(null_config(), random_series(0, n=50), 1_000.0, ZERO_COSTS)
-    assert score(report, 0.5) == report.score == 0.0
+    assert score(report.metrics, 0.5) == report.score == 0.0

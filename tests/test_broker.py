@@ -156,11 +156,10 @@ def test_null_strategy_places_no_orders():
 
 def assert_session_matches_backtest(strategy_a, strategy_b, series, costs,
                                     cash=10_000.0, aux=None):
-    backtest = run_backtest(strategy_a, series, cash, costs,
-                            aux_series={aux.symbol: aux} if aux is not None else None)
+    backtest = run_backtest(strategy_a, series, cash, costs, aux=aux)
     feeds = series if aux is None else {series.symbol: series, aux.symbol: aux}
     broker = SimulatedBroker(feeds, cash, costs, allow_short=aux is not None)
-    session = paper_trade_loop(strategy_b, series, broker, costs=costs, aux_feed=aux)
+    session = paper_trade_loop(strategy_b, series, broker, costs=costs, aux=aux)
     bt_fills = [(f.bar, f.symbol, f.side, f.quantity, f.price, f.fee)
                 for f in backtest.fills]
     se_fills = [(f.bar, f.symbol, f.side, f.quantity, f.price, f.fee)
@@ -360,11 +359,11 @@ def test_a_config_trades_the_symbols_of_its_bars(route, case):
     series, config, leg_b, needle = refused_run(case)
     if route == "backtest":
         with pytest.raises(ValidationError, match=needle):
-            run_backtest(config, series, aux_series=None if leg_b is None else {"B": leg_b})
+            run_backtest(config, series, aux=leg_b)
         return
     broker = ClosingBroker(series, 10_000.0, CostModel(), allow_short=True)
     with pytest.raises(ValidationError, match=needle):
-        paper_trade_loop(config, series, broker, costs=CostModel(), aux_feed=leg_b)
+        paper_trade_loop(config, series, broker, costs=CostModel(), aux=leg_b)
     assert broker.closes == [False]
 
 
@@ -390,19 +389,17 @@ def test_a_session_that_raises_closes_its_endpoint_without_liquidating():
 ], ids=["ema_cross", "duck-typed"])
 def test_a_second_leg_for_a_one_leg_strategy_is_refused(feed, strategy, needle):
     """Only a pairs config steps two legs: a second leg given with an
-    ema_cross config or a duck-typed strategy is refused on the paper
-    route, and the backtest route does not pass it on."""
+    ema_cross config or a duck-typed strategy is refused on both routes."""
     from test_strategy import synthetic_pair
 
     a, b = synthetic_pair(21, n=400)
     broker = ClosingBroker({"A": a, "B": b}, 10_000.0, CostModel())
     with pytest.raises(ValidationError, match=needle):
         paper_trade_loop(strategy, a if feed == "series" else list(a.candles), broker,
-                         costs=CostModel(), aux_feed=b, symbol="A", interval=a.interval)
+                         costs=CostModel(), aux=b, symbol="A", interval=a.interval)
     assert broker.closes == [False] and not broker.fills
-    if isinstance(strategy, StrategyConfig):
-        assert (run_backtest(strategy, a, aux_series={"B": b}).equity
-                == run_backtest(strategy, a).equity)
+    with pytest.raises(ValidationError, match=needle):
+        run_backtest(strategy, a, aux=b)
 
 
 def short_leg_run(case):
@@ -437,7 +434,7 @@ def test_a_second_leg_that_ends_or_diverges_under_a_candle_iterator(case):
     config, a, b, leg, error, needle = short_leg_run(case)
     broker = ClosingBroker({"A": a, "B": b}, 10_000.0, CostModel(), allow_short=True)
     with pytest.raises(error, match=needle):
-        paper_trade_loop(config, list(a.candles), broker, costs=CostModel(), aux_feed=leg,
+        paper_trade_loop(config, list(a.candles), broker, costs=CostModel(), aux=leg,
                          symbol="A", interval=a.interval)
     assert broker.closes == [False]
     if case == "ends after an entry":

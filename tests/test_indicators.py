@@ -97,41 +97,41 @@ def run_oracle(name, params, series):
 # ---------------------------------------------------------------------------
 
 def test_sma_example():
-    out = ind.sma(series_from_closes([1, 2, 3, 4, 5]), 3)
+    out = compute(IndicatorSpec("sma", {"p": 3}), series_from_closes([1, 2, 3, 4, 5]))
     assert out.values == [None, None, 2.0, 3.0, 4.0]
     assert out.warmup == 2
 
 
 def test_sma_constant_closes():
-    out = ind.sma(flat_series(20, price=7.5), 5)
+    out = compute(IndicatorSpec("sma", {"p": 5}), flat_series(20, price=7.5))
     assert all(v == 7.5 for v in out.values[out.warmup:])
 
 
 def test_ema_example_hand_recurrence():
     # p=3 so k=0.5: seed mean(1,2,3)=2, then 0.5*4+0.5*2=3, 0.5*5+0.5*3=4
-    out = ind.ema(series_from_closes([1, 2, 3, 4, 5]), 3)
+    out = compute(IndicatorSpec("ema", {"p": 3}), series_from_closes([1, 2, 3, 4, 5]))
     assert out.values == [None, None, 2.0, 3.0, 4.0]
 
 
 def test_ema_constant_is_fixed_point():
-    out = ind.ema(flat_series(30, price=3.25), 7)
+    out = compute(IndicatorSpec("ema", {"p": 7}), flat_series(30, price=3.25))
     assert all(v == 3.25 for v in out.values[out.warmup:])
 
 
 def test_rsi_extremes():
-    up = ind.rsi(series_from_closes(range(1, 30)), 14)
+    up = compute(IndicatorSpec("rsi", {"p": 14}), series_from_closes(range(1, 30)))
     assert all(v == 100.0 for v in up.values[up.warmup:])
-    down = ind.rsi(series_from_closes(range(30, 1, -1)), 14)
+    down = compute(IndicatorSpec("rsi", {"p": 14}), series_from_closes(range(30, 1, -1)))
     assert all(v == 0.0 for v in down.values[down.warmup:])
 
 
 def test_rsi_flat_reads_midpoint():
-    out = ind.rsi(flat_series(30), 14)
+    out = compute(IndicatorSpec("rsi", {"p": 14}), flat_series(30))
     assert all(v == 50.0 for v in out.values[out.warmup:])
 
 
 def test_atr_zero_on_flat_series():
-    out = ind.atr(flat_series(30), 14)
+    out = compute(IndicatorSpec("atr", {"p": 14}), flat_series(30))
     assert out.warmup == 14
     assert all(v == 0.0 for v in out.values[out.warmup:])
 
@@ -139,7 +139,7 @@ def test_atr_zero_on_flat_series():
 def test_atr_geometric_decay_after_single_spike():
     p = 5
     rows = [(10, 10, 10, 10, 1)] * 10 + [(10, 11, 9, 10, 1)] + [(10, 10, 10, 10, 1)] * 10
-    out = ind.atr(series_from_ohlc(rows), p)
+    out = compute(IndicatorSpec("atr", {"p": p}), series_from_ohlc(rows))
     spike_at = 10
     assert out.values[spike_at] == pytest.approx(2 / p)
     for i in range(spike_at + 1, len(rows)):
@@ -147,7 +147,8 @@ def test_atr_geometric_decay_after_single_spike():
 
 
 def test_macd_constant_closes_all_zero():
-    line, sig, hist = ind.macd(flat_series(60), 12, 26, 9)
+    macd = IndicatorSpec("macd", {"fast": 12, "slow": 26, "signal": 9})
+    line, sig, hist = compute(macd, flat_series(60))
     for out in (line, sig, hist):
         assert all(v == 0.0 for v in out.values[out.warmup:])
     assert line.warmup == 25
@@ -157,46 +158,48 @@ def test_macd_constant_closes_all_zero():
 
 def test_macd_rejects_inverted_periods():
     with pytest.raises(InvalidPeriods):
-        ind.macd(random_series(0, 64), 26, 12, 9)
+        compute(IndicatorSpec("macd", {"fast": 26, "slow": 12, "signal": 9}), random_series(0, 64))
 
 
 def test_bollinger_constant_closes():
-    upper, middle, lower = ind.bollinger(flat_series(20, price=4.0), 5, 2.0)
+    upper, middle, lower = compute(IndicatorSpec("bollinger", {"p": 5, "k": 2.0}),
+                                   flat_series(20, price=4.0))
     for out in (upper, middle, lower):
         assert all(v == 4.0 for v in out.values[out.warmup:])
 
 
 def test_bollinger_two_point_example():
-    upper, middle, lower = ind.bollinger(series_from_closes([1, 3]), 2, 2.0)
+    upper, middle, lower = compute(IndicatorSpec("bollinger", {"p": 2, "k": 2.0}),
+                                   series_from_closes([1, 3]))
     assert middle.values[1] == 2.0
     assert upper.values[1] == 4.0
     assert lower.values[1] == 0.0
 
 
 def test_obv_example():
-    out = ind.obv(series_from_closes([1, 2, 3], volumes=[10, 20, 30]))
+    out = compute(IndicatorSpec("obv"), series_from_closes([1, 2, 3], volumes=[10, 20, 30]))
     assert out.values == [0.0, 20.0, 50.0]
     assert out.warmup == 0
 
 
 def test_obv_constant_closes_all_zero():
-    out = ind.obv(flat_series(10))
+    out = compute(IndicatorSpec("obv"), flat_series(10))
     assert out.values == [0.0] * 10
 
 
 def test_momentum_example():
-    out = ind.momentum(series_from_closes([1, 2, 4]), 1)
+    out = compute(IndicatorSpec("momentum", {"p": 1}), series_from_closes([1, 2, 4]))
     assert out.values == [None, 1.0, 2.0]
 
 
 def test_force_index_zero_on_constant_closes():
-    out = ind.force_index(flat_series(30), 13)
+    out = compute(IndicatorSpec("force_index", {"p": 13}), flat_series(30))
     assert all(v == 0.0 for v in out.values[out.warmup:])
 
 
 def test_williams_r_zero_when_close_at_lookback_high():
     rows = [(10, 12, 9, 10, 1)] * 9 + [(10, 12, 9, 12, 1)]
-    out = ind.williams_r(series_from_ohlc(rows), 10)
+    out = compute(IndicatorSpec("williams_r", {"p": 10}), series_from_ohlc(rows))
     assert out.values[-1] == 0.0
 
 
@@ -212,22 +215,22 @@ def test_compute_missing_parameter():
 
 def test_period_exceeds_series():
     with pytest.raises(PeriodExceedsSeries):
-        ind.sma(random_series(0, 10), 11)
+        compute(IndicatorSpec("sma", {"p": 11}), random_series(0, 10))
     with pytest.raises(PeriodExceedsSeries):
-        ind.rsi(random_series(0, 14), 14)
+        compute(IndicatorSpec("rsi", {"p": 14}), random_series(0, 14))
     with pytest.raises(PeriodExceedsSeries):
-        ind.adx(random_series(0, 27), 14)
+        compute(IndicatorSpec("adx", {"p": 14}), random_series(0, 27))
     with pytest.raises(PeriodExceedsSeries):
         compute(IndicatorSpec("kst"), random_series(0, 44))
 
 
 def test_invalid_period_values():
     with pytest.raises(InvalidPeriods):
-        ind.sma(random_series(0, 32), 0)
+        compute(IndicatorSpec("sma", {"p": 0}), random_series(0, 32))
     with pytest.raises(InvalidPeriods):
-        ind.bollinger(random_series(0, 32), 1, 2.0)
+        compute(IndicatorSpec("bollinger", {"p": 1, "k": 2.0}), random_series(0, 32))
     with pytest.raises(InvalidPeriods):
-        ind.bollinger(random_series(0, 32), 5, 0.0)
+        compute(IndicatorSpec("bollinger", {"p": 5, "k": 0.0}), random_series(0, 32))
 
 
 def test_fractional_period_rejected():
@@ -255,7 +258,7 @@ def test_bollinger_width_is_bounded_like_prices():
 def test_bollinger_width_defaults_to_two():
     series = random_series(3, 64)
     default = compute(IndicatorSpec("bollinger", {"p": 20}), series)
-    explicit = ind.bollinger(series, 20, 2.0)
+    explicit = compute(IndicatorSpec("bollinger", {"p": 20, "k": 2.0}), series)
     assert [o.values for o in default] == [o.values for o in explicit]
 
 
@@ -307,7 +310,8 @@ def test_matches_oracle_on_random_series(name, params):
 def test_macd_matches_composed_ema_oracle():
     for seed in range(6):
         series = random_series(seed + 70, n=220)
-        line, sig, hist = ind.macd(series, 12, 26, 9)
+        line, sig, hist = compute(IndicatorSpec("macd", {"fast": 12, "slow": 26, "signal": 9}),
+                                  series)
         o_line, o_sig, o_hist = oracles.oracle_macd(series.closes, 12, 26, 9)
         assert_matches(line, o_line)
         assert_matches(sig, o_sig)
@@ -317,7 +321,7 @@ def test_macd_matches_composed_ema_oracle():
 def test_bollinger_matches_windowed_statistics_oracle():
     for seed in range(6):
         series = random_series(seed + 90, n=180)
-        up, mid, low = ind.bollinger(series, 20, 2.0)
+        up, mid, low = compute(IndicatorSpec("bollinger", {"p": 20, "k": 2.0}), series)
         o_up, o_mid, o_low = oracles.oracle_bollinger(series.closes, 20, 2.0)
         assert_matches(up, o_up)
         assert_matches(mid, o_mid)
@@ -327,14 +331,11 @@ def test_bollinger_matches_windowed_statistics_oracle():
 def test_bounded_indicators_stay_in_range():
     for seed in range(8):
         series = random_series(seed + 200, n=300, vol=0.03)
-        for v in ind.rsi(series, 14).defined():
-            assert 0.0 <= v <= 100.0
-        for v in ind.mfi(series, 14).defined():
-            assert 0.0 <= v <= 100.0
-        for v in ind.williams_r(series, 14).defined():
-            assert -100.0 <= v <= 0.0
-        for v in ind.adx(series, 14).defined():
-            assert 0.0 <= v <= 100.0
+        for name, lo, hi in (("rsi", 0.0, 100.0), ("mfi", 0.0, 100.0),
+                             ("williams_r", -100.0, 0.0), ("adx", 0.0, 100.0)):
+            out = compute(IndicatorSpec(name, {"p": 14}), series)
+            for v in out.values[out.warmup:]:
+                assert lo <= v <= hi
 
 
 WINDOWED = [("sma", {"p": 10}), ("momentum", {"p": 10}), ("williams_r", {"p": 10}),
@@ -356,7 +357,8 @@ def test_windowed_shift_equivariance_bollinger():
     series = random_series(405, n=160)
     shift = 23
     suffix = CandleSeries(series.symbol, series.interval, series.candles[shift:])
-    for full, part in zip(ind.bollinger(series, 12, 2.0), ind.bollinger(suffix, 12, 2.0)):
+    spec = IndicatorSpec("bollinger", {"p": 12, "k": 2.0})
+    for full, part in zip(compute(spec, series), compute(spec, suffix)):
         for j in range(part.warmup, len(part.values)):
             assert part.values[j] == pytest.approx(full.values[shift + j], rel=1e-9)
 

@@ -126,20 +126,22 @@ VALID_ARGS = {GridParams: {"spacing": 1.0, "levels": 2, "level_quantity": 1.0},
 @st.composite
 def non_finite_fields(draw):
     """A type, the name of one float field, and arguments that give that
-    field NaN or ±inf and some other float fields any finite value."""
+    field NaN, ±inf or an int beyond float range and some other float fields
+    any finite value."""
     params, name = draw(st.sampled_from(FLOAT_FIELDS))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     others = {other: draw(finite) for cls, other in FLOAT_FIELDS
               if cls is params and other != name and draw(st.booleans())}
-    bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    bad = draw(st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400]))
     return params, name, {**VALID_ARGS[params], **others, name: bad}
 
 
 @given(case=non_finite_fields())
 @settings(max_examples=200, deadline=None)
 def test_non_finite_float_fields_are_validation_errors(case):
-    """A NaN or infinite float field is refused by the type that holds it,
-    as a config file's number is, whatever the other fields hold."""
+    """A NaN, infinite or out-of-range float field is refused by the type
+    that holds it, as a config file's number is, whatever the other fields
+    hold."""
     params, name, args = case
     with pytest.raises(ValidationError, match=f"^{name} must be a finite number"):
         params(**args)
@@ -169,7 +171,7 @@ def test_integral_float_periods_backtest_like_ints(as_float, as_int):
     a, b = synthetic_pair(21, n=400)
     with_floats, with_ints = (
         run_backtest(StrategyConfig("A", params, stops=StopSettings(atr_period=atr_period)), a,
-                     aux_series={"B": b})
+                     aux=b if isinstance(params, PairsParams) else None)
         for params, atr_period in ((as_float, 14.0), (as_int, 14)))
     assert with_floats.fills
     assert with_floats == with_ints

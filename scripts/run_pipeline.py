@@ -1,4 +1,4 @@
-"""End-to-end demo: ingest -> indicators -> backtest -> tune -> evolve -> report.
+"""End-to-end demo: ingest -> indicators -> backtest -> paper -> tune -> evolve -> report.
 
 Drives the CLI exactly as a user would, against the bundled trending fixture.
 Everything lands under ./demo_run/ (deleted and rebuilt on each invocation).
@@ -61,6 +61,8 @@ def pipeline() -> None:
     run(["indicator", "--config", str(config_path),
          "--indicator", "ema:p=9", "--indicator", "ema:p=21", "--indicator", "rsi:p=14"])
     run(["backtest", "--config", str(config_path)])
+    run(["backtest", "--config", str(config_path), "--paper",
+         "--out", str(WORKDIR / "paper")])
     run(["optimize", "--config", str(config_path), "--mode", "tune",
          "--out", str(WORKDIR / "tuned")])
     run(["optimize", "--config", str(config_path), "--mode", "evolve",

@@ -334,6 +334,13 @@ class FeedInterrupted(TradeLabError):
     """Raised by a candle feed to signal an aborted stream."""
 
 
+def _unpriced(positions: dict[str, float], *symbols: str) -> ValidationError:
+    """The refusal of a holding the bar loop has no price for."""
+    name = next(name for name in positions if name not in symbols)
+    return ValidationError(f"the venue holds '{name}', which this run does not trade "
+                           f"and cannot mark")
+
+
 def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: int, *,
              series: CandleSeries | None = None, aux: CandleSeries | None = None,
              drawdown_lambda: float = 0.5) -> BacktestReport:
@@ -354,6 +361,10 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
     other config, and any duck-typed stepper, takes no ``aux``. A second
     leg that ends before the feed ends the run with a ``ValidationError``
     at the bar it lacks, before that bar's queued orders execute.
+
+    Each bar's equity is the venue's cash plus each leg's position at that
+    leg's close. A venue that holds a symbol the run does not trade ends the
+    run with a ``ValidationError`` that names it, at the first bar it is held.
 
     Intents emitted on bar t become orders, sized with ``size_order`` and
     filled by the venue at bar t+1's open. A feed that raises
@@ -496,17 +507,28 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
                 opens_i, closes_i = stepper.step_pair(candle, candles_b[t])
             else:
                 opens_i, closes_i = stepper.step(candle)
-            queue.extend(closes_i)
-            queue.extend(opens_i)
+            if closes_i:
+                queue.extend(closes_i)
+            if opens_i:
+                queue.extend(opens_i)
             positions = venue.positions
-            if positions:
-                value = venue.cash
-                close_t = candle.close
-                for name, qty in positions.items():
-                    value += qty * (close_t if name == symbol else candles_b[t].close)
-                equity.append(value)
-            else:
+            if not positions:
                 equity.append(venue.cash)
+            elif candles_b is None:
+                qty = positions.get(symbol)
+                if qty is None or len(positions) > 1:
+                    raise _unpriced(positions, symbol)
+                equity.append(venue.cash + qty * candle.close)
+            else:
+                value = venue.cash
+                for name, qty in positions.items():
+                    if name == symbol:
+                        value += qty * candle.close
+                    elif name == symbol_b:
+                        value += qty * candles_b[t].close
+                    else:
+                        raise _unpriced(positions, symbol, symbol_b)
+                equity.append(value)
             if stamps is not None:
                 stamps.append(candle.ts)
     except FeedInterrupted:

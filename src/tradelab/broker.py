@@ -29,7 +29,7 @@ from .backtest import (  # noqa: F401  FeedInterrupted is re-exported
     run_bars,
 )
 from .data import CandleSeries
-from .errors import ValidationError
+from .errors import ValidationError, in_float_range
 
 logger = logging.getLogger(__name__)
 
@@ -56,6 +56,8 @@ class OrderRequest:
     quantity: float
 
     def __post_init__(self) -> None:
+        if not in_float_range(self.quantity):
+            raise ValidationError(f"order quantity must be a finite number, got {self.quantity}")
         if self.quantity <= 0:
             raise ValidationError(f"order quantity must be > 0, got {self.quantity}")
 
@@ -69,7 +71,7 @@ class OrderAck:
     reason: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: one snapshot is built on every bar
 class AccountSnapshot:
     """``positions`` holds open positions only; a flat symbol is absent."""
 
@@ -119,8 +121,8 @@ class SimulatedBroker(BrokerEndpoint):
             feeds = {feeds.symbol: feeds}
         if not feeds:
             raise ValidationError("simulator needs at least one feed")
-        stamps = {tuple(s.timestamps) for s in feeds.values()}
-        if len(stamps) > 1:
+        stamps = next(iter(feeds.values())).timestamps
+        if any(series.timestamps != stamps for series in feeds.values()):
             raise ValidationError("all simulator feeds must share timestamps")
         self.feeds = feeds
         self.costs = costs or CostModel()
@@ -129,7 +131,7 @@ class SimulatedBroker(BrokerEndpoint):
         self.fills: list[Fill] = []
         self._acks: dict[str, OrderAck] = {}
         self._next_order_id = 0
-        self._bars_total = len(next(iter(feeds.values())))
+        self._stamps = stamps  # the feeds' shared timestamps, read by advance()
 
     # -- session --------------------------------------------------------
 
@@ -139,10 +141,11 @@ class SimulatedBroker(BrokerEndpoint):
     def advance(self) -> int | None:
         """Move the market to the next bar; returns its timestamp or None
         when the feed is exhausted."""
-        if self.bar + 1 >= self._bars_total:
+        bar = self.bar + 1
+        if bar >= len(self._stamps):
             return None
-        self.bar += 1
-        return next(iter(self.feeds.values())).timestamps[self.bar]
+        self.bar = bar
+        return self._stamps[bar]
 
     def symbol_info(self, symbol: str) -> SymbolInfo:
         if symbol not in self.feeds:
@@ -151,7 +154,9 @@ class SimulatedBroker(BrokerEndpoint):
         return SymbolInfo(symbol=symbol, interval=series.interval, bar_count=len(series))
 
     def account(self) -> AccountSnapshot:
-        return AccountSnapshot(cash=self.book.cash, positions=dict(self.book.positions))
+        book = self.book
+        # positional arguments: the session reads the account on every bar
+        return AccountSnapshot(book.cash, book.positions.copy())
 
     def close(self, liquidate: bool = True) -> tuple[AccountSnapshot, list[Fill]]:
         """End the session; by default flattens open positions at the last
@@ -203,14 +208,17 @@ class _EndpointBook:
 
     ``cash`` and ``positions`` are the last account snapshot, read once per
     bar and again after each ``place_order``. ``fill`` places a market order
-    under the loop's order id as client id and keeps the endpoint's fill;
-    ``flatten`` closes the session with the endpoint's own liquidation.
+    and keeps the endpoint's fill. Its client id is the bar's timestamp and
+    the loop's order id, so a session resumed on the same endpoint does not
+    reuse the ids of the one before it. ``flatten`` closes the session with
+    the endpoint's own liquidation.
     """
 
     def __init__(self, endpoint: BrokerEndpoint):
         self.endpoint = endpoint
         self.cash = 0.0
         self.positions: dict[str, float] = {}
+        self.ts = None  # the timestamp of the bar the endpoint stands at
 
     def bars(self, candles):
         """Yield each candle once the endpoint stands at its bar (a simulator
@@ -223,6 +231,7 @@ class _EndpointBook:
                 return
             if ts != candle.ts:
                 raise ValidationError(f"feed and endpoint diverged: {candle.ts} vs {ts}")
+            self.ts = ts
             snapshot = endpoint.account()
             self.cash, self.positions = snapshot.cash, snapshot.positions
             yield candle
@@ -234,7 +243,8 @@ class _EndpointBook:
     def fill(self, order_id: int, bar: int, symbol: str, quantity: float, raw_price: float,
              reason: str = "") -> Fill | str:
         side = OrderSide.BUY if quantity > 0 else OrderSide.SELL
-        ack = self.endpoint.place_order(OrderRequest(str(order_id), symbol, side, abs(quantity)))
+        ack = self.endpoint.place_order(OrderRequest(f"{self.ts}-{order_id}", symbol, side,
+                                                     abs(quantity)))
         self._read(self.endpoint.account())
         if ack.fill is None:
             return ack.reason or f"{ack.status.value} without a fill"

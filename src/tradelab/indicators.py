@@ -189,6 +189,20 @@ class RsiStream:
         return 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
 
 
+def _true_range(high: float, low: float, prev_close: float) -> float:
+    """The largest of high - low, high - prev_close and prev_close - low.
+
+    With low <= high this is ``max(high - low, abs(high - prev_close),
+    abs(low - prev_close))`` to the bit, since a gap that needs ``abs`` is
+    never larger than the other gap; the comparisons cost half of ``max``."""
+    tr = high - low
+    if high - prev_close > tr:
+        tr = high - prev_close
+    if prev_close - low > tr:
+        tr = prev_close - low
+    return tr
+
+
 class AtrStream:
     def __init__(self, p: int):
         self._atr = _WilderAvg(require_period(p))
@@ -199,8 +213,7 @@ class AtrStream:
         self._prev_close = candle.close
         if prev is None:
             return None
-        tr = max(candle.high - candle.low, abs(candle.high - prev), abs(candle.low - prev))
-        return self._atr.push(tr)
+        return self._atr.push(_true_range(candle.high, candle.low, prev))
 
 
 class MacdStream:
@@ -389,8 +402,7 @@ class AdxStream:
         down = prev.low - candle.low
         pos_dm = up if (up > down and up > 0) else 0.0
         neg_dm = down if (down > up and down > 0) else 0.0
-        tr = max(candle.high - candle.low, abs(candle.high - prev.close), abs(candle.low - prev.close))
-        tr_s = self._tr.push(tr)
+        tr_s = self._tr.push(_true_range(candle.high, candle.low, prev.close))
         pos_s = self._pos_dm.push(pos_dm)
         neg_s = self._neg_dm.push(neg_dm)
         if tr_s is None:

@@ -28,7 +28,7 @@ from enum import Enum
 from functools import cache
 
 from .data import Candle, CandleSeries
-from .errors import TradeLabError, ValidationError, require_finite
+from .errors import TradeLabError, ValidationError, in_float_range, require_finite
 from .indicators import (
     EmaStream,
     IndicatorSpec,
@@ -65,6 +65,8 @@ class TradeIntent:
     reason: str = ""
 
     def __post_init__(self) -> None:
+        if not in_float_range(self.size):
+            raise ValidationError(f"intent size must be a finite number, got {self.size}")
         if self.size <= 0:
             raise ValidationError(f"intent size must be > 0, got {self.size}")
         if not self.absolute and self.size > 1.0:

@@ -12,6 +12,7 @@ from helpers import (
 )
 from tradelab.backtest import CostModel, ZERO_COSTS, run_backtest
 from tradelab.broker import (
+    AccountSnapshot,
     AckStatus,
     FeedInterrupted,
     OrderRequest,
@@ -138,6 +139,45 @@ def test_liquidation_on_close():
     assert "AB" not in snapshot.positions
     assert len(fills) == 1 and fills[0].forced
     assert snapshot.cash == pytest.approx(1_000.0)
+
+
+def test_advance_walks_the_feeds_shared_timestamps():
+    from test_strategy import synthetic_pair
+
+    a, b = synthetic_pair(21, n=6)
+    broker = SimulatedBroker({"A": a, "B": b}, 1_000.0)
+    assert [broker.advance() for _ in range(6)] == a.timestamps == b.timestamps
+    assert broker.advance() is None and broker.advance() is None
+    assert broker.bar == 5
+    shifted = CandleSeries("B", b.interval, tuple(replace(c, ts=c.ts + 1) for c in b.candles),
+                           has_gaps=True)
+    with pytest.raises(ValidationError, match="all simulator feeds must share timestamps"):
+        SimulatedBroker({"A": a, "B": shifted}, 1_000.0)
+
+
+def test_an_account_snapshot_is_the_callers_own_copy():
+    broker = started_broker(flat_series(5, price=100.0, symbol="AB"))
+    broker.place_order(OrderRequest("1", "AB", OrderSide.BUY, 2.0))
+    snapshot = broker.account()
+    snapshot.positions["AB"] = 99.0
+    snapshot.positions["XY"] = 1.0
+    assert broker.book.positions == {"AB": 2.0}
+    assert broker.account().positions == {"AB": 2.0}
+    assert broker.account().cash == snapshot.cash == 800.0
+
+
+@pytest.mark.parametrize("size", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_order_sizes_are_refused_at_both_order_edges(size):
+    """A NaN or infinite size is refused where an intent and where an order
+    request is built; unrefused, a NaN buy on a short-enabled simulator
+    filled and left its cash and position NaN."""
+    for absolute in (False, True):
+        with pytest.raises(ValidationError, match="intent size must be a finite number"):
+            TradeIntent(Side.OPEN_LONG, "AB", size, absolute=absolute)
+    broker = started_broker(flat_series(5, price=100.0, symbol="AB"), allow_short=True)
+    with pytest.raises(ValidationError, match="order quantity must be a finite number"):
+        broker.place_order(OrderRequest("1", "AB", OrderSide.BUY, size))
+    assert broker.account() == AccountSnapshot(1_000.0, {})
 
 
 # ---------------------------------------------------------------------------
@@ -440,3 +480,64 @@ def test_a_second_leg_that_ends_or_diverges_under_a_candle_iterator(case):
     if case == "ends after an entry":
         # both legs' entry orders were queued for the bar the leg lacks
         assert not broker.fills and not broker.account().positions
+
+
+# ---------------------------------------------------------------------------
+# What a session marks, and a session resumed on the same endpoint
+# ---------------------------------------------------------------------------
+
+class HoldingBroker(ClosingBroker):
+    """Reports a holding in 'OLD', which no session here trades, as if the
+    account held it before the session began."""
+
+    def account(self):
+        snapshot = super().account()
+        return AccountSnapshot(snapshot.cash, {**snapshot.positions, "OLD": 3.0})
+
+
+@pytest.mark.parametrize("legs", ["one leg", "pairs"])
+def test_a_holding_the_session_does_not_trade_is_refused(legs):
+    """The loop marks each leg at its own close and has no price for any
+    other holding: it refuses one at the first bar's mark, names it and
+    closes the endpoint without liquidating. Unrefused, it either broke the
+    mark of a one-leg session or was marked at the second leg's close."""
+    from test_strategy import synthetic_pair
+
+    a, b = synthetic_pair(21, n=400)
+    if legs == "one leg":
+        config, feeds, aux = StrategyConfig("A", EmaCrossParams(9, 21)), a, None
+    else:
+        config = StrategyConfig("A", PairsParams(symbol_b="B", lookback=40,
+                                                 z_entry=1.6, z_exit=0.4))
+        feeds, aux = {"A": a, "B": b}, b
+    broker = HoldingBroker(feeds, 10_000.0, CostModel(), allow_short=aux is not None)
+    with pytest.raises(ValidationError, match="the venue holds 'OLD', which this run does "
+                                              "not trade and cannot mark"):
+        paper_trade_loop(config, a, broker, costs=CostModel(), aux=aux)
+    assert broker.closes == [False] and not broker.fills and broker.bar == 0
+
+
+def test_a_session_resumed_on_the_same_endpoint_places_its_own_orders():
+    """Client ids carry the bar's timestamp: a second session on the
+    endpoint of an interrupted one places its close, where reused ids got
+    back the first session's ack for the open."""
+    series = flat_series(20, price=100.0, symbol="RND")
+    broker = SimulatedBroker(series, 1_000.0, ZERO_COSTS)
+
+    def interrupted_feed():
+        for i, candle in enumerate(series.candles):
+            if i == 10:
+                raise FeedInterrupted("stream lost")
+            yield candle
+
+    opening = ScriptedStrategy({2: ([TradeIntent(Side.OPEN_LONG, "RND", 0.5)], [])})
+    first = paper_trade_loop(opening, interrupted_feed(), broker, costs=ZERO_COSTS,
+                             symbol="RND", interval=series.interval)
+    assert first.interrupted and [(f.bar, f.side) for f in first.fills] == [(3, Side.OPEN_LONG)]
+    closing = ScriptedStrategy({1: ([], [TradeIntent(Side.CLOSE_LONG, "RND")])})
+    second = paper_trade_loop(closing, series.candles[10:], broker, costs=ZERO_COSTS,
+                              symbol="RND", interval=series.interval)
+    assert [(f.bar, f.side, f.quantity, f.forced) for f in second.fills] == [
+        (12, Side.CLOSE_LONG, 5.0, False)]
+    assert [f.side for f in broker.fills] == [Side.OPEN_LONG, Side.CLOSE_LONG]
+    assert broker.account() == AccountSnapshot(1_000.0, {})

@@ -520,3 +520,16 @@ def test_every_indicator_stays_finite_at_the_price_and_volume_bounds(series, p, 
         spec = IndicatorSpec(name, dict(params, p=max(p, 2)) if name == "bollinger" else params)
         for line in indicator_lines(spec, series):
             assert all(v is None or math.isfinite(v) for v in line), (name, line)
+
+
+@given(prices=st.lists(st.one_of(BOUND_PRICES, st.floats(1e-300, 1e300)), min_size=3,
+                       max_size=3))
+@settings(max_examples=500)
+def test_the_true_range_is_the_largest_gap_to_the_bit(prices):
+    """ATR and ADX compare the gaps where ``max`` of their absolute values
+    was taken: the same float, since a gap that needs ``abs`` is never the
+    largest one when low <= high."""
+    low, high = sorted(prices[:2])
+    prev_close = prices[2]
+    expected = max(high - low, abs(high - prev_close), abs(low - prev_close))
+    assert ind._true_range(high, low, prev_close).hex() == expected.hex()

@@ -34,8 +34,14 @@ def pipeline() -> None:
     WORKDIR.mkdir()
     warehouse = WORKDIR / "warehouse"
 
-    run(["ingest", "--csv", str(ROOT / "tests" / "fixtures" / "trending.csv"),
+    fixture = ROOT / "tests" / "fixtures" / "trending.csv"
+    run(["ingest", "--csv", str(fixture),
          "--symbol", "TRENDY", "--interval", "3600", "--warehouse", str(warehouse)])
+    # the fixture is written by write_csv, so ingest must store it unchanged:
+    # drift in the writer or the sort fails here
+    stored = warehouse / "TRENDY" / "3600.csv"
+    if stored.read_bytes() != fixture.read_bytes():
+        raise SystemExit(f"{stored} differs from {fixture}")
 
     config = {
         "seed": 0,

@@ -110,8 +110,9 @@ class SimulatedBroker(BrokerEndpoint):
 
     The session owner steps the market forward with :meth:`advance`; market
     orders fill at the current bar's open, slippage applied adversely, with a
-    proportional fee. Order placement is idempotent per client id: a repeated
-    id returns the original ack without touching the account.
+    proportional fee. Order placement is idempotent per client id: the same
+    request sent again returns the original ack without touching the account,
+    and a different request under a used id is refused.
     """
 
     def __init__(self, feeds: CandleSeries | dict[str, CandleSeries],
@@ -129,7 +130,7 @@ class SimulatedBroker(BrokerEndpoint):
         self.book = Book(initial_cash, self.costs, allow_short)
         self.bar = -1
         self.fills: list[Fill] = []
-        self._acks: dict[str, OrderAck] = {}
+        self._acks: dict[str, tuple[OrderRequest, OrderAck]] = {}
         self._next_order_id = 0
         self._stamps = stamps  # the feeds' shared timestamps, read by advance()
 
@@ -177,7 +178,10 @@ class SimulatedBroker(BrokerEndpoint):
         rejected, takes the next broker order id."""
         prior = self._acks.get(request.client_id)
         if prior is not None:
-            return prior
+            if prior[0] != request:
+                raise ValidationError(f"client id '{request.client_id}' was already used "
+                                      "for a different order")
+            return prior[1]
         if request.symbol not in self.feeds:
             raise UnknownSymbol(f"no feed for '{request.symbol}'")
         if self.bar < 0:
@@ -195,7 +199,7 @@ class SimulatedBroker(BrokerEndpoint):
             self.fills.append(fill)
             ack = OrderAck(client_id=request.client_id, broker_order_id=order_id,
                            status=AckStatus.ACCEPTED, fill=fill)
-        self._acks[request.client_id] = ack
+        self._acks[request.client_id] = (request, ack)
         return ack
 
 
@@ -248,12 +252,12 @@ class _EndpointBook:
         self._read(self.endpoint.account())
         if ack.fill is None:
             return ack.reason or f"{ack.status.value} without a fill"
-        return replace(ack.fill, reason=reason)
+        return replace(ack.fill, bar=bar, reason=reason)
 
     def flatten(self, next_id: int, bar: int, closes: dict[str, float]) -> list[Fill]:
         snapshot, liquidation = self.endpoint.close(liquidate=True)
         self._read(snapshot)
-        return liquidation
+        return [replace(f, bar=bar) for f in liquidation]
 
 
 def paper_trade_loop(strategy, feed, endpoint: BrokerEndpoint, *,

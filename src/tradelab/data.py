@@ -14,6 +14,7 @@ import logging
 import os
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import ValidationError
@@ -25,6 +26,10 @@ CSV_HEADER = "timestamp,open,high,low,close,volume"
 # indicator's products, squares and bin widths stay finite and non-zero.
 _MIN_PRICE, _MAX_PRICE = 1e-100, 1e100
 _MAX_VOLUME = 1e100
+# A frozen dataclass sets its fields through object.__setattr__; the alias
+# saves Candle.__init__ a builtin and an attribute lookup per field.
+_set = object.__setattr__
+_by_ts = attrgetter("ts")
 
 
 class MalformedRow(ValidationError):
@@ -47,7 +52,7 @@ class EmptyWindow(ValidationError):
     """A slice request matched no candles."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Candle:
     """One OHLCV bar. ``ts`` is in milliseconds since epoch (UTC). Prices lie
     in [1e-100, 1e100] with low <= open/close <= high; volume lies in
@@ -60,16 +65,25 @@ class Candle:
     close: float
     volume: float
 
-    def __post_init__(self) -> None:
-        if not (self.low <= self.open <= self.high) or not (self.low <= self.close <= self.high):
+    # Hand-written (init=False): every CSV row builds one candle, so the
+    # checks read the arguments and each field is set once through _set.
+    def __init__(self, ts: int, open: float, high: float, low: float, close: float,
+                 volume: float) -> None:
+        if not (low <= open <= high) or not (low <= close <= high):
             raise OhlcViolation(
-                f"ts={self.ts}: prices must satisfy low <= open/close <= high "
-                f"(o={self.open}, h={self.high}, l={self.low}, c={self.close})"
+                f"ts={ts}: prices must satisfy low <= open/close <= high "
+                f"(o={open}, h={high}, l={low}, c={close})"
             )
-        if not (_MIN_PRICE <= self.low and self.high <= _MAX_PRICE):
-            raise OhlcViolation(f"ts={self.ts}: prices must be finite and lie in [1e-100, 1e100]")
-        if not 0 <= self.volume <= _MAX_VOLUME:
-            raise OhlcViolation(f"ts={self.ts}: volume must be finite and lie in [0, 1e100]")
+        if not (_MIN_PRICE <= low and high <= _MAX_PRICE):
+            raise OhlcViolation(f"ts={ts}: prices must be finite and lie in [1e-100, 1e100]")
+        if not 0 <= volume <= _MAX_VOLUME:
+            raise OhlcViolation(f"ts={ts}: volume must be finite and lie in [0, 1e100]")
+        _set(self, "ts", ts)
+        _set(self, "open", open)
+        _set(self, "high", high)
+        _set(self, "low", low)
+        _set(self, "close", close)
+        _set(self, "volume", volume)
 
 
 @dataclass(frozen=True)
@@ -179,22 +193,22 @@ def parse_csv(path: str | Path, symbol: str, interval: int, allow_gaps: bool = F
 
     candles = []
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         parts = line.split(",")
         if len(parts) != 6:
+            if not line.strip():
+                continue
             raise MalformedRow(f"{path}:{lineno}: expected 6 columns, got {len(parts)}")
+        t, o, h, l, c, v = parts
+        # the conversions run left to right before the constructor, so a bad
+        # number is reported ahead of bad prices on the same row
         try:
-            ts = int(parts[0])
-            o, h, l, c, v = (float(x) for x in parts[1:])
+            candles.append(Candle(int(t), float(o), float(h), float(l), float(c), float(v)))
         except ValueError as exc:
             raise MalformedRow(f"{path}:{lineno}: {exc}") from exc
-        try:
-            candles.append(Candle(ts, o, h, l, c, v))
         except OhlcViolation as exc:
             raise OhlcViolation(f"{path}:{lineno}: {exc}") from exc
 
-    candles.sort(key=lambda c: c.ts)
+    candles.sort(key=_by_ts)
 
     def series(has_gaps: bool) -> CandleSeries:
         try:
@@ -214,10 +228,9 @@ def parse_csv(path: str | Path, symbol: str, interval: int, allow_gaps: bool = F
 def write_csv(series: CandleSeries, path: str | Path) -> None:
     """Write a series in the warehouse CSV format (repr floats, int ms)."""
     path = Path(path)
-    rows = [CSV_HEADER]
-    for c in series.candles:
-        rows.append(f"{c.ts},{c.open!r},{c.high!r},{c.low!r},{c.close!r},{c.volume!r}")
-    path.write_text("\n".join(rows) + "\n")
+    rows = [f"{c.ts},{c.open!r},{c.high!r},{c.low!r},{c.close!r},{c.volume!r}\n"
+            for c in series.candles]
+    path.write_text(f"{CSV_HEADER}\n" + "".join(rows))
 
 
 def slice_window(series: CandleSeries, from_ts: int, to_ts: int) -> CandleSeries:

@@ -21,6 +21,7 @@ from tradelab.broker import (
     UnknownSymbol,
     paper_trade_loop,
 )
+from tradelab.cli import write_report_files
 from tradelab.data import CandleSeries
 from tradelab.errors import ValidationError
 from tradelab.strategy import (
@@ -68,6 +69,24 @@ def test_duplicate_client_id_is_idempotent():
     assert second == first
     assert broker.account().cash == cash_after
     assert broker.account().positions["AB"] == 2.0
+
+
+def test_a_used_client_id_refuses_a_different_order():
+    """A SELL under a BUY's client id is refused, not answered with the
+    BUY's ack; the book and the order ids are left as they were."""
+    series = flat_series(5, price=100.0, symbol="AB")
+    broker = started_broker(series)
+    buy = OrderRequest("dup", "AB", OrderSide.BUY, 2.0)
+    first = broker.place_order(buy)
+    before = broker.account()
+    with pytest.raises(ValidationError, match="client id 'dup'"):
+        broker.place_order(OrderRequest("dup", "AB", OrderSide.SELL, 2.0))
+    with pytest.raises(ValidationError, match="client id 'dup'"):
+        broker.place_order(OrderRequest("dup", "AB", OrderSide.BUY, 1.0))
+    assert broker.account() == before == AccountSnapshot(before.cash, {"AB": 2.0})
+    assert broker.fills == [first.fill]
+    assert broker.place_order(buy) == first
+    assert broker.place_order(OrderRequest("next", "AB", OrderSide.SELL, 2.0)).broker_order_id == 1
 
 
 def test_buy_beyond_cash_rejected_account_unchanged():
@@ -517,10 +536,10 @@ def test_a_holding_the_session_does_not_trade_is_refused(legs):
     assert broker.closes == [False] and not broker.fills and broker.bar == 0
 
 
-def test_a_session_resumed_on_the_same_endpoint_places_its_own_orders():
-    """Client ids carry the bar's timestamp: a second session on the
-    endpoint of an interrupted one places its close, where reused ids got
-    back the first session's ack for the open."""
+def _resumed_session(script):
+    """A session interrupted at bar 10 of a 20-bar simulator after opening
+    half its cash long at bar 3, then a second session on the same endpoint
+    over the remaining 10 bars, driven by ``script``."""
     series = flat_series(20, price=100.0, symbol="RND")
     broker = SimulatedBroker(series, 1_000.0, ZERO_COSTS)
 
@@ -534,10 +553,37 @@ def test_a_session_resumed_on_the_same_endpoint_places_its_own_orders():
     first = paper_trade_loop(opening, interrupted_feed(), broker, costs=ZERO_COSTS,
                              symbol="RND", interval=series.interval)
     assert first.interrupted and [(f.bar, f.side) for f in first.fills] == [(3, Side.OPEN_LONG)]
-    closing = ScriptedStrategy({1: ([], [TradeIntent(Side.CLOSE_LONG, "RND")])})
-    second = paper_trade_loop(closing, series.candles[10:], broker, costs=ZERO_COSTS,
-                              symbol="RND", interval=series.interval)
+    second = paper_trade_loop(ScriptedStrategy(script), series.candles[10:], broker,
+                              costs=ZERO_COSTS, symbol="RND", interval=series.interval)
+    return series, broker, second
+
+
+def test_a_session_resumed_on_the_same_endpoint_places_its_own_orders():
+    """Client ids carry the bar's timestamp: a second session on the
+    endpoint of an interrupted one places its close, where reused ids got
+    back the first session's ack for the open. Its fills are indexed by
+    the session's own bars."""
+    _, broker, second = _resumed_session({1: ([], [TradeIntent(Side.CLOSE_LONG, "RND")])})
     assert [(f.bar, f.side, f.quantity, f.forced) for f in second.fills] == [
-        (12, Side.CLOSE_LONG, 5.0, False)]
+        (2, Side.CLOSE_LONG, 5.0, False)]
     assert [f.side for f in broker.fills] == [Side.OPEN_LONG, Side.CLOSE_LONG]
     assert broker.account() == AccountSnapshot(1_000.0, {})
+
+
+def test_a_resumed_session_report_is_written_with_its_own_bars(tmp_path):
+    """The report of a session resumed at the simulator's bar 10 indexes
+    its fills, the forced close included, from its own first bar, so the
+    CLI writes its signals against its own timestamps."""
+    series, _, second = _resumed_session({
+        1: ([], [TradeIntent(Side.CLOSE_LONG, "RND")]),
+        4: ([TradeIntent(Side.OPEN_LONG, "RND", 0.5)], []),
+    })
+    write_report_files(second, tmp_path)
+    assert second.bars == 10
+    assert [(f.bar, f.side, f.forced) for f in second.fills] == [
+        (2, Side.CLOSE_LONG, False), (5, Side.OPEN_LONG, False), (9, Side.CLOSE_LONG, True)]
+    rows = [line.split(",")[:3] for line in
+            (tmp_path / "signals.csv").read_text().splitlines()[1:]]
+    ts = series.timestamps
+    assert rows == [["2", str(ts[12]), "close_long"], ["5", str(ts[15]), "open_long"],
+                    ["9", str(ts[19]), "close_long"]]

@@ -1,6 +1,7 @@
 import json
 import logging
 import re
+from dataclasses import FrozenInstanceError, astuple, replace
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from tradelab.data import (
     slice_window,
     write_csv,
 )
+from tradelab.errors import ValidationError
 
 HEADER = "timestamp,open,high,low,close,volume"
 
@@ -95,11 +97,36 @@ def test_parse_allowed_gaps_are_marked_and_warned(tmp_path, caplog):
 @pytest.mark.parametrize("rows,message", [
     (["0,1,2,0.5,1.5"], "6 columns"),
     (["0,one,2,0.5,1.5,10"], "could not convert"),
+    (["0,1,2,0.5,1.5,10,3"], "expected 6 columns, got 7"),
+    (["0.5,1,2,0.5,1.5,10"], "invalid literal for int()"),
+    (["0,1,2,0.5,1.5,ten"], "could not convert string to float: 'ten'"),
+    (["0,9,2,3,2.6,x"], "could not convert string to float: 'x'"),  # bad prices too
 ])
 def test_parse_malformed_rows(tmp_path, rows, message):
     path = write_lines(tmp_path / "x.csv", rows)
-    with pytest.raises(MalformedRow, match=":2:"):
+    with pytest.raises(MalformedRow, match=f":2: .*{re.escape(message)}"):
         parse_csv(path, "AB", 60)
+
+
+def test_parse_skips_blank_and_whitespace_lines(tmp_path):
+    path = write_lines(tmp_path / "x.csv", ["", "  ", "0,1,2,0.5,1.5,10", "\t",
+                                            "60000,1.5,2.5,1.0,2.0,11", " \t "])
+    series = parse_csv(path, "AB", 60)
+    assert series.timestamps == [0, 60_000]
+    write_lines(path, ["", "0,1,2,0.5,1.5,10", "   ", "60000,1.5,2.5"])
+    with pytest.raises(MalformedRow, match=":5: expected 6 columns, got 3"):
+        parse_csv(path, "AB", 60)
+
+
+@pytest.mark.parametrize("rows,error", [
+    (["0,9,2,3,2.6,1", "60000,x,2,0.5,1.5,10"], OhlcViolation),
+    (["0,x,2,0.5,1.5,10", "60000,9,2,3,2.6,1"], MalformedRow),
+], ids=["ohlc first", "malformed first"])
+def test_parse_reports_the_first_bad_row_in_line_order(tmp_path, rows, error):
+    path = write_lines(tmp_path / "x.csv", rows)
+    with pytest.raises(ValidationError) as info:
+        parse_csv(path, "AB", 60)
+    assert type(info.value) is error and f"{path}:2: " in str(info.value)
 
 
 def test_parse_requires_exact_header(tmp_path):
@@ -116,6 +143,55 @@ def test_write_parse_round_trip_bit_exact(tmp_path_factory, seed):
     write_csv(series, path)
     again = parse_csv(path, series.symbol, series.interval)
     assert again == series  # dataclass equality is field (bit) equality
+
+
+def reference_csv(series):
+    """The warehouse format, one row at a time: header, then each candle's
+    int timestamp and repr floats, each line ending in a newline."""
+    rows = [HEADER]
+    for c in series.candles:
+        rows.append(f"{c.ts},{c.open!r},{c.high!r},{c.low!r},{c.close!r},{c.volume!r}")
+    return "\n".join(rows) + "\n"
+
+
+PRICES = st.sampled_from([1e-100, 1e100]) | st.floats(1e-100, 1e100)
+VOLUMES = st.sampled_from([0.0, -0.0, 1e100]) | st.floats(0.0, 1e100)
+
+
+@st.composite
+def candle_rows(draw):
+    start = draw(st.integers(-10**12, 10**12))
+    rows = []
+    for i in range(draw(st.integers(0, 12))):
+        low, a, b, high = sorted(draw(st.lists(PRICES, min_size=4, max_size=4)))
+        if draw(st.booleans()):
+            a, b = b, a
+        rows.append((start + i * STEP_MS, a, high, low, b, draw(VOLUMES)))
+    return rows
+
+
+def field_reprs(candles):
+    return [repr(x) for c in candles for x in astuple(c)]
+
+
+@given(rows=candle_rows())
+@settings(max_examples=200, deadline=None)
+def test_write_csv_bytes_equal_the_reference_format(tmp_path_factory, rows):
+    series = CandleSeries("HYP", 3600, tuple(Candle(*row) for row in rows))
+    assert field_reprs(series.candles) == [repr(x) for row in rows for x in row]  # -0.0 kept
+    path = tmp_path_factory.mktemp("ref") / "s.csv"
+    write_csv(series, path)
+    assert path.read_bytes() == reference_csv(series).encode()
+    again = parse_csv(path, series.symbol, series.interval)
+    assert again == series and field_reprs(again.candles) == field_reprs(series.candles)
+    if series.candles:
+        c = series.candles[-1]
+        with pytest.raises(FrozenInstanceError):
+            c.close = c.open
+        twin = Candle(*astuple(c))
+        assert twin == c and hash(twin) == hash(c) and twin is not c
+        with pytest.raises(OhlcViolation, match=f"^ts={c.ts}: prices must satisfy"):
+            replace(c, low=c.open * 2)
 
 
 def test_slice_full_range_is_identity():

@@ -296,7 +296,7 @@ class TradeLedger:
             self._lots.setdefault(symbol, []).append([fill.quantity, fill])
             if self.stop is None and self.stop_settings is not None and symbol == self.symbol:
                 self.stop = PositionStopState.at_entry(
-                    symbol, side is Side.OPEN_LONG, fill.price, fill.bar, atr, self.stop_settings
+                    symbol, side is Side.OPEN_LONG, fill.price, atr, self.stop_settings
                 )
             return
         is_long = side is Side.CLOSE_LONG

@@ -1,8 +1,8 @@
 """Order routing: a minimal broker contract plus a simulated implementation.
 
-The endpoint contract is five calls (connect, place_order, account,
-symbol_info, close) so real exchange adapters can slot in without touching
-the rest of the system. Only market orders exist.
+The endpoint contract is four calls (connect, place_order, account, close)
+so real exchange adapters can slot in without touching the rest of the
+system. Only market orders exist.
 
 ``paper_trade_loop`` replays a candle feed through ``backtest.run_bars``, the
 bar loop ``run_backtest`` uses, with a thin adapter over an endpoint in the
@@ -79,15 +79,8 @@ class AccountSnapshot:
     positions: dict[str, float]
 
 
-@dataclass(frozen=True)
-class SymbolInfo:
-    symbol: str
-    interval: int
-    bar_count: int
-
-
 class BrokerEndpoint(ABC):
-    """The five-call broker contract."""
+    """The four-call broker contract."""
 
     @abstractmethod
     def connect(self) -> None: ...
@@ -97,9 +90,6 @@ class BrokerEndpoint(ABC):
 
     @abstractmethod
     def account(self) -> AccountSnapshot: ...
-
-    @abstractmethod
-    def symbol_info(self, symbol: str) -> SymbolInfo: ...
 
     @abstractmethod
     def close(self, liquidate: bool = True) -> tuple[AccountSnapshot, list[Fill]]: ...
@@ -147,12 +137,6 @@ class SimulatedBroker(BrokerEndpoint):
             return None
         self.bar = bar
         return self._stamps[bar]
-
-    def symbol_info(self, symbol: str) -> SymbolInfo:
-        if symbol not in self.feeds:
-            raise UnknownSymbol(f"no feed for '{symbol}'")
-        series = self.feeds[symbol]
-        return SymbolInfo(symbol=symbol, interval=series.interval, bar_count=len(series))
 
     def account(self) -> AccountSnapshot:
         book = self.book

@@ -19,7 +19,8 @@ from pathlib import Path
 
 from . import data as data_mod
 from .backtest import BacktestReport, run_backtest
-from .config import RunConfig, load_config, parse_indicator_spec, write_network_artifact
+from .config import (OptimizeSection, RunConfig, load_config, parse_indicator_spec,
+                     write_network_artifact)
 from .errors import TradeLabError, ValidationError
 from .indicators import IndicatorSpec, compute, spec_lines
 from .optimize import evolve_strategy, tune_parameters
@@ -141,24 +142,26 @@ def write_report_files(report: BacktestReport, out: Path) -> None:
 
 
 def cmd_backtest(args) -> int:
-    config = load_config(args.config, seed=args.seed)
+    config = load_config(args.config)
     if config.strategy is None:
         raise ValidationError("config has no strategy section")
     series = _load_series(config)
     aux = _second_leg(config)
+    # tune's lambda (0.5 without an optimize section): tune's top score is backtest's
+    drawdown_lambda = (config.optimize or OptimizeSection).drawdown_lambda
     if args.paper:
-        # route execution through the configured endpoint instead of the
+        # route execution through the bundled simulator instead of the
         # backtester's internal accounting; reports share one shape
         from .broker import SimulatedBroker, paper_trade_loop
 
         feeds = {leg.symbol: leg for leg in (series, aux) if leg is not None}
         endpoint = SimulatedBroker(feeds, config.costs.initial_cash, config.costs,
                                    allow_short=aux is not None)
-        report = paper_trade_loop(config.strategy, series, endpoint,
-                                  costs=config.costs, aux=aux)
+        report = paper_trade_loop(config.strategy, series, endpoint, costs=config.costs,
+                                  aux=aux, drawdown_lambda=drawdown_lambda)
     else:
         report = run_backtest(config.strategy, series, config.costs.initial_cash,
-                              config.costs, aux=aux)
+                              config.costs, aux=aux, drawdown_lambda=drawdown_lambda)
     write_report_files(report, _out_dir(args, config))
     m = report.metrics
     print(f"net profit {m.net_profit_pct:.4f}%  max drawdown {m.max_drawdown_pct:.4f}%  "
@@ -284,9 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("backtest", help="run and score a strategy on warehoused data")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--paper", action="store_true",
-                   help="replay through the configured broker endpoint")
+                   help="replay through the bundled simulated broker")
     p.set_defaults(func=cmd_backtest)
 
     p = sub.add_parser("optimize", help="tune parameters or evolve a network strategy")

@@ -1,8 +1,8 @@
 """Run configuration: one JSON file with sections mirroring the services.
 
 Sections: ``data`` (warehouse/symbol/interval/range), ``strategy``,
-``costs``, ``optimize`` and ``broker``, plus a global ``seed`` (default 0)
-and ``out_dir``. CLI flags override individual keys. ``_read`` reads every
+``costs`` and ``optimize``, plus a global ``seed`` (default 0) and
+``out_dir``. CLI flags override individual keys. ``_read`` reads every
 section through the field table of its dataclass. See README for the schema.
 """
 
@@ -59,19 +59,6 @@ class OptimizeSection:
 
 
 @dataclass(frozen=True)
-class BrokerSection:
-    """Endpoint selection; credentials are passed through to real adapters
-    and ignored by the simulator."""
-
-    endpoint: str = "simulator"
-    credentials: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.endpoint != "simulator":
-            raise ConfigError(f"unknown broker endpoint '{self.endpoint}' (only 'simulator' ships)")
-
-
-@dataclass(frozen=True)
 class StrategySection:  # the keys of a strategy section; params follow the kind
     kind: str
     params: dict = field(default_factory=dict)
@@ -88,7 +75,6 @@ class RunConfig:
     costs: CostsSection = field(default_factory=CostsSection)
     strategy: StrategyConfig | None = None
     optimize: OptimizeSection | None = None
-    broker: BrokerSection = field(default_factory=BrokerSection)
 
 
 def _int(value, key: str) -> int:
@@ -130,7 +116,7 @@ _CHECKS = {  # annotation -> type rule: check(value, key) gives the value to sto
     "tuple[IndicatorSpec, ...]": lambda v, key: tuple(map(parse_indicator_spec, _list(v, key))),
     # an empty stops object means no stops, as null does
     "StopSettings | None": lambda v, key: None if v is None or v == {} else _stops(v, key),
-    **{cls.__name__: _section(cls) for cls in (DataSection, CostsSection, BrokerSection)},
+    **{cls.__name__: _section(cls) for cls in (DataSection, CostsSection)},
     # read as objects, then built by load_config, which knows the symbol and seed
     "StrategyConfig | None": _maybe_object, "OptimizeSection | None": _maybe_object,
     "EvolutionConfig": _object,
@@ -148,8 +134,8 @@ def _table(cls, skip: tuple[str, ...] = ()):
 
 
 _TABLES = {cls: _table(cls) for cls in (
-    RunConfig, DataSection, CostsSection, OptimizeSection, BrokerSection, StrategySection,
-    StopSettings, *(p for p in PARAMS_BY_KIND.values() if p is not NeatParams))}
+    RunConfig, DataSection, CostsSection, OptimizeSection, StrategySection, StopSettings,
+    *(p for p in PARAMS_BY_KIND.values() if p is not NeatParams))}
 _TABLES[EvolutionConfig] = _table(EvolutionConfig, skip=("seed",))  # the run seed
 
 

@@ -319,7 +319,6 @@ _PLANS: dict = {}
 class _Plan(NamedTuple):
     """What evaluating a genome needs of its structure alone; see _plan."""
     input_ids: tuple
-    bias_ids: tuple
     output_ids: tuple
     genes: tuple  # the gene index of each term, in node then gene order
     shape: tuple | None  # the kernel shape; None if cyclic
@@ -368,7 +367,7 @@ def _plan(genome: Genome) -> _Plan:
         sources = tuple([tuple([slot[conns[i].src] for i in incoming[nid]]) for nid in computed])
         shape = (len(input_ids), len(bias_ids), sources, tuple([slot[nid] for nid in output_ids]))
         tail = (1.0,) * len(bias_ids) + (0.0,) * len(computed)
-    plan = _Plan(tuple(input_ids), tuple(bias_ids), tuple(output_ids), genes, shape, tail,
+    plan = _Plan(tuple(input_ids), tuple(output_ids), genes, shape, tail,
                  all(nid in seen for nid in output_ids))
     if len(_PLANS) >= _PLAN_LIMIT:
         del _PLANS[next(iter(_PLANS))]
@@ -398,7 +397,7 @@ class NetworkEvaluator:
         plan = _plan(genome)
         if plan.shape is None:
             raise CyclicGenome("connection graph contains a cycle")
-        self.input_ids, self.bias_ids, self.output_ids = plan[:3]
+        self.input_ids, self.output_ids = plan[:2]
         n_inputs, n_biases, sources, self._output_slots = self._shape = plan.shape
         conns = genome.connections
         self._weights = [conns[i].weight for i in plan.genes]

@@ -677,13 +677,11 @@ class PositionStopState:
 
     symbol: str
     is_long: bool
-    entry_price: float
-    entry_bar: int
     target: float
     stop: float | None = None
 
     @classmethod
-    def at_entry(cls, symbol: str, is_long: bool, entry_price: float, entry_bar: int,
+    def at_entry(cls, symbol: str, is_long: bool, entry_price: float,
                  atr_at_entry: float | None, settings: StopSettings) -> "PositionStopState":
         if atr_at_entry is not None:
             offset = settings.profit_mult * atr_at_entry
@@ -691,7 +689,7 @@ class PositionStopState:
         else:
             pct = settings.fallback_profit_pct
             target = entry_price * (1 + pct) if is_long else entry_price * (1 - pct)
-        return cls(symbol, is_long, entry_price, entry_bar, target)
+        return cls(symbol, is_long, target)
 
 
 @cache

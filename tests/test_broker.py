@@ -14,6 +14,7 @@ from tradelab.backtest import CostModel, ZERO_COSTS, run_backtest
 from tradelab.broker import (
     AccountSnapshot,
     AckStatus,
+    BrokerEndpoint,
     FeedInterrupted,
     OrderRequest,
     OrderSide,
@@ -123,8 +124,10 @@ def test_unknown_symbol_raises():
     broker = started_broker(flat_series(5, symbol="AB"))
     with pytest.raises(UnknownSymbol):
         broker.place_order(OrderRequest("x", "ZZ", OrderSide.BUY, 1.0))
-    with pytest.raises(UnknownSymbol):
-        broker.symbol_info("ZZ")
+
+
+def test_the_endpoint_contract_is_four_calls():
+    assert BrokerEndpoint.__abstractmethods__ == {"connect", "place_order", "account", "close"}
 
 
 def test_order_before_market_start_rejected():
@@ -219,13 +222,13 @@ def assert_session_matches_backtest(strategy_a, strategy_b, series, costs,
     feeds = series if aux is None else {series.symbol: series, aux.symbol: aux}
     broker = SimulatedBroker(feeds, cash, costs, allow_short=aux is not None)
     session = paper_trade_loop(strategy_b, series, broker, costs=costs, aux=aux)
-    bt_fills = [(f.bar, f.symbol, f.side, f.quantity, f.price, f.fee)
+    bt_fills = [(f.bar, f.symbol, f.side, f.reason, f.forced, f.quantity, f.price, f.fee)
                 for f in backtest.fills]
-    se_fills = [(f.bar, f.symbol, f.side, f.quantity, f.price, f.fee)
+    se_fills = [(f.bar, f.symbol, f.side, f.reason, f.forced, f.quantity, f.price, f.fee)
                 for f in session.fills]
     assert len(bt_fills) == len(se_fills)
-    for (bb, bs, bside, bq, bp, bf), (sb, ss, sside, sq, sp, sf) in zip(bt_fills, se_fills):
-        assert (bb, bs, bside) == (sb, ss, sside)
+    for (*b_exact, bq, bp, bf), (*s_exact, sq, sp, sf) in zip(bt_fills, se_fills):
+        assert b_exact == s_exact
         assert bq == pytest.approx(sq, rel=1e-9, abs=1e-12)
         assert bp == pytest.approx(sp, rel=1e-12)
         assert bf == pytest.approx(sf, rel=1e-9, abs=1e-12)

@@ -336,6 +336,26 @@ def test_cmd_optimize_tune_scores_the_configured_size(tmp_path, stops):
     assert float(top["score"]) == report["score"]
 
 
+@pytest.mark.parametrize("paper", [False, True], ids=["plain", "paper"])
+def test_cmd_backtest_scores_with_the_configured_lambda(tmp_path, paper):
+    """``backtest`` scores with ``optimize.lambda``, as tune does, so the
+    leaderboard's top score is the score backtest gives the winning params."""
+    wh = setup_warehouse(tmp_path)
+    winner = {"p_short": 20, "p_long": 50}
+    cfg = write_config(tmp_path, wh, strategy={"kind": "ema_cross", "params": winner},
+                       optimize={"mode": "tune", "grid": [winner, {"p_short": 9, "p_long": 21}],
+                                 "lambda": 2.0})
+    assert main(["optimize", "--config", str(cfg)]) == 0
+    assert json.loads((tmp_path / "out" / "best_params.json").read_text()) == winner
+    assert main(["backtest", "--config", str(cfg)] + (["--paper"] if paper else [])) == 0
+    board = (tmp_path / "out" / "leaderboard.csv").read_text().splitlines()
+    top = dict(zip(board[0].split(","), board[1].split(",")))
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["drawdown_lambda"] == 2.0
+    assert report["metrics"]["max_drawdown_pct"] > 0
+    assert float(top["score"]) == pytest.approx(report["score"], abs=1e-9)
+
+
 TINY_EVOLUTION = {"population_size": 10, "max_generations": 2}
 EVOLVE_INPUTS = ["rsi:p=5", "ema:p=4"]
 
@@ -467,7 +487,8 @@ def edited_config(tmp_path, path, value):
     ("seed", "x", ["backtest"], "'seed' must be an integer"),
     ("optimize.lambda", "x", ["backtest"], "'lambda' must be a finite number"),
     ("data.from_ts", "abc", ["backtest"], "'from_ts' must be an integer"),
-    ("broker.credentials", [1, 2], ["backtest"], "'credentials' must be an object"),
+    # --paper always runs the bundled simulator: there is no endpoint to configure
+    ("broker", {"endpoint": "simulator"}, ["backtest", "--paper"], "unknown key 'broker'"),
     ("optimize.evolution.population_size", "ten", ["backtest"], "'population_size'"),
     ("optimize.evolution.population_size", 2.5, ["backtest"], "'population_size'"),
     ("optimize.grid", {"p_short": ["3"], "p_long": [20]}, TUNE, "p_short"),
@@ -777,12 +798,14 @@ def test_cmd_backtest_paper_session_matches_metrics(tmp_path):
 
 
 def test_config_rejects_unknown_broker_endpoint(tmp_path):
+    """There is no broker section: ``--paper`` always runs the bundled
+    simulator, so any endpoint or credentials are refused with the key."""
     wh = setup_warehouse(tmp_path)
     cfg = json.loads(write_config(tmp_path, wh, strategy=EMA_STRATEGY).read_text())
     cfg["broker"] = {"endpoint": "realexchange", "credentials": {"key": "k"}}
     path = tmp_path / "broker.json"
     path.write_text(json.dumps(cfg))
-    with pytest.raises(ConfigError, match="realexchange"):
+    with pytest.raises(ConfigError, match="unknown key 'broker'"):
         load_config(path)
 
 

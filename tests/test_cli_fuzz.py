@@ -40,7 +40,6 @@ CONFIG = {
                  "inputs": ["rsi:p=5"], "evolution": {"population_size": 6,
                                                       "max_generations": 1},
                  "lambda": 0.5},
-    "broker": {"endpoint": "simulator", "credentials": {}},
 }
 ARTIFACT = {"genome": "genome.txt", "inputs": [{"name": "rsi", "params": {"p": 5}}],
             "norm": [[50.0, 10.0]]}
@@ -93,7 +92,8 @@ corruption = st.one_of(
 
 
 def write_run(root: Path, csv_path: Path, where, target, value) -> Path:
-    """The files of one run under ``root``, with one thing corrupted."""
+    """The files of one run under ``root``, with one thing corrupted; a
+    ``where`` of None writes the ema_cross run and "neat" the neat run as is."""
     (root / "wh" / "RND").mkdir(parents=True)
     lines = csv_path.read_text().splitlines()
     if where == "csv":
@@ -106,7 +106,7 @@ def write_run(root: Path, csv_path: Path, where, target, value) -> Path:
     config["data"]["warehouse"] = str(root / "wh")
     if where == "config":
         config = replaced(config, target, value)
-    if where in ("spec", "genome"):
+    if where in ("neat", "spec", "genome"):
         config["strategy"] = {"kind": "neat", "artifact": "artifact.json"}
         artifact = replaced(ARTIFACT, target, value) if where == "spec" else ARTIFACT
         (root / "artifact.json").write_text(json.dumps(artifact))
@@ -118,6 +118,26 @@ def write_run(root: Path, csv_path: Path, where, target, value) -> Path:
     return root / "config.json"
 
 
+def run_command(command, config: Path, out: Path):
+    """``command``'s exit code and stderr lines, its output removed."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(command + ["--config", str(config), "--out", str(out)])
+    shutil.rmtree(out, ignore_errors=True)
+    return code, err.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("where,commands", [
+    (None, COMMANDS), ("neat", COMMANDS[:2]),
+], ids=["ema_cross", "neat"])
+def test_the_uncorrupted_run_exits_0(tmp_path, warehouse_csv, where, commands):
+    """Guards the property below against passing vacuously: a stale key in
+    ``CONFIG`` would end every example with the same early error."""
+    config = write_run(tmp_path, warehouse_csv, where, None, None)
+    for command in commands:
+        assert run_command(command, config, tmp_path / "out") == (0, []), command
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(corruption, st.sampled_from(POOL))
 def test_cli_ends_with_exit_0_or_one_error_line(warehouse_csv, corrupt, value):
@@ -126,10 +146,6 @@ def test_cli_ends_with_exit_0_or_one_error_line(warehouse_csv, corrupt, value):
         root = Path(tmp)
         config = write_run(root, warehouse_csv, where, target, value)
         for command in COMMANDS:
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(command + ["--config", str(config), "--out", str(root / "out")])
-            shutil.rmtree(root / "out", ignore_errors=True)
-            lines = err.getvalue().splitlines()
+            code, lines = run_command(command, config, root / "out")
             assert code in (0, 1) and len(lines) <= 1, (command, code, lines)
             assert code == 0 or lines and lines[0].startswith("error: "), (command, lines)

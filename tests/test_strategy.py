@@ -530,14 +530,14 @@ def bar_at(price, i=0):
 
 
 def test_stops_quiet_when_price_never_moves():
-    pos = PositionStopState.at_entry("X", True, 100.0, 0, 1.0, SETTINGS)
+    pos = PositionStopState.at_entry("X", True, 100.0, 1.0, SETTINGS)
     for i in range(30):
         assert apply_stops(pos, bar_at(100.0, i), 1.0, SETTINGS) is None
 
 
 def test_stops_trailing_breach_matches_scan():
     closes = [100, 101, 103, 106, 104, 102, 101.5, 99, 97]
-    pos = PositionStopState.at_entry("X", True, 100.0, 0, None, SETTINGS)
+    pos = PositionStopState.at_entry("X", True, 100.0, None, SETTINGS)
     emitted = None
     for i, c in enumerate(closes):
         intent = apply_stops(pos, bar_at(float(c), i), None, SETTINGS)
@@ -557,7 +557,7 @@ def test_stops_trailing_breach_matches_scan():
 
 
 def test_stops_take_profit_on_gap_through_target():
-    pos = PositionStopState.at_entry("X", True, 100.0, 0, 1.0, SETTINGS)  # target 104
+    pos = PositionStopState.at_entry("X", True, 100.0, 1.0, SETTINGS)  # target 104
     assert apply_stops(pos, bar_at(103.0, 1), 1.0, SETTINGS) is None
     intent = apply_stops(pos, bar_at(105.0, 2), 1.0, SETTINGS)
     assert intent is not None and intent.reason == "take-profit"
@@ -566,7 +566,7 @@ def test_stops_take_profit_on_gap_through_target():
 
 def test_stop_level_never_decreases_for_longs():
     rng = np.random.default_rng(5)
-    pos = PositionStopState.at_entry("X", True, 100.0, 0, 2.0, SETTINGS)
+    pos = PositionStopState.at_entry("X", True, 100.0, 2.0, SETTINGS)
     price = 100.0
     prev_stop = -math.inf
     for i in range(200):
@@ -577,7 +577,7 @@ def test_stop_level_never_decreases_for_longs():
 
 
 def test_short_stops_symmetric():
-    pos = PositionStopState.at_entry("X", False, 100.0, 0, 1.0, SETTINGS)  # target 96
+    pos = PositionStopState.at_entry("X", False, 100.0, 1.0, SETTINGS)  # target 96
     assert apply_stops(pos, bar_at(98.0, 1), 1.0, SETTINGS) is None
     intent = apply_stops(pos, bar_at(95.0, 2), 1.0, SETTINGS)
     assert intent is not None and intent.reason == "take-profit"

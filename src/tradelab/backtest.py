@@ -30,7 +30,6 @@ from .data import CandleSeries
 from .errors import TradeLabError, ValidationError
 from .indicators import AtrStream, IndicatorSpec
 from .strategy import (
-    ColumnStore,
     PositionStopState,
     Side,
     StopSettings,
@@ -39,6 +38,7 @@ from .strategy import (
     TradeIntent,
     apply_stops,
     new_state,
+    series_lines,
 )
 
 logger = logging.getLogger(__name__)
@@ -351,7 +351,8 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
     config's stepper then reads the series' indicator columns; fed from a
     candle iterator alone, it streams. The stop reads its ATR as one line
     indexed by bar: the series' column, or the values the loop has streamed
-    so far. ``aux`` is the second pairs leg, stepped with ``step_pair``.
+    so far. ``aux`` is the second pairs leg, which the pairs stepper is
+    built with and the loop prices and marks.
     ``venue`` is where orders fill: a ``Book``, or any object with the same
     ``cash``, ``positions``, ``fill`` and ``flatten``.
 
@@ -383,12 +384,9 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
     Paper sessions and prebuilt or duck-typed steppers walk every bar. Both
     give the same report, bit for bit.
     """
-    store = None
-    if series is not None:
-        if series.has_gaps:
-            raise ValidationError("backtest data must be gap-free")
-        store = ColumnStore(series)
-    candles_b = symbol_b = None  # the second leg, stepped with step_pair
+    if series is not None and series.has_gaps:
+        raise ValidationError("backtest data must be gap-free")
+    candles_b = symbol_b = None  # the second leg, priced and marked here
     if isinstance(strategy, StrategyConfig):
         if strategy.symbol != symbol:
             raise ValidationError(f"the config trades '{strategy.symbol}' but the bars are "
@@ -406,7 +404,7 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
         elif aux is not None:
             raise ValidationError(f"'{strategy.kind.value}' strategies trade one leg, but a "
                                   f"second leg '{aux.symbol}' was given")
-        stepper = new_state(strategy, store)
+        stepper = new_state(strategy, series, aux)
         stop_settings = strategy.stops
     else:
         stepper = strategy  # duck-typed: anything with .step(candle)
@@ -417,12 +415,12 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
     ledger = TradeLedger(symbol, stop_settings, costs.fee_rate)
     atr = push_atr = None  # the stop's ATR by bar: the series' column, or streamed so far
     if stop_settings is not None:
-        if store is None:
+        if series is None:
             atr, push_atr = [], AtrStream(stop_settings.atr_period).push
         else:
-            (atr,) = store.lines(IndicatorSpec("atr", {"p": stop_settings.atr_period}))
+            (atr,) = series_lines(series, IndicatorSpec("atr", {"p": stop_settings.atr_period}))
     quiet_until = None  # the stepper's next possible emission, when the loop may jump
-    if (isinstance(strategy, StrategyConfig) and store is not None
+    if (isinstance(strategy, StrategyConfig) and series is not None
             and isinstance(venue, Book) and candles is series.candles):
         quiet_until = getattr(stepper, "quiet_until", None)
     stamps: list[int] | None = [] if series is None else None
@@ -503,10 +501,7 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
                 intent = apply_stops(stop, candle, atr[t], stop_settings)
                 if intent is not None:
                     queue.append(intent)
-            if candles_b is not None:
-                opens_i, closes_i = stepper.step_pair(candle, candles_b[t])
-            else:
-                opens_i, closes_i = stepper.step(candle)
+            opens_i, closes_i = stepper.step(candle)
             if closes_i:
                 queue.extend(closes_i)
             if opens_i:

@@ -220,8 +220,7 @@ class _EndpointBook:
             if ts != candle.ts:
                 raise ValidationError(f"feed and endpoint diverged: {candle.ts} vs {ts}")
             self.ts = ts
-            snapshot = endpoint.account()
-            self.cash, self.positions = snapshot.cash, snapshot.positions
+            self._read(endpoint.account())
             yield candle
 
     def _read(self, snapshot: AccountSnapshot) -> None:

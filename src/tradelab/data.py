@@ -148,7 +148,8 @@ class CandleSeries:
     @cached_property
     def column_memo(self) -> dict:
         """Indicator columns computed on this series, kept by
-        ``strategy.ColumnStore`` for every backtest of it."""
+        ``strategy.series_lines`` and ``strategy.network_inputs`` for every
+        backtest of it."""
         return {}
 
 

@@ -60,7 +60,7 @@ class IndicatorSpec:
 
     def __hash__(self) -> int:
         # equal specs (params 9 and 9.0 included) hash alike, so a spec can
-        # key a column store; a spec with an unhashable value, which its
+        # key a series' column memo; a spec with an unhashable value, which its
         # stream will reject or ignore, hashes by its name
         try:
             return hash((self.name, tuple(sorted(self.params.items()))))

@@ -481,7 +481,7 @@ class InnovationTracker:
         self._conn_events[key] = innovation
         return innovation
 
-    def split(self, innovation: int, src: int, dst: int) -> tuple[int, int, int]:
+    def split(self, innovation: int) -> tuple[int, int, int]:
         found = self._split_events.get(innovation)
         if found is not None:
             return found
@@ -692,7 +692,7 @@ def _mutate_in_place(g: Genome, config: EvolutionConfig, rng: random.Random,
         enabled = [c for c in g.connections if c.enabled]
         if enabled:
             conn = enabled[rng.randrange(len(enabled))]
-            node_id, innov_in, innov_out = tracker.split(conn.innovation, conn.src, conn.dst)
+            node_id, innov_in, innov_out = tracker.split(conn.innovation)
             if node_id not in g.node_ids():
                 old_weight = conn.weight
                 conn.enabled = False

@@ -19,7 +19,7 @@ from .data import CandleSeries
 from .errors import ValidationError
 from .indicators import IndicatorSpec, PeriodExceedsSeries
 from .neat import Evolution, EvolutionConfig, GenerationStats, Genome
-from .strategy import ColumnStore, NeatParams, StrategyConfig, StrategyKind
+from .strategy import NeatParams, StrategyConfig, StrategyKind, series_lines
 
 logger = logging.getLogger(__name__)
 
@@ -109,10 +109,9 @@ def input_normalization(train: CandleSeries, input_specs: list[IndicatorSpec]
     """Fit per-column (mean, std) over the defined indicator values of the
     training window; multi-line indicators expand to one column per line.
     An input line that never warms up raises PeriodExceedsSeries."""
-    store = ColumnStore(train)
     stats = []
     for spec in input_specs:
-        for values in store.lines(spec):
+        for values in series_lines(train, spec):
             defined = [v for v in values if v is not None]
             if not defined:
                 raise PeriodExceedsSeries(f"{spec.label()}: needs more than {len(train)} bars")

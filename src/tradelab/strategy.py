@@ -161,50 +161,40 @@ class PairsParams:
             raise ValidationError("leg_fraction must be in (0, 0.5]")
 
 
-class ColumnStore:
-    """The indicator columns of one series. They live in the series' own
-    ``column_memo``, so each is computed once and shared by every backtest
-    of that series object (a tune's candidates, an evolution's genomes, the
-    stop ATR) and by the standalone signal functions.
-
-    ``lines(spec)`` computes a spec's output lines on first request with
-    streaming's warm-up semantics: a line that never warms up on the series
-    is all ``None``. ``inputs`` serves a network's normalized input columns
-    from those lines. A stepper reads bar i of a column only for the very
-    candle object it was computed from.
-    """
-
-    def __init__(self, series: CandleSeries):
-        self.series = series
-        self._memo = series.column_memo
-
-    def lines(self, spec: IndicatorSpec) -> tuple[list[float | None], ...]:
-        lines = self._memo.get(spec)
-        if lines is None:
-            lines = self._memo[spec] = indicator_lines(spec, self.series)
-        return lines
-
-    def inputs(self, specs, norm: tuple[tuple[float, float], ...]
-               ) -> tuple[int, list[list[float]]]:
-        """``(start, columns)``: the first bar where every input line is
-        defined (the series' length when one never warms up), and one column
-        of ``normalize_row``'s values per input line from that bar on. Lines
-        have no holes once defined. Built once per (specs, norm)."""
-        key = (tuple(specs), norm)
-        found = self._memo.get(key)
-        if found is None:
-            lines = [line for spec in specs for line in self.lines(spec)]
-            n = len(self.series)
-            start = max((next((i for i, v in enumerate(line) if v is not None), n)
-                         for line in lines), default=0)
-            columns = [[(v - mean) / std for v in line[start:]] if std > 0 else [0.0] * (n - start)
-                       for line, (mean, std) in zip(lines, norm)]
-            found = self._memo[key] = (start, columns)
-        return found
+def series_lines(series: CandleSeries, spec: IndicatorSpec) -> tuple[list[float | None], ...]:
+    """A spec's output lines on ``series``, with streaming's warm-up
+    semantics: a line that never warms up on the series is all ``None``.
+    Computed on first request and kept in the series' own ``column_memo``,
+    so every backtest of that series object (a tune's candidates, an
+    evolution's genomes, the stop ATR) and the standalone signal functions
+    share them. A stepper reads bar i of a column only for the very candle
+    object it was computed from."""
+    memo = series.column_memo
+    lines = memo.get(spec)
+    if lines is None:
+        lines = memo[spec] = indicator_lines(spec, series)
+    return lines
 
 
-def _misaligned(bar: int) -> StrategyStateError:
-    return StrategyStateError(f"precomputed inputs were not computed for bar {bar}")
+def network_inputs(series: CandleSeries, specs, norm: tuple[tuple[float, float], ...]
+                   ) -> tuple[int, list[list[float]]]:
+    """``(start, columns)``: the first bar where every input line is defined
+    (the series' length when one never warms up), and one column of
+    ``normalize_row``'s values per input line from that bar on. Lines have
+    no holes once defined. Kept in the series' ``column_memo`` per (specs,
+    norm)."""
+    memo = series.column_memo
+    key = (tuple(specs), norm)
+    found = memo.get(key)
+    if found is None:
+        lines = [line for spec in specs for line in series_lines(series, spec)]
+        n = len(series)
+        start = max((next((i for i, v in enumerate(line) if v is not None), n)
+                     for line in lines), default=0)
+        columns = [[(v - mean) / std for v in line[start:]] if std > 0 else [0.0] * (n - start)
+                   for line, (mean, std) in zip(lines, norm)]
+        found = memo[key] = (start, columns)
+    return found
 
 
 @dataclass(frozen=True)
@@ -283,13 +273,14 @@ class StrategyConfig:
 
 
 # ---------------------------------------------------------------------------
-# Steppers (strategy state machines)
+# Steppers (strategy state machines), built by ``new_state``
 # ---------------------------------------------------------------------------
 
 class NullStepper:
     """Never trades."""
 
-    def __init__(self, config: StrategyConfig, store: ColumnStore | None = None):
+    def __init__(self, config: StrategyConfig, series: CandleSeries | None,
+                 aux: CandleSeries | None):
         pass
 
     def step(self, candle: Candle):
@@ -326,7 +317,7 @@ class SignalStepper:
     when the stepper holds none, -1 closes it when it holds one, 0 does
     nothing.
 
-    Built with a column store, a subclass computes its whole signal column
+    Built with its series, a subclass computes its whole signal column
     (``_signals``) up front and ``step`` looks bar i up, for the very candle
     the column was computed from only. Without one, ``_stream_signal``
     computes each bar's signal as the bar arrives.
@@ -335,10 +326,10 @@ class SignalStepper:
     open_reason: str
     close_reason: str
 
-    def __init__(self, config: StrategyConfig, store: ColumnStore | None):
+    def __init__(self, config: StrategyConfig, series: CandleSeries | None):
         self.symbol = config.symbol
         self.size = config.size
-        self._candles = store.series.candles if store is not None else None
+        self._candles = series.candles if series is not None else None
         self._signals: list[int] | None = None
         # intents are frozen, so every emission returns the same ones
         self._open = ([TradeIntent(Side.OPEN_LONG, self.symbol, self.size,
@@ -356,7 +347,7 @@ class SignalStepper:
         elif bar < len(signals) and self._candles[bar] is candle:
             signal = signals[bar]
         else:
-            raise _misaligned(bar)
+            raise StrategyStateError(f"precomputed inputs were not computed for bar {bar}")
         if signal > 0 and not self.in_position:
             self.in_position = True
             return self._open
@@ -381,23 +372,24 @@ class EmaCrossStepper(SignalStepper):
     """Open long when the short EMA crosses above the long EMA, close when
     it crosses back below.
 
-    With a column store the stepper turns the two EMA columns into one
-    crossing column when it is built; without one it streams its EMAs one
-    bar at a time.
+    Built with its series, the stepper turns the series' two EMA columns
+    into one crossing column; without one it streams its EMAs one bar at a
+    time.
     """
 
     open_reason = close_reason = "ema-cross"
 
-    def __init__(self, config: StrategyConfig, store: ColumnStore | None = None):
-        super().__init__(config, store)
+    def __init__(self, config: StrategyConfig, series: CandleSeries | None,
+                 aux: CandleSeries | None):
+        super().__init__(config, series)
         p = config.params
-        if store is None:
+        if series is None:
             self._short = EmaStream(p.p_short)
             self._long = EmaStream(p.p_long)
             self._prev: tuple[float, float] | None = None
         else:
-            (short,) = store.lines(IndicatorSpec("ema", {"p": p.p_short}))
-            (long_,) = store.lines(IndicatorSpec("ema", {"p": p.p_long}))
+            (short,) = series_lines(series, IndicatorSpec("ema", {"p": p.p_short}))
+            (long_,) = series_lines(series, IndicatorSpec("ema", {"p": p.p_long}))
             self._signals = crossing_column(short, long_)
 
     def _stream_signal(self, candle: Candle) -> int:
@@ -420,7 +412,8 @@ class GridStepper:
     filled. Each level trades a fixed base-asset quantity.
     """
 
-    def __init__(self, config: StrategyConfig, store: ColumnStore | None = None):
+    def __init__(self, config: StrategyConfig, series: CandleSeries | None,
+                 aux: CandleSeries | None):
         p = config.params
         self.symbol = config.symbol
         self.spacing = p.spacing
@@ -475,12 +468,18 @@ class PairsStepper:
     ``decide`` is the pairs rule, which ``pairs_signals`` lists too: it
     enters when |z| crosses above the entry threshold (shorting the rich
     leg) and exits when |z| falls back below the exit threshold. Bars where
-    the rolling deviation is degenerate produce no signal. ``step_pair``
-    maps each decision to the two legs' intents, built once per stepper.
+    the rolling deviation is degenerate produce no signal. The stepper is
+    built with its second leg, ``aux``: ``step`` reads that leg's bar at its
+    own bar count, decides on both and maps the decision to the two legs'
+    intents, built once per stepper.
     """
 
-    def __init__(self, config: StrategyConfig, store: ColumnStore | None = None):
+    def __init__(self, config: StrategyConfig, series: CandleSeries | None,
+                 aux: CandleSeries | None):
         p = config.params
+        self.symbol_b = p.symbol_b
+        self._candles_b = aux.candles if aux is not None else ()
+        self.bars_seen = 0
         self.lookback = p.lookback
         self.z_entry = p.z_entry
         self.z_exit = p.z_exit
@@ -504,7 +503,16 @@ class PairsStepper:
         }
 
     def step(self, candle: Candle):
-        raise StrategyStateError("pairs strategies step on two candles; use step_pair")
+        bar = self.bars_seen
+        if bar >= len(self._candles_b):
+            raise StrategyStateError(f"the pairs stepper has no bar {bar} of its second "
+                                     f"leg '{self.symbol_b}'")
+        self.bars_seen = bar + 1
+        held = self.position
+        action = self.decide(candle, self._candles_b[bar])
+        if action is None:
+            return _NO_INTENTS
+        return self._closes[held] if action is PairsAction.EXIT else self._opens[action]
 
     def decide(self, candle_a: Candle, candle_b: Candle) -> PairsAction | None:
         """Consume one aligned bar of both legs: the entry taken or the exit
@@ -536,13 +544,6 @@ class PairsStepper:
             return PairsAction.EXIT
         return None
 
-    def step_pair(self, candle_a: Candle, candle_b: Candle):
-        held = self.position
-        action = self.decide(candle_a, candle_b)
-        if action is None:
-            return _NO_INTENTS
-        return self._closes[held] if action is PairsAction.EXIT else self._opens[action]
-
 
 def normalize_row(raw, norm: tuple[tuple[float, float], ...]) -> list[float]:
     """Scale raw input values by the fitted (mean, std) of their columns; a
@@ -566,25 +567,26 @@ class NeatStepper(SignalStepper):
     """Feeds normalized indicator values through an evolved network and maps
     the argmax of its three outputs to open / close / hold.
 
-    With a column store the stepper gets its signal column when it is
-    built, from one pass of the network's kernel over the input columns
-    that yields each row's action as its signal; without one it streams its
-    indicators one bar at a time.
+    Built with its series, the stepper gets its signal column from one pass
+    of the network's kernel over the series' input columns that yields each
+    row's action as its signal; without one it streams its indicators one
+    bar at a time.
     """
 
     open_reason = "net-open"
     close_reason = "net-close"
 
-    def __init__(self, config: StrategyConfig, store: ColumnStore | None = None):
-        super().__init__(config, store)
+    def __init__(self, config: StrategyConfig, series: CandleSeries | None,
+                 aux: CandleSeries | None):
+        super().__init__(config, series)
         p = config.params
         self._net = NetworkEvaluator(p.genome)
-        if store is None:
+        if series is None:
             self.norm = p.norm
             self._widths = [len(spec_lines(spec)) for spec in p.input_specs]
             self._streams = [make_stream(spec) for spec in p.input_specs]
         else:
-            start, columns = store.inputs(p.input_specs, p.norm)
+            start, columns = network_inputs(series, p.input_specs, p.norm)
             # no signal during warm-up
             self._signals = [0] * start + self._net.argmax_columns(columns, _ACTION_SIGNALS)
 
@@ -617,11 +619,13 @@ _STEPPERS = {
 }
 
 
-def new_state(config: StrategyConfig, store: ColumnStore | None = None):
-    """Create a fresh stepper (the strategy's mutable state) for a config.
-    With the column store of the series it will step through, a stepper
-    that reads indicators reads their columns; without one it streams."""
-    return _STEPPERS[config.kind](config, store)
+def new_state(config: StrategyConfig, series: CandleSeries | None = None,
+              aux: CandleSeries | None = None):
+    """Create a fresh stepper (the strategy's mutable state) for a config,
+    from the series it will step through, whose indicator columns it then
+    reads (without one it streams), and a pairs stepper's second leg
+    ``aux``. Every stepper steps with ``step(candle) -> (opens, closes)``."""
+    return _STEPPERS[config.kind](config, series, aux)
 
 
 # ---------------------------------------------------------------------------
@@ -641,9 +645,8 @@ def ema_crossover_signals(series: CandleSeries, p_short: int, p_long: int
     symmetric. No signals during warm-up.
     """
     EmaCrossParams(p_short, p_long)  # raises InvalidPeriods unless p_short < p_long
-    store = ColumnStore(series)
-    (short,) = store.lines(IndicatorSpec("ema", {"p": p_short}))
-    (long_,) = store.lines(IndicatorSpec("ema", {"p": p_long}))
+    (short,) = series_lines(series, IndicatorSpec("ema", {"p": p_short}))
+    (long_,) = series_lines(series, IndicatorSpec("ema", {"p": p_long}))
     return [(i, SignalDirection.BUY if cross > 0 else SignalDirection.SELL)
             for i, cross in enumerate(crossing_column(short, long_)) if cross]
 
@@ -658,7 +661,7 @@ def pairs_signals(series_a: CandleSeries, series_b: CandleSeries, lookback: int,
         params=PairsParams(symbol_b=series_b.symbol, lookback=lookback,
                            z_entry=z_entry, z_exit=z_exit),
     )
-    decide = PairsStepper(config).decide
+    decide = new_state(config).decide
     return [(i, action) for i, (ca, cb) in enumerate(zip(series_a.candles, series_b.candles))
             if (action := decide(ca, cb)) is not None]
 

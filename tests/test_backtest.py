@@ -40,7 +40,6 @@ from tradelab.neat import (
     initial_genome,
 )
 from tradelab.strategy import (
-    ColumnStore,
     EmaCrossParams,
     GridParams,
     NeatParams,
@@ -52,6 +51,8 @@ from tradelab.strategy import (
     StrategyConfig,
     TradeIntent,
     network_action,
+    network_inputs,
+    series_lines,
 )
 
 
@@ -370,7 +371,7 @@ def test_network_signals_with_non_finite_sums_equal_activate():
     specs = (IndicatorSpec("ema", {"p": 2}), IndicatorSpec("ema", {"p": 3}))
     series = random_series(12, n=400, vol=0.02)
     norm = ((100.0, 1e-298), (100.0, 1e-298))
-    start, columns = ColumnStore(series).inputs(specs, norm)
+    start, columns = network_inputs(series, specs, norm)
     assert max(abs(v) for column in columns for v in column) > 1e298
     net = NetworkEvaluator(genome)
     per_row = [net.activate(list(row)) for row in zip(*columns)]
@@ -431,7 +432,7 @@ def test_stop_arms_with_the_atr_of_the_bar_before_the_fill():
     closes = [100.0, 101.0] * 5 + [110.0] + [110.5 + 0.5 * k for k in range(30)]
     series = series_from_closes(closes, symbol="RND")
     stops = StopSettings(atr_period=3, stop_mult=2.0, profit_mult=2.0)
-    (atr,) = ColumnStore(series).lines(IndicatorSpec("atr", {"p": 3}))
+    (atr,) = series_lines(series, IndicatorSpec("atr", {"p": 3}))
     t = 10
     entry = series.candles[t + 1].open
 

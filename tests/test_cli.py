@@ -443,14 +443,26 @@ def test_cmd_optimize_byte_identical_across_runs(tmp_path):
     assert first == second
 
 
-def test_cmd_optimize_seed_override_changes_outcome_files(tmp_path):
+@pytest.mark.parametrize("mode", ["evolve", "tune"])
+def test_cmd_optimize_seed_override_changes_outcome_files(tmp_path, mode):
+    """The seed steers evolution only: tune backtests every candidate of
+    its grid, so it writes the same files under every seed."""
     wh = setup_warehouse(tmp_path)
-    cfg = write_config(tmp_path, wh, optimize={
-        "mode": "evolve", "inputs": EVOLVE_INPUTS, "evolution": TINY_EVOLUTION}, seed=4)
+    if mode == "evolve":
+        cfg = write_config(tmp_path, wh, optimize={
+            "mode": "evolve", "inputs": EVOLVE_INPUTS, "evolution": TINY_EVOLUTION}, seed=4)
+    else:
+        cfg = write_config(tmp_path, wh, strategy=EMA_STRATEGY,
+                           optimize={"mode": "tune", "grid": EMA_GRID}, seed=4)
+    out = tmp_path / "out"
     assert main(["optimize", "--config", str(cfg)]) == 0
-    baseline = sha(tmp_path / "out" / "best_genome.txt")
+    baseline = {p.name: sha(p) for p in out.iterdir()}
     assert main(["optimize", "--config", str(cfg), "--seed", "5"]) == 0
-    assert sha(tmp_path / "out" / "best_genome.txt") != baseline
+    outcome = {p.name: sha(p) for p in out.iterdir()}
+    if mode == "evolve":
+        assert outcome["best_genome.txt"] != baseline["best_genome.txt"]
+    else:
+        assert outcome == baseline and "leaderboard.csv" in outcome
 
 
 # ---------------------------------------------------------------------------

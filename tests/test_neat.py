@@ -835,11 +835,11 @@ def test_split_cache_within_generation():
     tracker = InnovationTracker()
     tracker.reserve_node_ids(5)
     tracker.begin_generation()
-    first = tracker.split(3, 0, 1)
-    again = tracker.split(3, 0, 1)
+    first = tracker.split(3)
+    again = tracker.split(3)
     assert first == again
     tracker.begin_generation()
-    assert tracker.split(3, 0, 1) != first
+    assert tracker.split(3) != first
 
 
 # ---------------------------------------------------------------------------

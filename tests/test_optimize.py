@@ -16,10 +16,10 @@ from tradelab.optimize import (
     tune_parameters,
 )
 from tradelab.strategy import (
-    ColumnStore,
     StopSettings,
     StrategyKind,
     StrategyStateError,
+    network_inputs,
     new_state,
     normalize_row,
 )
@@ -261,7 +261,7 @@ def test_precomputed_rows_equal_streamed_inputs(monkeypatch):
     calls, norm = recorded_fitness_backtests(monkeypatch, series, CostModel())
     key = (tuple(MIXED_INPUTS), norm)
     assert key in series.column_memo  # the input columns the fitness backtests read
-    inputs = ColumnStore(series).inputs(MIXED_INPUTS, norm)
+    inputs = network_inputs(series, MIXED_INPUTS, norm)
     assert inputs is series.column_memo[key]
     start, columns = inputs
     assert len(columns) == len(norm)
@@ -289,7 +289,7 @@ def test_evolve_computes_each_input_once_per_run(monkeypatch, population):
         return indicator_lines(spec, series)
 
     def no_streams(spec):
-        raise AssertionError(f"evolve streamed {spec.name} outside the column store")
+        raise AssertionError(f"evolve streamed {spec.name} outside the series' columns")
 
     monkeypatch.setattr("tradelab.strategy.indicator_lines", counting_lines)
     monkeypatch.setattr("tradelab.strategy.make_stream", no_streams)
@@ -307,7 +307,7 @@ def test_precomputed_inputs_run_only_on_their_series(monkeypatch):
                           series.candles + random_series(21, n=310).candles[300:])
     for other in (random_series(22, n=300, vol=0.02), longer):
         with pytest.raises(StrategyStateError, match="precomputed inputs"):
-            run_backtest(new_state(evolved, ColumnStore(series)), other, 10_000.0, CostModel())
+            run_backtest(new_state(evolved, series), other, 10_000.0, CostModel())
 
 
 def test_evolve_input_that_never_warms_up_is_an_error():

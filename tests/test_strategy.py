@@ -18,7 +18,6 @@ from tradelab.indicators import IndicatorSpec, InvalidPeriods
 from tradelab.neat import EvolutionConfig
 from tradelab.strategy import (
     DEGENERATE_SPREAD_STD,
-    ColumnStore,
     EmaCrossParams,
     GridParams,
     MisalignedSeries,
@@ -48,17 +47,12 @@ def ema_config(p_short=9, p_long=21, symbol="RND"):
     return StrategyConfig(symbol=symbol, params=EmaCrossParams(p_short, p_long))
 
 
-def run_stepper(config, series, series_b=None, store=None):
-    """Drive a stepper bar by bar; returns intents indexed by bar."""
-    state = new_state(config, store)
-    per_bar = []
-    for i, candle in enumerate(series.candles):
-        if series_b is not None:
-            out = state.step_pair(candle, series_b.candles[i])
-        else:
-            out = state.step(candle)
-        per_bar.append(out)
-    return per_bar
+def run_stepper(config, series, series_b=None, columns=False):
+    """Drive a stepper through ``step`` bar by bar; returns intents indexed
+    by bar. ``series_b`` is a pairs stepper's second leg; with ``columns``
+    the stepper is built from the series and reads its indicator columns."""
+    state = new_state(config, series if columns else None, series_b)
+    return [state.step(candle) for candle in series.candles]
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +242,7 @@ def test_ema_stepper_opens_long_at_first_crossover():
 def test_store_fed_ema_stepper_equals_streamed(seed, n, p_short, p_long):
     series = random_series(seed, n=n, vol=0.02)
     config = ema_config(p_short, p_long)
-    assert run_stepper(config, series, store=ColumnStore(series)) == run_stepper(config, series)
+    assert run_stepper(config, series, columns=True) == run_stepper(config, series)
 
 
 def test_store_fed_ema_stepper_runs_only_on_its_series():
@@ -259,7 +253,7 @@ def test_store_fed_ema_stepper_runs_only_on_its_series():
                           series.candles + random_series(91, n=310).candles[300:])
     for other in (random_series(92, n=300, vol=0.02), longer):
         with pytest.raises(StrategyStateError, match="precomputed inputs"):
-            run_backtest(new_state(config, ColumnStore(series)), other)
+            run_backtest(new_state(config, series), other)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +271,27 @@ def test_step_pairs_needs_aligned_second_history():
     a, b = synthetic_pair(5, n=80)
     config = StrategyConfig("A", PairsParams(symbol_b="B", lookback=40,
                                              z_entry=1.8, z_exit=0.4))
+    # the second leg a bar ahead: bar 0 of each leg has a different stamp
+    shifted = CandleSeries("B", b.interval, b.candles[1:])
     with pytest.raises(MisalignedSeries):
-        new_state(config).step_pair(a.candles[0], b.candles[1])
+        new_state(config, aux=shifted).step(a.candles[0])
     emitted = [intent for opens, _ in run_stepper(config, a, b) for intent in opens]
     assert any(i.symbol == "B" for i in emitted)
+
+
+@pytest.mark.parametrize("leg_bars", [None, 0, 30])
+def test_pairs_stepper_refuses_a_bar_its_second_leg_lacks(leg_bars):
+    """A pairs stepper built without its second leg, or with one shorter
+    than the bars it is stepped on, names the bar it lacks."""
+    a, b = synthetic_pair(5, n=80)
+    config = StrategyConfig("A", PairsParams(symbol_b="B", lookback=20))
+    aux = None if leg_bars is None else CandleSeries("B", b.interval, b.candles[:leg_bars])
+    state = new_state(config, aux=aux)
+    lacking = leg_bars or 0
+    for candle in a.candles[:lacking]:
+        state.step(candle)
+    with pytest.raises(StrategyStateError, match=f"no bar {lacking} of its second leg 'B'"):
+        state.step(a.candles[lacking])
 
 
 @pytest.mark.parametrize("make_config", [
@@ -447,7 +458,7 @@ ENTRY_BY_A_SIDE = {Side.OPEN_SHORT: PairsAction.SHORT_A_LONG_B,
 
 def test_pairs_signals_list_the_steppers_entries_and_exits():
     """Over seeded pairs with random lookbacks and thresholds, pairs_signals
-    lists exactly the bars and directions at which step_pair emits: an
+    lists exactly the bars and directions at which the stepper emits: an
     entry opens leg A on the listed side and leg B on the other, and an exit
     closes both legs of the entry held."""
     rng = random.Random(17)

@@ -30,6 +30,7 @@ from .data import CandleSeries
 from .errors import TradeLabError, ValidationError
 from .indicators import AtrStream, IndicatorSpec
 from .strategy import (
+    PairsStepper,
     PositionStopState,
     Side,
     StopSettings,
@@ -359,9 +360,11 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
     A config must trade the symbols of its bars, and this loop checks it:
     its ``symbol`` is ``symbol``; a pairs config's ``aux`` is the series of
     its ``symbol_b``, with the timestamps of ``series`` if there is one; any
-    other config, and any duck-typed stepper, takes no ``aux``. A second
-    leg that ends before the feed ends the run with a ``ValidationError``
-    at the bar it lacks, before that bar's queued orders execute.
+    other config, and any duck-typed stepper, takes no ``aux``. A prebuilt
+    pairs stepper is refused, since the loop would not price the second leg
+    it carries. A second leg that ends before the feed ends the run with a
+    ``ValidationError`` at the bar it lacks, before that bar's queued orders
+    execute.
 
     Each bar's equity is the venue's cash plus each leg's position at that
     leg's close. A venue that holds a symbol the run does not trade ends the
@@ -406,6 +409,10 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
                                   f"second leg '{aux.symbol}' was given")
         stepper = new_state(strategy, series, aux)
         stop_settings = strategy.stops
+    elif isinstance(strategy, PairsStepper):
+        # it carries a second leg that only a config's run prices and marks
+        raise ValidationError("a prebuilt pairs stepper cannot trade its second leg here: "
+                              "pass the pairs config and its second leg as aux")
     else:
         stepper = strategy  # duck-typed: anything with .step(candle)
         stop_settings = getattr(strategy, "stops", None)
@@ -573,7 +580,8 @@ def run_backtest(strategy, data: CandleSeries, initial_cash: float = 10_000.0,
     """Replay a strategy over a series with simulated execution on a ``Book``.
 
     ``strategy`` is a StrategyConfig, or any object with a
-    ``step(candle) -> (opens, closes)`` method for custom strategies.
+    ``step(candle) -> (opens, closes)`` method for custom strategies, but
+    not a prebuilt pairs stepper: pass the pairs config instead.
     ``aux`` is a pairs config's second leg, refused for any other strategy.
     Shorting is off (spot semantics) except for pairs configs.
     """

@@ -71,9 +71,15 @@ class OrderAck:
     reason: str = ""
 
 
-@dataclass(frozen=True, slots=True)  # slots: one snapshot is built on every bar
+@dataclass(frozen=True, slots=True)  # slots: a snapshot is built on every fill
 class AccountSnapshot:
-    """``positions`` holds open positions only; a flat symbol is absent."""
+    """The account at one moment, a read-only value.
+
+    ``positions`` holds open positions only; a flat symbol is absent. An
+    endpoint may hand the same snapshot out again while its account is
+    unchanged, so an edit of ``positions`` shows in every read that shared
+    it (the simulator then builds a fresh one on its next read).
+    """
 
     cash: float
     positions: dict[str, float]
@@ -103,6 +109,12 @@ class SimulatedBroker(BrokerEndpoint):
     proportional fee. Order placement is idempotent per client id: the same
     request sent again returns the original ack without touching the account,
     and a different request under a used id is refused.
+
+    :meth:`account` hands back the snapshot it last built while the book
+    still matches it (the same ``cash`` object, equal ``positions``), so a
+    bar without a fill builds nothing; a fill, a close or an edit of
+    ``book`` or of a handed-out snapshot's ``positions`` makes it build a
+    new one from a fresh copy of the positions.
     """
 
     def __init__(self, feeds: CandleSeries | dict[str, CandleSeries],
@@ -123,6 +135,7 @@ class SimulatedBroker(BrokerEndpoint):
         self._acks: dict[str, tuple[OrderRequest, OrderAck]] = {}
         self._next_order_id = 0
         self._stamps = stamps  # the feeds' shared timestamps, read by advance()
+        self._snapshot = AccountSnapshot(self.book.cash, {})  # held while the book matches it
 
     # -- session --------------------------------------------------------
 
@@ -140,8 +153,10 @@ class SimulatedBroker(BrokerEndpoint):
 
     def account(self) -> AccountSnapshot:
         book = self.book
-        # positional arguments: the session reads the account on every bar
-        return AccountSnapshot(book.cash, book.positions.copy())
+        snapshot = self._snapshot
+        if book.cash is not snapshot.cash or book.positions != snapshot.positions:
+            snapshot = self._snapshot = AccountSnapshot(book.cash, book.positions.copy())
+        return snapshot
 
     def close(self, liquidate: bool = True) -> tuple[AccountSnapshot, list[Fill]]:
         """End the session; by default flattens open positions at the last
@@ -254,7 +269,8 @@ def paper_trade_loop(strategy, feed, endpoint: BrokerEndpoint, *,
     ``feed`` is a gap-free CandleSeries, whose indicator columns the
     strategy then reads, or any iterable of candles, which it streams (then
     pass ``symbol``/``interval`` explicitly). ``aux`` is a pairs
-    config's second leg, refused for any other strategy. The feed may raise
+    config's second leg, refused for any other strategy; a prebuilt pairs
+    stepper is refused too, as in ``run_backtest``. The feed may raise
     FeedInterrupted to abort mid-session: the report then covers the
     processed bars only and open positions stay open, flagged via
     ``interrupted``. On normal exhaustion the endpoint session is closed

@@ -386,7 +386,9 @@ class EmaCrossStepper(SignalStepper):
         if series is None:
             self._short = EmaStream(p.p_short)
             self._long = EmaStream(p.p_long)
-            self._prev: tuple[float, float] | None = None
+            # the previous bar's EMAs, kept apart: a tuple would be built every bar
+            self._ps: float | None = None
+            self._pl: float | None = None
         else:
             (short,) = series_lines(series, IndicatorSpec("ema", {"p": p.p_short}))
             (long_,) = series_lines(series, IndicatorSpec("ema", {"p": p.p_long}))
@@ -397,11 +399,11 @@ class EmaCrossStepper(SignalStepper):
         l = self._long.push(candle)
         if s is None or l is None:
             return 0
-        prev = self._prev
-        self._prev = (s, l)
-        if prev is None:
+        ps, pl = self._ps, self._pl
+        self._ps, self._pl = s, l
+        if ps is None:
             return 0
-        return ema_crossing(s, l, *prev)
+        return ema_crossing(s, l, ps, pl)
 
 
 class GridStepper:

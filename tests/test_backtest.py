@@ -22,6 +22,7 @@ from tradelab.backtest import (
     CostModel,
     Metrics,
     OrderStatus,
+    TradeLedger,
     ZERO_COSTS,
     compute_metrics,
     run_backtest,
@@ -114,6 +115,93 @@ def test_fills_happen_at_next_bar_open_with_adverse_slippage():
     assert fill.bar == 4
     assert fill.price == pytest.approx(series.opens[4] * (1 + 0.0005), rel=1e-12)
     assert fill.fee == pytest.approx(fill.price * fill.quantity * 0.001, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The per-fill cost rules of README "Semantics worth knowing", written from
+# its formulas: raw price p, quantity q, slippage rate s and fee rate f. Each
+# side of a fill is a few float operations, so the engine and the formula
+# differ by a few ulps; COST_REL is far above that and far below what a
+# wrong rule (a fee charged twice, slippage on the wrong side) moves.
+# ---------------------------------------------------------------------------
+
+COST_REL = 1e-12
+
+
+@st.composite
+def round_trips(draw):
+    """A long or short round trip of q units: raw entry price, raw exit
+    price within a factor of 2 of it (so one cash scale serves both legs),
+    and costs of up to 1,000 bps each."""
+    p_in = draw(st.floats(0.01, 1e6))
+    p_out = p_in * draw(st.floats(0.5, 2.0))
+    return (draw(st.booleans()), p_in, p_out, draw(st.floats(1e-6, 1e6)),
+            draw(st.floats(0.0, 1_000.0)), draw(st.floats(0.0, 1_000.0)))
+
+
+def round_trip(is_long, p_in, p_out, q, fee_bps, slippage_bps):
+    """Open and close ``q`` through a ``Book`` and a ``TradeLedger``; returns
+    each fill with the raw price, signed quantity and cash delta of its leg,
+    and the ledger's trade."""
+    costs = CostModel(fee_bps=fee_bps, slippage_bps=slippage_bps)
+    book = Book(4.0 * q * p_in, costs, True)
+    ledger = TradeLedger("AB", None, costs.fee_rate)
+    sign = 1.0 if is_long else -1.0
+    legs = []
+    for bar, (quantity, raw) in enumerate(((sign * q, p_in), (-sign * q, p_out))):
+        cash = book.cash
+        fill = book.fill(bar, bar, "AB", quantity, raw)
+        assert not isinstance(fill, str), fill
+        ledger.record(fill, "AB" not in book.positions, None)
+        legs.append((fill, raw, quantity, book.cash - cash))
+    (trade,) = ledger.trades
+    return legs, trade, costs
+
+
+@given(case=round_trips())
+@settings(max_examples=300, deadline=None)
+def test_a_fills_cash_delta_follows_the_cost_rule(case):
+    """A buy moves the cash by -(q·p·(1+s)·(1+f)), a sell by
+    +q·p·(1−s)·(1−f), opening or closing."""
+    legs, _, costs = round_trip(*case)
+    s, f = costs.slippage_rate, costs.fee_rate
+    for _, p, quantity, delta in legs:
+        q = abs(quantity)
+        expected = -(q * p * (1 + s) * (1 + f)) if quantity > 0 else q * p * (1 - s) * (1 - f)
+        assert delta == pytest.approx(expected, rel=COST_REL)
+
+
+@given(case=round_trips())
+@settings(max_examples=300, deadline=None)
+def test_a_fills_price_and_fee_follow_the_cost_rule(case):
+    """A buy fills at p·(1+s) and a sell at p·(1−s), slippage against the
+    trader; the fee is f of the filled notional."""
+    legs, _, costs = round_trip(*case)
+    s, f = costs.slippage_rate, costs.fee_rate
+    for fill, p, quantity, _ in legs:
+        price = p * (1 + s) if quantity > 0 else p * (1 - s)
+        assert fill.quantity == abs(quantity)
+        assert fill.price == pytest.approx(price, rel=COST_REL)
+        assert fill.fee == pytest.approx(abs(quantity) * price * f, rel=COST_REL)
+
+
+@given(case=round_trips())
+@settings(max_examples=300, deadline=None)
+def test_a_trades_profit_follows_from_its_two_fills(case):
+    """A long's profit_pct is 100·(x·(1−f) − e·(1+f)) / (e·(1+f)), a
+    short's 100·(e·(1−f) − x·(1+f)) / e, from the entry and exit fill
+    prices e and x; near zero profit the two terms cancel, so the tolerance
+    also allows 1e-12 percentage points."""
+    legs, trade, costs = round_trip(*case)
+    f = costs.fee_rate
+    e, x = legs[0][0].price, legs[1][0].price
+    if trade.is_long:
+        expected = 100 * (x * (1 - f) - e * (1 + f)) / (e * (1 + f))
+    else:
+        expected = 100 * (e * (1 - f) - x * (1 + f)) / e
+    assert trade.is_long is case[0]
+    assert (trade.entry_price, trade.exit_price, trade.quantity) == (e, x, legs[0][0].quantity)
+    assert trade.profit_pct == pytest.approx(expected, rel=COST_REL, abs=1e-12)
 
 
 def test_full_fraction_open_spends_all_cash():

@@ -34,6 +34,7 @@ from tradelab.strategy import (
     StopSettings,
     StrategyConfig,
     TradeIntent,
+    new_state,
     pairs_signals,
 )
 
@@ -186,6 +187,106 @@ def test_an_account_snapshot_is_the_callers_own_copy():
     assert broker.book.positions == {"AB": 2.0}
     assert broker.account().positions == {"AB": 2.0}
     assert broker.account().cash == snapshot.cash == 800.0
+
+
+def test_reads_with_no_fill_between_them_return_the_same_snapshot():
+    broker = started_broker(flat_series(5, price=100.0, symbol="AB"))
+    first = broker.account()
+    assert broker.account() is first == AccountSnapshot(1_000.0, {})
+    broker.place_order(OrderRequest("1", "AB", OrderSide.BUY, 2.0))
+    held = broker.account()
+    broker.advance()
+    assert broker.account() is held == AccountSnapshot(800.0, {"AB": 2.0})
+    # a rejected order leaves the book as it was
+    ack = broker.place_order(OrderRequest("2", "AB", OrderSide.BUY, 50.0))
+    assert ack.status is AckStatus.REJECTED
+    assert broker.account() is held
+
+
+def _fill(broker):
+    broker.place_order(OrderRequest("2", "AB", OrderSide.SELL, 0.5))
+
+
+def _liquidate(broker):
+    return broker.close(liquidate=True)[0]
+
+
+def _edit_cash(broker):
+    broker.book.cash = 123.0
+
+
+def _edit_positions(broker):
+    broker.book.positions["AB"] = 5.0
+
+
+def _drop_position(broker):
+    del broker.book.positions["AB"]
+
+
+def _edit_handed_out(broker):
+    broker.account().positions["AB"] = 99.0
+
+
+@pytest.mark.parametrize("change", [_fill, _liquidate, _edit_cash, _edit_positions,
+                                    _drop_position, _edit_handed_out],
+                         ids=lambda change: change.__name__.lstrip("_"))
+def test_a_changed_book_or_snapshot_gets_a_new_correct_snapshot(change):
+    """The simulator checks its held snapshot against the book on every
+    read, so a change that bypasses its fill path is seen too."""
+    broker = started_broker(flat_series(5, price=100.0, symbol="AB"))
+    broker.place_order(OrderRequest("1", "AB", OrderSide.BUY, 2.0))
+    before = broker.account()
+    returned = change(broker)
+    after = broker.account()
+    assert after is not before
+    assert after == AccountSnapshot(broker.book.cash, dict(broker.book.positions))
+    assert after.positions is not broker.book.positions
+    assert returned is None or returned is after
+    assert broker.account() is after
+
+
+class CheckingBroker(SimulatedBroker):
+    """Checks every account read against the book at that moment."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.snapshots = []
+
+    def account(self):
+        snapshot = super().account()
+        assert snapshot == AccountSnapshot(self.book.cash, dict(self.book.positions))
+        assert snapshot.positions is not self.book.positions
+        self.snapshots.append(snapshot)
+        return snapshot
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_every_account_read_of_a_session_equals_the_book(seed):
+    series = random_series(seed + 1600, n=400, vol=0.02)
+    config = StrategyConfig("RND", EmaCrossParams(5, 13),
+                            stops=StopSettings(atr_period=10, stop_mult=1.5, profit_mult=3.0))
+    broker = CheckingBroker(series, 10_000.0, CostModel())
+    report = paper_trade_loop(config, series, broker, costs=CostModel())
+    assert report.fills
+    reads = broker.snapshots
+    assert report.bars < len(reads) <= report.bars + len(report.orders) + 1
+    # a new snapshot on a read after each fill only (the close included)
+    assert len({id(snapshot) for snapshot in reads}) == len(report.fills) + 1
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_streamed_and_column_ema_cross_sessions_are_equal(seed):
+    """A session over the series reads its EMA columns; one over the
+    candles streams them. Both make the same fills and the same equity."""
+    series = random_series(seed + 1600, n=400, vol=0.02)
+    config = StrategyConfig("RND", EmaCrossParams(5, 13),
+                            stops=StopSettings(atr_period=10, stop_mult=1.5, profit_mult=3.0))
+    reports = [paper_trade_loop(config, feed, SimulatedBroker(series, 10_000.0, CostModel()),
+                                costs=CostModel(), symbol="RND", interval=series.interval)
+               for feed in (series, iter(series.candles))]
+    assert reports[0].fills and reports[0].fills == reports[1].fills
+    assert reports[0].equity == reports[1].equity
+    assert order_rows(reports[0]) == order_rows(reports[1])
 
 
 @pytest.mark.parametrize("size", [float("nan"), float("inf"), float("-inf")])
@@ -462,6 +563,27 @@ def test_a_second_leg_for_a_one_leg_strategy_is_refused(feed, strategy, needle):
     assert broker.closes == [False] and not broker.fills
     with pytest.raises(ValidationError, match=needle):
         run_backtest(strategy, a, aux=b)
+
+
+@pytest.mark.parametrize("feed", ["series", "iterator"])
+def test_a_prebuilt_pairs_stepper_is_refused(feed):
+    """A pairs stepper carries its second leg, which the loop prices only
+    for a pairs config run with ``aux``; run prebuilt, it traded leg A alone
+    while every leg-B order was rejected for want of a price."""
+    from test_strategy import synthetic_pair
+
+    a, b = synthetic_pair(21, n=400)
+    config = StrategyConfig("A", PairsParams(symbol_b="B", lookback=40, z_entry=1.6, z_exit=0.4))
+    needle = "prebuilt pairs stepper .* pass the pairs config and its second leg as aux"
+    broker = ClosingBroker({"A": a, "B": b}, 10_000.0, CostModel(), allow_short=True)
+    for aux in (None, b):
+        with pytest.raises(ValidationError, match=needle):
+            paper_trade_loop(new_state(config, aux=b), a if feed == "series" else list(a.candles),
+                             broker, costs=CostModel(), aux=aux, symbol="A",
+                             interval=a.interval)
+        with pytest.raises(ValidationError, match=needle):
+            run_backtest(new_state(config, a, b), a, aux=aux)
+    assert broker.closes == [False, False] and not broker.fills
 
 
 def short_leg_run(case):

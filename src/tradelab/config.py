@@ -166,9 +166,20 @@ def read_params(kind: StrategyKind, raw):
     return cls(**_read(cls, raw, f"{kind.value} params"))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice is refused, not last-wins."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"repeated key '{key}'")
+        obj[key] = value
+    return obj
+
+
 def parse_indicator_spec(entry) -> IndicatorSpec:
     """Accept {"name": ..., "params": {...}} objects or 'name:k=v,k=v' strings;
-    a value with a '.' is a float, any other value an int."""
+    a value with a '.' is a float, any other value an int. A key given twice
+    is refused."""
     if isinstance(entry, str):
         name, _, rest = entry.partition(":")
         params = {}
@@ -177,8 +188,11 @@ def parse_indicator_spec(entry) -> IndicatorSpec:
                 key, _, value = pair.partition("=")
                 if not key or not value:
                     raise ConfigError(f"bad indicator spec '{entry}'")
+                key = key.strip()
+                if key in params:
+                    raise ConfigError(f"bad indicator spec '{entry}': repeated key '{key}'")
                 try:
-                    params[key.strip()] = float(value) if "." in value else int(value)
+                    params[key] = float(value) if "." in value else int(value)
                 except ValueError as exc:
                     raise ConfigError(f"bad indicator spec '{entry}': {exc}") from exc
         return IndicatorSpec(name=name.strip(), params=params)
@@ -204,9 +218,11 @@ def load_network_artifact(path: Path) -> NeatParams:
     """Read an evolved-strategy artifact: genome file reference, indicator
     inputs, and normalization constants."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read network artifact {path}: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"bad network artifact {path}: {exc}") from exc
     try:
         genome = read_genome(Path(path).parent / raw["genome"])
         inputs = tuple(parse_indicator_spec(e) for e in raw["inputs"])
@@ -238,11 +254,13 @@ def load_config(path: str | Path, seed: int | None = None) -> RunConfig:
     """Parse and validate a run config; ``seed`` overrides the file's seed."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
     values = _read(RunConfig, raw, "config")
     if seed is not None:

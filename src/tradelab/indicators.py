@@ -1,10 +1,13 @@
 """Technical-analysis indicators over candle series.
 
-Every indicator is implemented as a small streaming object that consumes one
-candle at a time, so strategies can update values incrementally during a
-backtest without recomputing history. Each stream's constructor is the one
-place its parameters are checked. The registry maps names to stream classes,
-and every batch function runs a fresh stream through ``compute``.
+Every indicator is a stream that consumes one candle at a time, so strategies
+can update values incrementally during a backtest without recomputing
+history. A stream is a primed generator coroutine: its state lives in the
+coroutine's locals, its warm-up is a loop of its own ahead of the steady-state
+loop, and ``stream.push`` is the coroutine's ``send``, which takes a candle and
+returns that bar's value. Each stream class's constructor is the one place
+its parameters are checked. The registry maps names to stream classes, and
+batch ``compute`` maps a fresh stream's ``push`` over the candles.
 
 Warm-up is explicit: outputs carry ``None`` until enough history has
 accumulated, never zeros. Conventions locked here (the usual published ones):
@@ -28,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 
-from .data import Candle, CandleSeries
+from .data import CandleSeries
 from .errors import ValidationError
 
 
@@ -96,97 +99,111 @@ def require_period(p, name: str = "p") -> int:
 
 
 # ---------------------------------------------------------------------------
-# Streaming primitives
+# Streaming primitives. Every stream and average below is a generator
+# coroutine: it is primed once, and each send() hands it the next input and
+# returns that input's value. Its state lives in the coroutine's locals.
 # ---------------------------------------------------------------------------
 
-class _WilderAvg:
-    """Wilder recursive average: mean of the first p values, then
-    (prev*(p-1) + x)/p."""
-
-    __slots__ = ("p", "_buf", "value")
-
-    def __init__(self, p: int):
-        self.p = p
-        self._buf: list[float] = []
-        self.value: float | None = None
-
-    def push(self, x: float) -> float | None:
-        if self.value is None:
-            self._buf.append(x)
-            if len(self._buf) == self.p:
-                self.value = sum(self._buf) / self.p
-                self._buf.clear()
-            return self.value
-        self.value = (self.value * (self.p - 1) + x) / self.p
-        return self.value
+def _started(coroutine):
+    """Prime a coroutine and return its bound ``send``."""
+    next(coroutine)
+    return coroutine.send
 
 
-class _EmaAvg:
-    """EMA over pushed scalars, seeded with the SMA of the first p values."""
+def _wilder(p: int):
+    """Wilder recursive average over sent scalars: the mean of the first p
+    values, then (prev*(p-1) + x)/p."""
+    buf = []
+    x = yield
+    for _ in range(p - 1):
+        buf.append(x)
+        x = yield None
+    buf.append(x)
+    value = sum(buf) / p
+    q = p - 1
+    while True:
+        x = yield value
+        value = (value * q + x) / p
 
-    __slots__ = ("p", "k", "_buf", "value")
 
-    def __init__(self, p: int):
-        self.p = p
-        self.k = 2.0 / (p + 1)
-        self._buf: list[float] = []
-        self.value: float | None = None
-
-    def push(self, x: float) -> float | None:
-        if self.value is None:
-            self._buf.append(x)
-            if len(self._buf) == self.p:
-                self.value = sum(self._buf) / self.p
-                self._buf.clear()
-            return self.value
-        self.value = self.k * x + (1.0 - self.k) * self.value
-        return self.value
+def _ema(p: int):
+    """EMA over sent scalars, seeded with the SMA of the first p values."""
+    k = 2.0 / (p + 1)
+    j = 1.0 - k
+    buf = []
+    x = yield
+    for _ in range(p - 1):
+        buf.append(x)
+        x = yield None
+    buf.append(x)
+    value = sum(buf) / p
+    while True:
+        x = yield value
+        value = k * x + j * value
 
 
 # ---------------------------------------------------------------------------
-# Indicator streams: push(candle) -> value(s) or None while warming up
+# Indicator streams: push(candle) -> value(s) or None while warming up. Each
+# class checks its parameters and binds ``push`` to its coroutine's send.
 # ---------------------------------------------------------------------------
+
+def _sma(p: int):
+    win = deque(maxlen=p)
+    candle = yield
+    for _ in range(p - 1):
+        win.append(candle.close)
+        candle = yield None
+    while True:
+        win.append(candle.close)
+        candle = yield sum(win) / p
+
 
 class SmaStream:
     def __init__(self, p: int):
-        self.p = require_period(p)
-        self._win: deque[float] = deque(maxlen=self.p)
+        self.push = _started(_sma(require_period(p)))
 
-    def push(self, candle: Candle) -> float | None:
-        self._win.append(candle.close)
-        if len(self._win) < self.p:
-            return None
-        return sum(self._win) / self.p
+
+def _ema_of_closes(p: int):
+    ema = _started(_ema(p))
+    candle = yield
+    while True:
+        candle = yield ema(candle.close)
 
 
 class EmaStream:
     def __init__(self, p: int):
-        self._ema = _EmaAvg(require_period(p))
+        self.push = _started(_ema_of_closes(require_period(p)))
 
-    def push(self, candle: Candle) -> float | None:
-        return self._ema.push(candle.close)
+
+def _rsi(p: int):
+    gain = _started(_wilder(p))
+    loss = _started(_wilder(p))
+    candle = yield
+    prev = candle.close
+    candle = yield None
+    # both averages warm up on the same bar
+    for _ in range(p - 1):
+        close = candle.close
+        delta = close - prev
+        prev = close
+        gain(delta if delta > 0 else 0.0)
+        loss(-delta if delta < 0 else 0.0)
+        candle = yield None
+    while True:
+        close = candle.close
+        delta = close - prev
+        prev = close
+        avg_gain = gain(delta if delta > 0 else 0.0)
+        avg_loss = loss(-delta if delta < 0 else 0.0)
+        if avg_loss == 0.0:
+            candle = yield 50.0 if avg_gain == 0.0 else 100.0
+        else:
+            candle = yield 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
 
 
 class RsiStream:
     def __init__(self, p: int):
-        p = require_period(p)
-        self._gain = _WilderAvg(p)
-        self._loss = _WilderAvg(p)
-        self._prev_close: float | None = None
-
-    def push(self, candle: Candle) -> float | None:
-        prev = self._prev_close
-        self._prev_close = candle.close
-        if prev is None:
-            return None
-        delta = candle.close - prev
-        avg_gain = self._gain.push(delta if delta > 0 else 0.0)
-        avg_loss = self._loss.push(-delta if delta < 0 else 0.0)
-        if avg_gain is None or avg_loss is None:
-            return None
-        if avg_loss == 0.0:
-            return 50.0 if avg_gain == 0.0 else 100.0
-        return 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
+        self.push = _started(_rsi(require_period(p)))
 
 
 def _true_range(high: float, low: float, prev_close: float) -> float:
@@ -203,17 +220,39 @@ def _true_range(high: float, low: float, prev_close: float) -> float:
     return tr
 
 
+def _atr(p: int):
+    atr = _started(_wilder(p))
+    candle = yield
+    prev = candle.close
+    candle = yield None
+    while True:
+        value = atr(_true_range(candle.high, candle.low, prev))
+        prev = candle.close
+        candle = yield value
+
+
 class AtrStream:
     def __init__(self, p: int):
-        self._atr = _WilderAvg(require_period(p))
-        self._prev_close: float | None = None
+        self.push = _started(_atr(require_period(p)))
 
-    def push(self, candle: Candle) -> float | None:
-        prev = self._prev_close
-        self._prev_close = candle.close
-        if prev is None:
-            return None
-        return self._atr.push(_true_range(candle.high, candle.low, prev))
+
+def _macd(fast: int, slow: int, signal: int):
+    fast_ema = _started(_ema(fast))
+    slow_ema = _started(_ema(slow))
+    signal_ema = _started(_ema(signal))
+    candle = yield
+    # the slow average warms up last
+    for _ in range(slow - 1):
+        fast_ema(candle.close)
+        slow_ema(candle.close)
+        candle = yield (None, None, None)
+    while True:
+        macd = fast_ema(candle.close) - slow_ema(candle.close)
+        sig = signal_ema(macd)
+        if sig is None:
+            candle = yield (macd, None, None)
+        else:
+            candle = yield (macd, sig, macd - sig)
 
 
 class MacdStream:
@@ -228,20 +267,22 @@ class MacdStream:
         signal = require_period(signal, "signal")
         if fast >= slow:
             raise InvalidPeriods(f"fast period {fast} must be < slow period {slow}")
-        self._fast = _EmaAvg(fast)
-        self._slow = _EmaAvg(slow)
-        self._signal = _EmaAvg(signal)
+        self.push = _started(_macd(fast, slow, signal))
 
-    def push(self, candle: Candle):
-        f = self._fast.push(candle.close)
-        s = self._slow.push(candle.close)
-        if f is None or s is None:
-            return (None, None, None)
-        macd = f - s
-        sig = self._signal.push(macd)
-        if sig is None:
-            return (macd, None, None)
-        return (macd, sig, macd - sig)
+
+def _bollinger(p: int, k: float):
+    sqrt = math.sqrt
+    win = deque(maxlen=p)
+    candle = yield
+    for _ in range(p - 1):
+        win.append(candle.close)
+        candle = yield (None, None, None)
+    while True:
+        win.append(candle.close)
+        mean = sum(win) / p
+        var = sum([(x - mean) ** 2 for x in win]) / p
+        dev = k * sqrt(var)
+        candle = yield (mean + dev, mean, mean - dev)
 
 
 class BollingerStream:
@@ -255,62 +296,90 @@ class BollingerStream:
             raise InvalidPeriods(f"bollinger period must be >= 2, got {p}")
         if type(k) not in (int, float) or not 0 < k <= _MAX_BAND_WIDTH:
             raise InvalidPeriods(f"band width multiplier must be a number in (0, 1e100], got {k!r}")
-        self.p = p
-        self.k = float(k)
-        self._win: deque[float] = deque(maxlen=p)
+        self.push = _started(_bollinger(p, float(k)))
 
-    def push(self, candle: Candle):
-        self._win.append(candle.close)
-        if len(self._win) < self.p:
-            return (None, None, None)
-        mean = sum(self._win) / self.p
-        var = sum((x - mean) ** 2 for x in self._win) / self.p
-        dev = self.k * math.sqrt(var)
-        return (mean + dev, mean, mean - dev)
+
+def _obv():
+    value = 0.0
+    candle = yield
+    prev = candle.close
+    candle = yield value
+    while True:
+        close = candle.close
+        if close > prev:
+            value += candle.volume
+        elif close < prev:
+            value -= candle.volume
+        prev = close
+        candle = yield value
 
 
 class ObvStream:
     def __init__(self):
-        self.value = 0.0
-        self._prev_close: float | None = None
+        self.push = _started(_obv())
 
-    def push(self, candle: Candle) -> float:
-        prev = self._prev_close
-        self._prev_close = candle.close
-        if prev is None:
-            return self.value
-        if candle.close > prev:
-            self.value += candle.volume
-        elif candle.close < prev:
-            self.value -= candle.volume
-        return self.value
+
+def _momentum(p: int):
+    win = deque(maxlen=p + 1)
+    candle = yield
+    for _ in range(p):
+        win.append(candle.close)
+        candle = yield None
+    while True:
+        close = candle.close
+        win.append(close)
+        candle = yield close - win[0]
 
 
 class MomentumStream:
     def __init__(self, p: int):
-        self.p = require_period(p)
-        self._win: deque[float] = deque(maxlen=self.p + 1)
+        self.push = _started(_momentum(require_period(p)))
 
-    def push(self, candle: Candle) -> float | None:
-        self._win.append(candle.close)
-        if len(self._win) <= self.p:
-            return None
-        return self._win[-1] - self._win[0]
+
+def _force_index(p: int):
+    ema = _started(_ema(p))
+    candle = yield
+    prev = candle.close
+    candle = yield None
+    while True:
+        close = candle.close
+        value = ema((close - prev) * candle.volume)
+        prev = close
+        candle = yield value
 
 
 class ForceIndexStream:
     """EMA-smoothed (close change * volume)."""
 
     def __init__(self, p: int):
-        self._ema = _EmaAvg(require_period(p))
-        self._prev_close: float | None = None
+        self.push = _started(_force_index(require_period(p)))
 
-    def push(self, candle: Candle) -> float | None:
-        prev = self._prev_close
-        self._prev_close = candle.close
-        if prev is None:
-            return None
-        return self._ema.push((candle.close - prev) * candle.volume)
+
+def _mfi(p: int):
+    pos = deque(maxlen=p)
+    neg = deque(maxlen=p)
+    candle = yield
+    prev = (candle.high + candle.low + candle.close) / 3.0
+    candle = yield None
+    for _ in range(p - 1):
+        tp = (candle.high + candle.low + candle.close) / 3.0
+        flow = tp * candle.volume
+        pos.append(flow if tp > prev else 0.0)
+        neg.append(flow if tp < prev else 0.0)
+        prev = tp
+        candle = yield None
+    while True:
+        tp = (candle.high + candle.low + candle.close) / 3.0
+        flow = tp * candle.volume
+        pos.append(flow if tp > prev else 0.0)
+        neg.append(flow if tp < prev else 0.0)
+        prev = tp
+        pos_sum = sum(pos)
+        neg_sum = sum(neg)
+        if neg_sum == 0.0:
+            candle = yield 50.0 if pos_sum == 0.0 else 100.0
+        else:
+            candle = yield 100.0 - 100.0 / (1.0 + pos_sum / neg_sum)
 
 
 class MfiStream:
@@ -323,90 +392,91 @@ class MfiStream:
     """
 
     def __init__(self, p: int):
-        self.p = require_period(p)
-        self._pos: deque[float] = deque(maxlen=self.p)
-        self._neg: deque[float] = deque(maxlen=self.p)
-        self._prev_tp: float | None = None
+        self.push = _started(_mfi(require_period(p)))
 
-    def push(self, candle: Candle) -> float | None:
+
+def _cci(p: int):
+    win = deque(maxlen=p)
+    candle = yield
+    for _ in range(p - 1):
+        win.append((candle.high + candle.low + candle.close) / 3.0)
+        candle = yield None
+    while True:
         tp = (candle.high + candle.low + candle.close) / 3.0
-        prev = self._prev_tp
-        self._prev_tp = tp
-        if prev is None:
-            return None
-        flow = tp * candle.volume
-        self._pos.append(flow if tp > prev else 0.0)
-        self._neg.append(flow if tp < prev else 0.0)
-        if len(self._pos) < self.p:
-            return None
-        pos = sum(self._pos)
-        neg = sum(self._neg)
-        if neg == 0.0:
-            return 50.0 if pos == 0.0 else 100.0
-        return 100.0 - 100.0 / (1.0 + pos / neg)
+        win.append(tp)
+        mean = sum(win) / p
+        # |x - mean| to the bit: IEEE subtraction is sign-symmetric
+        mad = sum([x - mean if x >= mean else mean - x for x in win]) / p
+        candle = yield 0.0 if mad == 0.0 else (tp - mean) / (0.015 * mad)
 
 
 class CciStream:
     def __init__(self, p: int):
-        self.p = require_period(p)
-        self._win: deque[float] = deque(maxlen=self.p)
+        self.push = _started(_cci(require_period(p)))
 
-    def push(self, candle: Candle) -> float | None:
-        tp = (candle.high + candle.low + candle.close) / 3.0
-        self._win.append(tp)
-        if len(self._win) < self.p:
-            return None
-        mean = sum(self._win) / self.p
-        mad = sum(abs(x - mean) for x in self._win) / self.p
-        if mad == 0.0:
-            return 0.0
-        return (tp - mean) / (0.015 * mad)
+
+def _williams_r(p: int):
+    highs = deque(maxlen=p)
+    lows = deque(maxlen=p)
+    candle = yield
+    for _ in range(p - 1):
+        highs.append(candle.high)
+        lows.append(candle.low)
+        candle = yield None
+    highs.append(candle.high)
+    lows.append(candle.low)
+    hh = max(highs)
+    ll = min(lows)
+    while True:
+        candle = yield 0.0 if hh == ll else -100.0 * (hh - candle.close) / (hh - ll)
+        # the window's extremes change with the bar that enters it, or are
+        # rescanned when the bar that leaves it held one; read the leaving
+        # bar before the append evicts it
+        high, low = candle.high, candle.low
+        left_high, left_low = highs[0], lows[0]
+        highs.append(high)
+        lows.append(low)
+        if high >= hh:
+            hh = high
+        elif left_high == hh:
+            hh = max(highs)
+        if low <= ll:
+            ll = low
+        elif left_low == ll:
+            ll = min(lows)
 
 
 class WilliamsRStream:
     def __init__(self, p: int):
-        self.p = require_period(p)
-        self._highs: deque[float] = deque(maxlen=self.p)
-        self._lows: deque[float] = deque(maxlen=self.p)
-
-    def push(self, candle: Candle) -> float | None:
-        self._highs.append(candle.high)
-        self._lows.append(candle.low)
-        if len(self._highs) < self.p:
-            return None
-        hh = max(self._highs)
-        ll = min(self._lows)
-        if hh == ll:
-            return 0.0
-        return -100.0 * (hh - candle.close) / (hh - ll)
+        self.push = _started(_williams_r(require_period(p)))
 
 
-class AdxStream:
-    """Average Directional Index via Wilder-smoothed +DM/-DM/TR then
-    Wilder-smoothed DX; first value appears at index 2p-1."""
-
-    def __init__(self, p: int):
-        p = require_period(p)
-        self._tr = _WilderAvg(p)
-        self._pos_dm = _WilderAvg(p)
-        self._neg_dm = _WilderAvg(p)
-        self._adx = _WilderAvg(p)
-        self._prev: Candle | None = None
-
-    def push(self, candle: Candle) -> float | None:
-        prev = self._prev
-        self._prev = candle
-        if prev is None:
-            return None
+def _adx(p: int):
+    tr_avg = _started(_wilder(p))
+    pos_avg = _started(_wilder(p))
+    neg_avg = _started(_wilder(p))
+    adx_avg = _started(_wilder(p))
+    candle = yield
+    prev = candle
+    candle = yield None
+    # the three directional averages warm up on the same bar
+    for _ in range(p - 1):
+        up = candle.high - prev.high
+        down = prev.low - candle.low
+        tr_avg(_true_range(candle.high, candle.low, prev.close))
+        pos_avg(up if (up > down and up > 0) else 0.0)
+        neg_avg(down if (down > up and down > 0) else 0.0)
+        prev = candle
+        candle = yield None
+    while True:
         up = candle.high - prev.high
         down = prev.low - candle.low
         pos_dm = up if (up > down and up > 0) else 0.0
         neg_dm = down if (down > up and down > 0) else 0.0
-        tr_s = self._tr.push(_true_range(candle.high, candle.low, prev.close))
-        pos_s = self._pos_dm.push(pos_dm)
-        neg_s = self._neg_dm.push(neg_dm)
-        if tr_s is None:
-            return None
+        tr_s = tr_avg(_true_range(candle.high, candle.low, prev.close))
+        pos_s = pos_avg(pos_dm)
+        neg_s = neg_avg(neg_dm)
+        prev = candle
         if tr_s == 0.0:
             pos_di = neg_di = 0.0
         else:
@@ -414,7 +484,15 @@ class AdxStream:
             neg_di = 100.0 * neg_s / tr_s
         di_sum = pos_di + neg_di
         dx = 0.0 if di_sum == 0.0 else 100.0 * abs(pos_di - neg_di) / di_sum
-        return self._adx.push(dx)
+        candle = yield adx_avg(dx)
+
+
+class AdxStream:
+    """Average Directional Index via Wilder-smoothed +DM/-DM/TR then
+    Wilder-smoothed DX; first value appears at index 2p-1."""
+
+    def __init__(self, p: int):
+        self.push = _started(_adx(require_period(p)))
 
 
 KST_ROC_PERIODS = (10, 15, 20, 30)
@@ -422,29 +500,97 @@ KST_SMOOTH_PERIODS = (10, 10, 10, 15)
 KST_WEIGHTS = (1.0, 2.0, 3.0, 4.0)
 
 
+def _kst():
+    r1, r2, r3, r4 = KST_ROC_PERIODS
+    m1, m2, m3, m4 = KST_SMOOTH_PERIODS
+    w1, w2, w3, w4 = KST_WEIGHTS
+    s1, s2, s3, s4 = deque(maxlen=m1), deque(maxlen=m2), deque(maxlen=m3), deque(maxlen=m4)
+    closes = deque(maxlen=max(KST_ROC_PERIODS) + 1)
+    # a window takes one rate of change a bar once its period has passed, and
+    # the blend waits for the last window to fill
+    warmup = max(r + m for r, m in zip(KST_ROC_PERIODS, KST_SMOOTH_PERIODS)) - 1
+    candle = yield
+    for bar in range(warmup):
+        close = candle.close
+        closes.append(close)
+        if bar >= r1:
+            s1.append(100.0 * (close / closes[-1 - r1] - 1.0))
+        if bar >= r2:
+            s2.append(100.0 * (close / closes[-1 - r2] - 1.0))
+        if bar >= r3:
+            s3.append(100.0 * (close / closes[-1 - r3] - 1.0))
+        if bar >= r4:
+            s4.append(100.0 * (close / closes[-1 - r4] - 1.0))
+        candle = yield None
+    while True:
+        close = candle.close
+        closes.append(close)
+        s1.append(100.0 * (close / closes[-1 - r1] - 1.0))
+        s2.append(100.0 * (close / closes[-1 - r2] - 1.0))
+        s3.append(100.0 * (close / closes[-1 - r3] - 1.0))
+        s4.append(100.0 * (close / closes[-1 - r4] - 1.0))
+        # a running total from 0.0, in weight order; the 0.0 turns a -0.0
+        # blend into +0.0
+        candle = yield (0.0 + w1 * (sum(s1) / m1) + w2 * (sum(s2) / m2)
+                        + w3 * (sum(s3) / m3) + w4 * (sum(s4) / m4))
+
+
 class KstStream:
     """Know Sure Thing: weighted sum of four SMA-smoothed rates of change."""
 
     def __init__(self):
-        self._closes: deque[float] = deque(maxlen=max(KST_ROC_PERIODS) + 1)
-        self._smooth = [deque(maxlen=m) for m in KST_SMOOTH_PERIODS]
+        self.push = _started(_kst())
 
-    def push(self, candle: Candle) -> float | None:
-        self._closes.append(candle.close)
-        n_close = len(self._closes)
-        ready = True
-        for roc_p, win in zip(KST_ROC_PERIODS, self._smooth):
-            if n_close > roc_p:
-                roc = 100.0 * (self._closes[-1] / self._closes[-1 - roc_p] - 1.0)
-                win.append(roc)
-            if len(win) < win.maxlen:
-                ready = False
-        if not ready:
-            return None
-        total = 0.0
-        for weight, win in zip(KST_WEIGHTS, self._smooth):
-            total += weight * (sum(win) / len(win))
-        return total
+
+def _vpvr(p: int, buckets: int):
+    tps = deque(maxlen=p)
+    vols = deque(maxlen=p)
+    prices = []  # the window's typical prices, sorted
+    bars = []  # the bar number of each sorted price
+    candle = yield
+    for n in range(p - 1):
+        tp = (candle.high + candle.low + candle.close) / 3.0
+        i = bisect_right(prices, tp)
+        prices.insert(i, tp)
+        bars.insert(i, n)
+        tps.append(tp)
+        vols.append(candle.volume)
+        candle = yield None
+    n = p - 1  # the new bar's number
+    while True:
+        tp = (candle.high + candle.low + candle.close) / 3.0
+        i = bisect_right(prices, tp)
+        prices.insert(i, tp)
+        bars.insert(i, n)
+        tps.append(tp)
+        vols.append(candle.volume)
+        lo, hi = prices[0], prices[-1]
+        if hi == lo:
+            total = sum(vols)
+        else:
+            width = (hi - lo) / buckets
+            # bin(t) = min(int((t - lo) / width), buckets - 1); below the new
+            # bar a price shares its bin iff (t - lo) / width >= mine, and
+            # above it iff (t - lo) / width < mine + 1 or mine is the top bin
+            mine = int((tp - lo) / width)
+            start, stop = i, i + 1
+            if mine >= buckets - 1:
+                mine = buckets - 1
+                stop = p
+            else:
+                while stop < p and (prices[stop] - lo) / width < mine + 1:
+                    stop += 1
+            while start and (prices[start - 1] - lo) / width >= mine:
+                start -= 1
+            first = n + 1 - p  # bar number of the window's oldest bar
+            total = 0.0  # one addition per bar as in a rescan; sum() compensates from 3.12
+            for bar in sorted(bars[start:stop]):
+                total += vols[bar - first]
+        # the next bar evicts the oldest, which comes first among its ties
+        k = bisect_left(prices, tps[0])
+        del prices[k], bars[k]
+        n += 1
+        candle = yield total
 
 
 class VpvrStream:
@@ -466,52 +612,7 @@ class VpvrStream:
     """
 
     def __init__(self, p: int, buckets: int):
-        self.p = require_period(p)
-        self.buckets = require_period(buckets, "buckets")
-        self._tps: deque[float] = deque(maxlen=self.p)
-        self._vols: deque[float] = deque(maxlen=self.p)
-        self._prices: list[float] = []  # the window's typical prices, sorted
-        self._bars: list[int] = []  # the bar number of each sorted price
-        self._n = 0  # bars pushed so far
-
-    def push(self, candle: Candle) -> float | None:
-        tp = (candle.high + candle.low + candle.close) / 3.0
-        prices, bars, n, p = self._prices, self._bars, self._n, self.p
-        if n >= p:
-            # the evicted bar is the oldest, so it comes first among its ties
-            k = bisect_left(prices, self._tps[0])
-            del prices[k], bars[k]
-        i = bisect_right(prices, tp)
-        prices.insert(i, tp)
-        bars.insert(i, n)
-        self._tps.append(tp)
-        self._vols.append(candle.volume)
-        self._n = n = n + 1
-        if n < p:
-            return None
-        lo, hi = prices[0], prices[-1]
-        if hi == lo:
-            return sum(self._vols)
-        width = (hi - lo) / self.buckets
-        # bin(t) = min(int((t - lo) / width), buckets - 1); below the new bar
-        # a price shares its bin iff (t - lo) / width >= mine, and above it
-        # iff (t - lo) / width < mine + 1 or mine is the top bin
-        mine = int((tp - lo) / width)
-        start, stop = i, i + 1
-        if mine >= self.buckets - 1:
-            mine = self.buckets - 1
-            stop = len(prices)
-        else:
-            while stop < len(prices) and (prices[stop] - lo) / width < mine + 1:
-                stop += 1
-        while start and (prices[start - 1] - lo) / width >= mine:
-            start -= 1
-        first = n - p  # bar number of the window's oldest bar
-        vols = self._vols
-        total = 0.0  # one addition per bar as in a rescan; sum() compensates from 3.12
-        for bar in sorted(bars[start:stop]):
-            total += vols[bar - first]
-        return total
+        self.push = _started(_vpvr(require_period(p), require_period(buckets, "buckets")))
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +677,7 @@ def indicator_lines(spec: IndicatorSpec, series: CandleSeries
     """A spec's streamed values over the series, one list per output line,
     ``None`` while the line warms up; a line that never warms up on the
     series is all ``None``."""
-    push = make_stream(spec).push
-    rows = [push(candle) for candle in series.candles]
+    rows = list(map(make_stream(spec).push, series.candles))
     n = len(spec_lines(spec))
     return (rows,) if n == 1 else tuple([row[j] for row in rows] for j in range(n))
 

@@ -1,5 +1,5 @@
-"""Brute-force definitional indicator oracles, reference MFI and VPVR
-streams, a reference network evaluator and reachability, and a merge-walk
+"""Brute-force definitional indicator oracles, reference MFI, VPVR, Williams
+%R, KST and CCI streams, a reference network evaluator and reachability, and a merge-walk
 compatibility distance.
 
 Deliberately naive second implementations (window re-summation, explicit
@@ -15,7 +15,7 @@ from collections import deque
 import numpy as np
 
 from tradelab.data import Candle
-from tradelab.indicators import require_period
+from tradelab.indicators import KST_ROC_PERIODS, KST_SMOOTH_PERIODS, KST_WEIGHTS, require_period
 from tradelab.neat import ArityMismatch, NodeKind, _topological_order, steep_sigmoid
 
 
@@ -283,9 +283,10 @@ def oracle_vpvr(highs, lows, closes, volumes, p, buckets):
 
 
 # ---------------------------------------------------------------------------
-# Reference streams: MFI over one window of flow tuples and VPVR by a full
-# rescan of its window. The streams in tradelab.indicators must give the
-# same bits on every bar.
+# Reference streams: MFI over one window of flow tuples, VPVR by a full
+# rescan of its window, Williams %R by max and min over its windows every
+# bar, KST by a loop over its four windows and CCI over abs(). The streams
+# in tradelab.indicators must give the same bits on every bar.
 # ---------------------------------------------------------------------------
 
 class TupleMfiStream:
@@ -356,6 +357,73 @@ class RescanVpvrStream:
             if b == mine:
                 total += v
         return total
+
+
+class RescanWilliamsRStream:
+    """Williams %R with the window's highest high and lowest low found by
+    ``max`` and ``min`` over both windows every bar."""
+
+    def __init__(self, p: int):
+        self.p = require_period(p)
+        self._highs: deque[float] = deque(maxlen=self.p)
+        self._lows: deque[float] = deque(maxlen=self.p)
+
+    def push(self, candle: Candle) -> float | None:
+        self._highs.append(candle.high)
+        self._lows.append(candle.low)
+        if len(self._highs) < self.p:
+            return None
+        hh = max(self._highs)
+        ll = min(self._lows)
+        if hh == ll:
+            return 0.0
+        return -100.0 * (hh - candle.close) / (hh - ll)
+
+
+class LoopKstStream:
+    """Know Sure Thing whose readiness is re-derived every bar by a loop
+    over the four windows, and whose blend is a running total from 0.0."""
+
+    def __init__(self):
+        self._closes: deque[float] = deque(maxlen=max(KST_ROC_PERIODS) + 1)
+        self._smooth = [deque(maxlen=m) for m in KST_SMOOTH_PERIODS]
+
+    def push(self, candle: Candle) -> float | None:
+        self._closes.append(candle.close)
+        n_close = len(self._closes)
+        ready = True
+        for roc_p, win in zip(KST_ROC_PERIODS, self._smooth):
+            if n_close > roc_p:
+                roc = 100.0 * (self._closes[-1] / self._closes[-1 - roc_p] - 1.0)
+                win.append(roc)
+            if len(win) < win.maxlen:
+                ready = False
+        if not ready:
+            return None
+        total = 0.0
+        for weight, win in zip(KST_WEIGHTS, self._smooth):
+            total += weight * (sum(win) / len(win))
+        return total
+
+
+class AbsCciStream:
+    """Commodity Channel Index with the mean absolute deviation summed over
+    ``abs(x - mean)``."""
+
+    def __init__(self, p: int):
+        self.p = require_period(p)
+        self._win: deque[float] = deque(maxlen=self.p)
+
+    def push(self, candle: Candle) -> float | None:
+        tp = (candle.high + candle.low + candle.close) / 3.0
+        self._win.append(tp)
+        if len(self._win) < self.p:
+            return None
+        mean = sum(self._win) / self.p
+        mad = sum(abs(x - mean) for x in self._win) / self.p
+        if mad == 0.0:
+            return 0.0
+        return (tp - mean) / (0.015 * mad)
 
 
 class DictNetworkEvaluator:

@@ -62,6 +62,8 @@ def test_parse_indicator_spec_strings():
     assert parse_indicator_spec("bollinger:p=20,k=2.5").params["k"] == 2.5
     with pytest.raises(ConfigError):
         parse_indicator_spec("sma:p")
+    with pytest.raises(ConfigError, match="repeated key 'p'"):
+        parse_indicator_spec("ema:p=9,p=10")
 
 
 def test_network_artifact_reads_back_what_was_written(tmp_path):
@@ -99,6 +101,35 @@ def test_load_config_rejects_bad_inputs(tmp_path):
     weird = write_config(tmp_path, wh, strategy={"kind": "astrology"})
     with pytest.raises(ConfigError, match="astrology"):
         load_config(weird)
+
+
+@pytest.mark.parametrize("first,repeat,needle", [
+    ('"fee_bps": 10.0', '"fee_bps": 9999.0', "repeated key 'fee_bps'"),
+    ('"p_short": 9', '"p_short": 3', "repeated key 'p_short'"),
+])
+def test_config_with_a_repeated_key_exit_1(tmp_path, capsys, first, repeat, needle):
+    wh = setup_warehouse(tmp_path)
+    path = write_config(tmp_path, wh, strategy=EMA_STRATEGY)
+    text = path.read_text()
+    assert text.count(first) == 1
+    path.write_text(text.replace(first, f"{first}, {repeat}"))
+    with pytest.raises(ConfigError, match=needle):
+        load_config(path)
+    assert main(["backtest", "--config", str(path)]) == 1
+    assert_one_line_error(capsys, needle)
+
+
+def test_network_artifact_with_a_repeated_key_exit_1(tmp_path, capsys):
+    wh = setup_warehouse(tmp_path)
+    (tmp_path / "g.txt").write_text(TRADING_GENOME)
+    (tmp_path / "artifact.json").write_text(
+        '{"genome": "g.txt", "inputs": [{"name": "rsi", "params": {"p": 14, "p": 5}}],'
+        ' "norm": [[50.0, 15.0]]}')
+    with pytest.raises(ConfigError, match="repeated key 'p'"):
+        load_network_artifact(tmp_path / "artifact.json")
+    cfg = write_config(tmp_path, wh, strategy={"kind": "neat", "artifact": "artifact.json"})
+    assert main(["backtest", "--config", str(cfg)]) == 1
+    assert_one_line_error(capsys, "repeated key 'p'")
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +205,7 @@ def assert_one_line_error(capsys, needle):
     ("bollinger:p=20,k=-1.0", "-1.0"), ("bollinger:p=20,k=1.7e308", "1.7e+308"),
     ("ema:p=5000", "ema_5000"),
     ("sma", "missing parameter"), ("vwap:p=3", "vwap"),
+    ("ema:p=9,p=10", "repeated key 'p'"), ("ema:p=9, p =10", "repeated key 'p'"),
 ])
 def test_cmd_indicator_bad_spec_exit_1(tmp_path, capsys, spec, needle):
     wh = setup_warehouse(tmp_path)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import (
+    INTERVAL,
     flat_series,
     random_series,
     rewrite_after,
@@ -421,8 +422,9 @@ def tie_heavy_bars(rng, n):
 
 
 def named_windows():
-    """(label, candles, p, buckets) for the windows the sorted-window VPVR
-    and the split-flow MFI must get right."""
+    """(label, candles, p, buckets) for the windows the sorted-window VPVR,
+    the split-flow MFI, the kept extremes of Williams %R and the branch for
+    |x - mean| in CCI must get right."""
     walk = random_series(5, n=300).candles
     cases = [(f"walk_p{p}_b{b}", walk, p, b)
              for p, b in ((1, 12), (2, 1), (7, 3), (14, 12), (50, 12), (30, 100))]
@@ -441,6 +443,15 @@ def named_windows():
               ("buckets_1", bars_at(edges), 6, 1),
               ("buckets_above_p", walk, 5, 1000),
               ("shorter_than_p", walk[:10], 20, 12)]
+    # a high or low repeated across the window leaves it while its twin stays
+    highs = [5.0, 5.0, 3.0, 5.0, 4.0, 4.0, 2.5, 5.0, 5.0, 5.0, 2.0, 3.0]
+    lows = [1.0, 1.0, 2.0, 1.0, 1.5, 1.5, 2.0, 1.0, 1.0, 1.0, 1.75, 1.25]
+    extremes = series_from_ohlc([(lo, hi, lo, (hi + lo) / 2, 10.0)
+                                 for hi, lo in zip(highs, lows)] * 6).candles
+    cases += [(f"repeated_extremes_p{p}", extremes, p, 4) for p in (1, 2, 3, 4, 5, 8)]
+    # windows where a typical price equals the window's mean
+    cases += [("value_at_mean_p3", bars_at([1.0, 2.0, 3.0] * 10), 3, 4),
+              ("value_at_mean_p5", bars_at([1.0, 2.0, 3.0, 2.0, 2.0] * 8), 5, 4)]
     return cases
 
 
@@ -471,6 +482,42 @@ def test_mfi_matches_tuple_window_bit_for_bit():
     for label, candles, p, _ in NAMED_WINDOWS + TIE_HEAVY_WINDOWS:
         assert pushed(ind.MfiStream(p), candles) == \
             pushed(oracles.TupleMfiStream(p), candles), label
+
+
+def test_williams_r_matches_window_rescan_bit_for_bit():
+    for label, candles, p, _ in NAMED_WINDOWS + TIE_HEAVY_WINDOWS:
+        assert pushed(ind.WilliamsRStream(p), candles) == \
+            pushed(oracles.RescanWilliamsRStream(p), candles), label
+
+
+def test_kst_matches_loop_form_bit_for_bit():
+    for label, candles, _, _ in NAMED_WINDOWS + TIE_HEAVY_WINDOWS:
+        assert pushed(ind.KstStream(), candles) == pushed(oracles.LoopKstStream(), candles), label
+
+
+def test_cci_matches_abs_deviation_bit_for_bit():
+    at_mean = 0
+    for label, candles, p, _ in NAMED_WINDOWS + TIE_HEAVY_WINDOWS:
+        assert pushed(ind.CciStream(p), candles) == pushed(oracles.AbsCciStream(p), candles), label
+        tps = [(c.high + c.low + c.close) / 3.0 for c in candles]
+        at_mean += any(tps[i] == sum(tps[i - p + 1:i + 1]) / p for i in range(p - 1, len(tps)))
+    assert at_mean > 5  # windows where a value equals the mean take part
+
+
+def every_param_spec(name, p, buckets):
+    params = {"p": max(p, 2) if name == "bollinger" else p, "buckets": buckets,
+              "fast": p, "slow": p + 1, "signal": p, "k": 2.0}
+    return IndicatorSpec(name, params)
+
+
+@pytest.mark.parametrize("name", ind.INDICATOR_NAMES)
+def test_a_stream_pushed_bar_by_bar_equals_its_batch_lines(name):
+    for label, candles, p, buckets in NAMED_WINDOWS + TIE_HEAVY_WINDOWS:
+        spec = every_param_spec(name, p, buckets)
+        stream = ind.make_stream(spec)
+        rows = [stream.push(c) for c in candles]
+        lines = indicator_lines(spec, CandleSeries("W", INTERVAL, tuple(candles)))
+        assert repr(rows) == repr(lines[0] if len(lines) == 1 else list(zip(*lines))), label
 
 
 # ---------------------------------------------------------------------------

@@ -209,10 +209,11 @@ class SimulatedBroker(BrokerEndpoint):
 class _EndpointBook:
     """An endpoint behind a ``Book``'s face, the venue of a paper session.
 
-    ``cash`` and ``positions`` are the last account snapshot, read once per
-    bar and again after each ``place_order``. ``fill`` places a market order
-    and keeps the endpoint's fill. Its client id is the bar's timestamp and
-    the loop's order id, so a session resumed on the same endpoint does not
+    ``cash`` and ``positions`` are those of the last account snapshot, read
+    once per bar and again after each ``place_order``. ``fill`` places a
+    market order and returns one copy of the endpoint's fill, with the
+    loop's bar and reason. Its client id is the bar's timestamp and the
+    loop's order id, so a session resumed on the same endpoint does not
     reuse the ids of the one before it. ``flatten`` closes the session with
     the endpoint's own liquidation.
     """
@@ -235,7 +236,10 @@ class _EndpointBook:
             if ts != candle.ts:
                 raise ValidationError(f"feed and endpoint diverged: {candle.ts} vs {ts}")
             self.ts = ts
-            self._read(endpoint.account())
+            # inline, not through _read: this runs once per bar
+            snapshot = endpoint.account()
+            self.cash = snapshot.cash
+            self.positions = snapshot.positions
             yield candle
 
     def _read(self, snapshot: AccountSnapshot) -> None:
@@ -248,9 +252,12 @@ class _EndpointBook:
         ack = self.endpoint.place_order(OrderRequest(f"{self.ts}-{order_id}", symbol, side,
                                                      abs(quantity)))
         self._read(self.endpoint.account())
-        if ack.fill is None:
+        f = ack.fill
+        if f is None:
             return ack.reason or f"{ack.status.value} without a fill"
-        return replace(ack.fill, bar=bar, reason=reason)
+        # one positional copy: dataclasses.replace costs twice as much
+        return Fill(f.order_id, bar, f.symbol, f.side, f.price, f.quantity, f.fee, reason,
+                    f.forced)
 
     def flatten(self, next_id: int, bar: int, closes: dict[str, float]) -> list[Fill]:
         snapshot, liquidation = self.endpoint.close(liquidate=True)

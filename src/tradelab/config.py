@@ -186,9 +186,9 @@ def parse_indicator_spec(entry) -> IndicatorSpec:
         if rest:
             for pair in rest.split(","):
                 key, _, value = pair.partition("=")
+                key = key.strip()
                 if not key or not value:
                     raise ConfigError(f"bad indicator spec '{entry}'")
-                key = key.strip()
                 if key in params:
                     raise ConfigError(f"bad indicator spec '{entry}': repeated key '{key}'")
                 try:

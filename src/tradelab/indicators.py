@@ -7,7 +7,11 @@ coroutine's locals, its warm-up is a loop of its own ahead of the steady-state
 loop, and ``stream.push`` is the coroutine's ``send``, which takes a candle and
 returns that bar's value. Each stream class's constructor is the one place
 its parameters are checked. The registry maps names to stream classes, and
-batch ``compute`` maps a fresh stream's ``push`` over the candles.
+batch ``compute`` maps a fresh stream's ``push`` over the candles. A stream
+that feeds a paper bar keeps its averages in its own locals, not in inner
+coroutines: ATR inlines its Wilder average and true range, and the
+unregistered ``EmaCrossStream`` holds two EMAs and returns their crossing,
+so each is one send per bar.
 
 Warm-up is explicit: outputs carry ``None`` until enough history has
 accumulated, never zeros. Conventions locked here (the usual published ones):
@@ -175,6 +179,53 @@ class EmaStream:
         self.push = _started(_ema_of_closes(require_period(p)))
 
 
+def _ema_cross(p_short: int, p_long: int):
+    # both EMAs of _ema, in these locals: an inner send per bar costs more
+    # than the arithmetic
+    ks = 2.0 / (p_short + 1)
+    js = 1.0 - ks
+    kl = 2.0 / (p_long + 1)
+    jl = 1.0 - kl
+    closes = []  # the first p_long closes, whose prefixes seed both EMAs
+    candle = yield
+    for _ in range(p_short - 1):
+        closes.append(candle.close)
+        candle = yield 0
+    closes.append(candle.close)
+    s = sum(closes) / p_short
+    for _ in range(p_long - p_short):
+        candle = yield 0
+        close = candle.close
+        closes.append(close)
+        s = ks * close + js * s
+    l = sum(closes) / p_long
+    # no crossing at the long EMA's first bar: there is no previous bar
+    candle = yield 0
+    while True:
+        close = candle.close
+        ps, pl = s, l
+        s = ks * close + js * s
+        l = kl * close + jl * l
+        candle = yield 1 if s > l and ps <= pl else -1 if s < l and ps >= pl else 0
+
+
+class EmaCrossStream:
+    """The crossing of the short EMA of closes over the long one: +1 when
+    the short line crosses above the long one between the previous bar and
+    this one, -1 when it crosses below, 0 otherwise, and 0 while the long
+    EMA warms up and at its first bar. Its EMAs are ``EmaStream``'s values
+    and its crossings those ``strategy.crossing_column`` finds in the two
+    EMA lines. Not a registered indicator: its output is a signal, not a
+    line."""
+
+    def __init__(self, p_short: int, p_long: int):
+        p_short = require_period(p_short, "p_short")
+        p_long = require_period(p_long, "p_long")
+        if p_short >= p_long:
+            raise InvalidPeriods(f"p_short {p_short} must be < p_long {p_long}")
+        self.push = _started(_ema_cross(p_short, p_long))
+
+
 def _rsi(p: int):
     gain = _started(_wilder(p))
     loss = _started(_wilder(p))
@@ -221,14 +272,33 @@ def _true_range(high: float, low: float, prev_close: float) -> float:
 
 
 def _atr(p: int):
-    atr = _started(_wilder(p))
+    # _wilder fed _true_range, both inlined with the same expressions: an
+    # inner send and a call per bar cost more than the arithmetic
+    trs = []
     candle = yield
     prev = candle.close
-    candle = yield None
-    while True:
-        value = atr(_true_range(candle.high, candle.low, prev))
+    for _ in range(p):
+        candle = yield None
+        high, low = candle.high, candle.low
+        tr = high - low
+        if high - prev > tr:
+            tr = high - prev
+        if prev - low > tr:
+            tr = prev - low
+        trs.append(tr)
         prev = candle.close
+    value = sum(trs) / p
+    q = p - 1
+    while True:
         candle = yield value
+        high, low = candle.high, candle.low
+        tr = high - low
+        if high - prev > tr:
+            tr = high - prev
+        if prev - low > tr:
+            tr = prev - low
+        value = (value * q + tr) / p
+        prev = candle.close
 
 
 class AtrStream:

@@ -4,7 +4,9 @@ A strategy consumes candles one bar at a time and emits, per bar, two lists
 of intents: positions to open and positions to close. A stepper streams its
 indicators or reads bar i of indicator columns of its series, whose value
 at bar i depends only on bars up to i, so no-lookahead holds either way;
-feeding the same prefix always reproduces the same intents.
+feeding the same prefix always reproduces the same intents. The EMA-cross
+rule has two forms: ``crossing_column`` over two EMA columns and, streamed,
+``indicators.EmaCrossStream``, one coroutine per stepper.
 
 Signals are evaluated on bar closes; the backtester fills the resulting
 intents at the next bar's open. Intents are frozen, and a stepper may return
@@ -30,7 +32,7 @@ from functools import cache
 from .data import Candle, CandleSeries
 from .errors import TradeLabError, ValidationError, in_float_range, require_finite
 from .indicators import (
-    EmaStream,
+    EmaCrossStream,
     IndicatorSpec,
     InvalidPeriods,
     indicator_lines,
@@ -287,22 +289,13 @@ class NullStepper:
         return _NO_INTENTS
 
 
-def ema_crossing(s: float, l: float, ps: float, pl: float) -> int:
-    """+1 when the short line crosses above the long one between the
-    previous bar (ps, pl) and this one (s, l), -1 when it crosses below,
-    0 otherwise."""
-    if s > l and ps <= pl:
-        return 1
-    if s < l and ps >= pl:
-        return -1
-    return 0
-
-
 def crossing_column(short: list[float | None], long_: list[float | None]) -> list[int]:
-    """``ema_crossing`` at every bar of two indicator lines, which have no
-    holes once defined; 0 while either line warms up and at the first bar
-    where both are defined. Its comparisons are inlined: a call per bar
-    costs more than the comparisons."""
+    """The crossing of two indicator lines, which have no holes once
+    defined: +1 at a bar where the short line crosses above the long one
+    since the previous bar, -1 where it crosses below, 0 otherwise, and 0
+    while either line warms up and at the first bar where both are
+    defined. ``indicators.EmaCrossStream`` gives the same values bar by
+    bar."""
     n = len(short)
     start = next((i for i, (s, l) in enumerate(zip(short, long_))
                   if s is not None and l is not None), n)
@@ -319,8 +312,9 @@ class SignalStepper:
 
     Built with its series, a subclass computes its whole signal column
     (``_signals``) up front and ``step`` looks bar i up, for the very candle
-    the column was computed from only. Without one, ``_stream_signal``
-    computes each bar's signal as the bar arrives.
+    the column was computed from only. Without one, ``_stream_signal(candle)``
+    computes each bar's signal as the bar arrives: any callable, a method
+    (``NeatStepper``) or a stream's ``push`` (``EmaCrossStepper``).
     """
 
     open_reason: str
@@ -373,8 +367,8 @@ class EmaCrossStepper(SignalStepper):
     it crosses back below.
 
     Built with its series, the stepper turns the series' two EMA columns
-    into one crossing column; without one it streams its EMAs one bar at a
-    time.
+    into one crossing column; without one its ``_stream_signal`` is the
+    ``push`` of one ``EmaCrossStream``.
     """
 
     open_reason = close_reason = "ema-cross"
@@ -384,26 +378,11 @@ class EmaCrossStepper(SignalStepper):
         super().__init__(config, series)
         p = config.params
         if series is None:
-            self._short = EmaStream(p.p_short)
-            self._long = EmaStream(p.p_long)
-            # the previous bar's EMAs, kept apart: a tuple would be built every bar
-            self._ps: float | None = None
-            self._pl: float | None = None
+            self._stream_signal = EmaCrossStream(p.p_short, p.p_long).push
         else:
             (short,) = series_lines(series, IndicatorSpec("ema", {"p": p.p_short}))
             (long_,) = series_lines(series, IndicatorSpec("ema", {"p": p.p_long}))
             self._signals = crossing_column(short, long_)
-
-    def _stream_signal(self, candle: Candle) -> int:
-        s = self._short.push(candle)
-        l = self._long.push(candle)
-        if s is None or l is None:
-            return 0
-        ps, pl = self._ps, self._pl
-        self._ps, self._pl = s, l
-        if ps is None:
-            return 0
-        return ema_crossing(s, l, ps, pl)
 
 
 class GridStepper:

@@ -1,5 +1,6 @@
 """Brute-force definitional indicator oracles, reference MFI, VPVR, Williams
-%R, KST and CCI streams, a reference network evaluator and reachability, and a merge-walk
+%R, KST, CCI, ATR and EMA-cross streams, the scalar EMA-crossing rule, a
+reference network evaluator and reachability, and a merge-walk
 compatibility distance.
 
 Deliberately naive second implementations (window re-summation, explicit
@@ -15,7 +16,16 @@ from collections import deque
 import numpy as np
 
 from tradelab.data import Candle
-from tradelab.indicators import KST_ROC_PERIODS, KST_SMOOTH_PERIODS, KST_WEIGHTS, require_period
+from tradelab.indicators import (
+    KST_ROC_PERIODS,
+    KST_SMOOTH_PERIODS,
+    KST_WEIGHTS,
+    EmaStream,
+    _started,
+    _true_range,
+    _wilder as _wilder_average,
+    require_period,
+)
 from tradelab.neat import ArityMismatch, NodeKind, _topological_order, steep_sigmoid
 
 
@@ -424,6 +434,54 @@ class AbsCciStream:
         if mad == 0.0:
             return 0.0
         return (tp - mean) / (0.015 * mad)
+
+
+def ema_crossing(s: float, l: float, ps: float, pl: float) -> int:
+    """+1 when the short line crosses above the long one between the
+    previous bar (ps, pl) and this one (s, l), -1 when it crosses below,
+    0 otherwise."""
+    if s > l and ps <= pl:
+        return 1
+    if s < l and ps >= pl:
+        return -1
+    return 0
+
+
+class ComposedAtrStream:
+    """ATR as a composition: a primed ``_wilder`` average sent each bar's
+    ``_true_range``."""
+
+    def __init__(self, p: int):
+        self._average = _started(_wilder_average(require_period(p)))
+        self._prev: float | None = None
+
+    def push(self, candle: Candle) -> float | None:
+        prev = self._prev
+        self._prev = candle.close
+        if prev is None:
+            return None
+        return self._average(_true_range(candle.high, candle.low, prev))
+
+
+class ComposedEmaCrossStream:
+    """The EMA crossing as two ``EmaStream``s, ``ema_crossing`` and the
+    previous bar's EMAs; 0 until both EMAs have a previous bar."""
+
+    def __init__(self, p_short: int, p_long: int):
+        self._short = EmaStream(p_short)
+        self._long = EmaStream(p_long)
+        self._prev: tuple[float, float] | None = None
+
+    def push(self, candle: Candle) -> int:
+        s = self._short.push(candle)
+        l = self._long.push(candle)
+        if s is None or l is None:
+            return 0
+        prev = self._prev
+        self._prev = (s, l)
+        if prev is None:
+            return 0
+        return ema_crossing(s, l, *prev)
 
 
 class DictNetworkEvaluator:

@@ -277,16 +277,19 @@ def test_every_account_read_of_a_session_equals_the_book(seed):
 @pytest.mark.parametrize("seed", [3, 17, 29])
 def test_streamed_and_column_ema_cross_sessions_are_equal(seed):
     """A session over the series reads its EMA columns; one over the
-    candles streams them. Both make the same fills and the same equity."""
+    candles streams them. Both make the same fills and the same equity,
+    with stops and without."""
     series = random_series(seed + 1600, n=400, vol=0.02)
-    config = StrategyConfig("RND", EmaCrossParams(5, 13),
-                            stops=StopSettings(atr_period=10, stop_mult=1.5, profit_mult=3.0))
-    reports = [paper_trade_loop(config, feed, SimulatedBroker(series, 10_000.0, CostModel()),
-                                costs=CostModel(), symbol="RND", interval=series.interval)
-               for feed in (series, iter(series.candles))]
-    assert reports[0].fills and reports[0].fills == reports[1].fills
-    assert reports[0].equity == reports[1].equity
-    assert order_rows(reports[0]) == order_rows(reports[1])
+    for config in (StrategyConfig("RND", EmaCrossParams(5, 13),
+                                  stops=StopSettings(atr_period=10, stop_mult=1.5,
+                                                     profit_mult=3.0)),
+                   StrategyConfig("RND", EmaCrossParams(2, 3))):
+        reports = [paper_trade_loop(config, feed, SimulatedBroker(series, 10_000.0, CostModel()),
+                                    costs=CostModel(), symbol="RND", interval=series.interval)
+                   for feed in (series, iter(series.candles))]
+        assert reports[0].fills and reports[0].fills == reports[1].fills
+        assert reports[0].equity == reports[1].equity
+        assert order_rows(reports[0]) == order_rows(reports[1])
 
 
 @pytest.mark.parametrize("size", [float("nan"), float("inf"), float("-inf")])

@@ -66,6 +66,14 @@ def test_parse_indicator_spec_strings():
         parse_indicator_spec("ema:p=9,p=10")
 
 
+def test_a_blank_indicator_spec_key_is_refused():
+    """A key of only spaces is blank: it was kept as '' and then ignored."""
+    for entry in ("ema: =5", "ema:p=9, =5", "ema:=5", "ema:p=9,  =5"):
+        with pytest.raises(ConfigError, match=f"^bad indicator spec '{entry}'$"):
+            parse_indicator_spec(entry)
+    assert parse_indicator_spec("ema: p =5").params == {"p": 5}
+
+
 def test_network_artifact_reads_back_what_was_written(tmp_path):
     inputs = (parse_indicator_spec("rsi:p=14"), parse_indicator_spec("macd:fast=3,slow=8,signal=3"))
     genome = random_genome(7, 4, 3, 12)
@@ -206,6 +214,7 @@ def assert_one_line_error(capsys, needle):
     ("ema:p=5000", "ema_5000"),
     ("sma", "missing parameter"), ("vwap:p=3", "vwap"),
     ("ema:p=9,p=10", "repeated key 'p'"), ("ema:p=9, p =10", "repeated key 'p'"),
+    ("ema: =5", "bad indicator spec 'ema: =5'"),
 ])
 def test_cmd_indicator_bad_spec_exit_1(tmp_path, capsys, spec, needle):
     wh = setup_warehouse(tmp_path)
@@ -560,6 +569,8 @@ def edited_config(tmp_path, path, value):
      "fee_bps must be a number in [0, 10000)"),
     ("costs.fee_bps", 20000, ["report", "--report", "report.json"],
      "fee_bps must be a number in [0, 10000)"),
+    ("optimize.inputs", ["rsi:p=5", "ema:p=9, =5"], ["backtest"],
+     "bad indicator spec 'ema:p=9, =5'"),
 ])
 def test_cmd_bad_config_entry_exit_1(tmp_path, capsys, path, value, command, needle):
     cfg = edited_config(tmp_path, path, value)

@@ -27,6 +27,7 @@ from tradelab.indicators import (
     indicator_lines,
     spec_lines,
 )
+from tradelab.strategy import crossing_column
 
 
 def assert_matches(output, oracle_values, rtol=1e-9, atol=1e-12):
@@ -502,6 +503,46 @@ def test_cci_matches_abs_deviation_bit_for_bit():
         tps = [(c.high + c.low + c.close) / 3.0 for c in candles]
         at_mean += any(tps[i] == sum(tps[i - p + 1:i + 1]) / p for i in range(p - 1, len(tps)))
     assert at_mean > 5  # windows where a value equals the mean take part
+
+
+CROSS_PERIODS = ((1, 2), (2, 3), (5, 13), (9, 21))
+
+
+def test_ema_cross_stream_equals_the_crossing_column_and_the_composed_form():
+    """One coroutine holding both EMAs gives, bar for bar, the crossing
+    column of the batch EMA lines and the crossing of two pushed
+    ``EmaStream``s."""
+    shorter = crossings = 0
+    for label, candles, _, _ in NAMED_WINDOWS + TIE_HEAVY_WINDOWS:
+        series = CandleSeries("W", INTERVAL, tuple(candles))
+        for p_short, p_long in CROSS_PERIODS:
+            push = ind.EmaCrossStream(p_short, p_long).push
+            pushed_signals = [push(c) for c in candles]
+            composed = oracles.ComposedEmaCrossStream(p_short, p_long).push
+            assert pushed_signals == [composed(c) for c in candles], (label, p_short)
+            (short,) = indicator_lines(IndicatorSpec("ema", {"p": p_short}), series)
+            (long_,) = indicator_lines(IndicatorSpec("ema", {"p": p_long}), series)
+            assert pushed_signals == crossing_column(short, long_), (label, p_short)
+            shorter += len(candles) < p_long
+            crossings += any(pushed_signals)
+    assert shorter > 50 and crossings > 500  # warm-up-only windows and crossings take part
+
+
+def test_ema_cross_stream_checks_its_periods():
+    for p_short, p_long in ((5, 5), (9, 3)):
+        with pytest.raises(InvalidPeriods, match=f"^p_short {p_short} must be < p_long {p_long}$"):
+            ind.EmaCrossStream(p_short, p_long)
+    for p_short, p_long, name in ((2.5, 9, "p_short"), (3, "9", "p_long"), (True, 4, "p_short"),
+                                  (0, 4, "p_short"), (3, None, "p_long")):
+        with pytest.raises(InvalidPeriods, match=f"^{name} must be an integer"):
+            ind.EmaCrossStream(p_short, p_long)
+    assert ind.EmaCrossStream(2.0, 3.0).push(flat_series(1).candles[0]) == 0
+
+
+def test_atr_matches_the_composed_wilder_average_bit_for_bit():
+    for label, candles, p, _ in NAMED_WINDOWS + TIE_HEAVY_WINDOWS:
+        assert pushed(ind.AtrStream(p), candles) == \
+            pushed(oracles.ComposedAtrStream(p), candles), label
 
 
 def every_param_spec(name, p, buckets):

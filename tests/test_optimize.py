@@ -163,7 +163,7 @@ def test_tune_fills_each_indicator_once_per_run(monkeypatch, grid, fills):
 
     monkeypatch.setattr("tradelab.indicators.make_stream", counting_make_stream)
     monkeypatch.setattr("tradelab.strategy.make_stream", no_stream)
-    monkeypatch.setattr("tradelab.strategy.EmaStream", no_stream)
+    monkeypatch.setattr("tradelab.strategy.EmaCrossStream", no_stream)
     tune_parameters(StrategyKind.EMA_CROSS, grid, random_series(5, n=200), stops=STOPS)
     assert len(built) == fills
     assert len(set(built)) == fills

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (STEP_MS, flat_series, random_genome, random_series, series_from_closes,
                      trending_fixture)
-from oracles import oracle_ema
+from oracles import ema_crossing, oracle_ema
 from tradelab.backtest import run_backtest
 from tradelab.data import Candle, CandleSeries
 from tradelab.errors import ValidationError
@@ -35,7 +35,6 @@ from tradelab.strategy import (
     TradeIntent,
     apply_stops,
     crossing_column,
-    ema_crossing,
     ema_crossover_signals,
     network_action,
     new_state,

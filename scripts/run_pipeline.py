@@ -1,6 +1,10 @@
 """End-to-end demo: ingest -> indicators -> backtest -> paper -> tune -> evolve -> report.
 
 Drives the CLI exactly as a user would, against the bundled trending fixture.
+It then derives a second leg from the fixture, trades the pair with
+``pairs`` as a backtest and as a paper session over the simulator, with ATR
+stops and without, and fails unless each backtest and its paper session
+write the same bytes.
 Everything lands under ./demo_run/ (deleted and rebuilt on each invocation).
 
 Run from the repo root:  python3 scripts/run_pipeline.py
@@ -9,6 +13,8 @@ Run from the repo root:  python3 scripts/run_pipeline.py
 from __future__ import annotations
 
 import json
+import math
+import random
 import shutil
 import sys
 from pathlib import Path
@@ -17,6 +23,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from tradelab.cli import main  # noqa: E402
+from tradelab.data import Candle, CandleSeries, load_warehouse, write_csv  # noqa: E402
 
 WORKDIR = ROOT / "demo_run"
 
@@ -26,6 +33,25 @@ def run(argv):
     code = main(argv)
     if code != 0:
         raise SystemExit(f"step failed with exit code {code}")
+
+
+def second_leg(series: CandleSeries, symbol: str) -> CandleSeries:
+    """A leg that co-moves with ``series``: each bar's four prices scaled by
+    exp(s_t), where s is a seeded AR(1) spread (coefficient 0.9, sigma 0.01)."""
+    rng = random.Random(7)
+    s = 0.0
+    candles = []
+    for c in series.candles:
+        s = 0.9 * s + rng.gauss(0.0, 0.01)
+        k = math.exp(s)
+        candles.append(Candle(c.ts, c.open * k, c.high * k, c.low * k, c.close * k, c.volume))
+    return CandleSeries(symbol, series.interval, tuple(candles))
+
+
+def same_files(a: Path, b: Path) -> bool:
+    names = sorted(path.name for path in a.iterdir())
+    return names == sorted(path.name for path in b.iterdir()) and all(
+        (a / name).read_bytes() == (b / name).read_bytes() for name in names)
 
 
 def pipeline() -> None:
@@ -76,6 +102,23 @@ def pipeline() -> None:
     run(["report", "--config", str(config_path),
          "--report", str(WORKDIR / "out" / "report.json"),
          "--out", str(WORKDIR / "plots")])
+
+    # a pair: the fixture against a leg derived from it; a backtest and a
+    # paper session of each config must write the same bytes
+    paired = WORKDIR / "paired.csv"
+    write_csv(second_leg(load_warehouse(warehouse, "TRENDY", 3600), "PAIRED"), paired)
+    run(["ingest", "--csv", str(paired),
+         "--symbol", "PAIRED", "--interval", "3600", "--warehouse", str(warehouse)])
+    for name, stops in (("pairs", None), ("pairs_stops", {"atr_period": 14})):
+        config["strategy"] = {"kind": "pairs", "params": {"symbol_b": "PAIRED"},
+                              "stops": stops}
+        pairs_path = WORKDIR / f"{name}_config.json"
+        pairs_path.write_text(json.dumps(config, indent=2))
+        backtest_out, paper_out = WORKDIR / name, WORKDIR / f"{name}_paper"
+        run(["backtest", "--config", str(pairs_path), "--out", str(backtest_out)])
+        run(["backtest", "--config", str(pairs_path), "--paper", "--out", str(paper_out)])
+        if not same_files(backtest_out, paper_out):
+            raise SystemExit(f"{paper_out} differs from {backtest_out}")
 
     best = json.loads((WORKDIR / "tuned" / "best_params.json").read_text())
     print(f"\ndemo complete under {WORKDIR}")

@@ -216,9 +216,9 @@ class Book:
     slippage against the trader and the proportional fee, checks funds (up
     to rounding relative to the cash) for buys that do not cover a short,
     refuses shorts when shorting is off and closing orders larger than the
-    position, and drops a symbol from ``positions`` when a closing fill
-    leaves it flat, dust included. The fill's side follows from the
-    position held before it.
+    position by more than 1e-9 of it, and drops a symbol from ``positions``
+    when a closing fill leaves at most 1e-12 of it. The fill's side follows
+    from the position held before it.
     """
 
     def __init__(self, cash: float, costs: CostModel, allow_short: bool):
@@ -237,7 +237,7 @@ class Book:
         buy = quantity > 0
         size = quantity if buy else -quantity
         closing = held < 0 if buy else held > 0
-        if closing and size > abs(held) + 1e-9:
+        if closing and size > abs(held) * (1 + 1e-9):
             return "insufficient position"
         if not (buy or closing or self.allow_short):
             return "shorting disabled in spot mode"
@@ -253,7 +253,7 @@ class Book:
             self.cash += notional - fee
             side = Side.CLOSE_LONG if closing else Side.OPEN_SHORT
         after = held + quantity
-        if closing and abs(after) <= 1e-12:
+        if closing and abs(after) <= 1e-12 * abs(held):
             del self.positions[symbol]
         else:
             self.positions[symbol] = after
@@ -304,7 +304,7 @@ class TradeLedger:
         fee_rate = self.fee_rate
         remaining = fill.quantity
         lots = self._lots.get(symbol, [])
-        while remaining > 1e-12 and lots:
+        while remaining > 1e-12 * fill.quantity and lots:
             lot = lots[0]
             take = min(lot[0], remaining)
             entry_fill: Fill = lot[1]
@@ -321,7 +321,7 @@ class TradeLedger:
                                            fill.forced, is_long))
             lot[0] -= take
             remaining -= take
-            if lot[0] <= 1e-12:
+            if lot[0] <= 1e-12 * entry_fill.quantity:
                 lots.pop(0)
         if flat:
             # rounding can leave a dust lot once the position is flat; it must

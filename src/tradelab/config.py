@@ -56,6 +56,9 @@ class OptimizeSection:
     def __post_init__(self) -> None:
         if self.mode not in ("tune", "evolve"):
             raise ConfigError(f"optimize mode must be tune or evolve, got '{self.mode}'")
+        if not 0 <= self.drawdown_lambda <= 1e100:
+            raise ConfigError(
+                f"optimize lambda must be in [0, 1e100], got {self.drawdown_lambda!r}")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ indicators or reads bar i of indicator columns of its series, whose value
 at bar i depends only on bars up to i, so no-lookahead holds either way;
 feeding the same prefix always reproduces the same intents. The EMA-cross
 rule has two forms: ``crossing_column`` over two EMA columns and, streamed,
-``indicators.EmaCrossStream``, one coroutine per stepper.
+``indicators.EmaCrossStream``, one coroutine per stepper. Every other
+rule has one form, its stepper's ``step``.
 
 Signals are evaluated on bar closes; the backtester fills the resulting
 intents at the next bar's open. Intents are frozen, and a stepper may return
@@ -437,22 +438,14 @@ class GridStepper:
 DEGENERATE_SPREAD_STD = 1e-12
 
 
-class PairsAction(Enum):
-    LONG_A_SHORT_B = "long_a_short_b"
-    SHORT_A_LONG_B = "short_a_long_b"
-    EXIT = "exit"
-
-
 class PairsStepper:
     """Mean-reversion on the log-price spread of two legs.
 
-    ``decide`` is the pairs rule, which ``pairs_signals`` lists too: it
-    enters when |z| crosses above the entry threshold (shorting the rich
-    leg) and exits when |z| falls back below the exit threshold. Bars where
-    the rolling deviation is degenerate produce no signal. The stepper is
-    built with its second leg, ``aux``: ``step`` reads that leg's bar at its
-    own bar count, decides on both and maps the decision to the two legs'
-    intents, built once per stepper.
+    The stepper is built with its second leg, ``aux``, and ``step`` reads
+    that leg's bar at its own bar count. It enters when |z| of the spread
+    crosses above the entry threshold, shorting the rich leg, and exits both
+    legs when |z| falls back below the exit threshold. Bars where the
+    rolling deviation is degenerate produce no signal.
     """
 
     def __init__(self, config: StrategyConfig, series: CandleSeries | None,
@@ -466,22 +459,20 @@ class PairsStepper:
         self.z_exit = p.z_exit
         self._win: deque[float] = deque(maxlen=p.lookback)
         self._prev_abs_z: float | None = None
-        self.position: PairsAction | None = None  # the entry held, if any
         a, b, f = config.symbol, p.symbol_b, p.leg_fraction
-        short_a, long_a = PairsAction.SHORT_A_LONG_B, PairsAction.LONG_A_SHORT_B
-        # intents are frozen, so every emission returns the same ones
-        self._opens = {
-            short_a: ([TradeIntent(Side.OPEN_SHORT, a, f, reason="pairs-entry"),
-                       TradeIntent(Side.OPEN_LONG, b, f, reason="pairs-entry")], []),
-            long_a: ([TradeIntent(Side.OPEN_LONG, a, f, reason="pairs-entry"),
-                      TradeIntent(Side.OPEN_SHORT, b, f, reason="pairs-entry")], []),
-        }
-        self._closes = {  # keyed by the entry they exit
-            short_a: ([], [TradeIntent(Side.CLOSE_SHORT, a, reason="pairs-exit"),
-                           TradeIntent(Side.CLOSE_LONG, b, reason="pairs-exit")]),
-            long_a: ([], [TradeIntent(Side.CLOSE_LONG, a, reason="pairs-exit"),
-                          TradeIntent(Side.CLOSE_SHORT, b, reason="pairs-exit")]),
-        }
+        # (opens, exit) of each entry, built once: intents are frozen
+        self._short_a = (
+            ([TradeIntent(Side.OPEN_SHORT, a, f, reason="pairs-entry"),
+              TradeIntent(Side.OPEN_LONG, b, f, reason="pairs-entry")], []),
+            ([], [TradeIntent(Side.CLOSE_SHORT, a, reason="pairs-exit"),
+                  TradeIntent(Side.CLOSE_LONG, b, reason="pairs-exit")]))
+        self._long_a = (
+            ([TradeIntent(Side.OPEN_LONG, a, f, reason="pairs-entry"),
+              TradeIntent(Side.OPEN_SHORT, b, f, reason="pairs-entry")], []),
+            ([], [TradeIntent(Side.CLOSE_LONG, a, reason="pairs-exit"),
+                  TradeIntent(Side.CLOSE_SHORT, b, reason="pairs-exit")]))
+        # the exit intents of the entry held, or None when flat
+        self.held: tuple[list[TradeIntent], list[TradeIntent]] | None = None
 
     def step(self, candle: Candle):
         bar = self.bars_seen
@@ -489,41 +480,31 @@ class PairsStepper:
             raise StrategyStateError(f"the pairs stepper has no bar {bar} of its second "
                                      f"leg '{self.symbol_b}'")
         self.bars_seen = bar + 1
-        held = self.position
-        action = self.decide(candle, self._candles_b[bar])
-        if action is None:
-            return _NO_INTENTS
-        return self._closes[held] if action is PairsAction.EXIT else self._opens[action]
-
-    def decide(self, candle_a: Candle, candle_b: Candle) -> PairsAction | None:
-        """Consume one aligned bar of both legs: the entry taken or the exit
-        made at it, or None."""
-        if candle_a.ts != candle_b.ts:
-            raise MisalignedSeries(
-                f"pair timestamps diverge: {candle_a.ts} vs {candle_b.ts}"
-            )
-        spread = math.log(candle_a.close) - math.log(candle_b.close)
+        candle_b = self._candles_b[bar]
+        if candle.ts != candle_b.ts:
+            raise MisalignedSeries(f"pair timestamps diverge: {candle.ts} vs {candle_b.ts}")
+        spread = math.log(candle.close) - math.log(candle_b.close)
         self._win.append(spread)
         if len(self._win) < self.lookback:
-            return None
+            return _NO_INTENTS
         mean = sum(self._win) / self.lookback
         var = sum((x - mean) ** 2 for x in self._win) / self.lookback
         std = math.sqrt(var)
         if std <= DEGENERATE_SPREAD_STD:
-            return None  # degenerate spread: no signal at this bar
+            return _NO_INTENTS  # degenerate spread: no signal at this bar
         z = (spread - mean) / std
         prev_abs = self._prev_abs_z
         self._prev_abs_z = abs(z)
-        if self.position is None:
+        held = self.held
+        if held is None:
             if prev_abs is not None and prev_abs <= self.z_entry < abs(z):
                 # z > 0: leg A rich, so short A and long B
-                self.position = (PairsAction.SHORT_A_LONG_B if z > 0
-                                 else PairsAction.LONG_A_SHORT_B)
-                return self.position
+                opens, self.held = self._short_a if z > 0 else self._long_a
+                return opens
         elif abs(z) < self.z_exit:
-            self.position = None
-            return PairsAction.EXIT
-        return None
+            self.held = None
+            return held
+        return _NO_INTENTS
 
 
 def normalize_row(raw, norm: tuple[tuple[float, float], ...]) -> list[float]:
@@ -630,21 +611,6 @@ def ema_crossover_signals(series: CandleSeries, p_short: int, p_long: int
     (long_,) = series_lines(series, IndicatorSpec("ema", {"p": p_long}))
     return [(i, SignalDirection.BUY if cross > 0 else SignalDirection.SELL)
             for i, cross in enumerate(crossing_column(short, long_)) if cross]
-
-
-def pairs_signals(series_a: CandleSeries, series_b: CandleSeries, lookback: int,
-                  z_entry: float, z_exit: float) -> list[tuple[int, PairsAction]]:
-    """Entry/exit bars for the mean-reverting log spread of two aligned series."""
-    if len(series_a) != len(series_b) or series_a.timestamps != series_b.timestamps:
-        raise MisalignedSeries("pairs series must share timestamps")
-    config = StrategyConfig(
-        symbol=series_a.symbol,
-        params=PairsParams(symbol_b=series_b.symbol, lookback=lookback,
-                           z_entry=z_entry, z_exit=z_exit),
-    )
-    decide = new_state(config).decide
-    return [(i, action) for i, (ca, cb) in enumerate(zip(series_a.candles, series_b.candles))
-            if (action := decide(ca, cb)) is not None]
 
 
 # ---------------------------------------------------------------------------

@@ -651,6 +651,25 @@ def test_account_size_does_not_change_trading(seed):
         assert report.score == pytest.approx(base.score, rel=1e-9, abs=1e-9)
 
 
+def test_small_quantities_trade_like_large_ones():
+    """The book's and the ledger's quantity tolerances are relative to the
+    position: a grid trading 5e-13 units a level makes the orders, rejects,
+    fills and trades of one trading 5 units, with quantities at a 1e-13
+    scale, where absolute tolerances took the small position for dust."""
+    series = random_series(101, n=2000, vol=0.02)
+    small, large = (run_backtest(StrategyConfig("RND", GridParams(1.0, 5, quantity)), series,
+                                 10_000.0, CostModel(fee_bps=10.0, slippage_bps=5.0))
+                    for quantity in (5e-13, 5.0))
+    assert len(large.trades) == 33
+    assert [(o.status, o.reject_reason) for o in small.orders] == \
+        [(o.status, o.reject_reason) for o in large.orders]
+    assert [(f.bar, f.side) for f in small.fills] == [(f.bar, f.side) for f in large.fills]
+    assert [f.quantity * 1e13 for f in small.fills] == \
+        pytest.approx([f.quantity for f in large.fills], rel=1e-9)
+    assert [(t.entry_bar, t.exit_bar, t.profit_pct) for t in small.trades] == \
+        [(t.entry_bar, t.exit_bar, t.profit_pct) for t in large.trades]
+
+
 def test_random_strategy_conservation_small():
     for seed in range(10):
         series = random_series(seed + 900, n=600, vol=0.02)

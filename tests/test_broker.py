@@ -35,7 +35,6 @@ from tradelab.strategy import (
     StrategyConfig,
     TradeIntent,
     new_state,
-    pairs_signals,
 )
 
 
@@ -592,14 +591,14 @@ def test_a_prebuilt_pairs_stepper_is_refused(feed):
 def short_leg_run(case):
     """``(pairs config, leg A, leg B, second leg fed, error, needle)`` of a
     session over a candle iterator whose second leg ends or diverges."""
-    from test_strategy import synthetic_pair
+    from test_strategy import run_stepper, synthetic_pair
 
     a, b = synthetic_pair(21, n=400)
     lookback, z_entry, z_exit = 40, 1.6, 0.4
     config = StrategyConfig("A", PairsParams(symbol_b="B", lookback=lookback,
                                              z_entry=z_entry, z_exit=z_exit))
     # the bar after the first entry, where both legs' orders are queued
-    entry = pairs_signals(a, b, lookback, z_entry, z_exit)[0][0] + 1
+    entry = next(i for i, (opens, _) in enumerate(run_stepper(config, a, b)) if opens) + 1
     # leg B without its bar 150: from there on its stamps are a bar ahead
     skipped = CandleSeries("B", b.interval, b.candles[:150] + b.candles[151:], has_gaps=True)
     leg, error, needle = {

@@ -571,6 +571,10 @@ def edited_config(tmp_path, path, value):
      "fee_bps must be a number in [0, 10000)"),
     ("optimize.inputs", ["rsi:p=5", "ema:p=9, =5"], ["backtest"],
      "bad indicator spec 'ema:p=9, =5'"),
+    ("optimize.lambda", -1.0, ["backtest"], "lambda must be in [0, 1e100], got -1.0"),
+    ("optimize.lambda", 1e308, ["backtest"], "lambda must be in [0, 1e100], got 1e+308"),
+    ("optimize.lambda", -1.0, TUNE, "lambda must be in [0, 1e100], got -1.0"),
+    ("optimize.lambda", 1e308, TUNE, "lambda must be in [0, 1e100], got 1e+308"),
 ])
 def test_cmd_bad_config_entry_exit_1(tmp_path, capsys, path, value, command, needle):
     cfg = edited_config(tmp_path, path, value)

@@ -23,7 +23,6 @@ from tradelab.strategy import (
     MisalignedSeries,
     NeatParams,
     NullParams,
-    PairsAction,
     PairsParams,
     PositionStopState,
     Side,
@@ -38,7 +37,6 @@ from tradelab.strategy import (
     ema_crossover_signals,
     network_action,
     new_state,
-    pairs_signals,
 )
 
 
@@ -371,10 +369,20 @@ def test_grid_recenters_after_flat():
 # Pairs
 # ---------------------------------------------------------------------------
 
+def pairs_events(a, b, lookback, z_entry, z_exit):
+    """``(bar, side)`` of each bar where a pairs stepper on legs ``a`` and
+    ``b`` emits, with the side of leg A's intent there."""
+    config = StrategyConfig(a.symbol, PairsParams(symbol_b=b.symbol, lookback=lookback,
+                                                  z_entry=z_entry, z_exit=z_exit))
+    return [(i, (opens or closes)[0].side)
+            for i, (opens, closes) in enumerate(run_stepper(config, a, series_b=b))
+            if opens or closes]
+
+
 def test_pairs_identical_series_no_signals():
     a = random_series(9, n=200, symbol="A")
     b = CandleSeries("B", a.interval, a.candles)
-    assert pairs_signals(a, b, 30, 2.0, 0.5) == []
+    assert pairs_events(a, b, 30, 2.0, 0.5) == []
 
 
 def test_pairs_scaled_series_no_signals():
@@ -384,14 +392,21 @@ def test_pairs_scaled_series_no_signals():
         for c in a.candles
     )
     b = CandleSeries("B", a.interval, doubled)
-    assert pairs_signals(a, b, 30, 2.0, 0.5) == []
+    assert pairs_events(a, b, 30, 2.0, 0.5) == []
 
 
 def test_pairs_misaligned_series_rejected():
+    """A second leg whose stamps diverge mid-run is refused at the first bar
+    where they differ."""
     a = random_series(9, n=200, symbol="A")
-    b = random_series(9, n=199, symbol="B")
-    with pytest.raises(MisalignedSeries):
-        pairs_signals(a, b, 30, 2.0, 0.5)
+    b = random_series(10, n=200, symbol="B")
+    skipped = CandleSeries("B", b.interval, b.candles[:100] + b.candles[101:], has_gaps=True)
+    config = StrategyConfig("A", PairsParams(symbol_b="B", lookback=30))
+    state = new_state(config, aux=skipped)
+    for candle in a.candles[:100]:
+        state.step(candle)
+    with pytest.raises(MisalignedSeries, match=f"{a.candles[100].ts} vs {b.candles[101].ts}"):
+        state.step(a.candles[100])
 
 
 def synthetic_pair(seed=0, n=400):
@@ -407,10 +422,10 @@ def synthetic_pair(seed=0, n=400):
     return a, b
 
 
-def test_pairs_signals_match_crossing_oracle():
+def test_pairs_stepper_matches_crossing_oracle():
     a, b = synthetic_pair(3)
     lookback, z_in, z_out = 40, 1.8, 0.4
-    got = pairs_signals(a, b, lookback, z_in, z_out)
+    got = pairs_events(a, b, lookback, z_in, z_out)
     assert got, "fixture should produce at least one entry"
 
     spread = [math.log(x) - math.log(y) for x, y in zip(a.closes, b.closes)]
@@ -427,11 +442,12 @@ def test_pairs_signals_match_crossing_oracle():
         z = (spread[i] - float(win.mean())) / sd
         if position is None:
             if prev_abs is not None and prev_abs <= z_in < abs(z):
-                action = PairsAction.SHORT_A_LONG_B if z > 0 else PairsAction.LONG_A_SHORT_B
-                expected.append((i, action))
-                position = action
+                # leg A rich: short it
+                position = Side.OPEN_SHORT if z > 0 else Side.OPEN_LONG
+                expected.append((i, position))
         elif abs(z) < z_out:
-            expected.append((i, PairsAction.EXIT))
+            exit_a = Side.CLOSE_SHORT if position is Side.OPEN_SHORT else Side.CLOSE_LONG
+            expected.append((i, exit_a))
             position = None
         prev_abs = abs(z)
     assert got == expected
@@ -450,18 +466,13 @@ def test_pairs_stepper_emits_two_legged_intents():
         assert sorted(s.value for s in sides.values()) == ["open_long", "open_short"]
 
 
-# the pairs stepper's entry opens, by the side leg A opens with
-ENTRY_BY_A_SIDE = {Side.OPEN_SHORT: PairsAction.SHORT_A_LONG_B,
-                   Side.OPEN_LONG: PairsAction.LONG_A_SHORT_B}
-
-
-def test_pairs_signals_list_the_steppers_entries_and_exits():
-    """Over seeded pairs with random lookbacks and thresholds, pairs_signals
-    lists exactly the bars and directions at which the stepper emits: an
-    entry opens leg A on the listed side and leg B on the other, and an exit
-    closes both legs of the entry held."""
+def test_pairs_stepper_enters_on_both_legs_and_exits_the_entry_held():
+    """Over seeded pairs with random lookbacks and thresholds, the stepper
+    only enters while flat and only exits while it holds an entry: an entry
+    opens leg A on one side and leg B on the other, and an exit closes both
+    legs of the entry held."""
     rng = random.Random(17)
-    listed = 0
+    emitted = 0
     for seed in range(40):
         a, b = synthetic_pair(seed, n=rng.randint(60, 400))
         lookback = rng.randint(2, 60)
@@ -469,25 +480,26 @@ def test_pairs_signals_list_the_steppers_entries_and_exits():
         z_exit = rng.uniform(0.0, z_entry * 0.95)
         config = StrategyConfig("A", PairsParams(symbol_b="B", lookback=lookback,
                                                  z_entry=z_entry, z_exit=z_exit))
-        emitted = []
-        held = None
-        for i, (opens, closes) in enumerate(run_stepper(config, a, series_b=b)):
+        held = None  # the side leg A opened with, while an entry is held
+        for opens, closes in run_stepper(config, a, series_b=b):
             assert not (opens and closes)
             if opens:
+                assert held is None
                 (leg_a, leg_b) = opens
                 assert (leg_a.symbol, leg_b.symbol) == ("A", "B")
                 assert {leg_a.side, leg_b.side} == {Side.OPEN_LONG, Side.OPEN_SHORT}
-                held = ENTRY_BY_A_SIDE[leg_a.side]
-                emitted.append((i, held))
+                held = leg_a.side
+                emitted += 1
             elif closes:
+                assert held is not None
                 (leg_a, leg_b) = closes
-                long_a = held is PairsAction.LONG_A_SHORT_B
+                assert (leg_a.symbol, leg_b.symbol) == ("A", "B")
+                long_a = held is Side.OPEN_LONG
                 assert leg_a.side is (Side.CLOSE_LONG if long_a else Side.CLOSE_SHORT)
                 assert leg_b.side is (Side.CLOSE_SHORT if long_a else Side.CLOSE_LONG)
-                emitted.append((i, PairsAction.EXIT))
-        assert pairs_signals(a, b, lookback, z_entry, z_exit) == emitted
-        listed += len(emitted)
-    assert listed > 100, "the cases should enter and exit many times"
+                held = None
+                emitted += 1
+    assert emitted > 100, "the cases should enter and exit many times"
 
 
 def test_signal_functions_read_the_series_columns():

@@ -2,9 +2,9 @@
 
 Drives the CLI exactly as a user would, against the bundled trending fixture.
 It then derives a second leg from the fixture, trades the pair with
-``pairs`` as a backtest and as a paper session over the simulator, with ATR
-stops and without, and fails unless each backtest and its paper session
-write the same bytes.
+``pairs`` and the fixture alone with ``grid``, each as a backtest and as a
+paper session over the simulator, with ATR stops and without, and fails
+unless each backtest and its paper session write the same bytes.
 Everything lands under ./demo_run/ (deleted and rebuilt on each invocation).
 
 Run from the repo root:  python3 scripts/run_pipeline.py
@@ -103,22 +103,25 @@ def pipeline() -> None:
          "--report", str(WORKDIR / "out" / "report.json"),
          "--out", str(WORKDIR / "plots")])
 
-    # a pair: the fixture against a leg derived from it; a backtest and a
-    # paper session of each config must write the same bytes
+    # a pair, the fixture against a leg derived from it, and a grid on the
+    # fixture; a backtest and a paper session of each config must write the
+    # same bytes
     paired = WORKDIR / "paired.csv"
     write_csv(second_leg(load_warehouse(warehouse, "TRENDY", 3600), "PAIRED"), paired)
     run(["ingest", "--csv", str(paired),
          "--symbol", "PAIRED", "--interval", "3600", "--warehouse", str(warehouse)])
-    for name, stops in (("pairs", None), ("pairs_stops", {"atr_period": 14})):
-        config["strategy"] = {"kind": "pairs", "params": {"symbol_b": "PAIRED"},
-                              "stops": stops}
-        pairs_path = WORKDIR / f"{name}_config.json"
-        pairs_path.write_text(json.dumps(config, indent=2))
-        backtest_out, paper_out = WORKDIR / name, WORKDIR / f"{name}_paper"
-        run(["backtest", "--config", str(pairs_path), "--out", str(backtest_out)])
-        run(["backtest", "--config", str(pairs_path), "--paper", "--out", str(paper_out)])
-        if not same_files(backtest_out, paper_out):
-            raise SystemExit(f"{paper_out} differs from {backtest_out}")
+    heuristics = (("pairs", {"symbol_b": "PAIRED"}),
+                  ("grid", {"spacing": 2.0, "levels": 5, "level_quantity": 5.0}))
+    for kind, params in heuristics:
+        for name, stops in ((kind, None), (f"{kind}_stops", {"atr_period": 14})):
+            config["strategy"] = {"kind": kind, "params": params, "stops": stops}
+            strategy_path = WORKDIR / f"{name}_config.json"
+            strategy_path.write_text(json.dumps(config, indent=2))
+            backtest_out, paper_out = WORKDIR / name, WORKDIR / f"{name}_paper"
+            run(["backtest", "--config", str(strategy_path), "--out", str(backtest_out)])
+            run(["backtest", "--config", str(strategy_path), "--paper", "--out", str(paper_out)])
+            if not same_files(backtest_out, paper_out):
+                raise SystemExit(f"{paper_out} differs from {backtest_out}")
 
     best = json.loads((WORKDIR / "tuned" / "best_params.json").read_text())
     print(f"\ndemo complete under {WORKDIR}")

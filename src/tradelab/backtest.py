@@ -8,14 +8,15 @@ and every equity change flows through a fill or a price move.
 
 The fill/ledger kernel lives here and nowhere else: ``size_order`` turns an
 intent into a quantity, ``Book`` turns an order into a fill, and
-``TradeLedger`` pairs fills into trades and keeps the stop state.
+``TradeLedger`` pairs fills into trades.
 
-``run_bars`` is the one bar loop. ``run_backtest`` runs it on a ``Book``;
-``broker.paper_trade_loop`` runs it on an adapter over a broker endpoint,
-which is the only difference between a backtest and a paper session, apart
-from a backtest not stepping its stepper on bars where it cannot emit: such
-a stretch is marked in bulk, or walked by the stop alone while one is
-armed. Both reports list every order with its status and reject reason.
+``run_bars`` is the one bar loop and the stop's one owner. ``run_backtest``
+runs it on a ``Book``; ``broker.paper_trade_loop`` runs it on an adapter
+over a broker endpoint, which is the only difference between a backtest
+and a paper session, apart from a backtest not stepping its stepper on
+bars where it cannot emit: such a stretch is marked in bulk, or walked by
+the stop alone while one is armed. Both reports list every order with its
+status and reject reason.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .strategy import (
     PairsStepper,
     PositionStopState,
     Side,
-    StopSettings,
     StrategyConfig,
     StrategyKind,
     TradeIntent,
@@ -214,7 +214,7 @@ class Book:
 
     :meth:`fill` is the only place where an order becomes a fill. It applies
     slippage against the trader and the proportional fee, checks funds (up
-    to rounding relative to the cash) for buys that do not cover a short,
+    to rounding of 1e-12 of the cash) for buys that do not cover a short,
     refuses shorts when shorting is off and closing orders larger than the
     position by more than 1e-9 of it, and drops a symbol from ``positions``
     when a closing fill leaves at most 1e-12 of it. The fill's side follows
@@ -245,7 +245,7 @@ class Book:
         notional = size * price
         fee = notional * self.costs.fee_rate
         if buy:
-            if not closing and notional + fee > self.cash + max(1e-9, 1e-12 * self.cash):
+            if not closing and notional + fee > self.cash * (1 + 1e-12):
                 return "InsufficientFunds"
             self.cash -= notional + fee
             side = Side.CLOSE_SHORT if closing else Side.OPEN_LONG
@@ -270,35 +270,21 @@ class Book:
 
 
 class TradeLedger:
-    """Fills in the order they happened, FIFO-matched into trade records,
-    plus the stop state of the primary symbol's open position.
+    """Fills in the order they happened, FIFO-matched into trade records."""
 
-    The stop is armed on the primary symbol's first entry fill, with the
-    ATR of the bar before that fill, and dropped when a fill leaves that
-    position flat, so added entries keep the first entry's stop.
-    """
-
-    def __init__(self, symbol: str, stop_settings: StopSettings | None, fee_rate: float):
-        self.symbol = symbol
-        self.stop_settings = stop_settings
+    def __init__(self, fee_rate: float):
         self.fee_rate = fee_rate
-        self.stop: PositionStopState | None = None
         self.fills: list[Fill] = []
         self.trades: list[TradeRecord] = []
         self._lots: dict[str, list[list]] = {}  # symbol -> [[qty_left, entry fill], ...]
 
-    def record(self, fill: Fill, flat: bool, atr: float | None) -> None:
-        """Add a fill. ``flat`` tells whether it left its symbol's position
-        at zero; ``atr`` is the ATR of the bar before it, for arming a stop."""
+    def record(self, fill: Fill, flat: bool) -> None:
+        """Add a fill; ``flat`` tells whether it left its symbol flat."""
         self.fills.append(fill)
         symbol = fill.symbol
         side = fill.side
         if side is Side.OPEN_LONG or side is Side.OPEN_SHORT:
             self._lots.setdefault(symbol, []).append([fill.quantity, fill])
-            if self.stop is None and self.stop_settings is not None and symbol == self.symbol:
-                self.stop = PositionStopState.at_entry(
-                    symbol, side is Side.OPEN_LONG, fill.price, atr, self.stop_settings
-                )
             return
         is_long = side is Side.CLOSE_LONG
         fee_rate = self.fee_rate
@@ -327,8 +313,6 @@ class TradeLedger:
             # rounding can leave a dust lot once the position is flat; it must
             # not pair with the next round trip's exit
             self._lots.pop(symbol, None)
-            if symbol == self.symbol:
-                self.stop = None
 
 
 class FeedInterrupted(TradeLabError):
@@ -371,10 +355,13 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
     run with a ``ValidationError`` that names it, at the first bar it is held.
 
     Intents emitted on bar t become orders, sized with ``size_order`` and
-    filled by the venue at bar t+1's open. A feed that raises
-    ``FeedInterrupted`` ends the run with its open positions left open and
-    the report flagged ``interrupted``; otherwise the venue flattens them at
-    the last close (``forced_close``).
+    filled by the venue at bar t+1's open. The loop alone owns the stop: it
+    arms it on the primary symbol's first entry fill, with the ATR of the
+    bar before, checks it each bar and drops it when a fill leaves that
+    position flat, so added entries keep the first entry's stop. A feed
+    that raises ``FeedInterrupted`` ends the run with its open positions
+    left open and the report flagged ``interrupted``; otherwise the venue
+    flattens them at the last close (``forced_close``).
 
     A backtest jumps over quiet bars: when the venue is a ``Book``, the
     candles are the series' own and the loop built a column-fed stepper
@@ -419,7 +406,8 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
         if aux is not None:
             raise ValidationError(f"only a pairs config trades a second leg, but '{aux.symbol}' "
                                   f"was given with a {type(strategy).__name__}")
-    ledger = TradeLedger(symbol, stop_settings, costs.fee_rate)
+    ledger = TradeLedger(costs.fee_rate)
+    stop: PositionStopState | None = None  # armed on the primary symbol's position
     atr = push_atr = None  # the stop's ATR by bar: the series' column, or streamed so far
     if stop_settings is not None:
         if series is None:
@@ -436,6 +424,7 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
     equity: list[float] = []
 
     def execute(intent: TradeIntent, bar: int, raw_price: float) -> None:
+        nonlocal stop
         order = Order(len(orders), intent, bar - 1)
         orders.append(order)
         name = intent.symbol
@@ -454,8 +443,16 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
             logger.debug("order %d rejected: %s", order.id, result)
             return
         order.status = OrderStatus.FILLED
-        ledger.record(result, venue.positions.get(name, 0.0) == 0.0,
-                      None if atr is None else atr[bar - 1])
+        flat = venue.positions.get(name, 0.0) == 0.0
+        ledger.record(result, flat)
+        if name == symbol:
+            side = result.side
+            if side is Side.OPEN_LONG or side is Side.OPEN_SHORT:
+                if stop is None and stop_settings is not None:
+                    stop = PositionStopState.at_entry(symbol, side is Side.OPEN_LONG,
+                                                      result.price, atr[bar - 1], stop_settings)
+            elif flat:
+                stop = None
 
     interrupted = False
     bars = enumerate(candles)
@@ -471,7 +468,6 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
                     # emits nothing: mark the book with the per-bar walk's
                     # floats and leave the loop's state as the walk would
                     cash = venue.cash
-                    stop = ledger.stop
                     if stop is None:
                         end = until
                         if venue.positions:
@@ -501,7 +497,6 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
                 queue.clear()
             if push_atr is not None:
                 atr.append(push_atr(candle))
-            stop = ledger.stop
             if stop is not None:
                 # the stop component watches the primary series; pairs legs
                 # exit on their own signal, not on per-leg stops
@@ -549,7 +544,7 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
     for fill in forced:
         intent = TradeIntent(fill.side, fill.symbol, reason="end-of-data")
         orders.append(Order(len(orders), intent, last, OrderStatus.FILLED))
-        ledger.record(fill, True, None)  # a closing fill arms no stop
+        ledger.record(fill, True)
     if forced:
         equity[-1] = venue.cash
 

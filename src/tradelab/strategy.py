@@ -12,7 +12,8 @@ rule has one form, its stepper's ``step``.
 Signals are evaluated on bar closes; the backtester fills the resulting
 intents at the next bar's open. Intents are frozen, and a stepper may return
 the same intent objects and lists on every bar that emits them, so callers
-read the lists and never modify them.
+read the lists and never modify them. Each stepper holds its position in
+one field; the bar loop alone arms, walks and drops the stop below.
 
 Intent sizing:
 
@@ -28,7 +29,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, partial
 
 from .data import Candle, CandleSeries
 from .errors import TradeLabError, ValidationError, in_float_range, require_finite
@@ -154,8 +155,8 @@ class PairsParams:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if _period(self, "lookback") < 2:
-            raise ValidationError(f"pairs lookback must be >= 2, got {self.lookback}")
+        if _period(self, "lookback") < 3:
+            raise ValidationError(f"pairs lookback must be >= 3, got {self.lookback}")
         if not (0 <= self.z_exit < self.z_entry):
             raise ValidationError(
                 f"need 0 <= z_exit < z_entry, got exit={self.z_exit} entry={self.z_entry}"
@@ -392,44 +393,48 @@ class GridStepper:
     Level k fills when the close reaches anchor - k*spacing and unwinds one
     spacing higher; the anchor re-centers on the close whenever no level is
     filled. Each level trades a fixed base-asset quantity.
+
+    Neither threshold rises with k (float products and differences are
+    monotone), so the held levels are 1..``filled``: a bar closes a top run
+    of them and opens the run above those it keeps. A level's two intents
+    are built on its first fill and shared after.
     """
 
     def __init__(self, config: StrategyConfig, series: CandleSeries | None,
                  aux: CandleSeries | None):
         p = config.params
-        self.symbol = config.symbol
         self.spacing = p.spacing
         self.levels = p.levels
-        self.quantity = p.level_quantity
         self.anchor: float | None = None
-        self.filled: set[int] = set()
+        self.filled = 0
+        self._intent = partial(TradeIntent, symbol=config.symbol, size=p.level_quantity,
+                               absolute=True)
+        self._opens: list[TradeIntent] = []  # level k's at index k - 1
+        self._closes: list[TradeIntent] = []
 
     def step(self, candle: Candle):
         close = candle.close
-        if self.anchor is None:
+        anchor = self.anchor
+        if anchor is None:
             self.anchor = close
             return _NO_INTENTS
-        opens: list[TradeIntent] = []
-        closes: list[TradeIntent] = []
-        for k in sorted(self.filled):
-            if close >= self.anchor - (k - 1) * self.spacing:
-                closes.append(
-                    TradeIntent(Side.CLOSE_LONG, self.symbol, self.quantity,
-                                absolute=True, reason=f"grid-level-{k}")
-                )
-                self.filled.discard(k)
-        for k in range(1, self.levels + 1):
-            if k not in self.filled and close <= self.anchor - k * self.spacing:
-                opens.append(
-                    TradeIntent(Side.OPEN_LONG, self.symbol, self.quantity,
-                                absolute=True, reason=f"grid-level-{k}")
-                )
-                self.filled.add(k)
-        if not self.filled:
+        spacing = self.spacing
+        held = kept = self.filled
+        while kept and close >= anchor - (kept - 1) * spacing:
+            kept -= 1
+        m = kept
+        while m < self.levels and close <= anchor - (m + 1) * spacing:
+            m += 1
+        self.filled = m
+        if not m:
             self.anchor = close
-        if opens or closes:
-            return (opens, closes)
-        return _NO_INTENTS
+        if m == kept == held:
+            return _NO_INTENTS
+        opens = self._opens
+        for k in range(len(opens) + 1, m + 1):
+            opens.append(self._intent(Side.OPEN_LONG, reason=f"grid-level-{k}"))
+            self._closes.append(self._intent(Side.CLOSE_LONG, reason=f"grid-level-{k}"))
+        return (opens[kept:m], self._closes[kept:held])
 
 
 # Rolling spread deviation at or below this is degenerate: pure float noise
@@ -619,7 +624,7 @@ def ema_crossover_signals(series: CandleSeries, p_short: int, p_long: int
 
 @dataclass
 class PositionStopState:
-    """Per-position trailing-stop bookkeeping owned by the execution layer.
+    """Per-position trailing-stop bookkeeping owned by the bar loop.
 
     ``target`` is fixed from the entry bar; ``stop`` ratchets with each close
     (never loosening). ``None`` ATR values fall back to the percentage rules.

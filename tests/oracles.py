@@ -1,7 +1,7 @@
 """Brute-force definitional indicator oracles, reference MFI, VPVR, Williams
-%R, KST, CCI, ATR and EMA-cross streams, the scalar EMA-crossing rule, a
-reference network evaluator and reachability, and a merge-walk
-compatibility distance.
+%R, KST, CCI, ATR and EMA-cross streams, the scalar EMA-crossing rule, the
+set-based grid rule, a reference network evaluator and reachability, and a
+merge-walk compatibility distance.
 
 Deliberately naive second implementations (window re-summation, explicit
 recurrences over numpy arrays) kept independent of the streaming code under
@@ -27,6 +27,7 @@ from tradelab.indicators import (
     require_period,
 )
 from tradelab.neat import ArityMismatch, NodeKind, _topological_order, steep_sigmoid
+from tradelab.strategy import _NO_INTENTS, Side, TradeIntent
 
 
 def _nones(n):
@@ -482,6 +483,49 @@ class ComposedEmaCrossStream:
         if prev is None:
             return 0
         return ema_crossing(s, l, *prev)
+
+
+class SetGridStepper:
+    """The grid rule over a set of held levels: each bar closes every held
+    level whose exit threshold the close reaches, in level order, then opens
+    every free level whose entry threshold it reaches, with a new intent
+    per emission."""
+
+    def __init__(self, config):
+        p = config.params
+        self.symbol = config.symbol
+        self.spacing = p.spacing
+        self.levels = p.levels
+        self.quantity = p.level_quantity
+        self.anchor: float | None = None
+        self.filled: set[int] = set()
+
+    def step(self, candle: Candle):
+        close = candle.close
+        if self.anchor is None:
+            self.anchor = close
+            return _NO_INTENTS
+        opens: list[TradeIntent] = []
+        closes: list[TradeIntent] = []
+        for k in sorted(self.filled):
+            if close >= self.anchor - (k - 1) * self.spacing:
+                closes.append(
+                    TradeIntent(Side.CLOSE_LONG, self.symbol, self.quantity,
+                                absolute=True, reason=f"grid-level-{k}")
+                )
+                self.filled.discard(k)
+        for k in range(1, self.levels + 1):
+            if k not in self.filled and close <= self.anchor - k * self.spacing:
+                opens.append(
+                    TradeIntent(Side.OPEN_LONG, self.symbol, self.quantity,
+                                absolute=True, reason=f"grid-level-{k}")
+                )
+                self.filled.add(k)
+        if not self.filled:
+            self.anchor = close
+        if opens or closes:
+            return (opens, closes)
+        return _NO_INTENTS
 
 
 class DictNetworkEvaluator:

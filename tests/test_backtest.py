@@ -53,6 +53,7 @@ from tradelab.strategy import (
     TradeIntent,
     network_action,
     network_inputs,
+    new_state,
     series_lines,
 )
 
@@ -145,14 +146,14 @@ def round_trip(is_long, p_in, p_out, q, fee_bps, slippage_bps):
     and the ledger's trade."""
     costs = CostModel(fee_bps=fee_bps, slippage_bps=slippage_bps)
     book = Book(4.0 * q * p_in, costs, True)
-    ledger = TradeLedger("AB", None, costs.fee_rate)
+    ledger = TradeLedger(costs.fee_rate)
     sign = 1.0 if is_long else -1.0
     legs = []
     for bar, (quantity, raw) in enumerate(((sign * q, p_in), (-sign * q, p_out))):
         cash = book.cash
         fill = book.fill(bar, bar, "AB", quantity, raw)
         assert not isinstance(fill, str), fill
-        ledger.record(fill, "AB" not in book.positions, None)
+        ledger.record(fill, "AB" not in book.positions)
         legs.append((fill, raw, quantity, book.cash - cash))
     (trade,) = ledger.trades
     return legs, trade, costs
@@ -500,6 +501,23 @@ def test_grid_strategy_accounting():
     assert conservation_violation(report, series, 1_000.0, 0.0) < 1e-9
 
 
+def test_grid_with_a_million_levels_reports_as_with_fifty():
+    """A walk that never fills 50 levels gives the same report with
+    ``levels`` 10**6: a bar's work follows the levels that change."""
+    series = random_series(404, n=1500, vol=0.01)
+    spacing = series.closes[0] * 0.01
+    stepper = new_state(StrategyConfig("RND", GridParams(spacing, 50, 1.0)))
+    deepest = 0
+    for candle in series.candles:
+        stepper.step(candle)
+        deepest = max(deepest, stepper.filled)
+    assert 3 <= deepest < 50
+    few, many = (run_backtest(StrategyConfig("RND", GridParams(spacing, levels, 1.0)), series)
+                 for levels in (50, 10**6))
+    assert len(few.trades) >= 20
+    assert many == few
+
+
 def test_stop_loss_closes_position():
     closes = [100.0] * 30 + [100 + 2.0 * i for i in range(1, 11)] + [118.0, 112.0, 104.0, 104.0, 104.0]
     series = series_from_closes(closes, symbol="RND")
@@ -617,6 +635,17 @@ def test_pairs_legs_under_one_symbol_are_refused():
                        match="symbol_b is 'B' but the second leg's series is 'RND'"):
         run_backtest(StrategyConfig("RND", PairsParams(symbol_b="B", lookback=30)),
                      a, 10_000.0, aux=b)
+
+
+def test_book_funds_check_is_relative_on_a_small_account():
+    """The funds check forgives rounding of 1e-12 of the cash and nothing
+    more: a long-only book with 1e-12 cash refuses a 1.5e-12 buy, which an
+    absolute 1e-9 floor let through, leaving the cash negative."""
+    book = Book(1e-12, ZERO_COSTS, False)
+    assert book.fill(0, 0, "X", 5e-13, 3.0) == "InsufficientFunds"
+    assert book.cash == 1e-12 and book.positions == {}
+    fill = book.fill(1, 0, "X", 1e-13 / 3.0, 3.0)
+    assert not isinstance(fill, str) and book.cash >= 0.0
 
 
 def test_book_rejects_nan_cash():

@@ -575,6 +575,8 @@ def edited_config(tmp_path, path, value):
     ("optimize.lambda", 1e308, ["backtest"], "lambda must be in [0, 1e100], got 1e+308"),
     ("optimize.lambda", -1.0, TUNE, "lambda must be in [0, 1e100], got -1.0"),
     ("optimize.lambda", 1e308, TUNE, "lambda must be in [0, 1e100], got 1e+308"),
+    ("strategy", {"kind": "pairs", "params": {"symbol_b": "PAIRED", "lookback": 2}},
+     ["backtest"], "pairs lookback must be >= 3, got 2"),
 ])
 def test_cmd_bad_config_entry_exit_1(tmp_path, capsys, path, value, command, needle):
     cfg = edited_config(tmp_path, path, value)

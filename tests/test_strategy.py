@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (STEP_MS, flat_series, random_genome, random_series, series_from_closes,
                      trending_fixture)
-from oracles import ema_crossing, oracle_ema
+from oracles import SetGridStepper, ema_crossing, oracle_ema
 from tradelab.backtest import run_backtest
 from tradelab.data import Candle, CandleSeries
 from tradelab.errors import ValidationError
@@ -94,6 +95,7 @@ def test_neat_params_check_the_network_shape(inputs, norm, genome, needle):
 @pytest.mark.parametrize("params,bad", [
     (GridParams, {"levels": 2.5}), (GridParams, {"levels": True}), (GridParams, {"levels": 0}),
     (PairsParams, {"lookback": 2.5}), (PairsParams, {"lookback": 1}),
+    (PairsParams, {"lookback": 2}),
     (StopSettings, {"atr_period": 0}), (StopSettings, {"atr_period": 14.5}),
     (EmaCrossParams, {"p_short": 9.5}),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else ",".join(f"{k}={x!r}"
@@ -363,6 +365,53 @@ def test_grid_recenters_after_flat():
     per_bar = run_stepper(grid_config(spacing=1.0), series)
     opens, _ = per_bar[2]  # 104 is 1 below the re-centered anchor 105
     assert [i.side for i in opens] == [Side.OPEN_LONG]
+
+
+@settings(max_examples=300, deadline=None)
+@given(price=st.sampled_from([1.0, 100.0, 1e20]),
+       ratio=st.sampled_from([1e-17, 1e-16, 1e-9, 0.02]) | st.floats(1e-17, 0.02),
+       levels=st.integers(1, 30),
+       steps=st.lists(st.integers(-3, 32), min_size=1, max_size=80))
+def test_grid_stepper_matches_the_set_based_rule(price, ratio, levels, steps):
+    """The level count gives the set-based rule's intents on every bar.
+    Closes come from a small pool of prices on the level thresholds, and at
+    spacings near the price's last bit a level's exit and entry thresholds
+    tie, so a level closes and reopens on one bar."""
+    spacing = price * ratio
+    config = grid_config(spacing=spacing, levels=levels)
+    stepper, oracle = new_state(config), SetGridStepper(config)
+    for candle in series_from_closes([price - i * spacing for i in steps], symbol="RND").candles:
+        assert stepper.step(candle) == oracle.step(candle)
+        assert stepper.filled == len(oracle.filled)
+
+
+def test_grid_shares_each_level_s_intents():
+    series = series_from_closes([100.0, 98.0, 100.0, 97.0, 100.0, 98.5, 100.0], symbol="RND")
+    stepper = new_state(grid_config(spacing=1.0, levels=5))
+    seen: dict = {}
+    emitted = 0
+    for candle in series.candles:
+        opens, closes = stepper.step(candle)
+        for intent in opens + closes:
+            emitted += 1
+            assert seen.setdefault((intent.side, intent.reason), intent) is intent
+    assert emitted == 12 and len(seen) == 6  # levels 1..3, opened and closed
+
+
+def test_grid_with_the_most_levels_builds_only_the_levels_that_fill():
+    """``levels`` may be 2**31 - 1: a bar's work and the intents built
+    follow the levels that change, not ``levels``."""
+    series = series_from_closes([100.0, 97.0, 100.0, 95.5, 100.0], symbol="RND")
+    stepper = new_state(grid_config(spacing=1.0, levels=2**31 - 1))
+    tracemalloc.start()
+    try:
+        per_bar = [stepper.step(candle) for candle in series.candles]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(len(opens), len(closes)) for opens, closes in per_bar] == \
+        [(0, 0), (3, 0), (0, 3), (4, 0), (0, 4)]
+    assert peak < 64 * 1024
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,15 @@ from .strategy import (
 
 logger = logging.getLogger(__name__)
 
+_set = object.__setattr__
+
+# The per-order code reads enum members from these module names: on CPython
+# 3.11 a class-attribute load such as ``Side.OPEN_LONG`` is not specialized.
+OPEN_LONG = Side.OPEN_LONG
+OPEN_SHORT = Side.OPEN_SHORT
+CLOSE_LONG = Side.CLOSE_LONG
+CLOSE_SHORT = Side.CLOSE_SHORT
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -83,6 +92,10 @@ class OrderStatus(Enum):
     REJECTED = "rejected"
 
 
+FILLED = OrderStatus.FILLED
+REJECTED = OrderStatus.REJECTED
+
+
 @dataclass
 class Order:
     id: int
@@ -92,8 +105,20 @@ class Order:
     reject_reason: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Fill:
+    """One executed order: ``quantity`` > 0 units of ``symbol`` at ``price``,
+    slippage included, paying ``fee``.
+
+    Built once per fill with one store of the instance dict, where the
+    generated frozen ``__init__`` makes one ``object.__setattr__`` call per
+    field. It is still a frozen dataclass: equality, hashing, ``repr``,
+    ``replace``, ``asdict`` and pickling stay generated from its fields. The
+    per-order code compares ``side`` with the module names ``OPEN_LONG``
+    and so on, since on CPython 3.11 a class-attribute load such as
+    ``Side.OPEN_LONG`` is not specialized.
+    """
+
     order_id: int
     bar: int
     symbol: str
@@ -104,9 +129,24 @@ class Fill:
     reason: str = ""
     forced: bool = False
 
+    def __init__(self, order_id: int, bar: int, symbol: str, side: Side, price: float,
+                 quantity: float, fee: float, reason: str = "", forced: bool = False) -> None:
+        _set(self, "__dict__", {"order_id": order_id, "bar": bar, "symbol": symbol,
+                                "side": side, "price": price, "quantity": quantity,
+                                "fee": fee, "reason": reason, "forced": forced})
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class TradeRecord:
+    """One FIFO-matched round trip of ``quantity`` units, with its profit
+    after both fills' fees.
+
+    Built with one store of the instance dict, like ``Fill``, and still a
+    frozen dataclass with generated equality, hashing and ``replace``; the
+    ledger that builds it reads the fills' sides from module names, as the
+    rest of the per-order code does.
+    """
+
     symbol: str
     quantity: float
     entry_bar: int
@@ -117,6 +157,15 @@ class TradeRecord:
     exit_reason: str
     forced: bool
     is_long: bool
+
+    def __init__(self, symbol: str, quantity: float, entry_bar: int, entry_price: float,
+                 exit_bar: int, exit_price: float, profit_pct: float, exit_reason: str,
+                 forced: bool, is_long: bool) -> None:
+        _set(self, "__dict__", {"symbol": symbol, "quantity": quantity,
+                                "entry_bar": entry_bar, "entry_price": entry_price,
+                                "exit_bar": exit_bar, "exit_price": exit_price,
+                                "profit_pct": profit_pct, "exit_reason": exit_reason,
+                                "forced": forced, "is_long": is_long})
 
 
 @dataclass(frozen=True)
@@ -150,18 +199,21 @@ def compute_metrics(equity: list[float], trades: list[TradeRecord]) -> Metrics:
     """Net profit, peak-to-trough drawdown and win rate over a run.
 
     The drawdown visits each run of equal consecutive marks once: a repeat
-    of a mark changes neither the peak nor the largest drawdown.
+    of a mark changes neither the peak nor the largest drawdown. The first
+    mark must be a number > 0, since both are relative to it.
     """
     if not equity:
         raise ValidationError("equity curve is empty")
     initial = equity[0]
+    if not initial > 0:
+        raise ValidationError(f"the equity curve must start at a number > 0, got {initial!r}")
     net = (equity[-1] - initial) / initial * 100.0
     peak = equity[0]
     max_dd = 0.0
     for value, _ in groupby(equity):
         if value > peak:
             peak = value
-        elif peak > 0:
+        else:
             dd = (peak - value) / peak * 100.0
             if dd > max_dd:
                 max_dd = dd
@@ -186,8 +238,8 @@ def size_order(intent: TradeIntent, held: float, cash: float, raw_price: float,
     position ``held``, or an absolute quantity clamped to it.
     """
     side = intent.side
-    if side is Side.OPEN_LONG or side is Side.OPEN_SHORT:
-        buy = side is Side.OPEN_LONG
+    if side is OPEN_LONG or side is OPEN_SHORT:
+        buy = side is OPEN_LONG
         if buy and held < 0:
             return "symbol currently short"
         if not buy and held > 0:
@@ -200,7 +252,7 @@ def size_order(intent: TradeIntent, held: float, cash: float, raw_price: float,
         if qty <= 0:
             return "zero quantity"
         return qty if buy else -qty
-    if side is Side.CLOSE_LONG:
+    if side is CLOSE_LONG:
         if held <= 0:
             return "no open long position"
         return -(min(intent.size, held) if intent.absolute else held * intent.size)
@@ -248,10 +300,10 @@ class Book:
             if not closing and notional + fee > self.cash * (1 + 1e-12):
                 return "InsufficientFunds"
             self.cash -= notional + fee
-            side = Side.CLOSE_SHORT if closing else Side.OPEN_LONG
+            side = CLOSE_SHORT if closing else OPEN_LONG
         else:
             self.cash += notional - fee
-            side = Side.CLOSE_LONG if closing else Side.OPEN_SHORT
+            side = CLOSE_LONG if closing else OPEN_SHORT
         after = held + quantity
         if closing and abs(after) <= 1e-12 * abs(held):
             del self.positions[symbol]
@@ -283,10 +335,10 @@ class TradeLedger:
         self.fills.append(fill)
         symbol = fill.symbol
         side = fill.side
-        if side is Side.OPEN_LONG or side is Side.OPEN_SHORT:
+        if side is OPEN_LONG or side is OPEN_SHORT:
             self._lots.setdefault(symbol, []).append([fill.quantity, fill])
             return
-        is_long = side is Side.CLOSE_LONG
+        is_long = side is CLOSE_LONG
         fee_rate = self.fee_rate
         remaining = fill.quantity
         lots = self._lots.get(symbol, [])
@@ -438,18 +490,18 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
             if not isinstance(result, str):
                 result = venue.fill(order.id, bar, name, result, raw_price, intent.reason)
         if isinstance(result, str):
-            order.status = OrderStatus.REJECTED
+            order.status = REJECTED
             order.reject_reason = result
             logger.debug("order %d rejected: %s", order.id, result)
             return
-        order.status = OrderStatus.FILLED
+        order.status = FILLED
         flat = venue.positions.get(name, 0.0) == 0.0
         ledger.record(result, flat)
         if name == symbol:
             side = result.side
-            if side is Side.OPEN_LONG or side is Side.OPEN_SHORT:
+            if side is OPEN_LONG or side is OPEN_SHORT:
                 if stop is None and stop_settings is not None:
-                    stop = PositionStopState.at_entry(symbol, side is Side.OPEN_LONG,
+                    stop = PositionStopState.at_entry(symbol, side is OPEN_LONG,
                                                       result.price, atr[bar - 1], stop_settings)
             elif flat:
                 stop = None
@@ -543,7 +595,7 @@ def run_bars(strategy, candles, venue, costs: CostModel, symbol: str, interval: 
     forced = [] if interrupted else venue.flatten(len(orders), last, marks)
     for fill in forced:
         intent = TradeIntent(fill.side, fill.symbol, reason="end-of-data")
-        orders.append(Order(len(orders), intent, last, OrderStatus.FILLED))
+        orders.append(Order(len(orders), intent, last, FILLED))
         ledger.record(fill, True)
     if forced:
         equity[-1] = venue.cash

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 
 import numpy as np
@@ -20,15 +22,17 @@ from helpers import (
 from tradelab.backtest import (
     Book,
     CostModel,
+    Fill,
     Metrics,
     OrderStatus,
     TradeLedger,
+    TradeRecord,
     ZERO_COSTS,
     compute_metrics,
     run_backtest,
     score,
 )
-from tradelab.data import CandleSeries
+from tradelab.data import Candle, CandleSeries
 from tradelab.errors import ValidationError
 from tradelab.indicators import IndicatorSpec
 from tradelab.neat import (
@@ -116,6 +120,59 @@ def test_fills_happen_at_next_bar_open_with_adverse_slippage():
     assert fill.bar == 4
     assert fill.price == pytest.approx(series.opens[4] * (1 + 0.0005), rel=1e-12)
     assert fill.fee == pytest.approx(fill.price * fill.quantity * 0.001, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Records with a hand-written __init__ (init=False) must build what the
+# generated one would: each case gives a distinct valid value per field and
+# a second set for replace, and is compared with a generated frozen twin.
+# ---------------------------------------------------------------------------
+
+RECORD_CASES = [
+    (Fill, (3, 11, "AB", Side.CLOSE_LONG, 101.5, 2.25, 0.125, "stop", True),
+     (4, 12, "CD", Side.OPEN_SHORT, 99.5, 1.75, 0.25, "entry", False)),
+    (TradeRecord, ("AB", 2.25, 4, 99.0, 11, 101.5, 2.5, "stop", True, False),
+     ("CD", 1.75, 5, 98.0, 12, 97.5, -0.5, "close", False, True)),
+    (Candle, (7, 2.0, 3.0, 1.0, 2.5, 4.0), (8, 5.0, 6.0, 4.5, 5.5, 0.5)),
+]
+
+
+@pytest.mark.parametrize("cls, values, others", RECORD_CASES,
+                         ids=[case[0].__name__ for case in RECORD_CASES])
+def test_hand_written_record_constructors_match_the_generated_ones(cls, values, others):
+    specs = dataclasses.fields(cls)
+    names = [f.name for f in specs]
+    assert len(names) == len(values) == len(set(values))
+    twin = dataclasses.make_dataclass(
+        cls.__name__,
+        [(f.name, f.type) if f.default is dataclasses.MISSING
+         else (f.name, f.type, dataclasses.field(default=f.default)) for f in specs],
+        frozen=True)
+    by_position = cls(*values)
+    by_keyword = cls(**dict(zip(names, values)))
+    expected = twin(*values)
+    for record in (by_position, by_keyword):
+        assert [getattr(record, name) for name in names] == list(values)
+        if not hasattr(cls, "__slots__"):
+            assert list(vars(record)) == names
+        assert record == by_position and record != cls(*others)
+        assert hash(record) == hash(expected)
+        assert repr(record) == repr(expected)
+        assert dataclasses.asdict(record) == dataclasses.asdict(expected)
+        changed = dataclasses.replace(record, **dict(zip(names, others)))
+        assert type(changed) is cls
+        assert dataclasses.astuple(changed) == dataclasses.astuple(
+            dataclasses.replace(expected, **dict(zip(names, others)))) == others
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is cls and copy == record
+        assert dataclasses.astuple(copy) == dataclasses.astuple(expected)
+        for name, other in zip(names, others):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, other)
+    required = [f for f in specs if f.default is dataclasses.MISSING]
+    short = cls(*values[:len(required)])
+    for f in specs[len(required):]:
+        assert getattr(short, f.name) == f.default
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +789,12 @@ def test_metrics_worked_example():
     m = compute_metrics([100.0, 120.0, 90.0, 130.0], [])
     assert m.net_profit_pct == pytest.approx(30.0)
     assert m.max_drawdown_pct == pytest.approx(25.0)
+
+
+@pytest.mark.parametrize("first", [0.0, -1.0, float("nan")])
+def test_metrics_refuse_a_curve_that_does_not_start_above_zero(first):
+    with pytest.raises(ValidationError, match=f"must start at a number > 0, got {first!r}"):
+        compute_metrics([first, 1.0], [])
 
 
 def test_drawdown_matches_double_loop_oracle():

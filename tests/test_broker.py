@@ -16,6 +16,7 @@ from tradelab.broker import (
     AckStatus,
     BrokerEndpoint,
     FeedInterrupted,
+    OrderAck,
     OrderRequest,
     OrderSide,
     SimulatedBroker,
@@ -317,6 +318,34 @@ def test_null_strategy_places_no_orders():
     assert not report.fills
     assert not broker.fills
     assert set(report.equity) == {1_000.0}
+
+
+class EmptyAccountEndpoint(BrokerEndpoint):
+    """An endpoint whose account holds no cash and which rejects every order."""
+
+    def __init__(self):
+        self.closed = None
+
+    def connect(self):
+        pass
+
+    def place_order(self, request):
+        return OrderAck(request.client_id, 0, AckStatus.REJECTED, reason="no funds")
+
+    def account(self):
+        return AccountSnapshot(0.0, {})
+
+    def close(self, liquidate=True):
+        self.closed = liquidate
+        return AccountSnapshot(0.0, {}), []
+
+
+def test_a_session_on_an_account_with_no_cash_ends_in_a_validation_error():
+    endpoint = EmptyAccountEndpoint()
+    with pytest.raises(ValidationError, match="must start at a number > 0, got 0.0"):
+        paper_trade_loop(StrategyConfig("RND", EmaCrossParams(3, 5)),
+                         random_series(5, n=60, symbol="RND"), endpoint)
+    assert endpoint.closed is False
 
 
 def assert_session_matches_backtest(strategy_a, strategy_b, series, costs,

@@ -210,7 +210,10 @@ class _EndpointBook:
     """An endpoint behind a ``Book``'s face, the venue of a paper session.
 
     ``cash`` and ``positions`` are those of the last account snapshot, read
-    once per bar and again after each ``place_order``. ``fill`` places a
+    once per bar and again after each ``place_order``. A snapshot not read
+    before is refused unless its cash and every position quantity are
+    finite; the simulator hands back the same snapshot on a bar without a
+    fill, so such a bar costs one identity test. ``fill`` places a
     market order and returns one copy of the endpoint's fill, with the
     loop's bar and reason. Its client id is the bar's timestamp and the
     loop's order id, so a session resumed on the same endpoint does not
@@ -222,6 +225,7 @@ class _EndpointBook:
         self.endpoint = endpoint
         self.cash = 0.0
         self.positions: dict[str, float] = {}
+        self._snapshot = None  # the snapshot cash and positions come from
         self.ts = None  # the timestamp of the bar the endpoint stands at
 
     def bars(self, candles):
@@ -236,13 +240,23 @@ class _EndpointBook:
             if ts != candle.ts:
                 raise ValidationError(f"feed and endpoint diverged: {candle.ts} vs {ts}")
             self.ts = ts
-            # inline, not through _read: this runs once per bar
+            # the identity test inline: this runs once per bar
             snapshot = endpoint.account()
-            self.cash = snapshot.cash
-            self.positions = snapshot.positions
+            if snapshot is not self._snapshot:
+                self._read(snapshot)
             yield candle
 
     def _read(self, snapshot: AccountSnapshot) -> None:
+        if snapshot is self._snapshot:
+            return
+        if not in_float_range(snapshot.cash):
+            raise ValidationError(f"the endpoint's account reports cash {snapshot.cash!r}, "
+                                  "not a finite number")
+        for symbol, quantity in snapshot.positions.items():
+            if not in_float_range(quantity):
+                raise ValidationError(f"the endpoint's account reports a position of "
+                                      f"{quantity!r} in {symbol!r}, not a finite number")
+        self._snapshot = snapshot
         self.cash = snapshot.cash
         self.positions = snapshot.positions
 

@@ -257,8 +257,8 @@ def load_config(path: str | Path, seed: int | None = None) -> RunConfig:
     """Parse and validate a run config; ``seed`` overrides the file's seed."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
-    except OSError as exc:
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc

@@ -14,6 +14,7 @@ import logging
 import os
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 
@@ -26,9 +27,6 @@ CSV_HEADER = "timestamp,open,high,low,close,volume"
 # indicator's products, squares and bin widths stay finite and non-zero.
 _MIN_PRICE, _MAX_PRICE = 1e-100, 1e100
 _MAX_VOLUME = 1e100
-# A frozen dataclass sets its fields through object.__setattr__; the alias
-# saves Candle.__init__ a builtin and an attribute lookup per field.
-_set = object.__setattr__
 _by_ts = attrgetter("ts")
 
 
@@ -66,7 +64,9 @@ class Candle:
     volume: float
 
     # Hand-written (init=False): every CSV row builds one candle, so the
-    # checks read the arguments and each field is set once through _set.
+    # checks read the arguments and each field is set once through its slot
+    # descriptor's __set__ (bound below the class), which costs less than an
+    # object.__setattr__(self, name, value) call per field.
     def __init__(self, ts: int, open: float, high: float, low: float, close: float,
                  volume: float) -> None:
         if not (low <= open <= high) or not (low <= close <= high):
@@ -78,12 +78,16 @@ class Candle:
             raise OhlcViolation(f"ts={ts}: prices must be finite and lie in [1e-100, 1e100]")
         if not 0 <= volume <= _MAX_VOLUME:
             raise OhlcViolation(f"ts={ts}: volume must be finite and lie in [0, 1e100]")
-        _set(self, "ts", ts)
-        _set(self, "open", open)
-        _set(self, "high", high)
-        _set(self, "low", low)
-        _set(self, "close", close)
-        _set(self, "volume", volume)
+        _set_ts(self, ts)
+        _set_open(self, open)
+        _set_high(self, high)
+        _set_low(self, low)
+        _set_close(self, close)
+        _set_volume(self, volume)
+
+
+_set_ts, _set_open, _set_high, _set_low, _set_close, _set_volume = (
+    getattr(Candle, name).__set__ for name in ("ts", "open", "high", "low", "close", "volume"))
 
 
 @dataclass(frozen=True)
@@ -176,22 +180,10 @@ class DatasetMeta:
         )
 
 
-def parse_csv(path: str | Path, symbol: str, interval: int, allow_gaps: bool = False) -> CandleSeries:
-    """Read a candle CSV and return a validated series.
-
-    Rows are sorted by timestamp, so file order does not matter. Gaps are an
-    error unless ``allow_gaps`` downgrades them to a warning and marks the
-    returned series.
-    """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != CSV_HEADER:
-        raise MalformedRow(f"{path}:1: header must be exactly '{CSV_HEADER}'")
-
+def _parse_rows(path: Path, lines: list[str]) -> list[Candle]:
+    """The candles of ``lines[1:]``, one row at a time: blank and
+    whitespace-only lines are skipped, and the first bad row raises with its
+    line number."""
     candles = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
@@ -208,6 +200,33 @@ def parse_csv(path: str | Path, symbol: str, interval: int, allow_gaps: bool = F
             raise MalformedRow(f"{path}:{lineno}: {exc}") from exc
         except OhlcViolation as exc:
             raise OhlcViolation(f"{path}:{lineno}: {exc}") from exc
+    return candles
+
+
+def parse_csv(path: str | Path, symbol: str, interval: int, allow_gaps: bool = False) -> CandleSeries:
+    """Read a candle CSV and return a validated series.
+
+    Rows are sorted by timestamp, so file order does not matter. Gaps are an
+    error unless ``allow_gaps`` downgrades them to a warning and marks the
+    returned series.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != CSV_HEADER:
+        raise MalformedRow(f"{path}:1: header must be exactly '{CSV_HEADER}'")
+
+    # One pass builds every candle of a well-formed file. Any bad row (a
+    # blank line included) discards it, and the row loop parses the file
+    # again to skip blank lines and report the first error in line order.
+    try:
+        candles = [Candle(int(t), float(o), float(h), float(l), float(c), float(v))
+                   for t, o, h, l, c, v in map(str.split, lines[1:], repeat(","))]
+    except (ValueError, OhlcViolation):
+        candles = _parse_rows(path, lines)
 
     candles.sort(key=_by_ts)
 

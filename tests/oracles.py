@@ -1,7 +1,7 @@
 """Brute-force definitional indicator oracles, reference MFI, VPVR, Williams
 %R, KST, CCI, ATR and EMA-cross streams, the scalar EMA-crossing rule, the
-set-based grid rule, a reference network evaluator and reachability, and a
-merge-walk compatibility distance.
+set-based grid rule, a reference network evaluator and reachability, a
+merge-walk compatibility distance and the row-by-row candle CSV parser.
 
 Deliberately naive second implementations (window re-summation, explicit
 recurrences over numpy arrays) kept independent of the streaming code under
@@ -12,10 +12,21 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 
-from tradelab.data import Candle
+from tradelab.data import (
+    CSV_HEADER,
+    Candle,
+    CandleSeries,
+    GapDetected,
+    MalformedRow,
+    OhlcViolation,
+    _by_ts,
+    logger,
+)
+from tradelab.errors import ValidationError
 from tradelab.indicators import (
     KST_ROC_PERIODS,
     KST_SMOOTH_PERIODS,
@@ -611,3 +622,55 @@ def merge_walk_distance(a, b, config):
         n = 1
     avg_w = weight_diff / matching if matching else 0.0
     return config.c1 * excess / n + config.c2 * disjoint / n + config.c3 * avg_w
+
+
+def reference_parse_csv(path: str | Path, symbol: str, interval: int,
+                        allow_gaps: bool = False) -> CandleSeries:
+    """``data.parse_csv`` as it was before its one-pass parse: every row
+    through the row loop. Read a candle CSV and return a validated series.
+
+    Rows are sorted by timestamp, so file order does not matter. Gaps are an
+    error unless ``allow_gaps`` downgrades them to a warning and marks the
+    returned series.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != CSV_HEADER:
+        raise MalformedRow(f"{path}:1: header must be exactly '{CSV_HEADER}'")
+
+    candles = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != 6:
+            if not line.strip():
+                continue
+            raise MalformedRow(f"{path}:{lineno}: expected 6 columns, got {len(parts)}")
+        t, o, h, l, c, v = parts
+        # the conversions run left to right before the constructor, so a bad
+        # number is reported ahead of bad prices on the same row
+        try:
+            candles.append(Candle(int(t), float(o), float(h), float(l), float(c), float(v)))
+        except ValueError as exc:
+            raise MalformedRow(f"{path}:{lineno}: {exc}") from exc
+        except OhlcViolation as exc:
+            raise OhlcViolation(f"{path}:{lineno}: {exc}") from exc
+
+    candles.sort(key=_by_ts)
+
+    def series(has_gaps: bool) -> CandleSeries:
+        try:
+            return CandleSeries(symbol, interval, tuple(candles), has_gaps=has_gaps)
+        except ValidationError as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
+
+    try:
+        return series(False)
+    except GapDetected:
+        if not allow_gaps:
+            raise
+    logger.warning("%s: gaps present, series marked has_gaps", path)
+    return series(True)

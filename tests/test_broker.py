@@ -1,3 +1,5 @@
+import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -346,6 +348,41 @@ def test_a_session_on_an_account_with_no_cash_ends_in_a_validation_error():
         paper_trade_loop(StrategyConfig("RND", EmaCrossParams(3, 5)),
                          random_series(5, n=60, symbol="RND"), endpoint)
     assert endpoint.closed is False
+
+
+class MisreportingBroker(SimulatedBroker):
+    """A simulator whose account reports ``cash`` in place of its own, or
+    ``quantity`` as a position in its symbol, when either is given."""
+
+    def __init__(self, series, cash=None, quantity=None):
+        super().__init__(series, 10_000.0)
+        self.symbol, self.cash, self.quantity = series.symbol, cash, quantity
+
+    def account(self):
+        snapshot = super().account()
+        cash = snapshot.cash if self.cash is None else self.cash
+        positions = snapshot.positions if self.quantity is None else {
+            **snapshot.positions, self.symbol: self.quantity}
+        return AccountSnapshot(cash, positions)
+
+
+@pytest.mark.parametrize("cash,quantity,needle", [
+    (math.inf, None, "the endpoint's account reports cash inf, not a finite number"),
+    (None, math.nan, "the endpoint's account reports a position of nan in 'RND', not a "
+                     "finite number"),
+], ids=["infinite cash", "nan quantity"])
+def test_a_session_refuses_an_account_with_a_non_finite_value(cash, quantity, needle):
+    endpoint = MisreportingBroker(random_series(5, n=60, symbol="RND"), cash, quantity)
+    with pytest.raises(ValidationError, match=f"^{re.escape(needle)}$"):
+        paper_trade_loop(StrategyConfig("RND", NullParams()), endpoint.feeds["RND"], endpoint)
+
+
+def test_an_order_on_an_account_with_infinite_cash_names_the_account():
+    endpoint = MisreportingBroker(random_series(5, n=60, symbol="RND"), cash=math.inf)
+    with pytest.raises(ValidationError, match="account reports cash inf"):
+        paper_trade_loop(StrategyConfig("RND", EmaCrossParams(3, 5)), endpoint.feeds["RND"],
+                         endpoint)
+    assert endpoint.fills == []
 
 
 def assert_session_matches_backtest(strategy_a, strategy_b, series, costs,

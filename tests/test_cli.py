@@ -165,6 +165,17 @@ def test_cmd_ingest_malformed_exit_1(tmp_path, capsys):
     assert not wh.exists()
 
 
+def test_cmd_ingest_a_csv_that_is_not_utf8_exit_1(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"timestamp,open,high,low,close,volume\n0,1,2,0.5,1.5,10\n"
+                    b"60000,1.5,2.5,1.0,2.0,1\xff\n")
+    wh = tmp_path / "wh"
+    assert main(["ingest", "--csv", str(bad), "--symbol", "X", "--interval", "60",
+                 "--warehouse", str(wh)]) == 1
+    assert_one_line_error(capsys, f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+    assert not wh.exists()
+
+
 def test_cmd_ingest_reproducible_bytes(tmp_path):
     wh = tmp_path / "wh"
     argv = ["ingest", "--csv", str(FIXTURES / "trending.csv"), "--symbol", "TRENDY",
@@ -341,6 +352,15 @@ def test_cmd_backtest_bad_network_artifact_exit_1(tmp_path, capsys, artifact, ne
 
 EMA_GRID = [{"p_short": 9, "p_long": 21}, {"p_short": 9, "p_long": 30},
             {"p_short": 20, "p_long": 30}, {"p_short": 20, "p_long": 50}]
+
+
+def test_cmd_optimize_a_config_that_is_not_utf8_exit_1(tmp_path, capsys):
+    wh = setup_warehouse(tmp_path)
+    cfg = write_config(tmp_path, wh, strategy=EMA_STRATEGY,
+                       optimize={"mode": "tune", "grid": {"p_short": [5], "p_long": [20]}})
+    cfg.write_bytes(cfg.read_bytes().replace(b'"TRENDY"', b'"TREN\xffDY"'))
+    assert main(["optimize", "--config", str(cfg)]) == 1
+    assert_one_line_error(capsys, f"cannot read config {cfg}: 'utf-8' codec can't decode")
 
 
 def test_cmd_optimize_tune_singleton(tmp_path):

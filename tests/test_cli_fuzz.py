@@ -6,6 +6,8 @@ Each example takes a valid run and corrupts one thing in it: one entry or
 section of the config, one field of a warehouse CSV row, one part of a
 network artifact's indicator spec, or one token of its genome file. The
 values come from a fixed pool, none of which is a valid but large run size.
+A second property replaces one byte of one of those files with 0xff, which
+is never UTF-8, so every command ends with exit code 1.
 """
 
 import contextlib
@@ -149,3 +151,23 @@ def test_cli_ends_with_exit_0_or_one_error_line(warehouse_csv, corrupt, value):
             code, lines = run_command(command, config, root / "out")
             assert code in (0, 1) and len(lines) <= 1, (command, code, lines)
             assert code == 0 or lines and lines[0].startswith("error: "), (command, lines)
+
+
+@pytest.mark.parametrize("name", ["config", "csv", "artifact", "genome"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(at=st.floats(0.0, 1.0, exclude_max=True))
+def test_a_byte_that_is_not_utf8_ends_in_one_error_line(warehouse_csv, name, at):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        neat = name in ("artifact", "genome")
+        config = write_run(root, warehouse_csv, "neat" if neat else None, None, None)
+        path = {"config": config, "csv": root / "wh" / "RND" / "3600.csv",
+                "artifact": root / "artifact.json", "genome": root / "genome.txt"}[name]
+        raw = bytearray(path.read_bytes())
+        raw[int(at * len(raw))] = 0xFF
+        path.write_bytes(raw)
+        for command in COMMANDS[:2] if neat else COMMANDS:
+            code, lines = run_command(command, config, root / "out")
+            assert code == 1 and len(lines) == 1, (command, code, lines)
+            assert lines[0].startswith("error: ") and "can't decode byte 0xff" in lines[0], (
+                command, lines)

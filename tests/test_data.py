@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import STEP_MS, random_series
+from oracles import reference_parse_csv
+from tradelab import data
 from tradelab.data import (
     Candle,
     CandleSeries,
@@ -192,6 +194,85 @@ def test_write_csv_bytes_equal_the_reference_format(tmp_path_factory, rows):
         assert twin == c and hash(twin) == hash(c) and twin is not c
         with pytest.raises(OhlcViolation, match=f"^ts={c.ts}: prices must satisfy"):
             replace(c, low=c.open * 2)
+
+
+# field texts that int() or float() refuses, or reads although write_csv
+# never writes them, or that break a candle's bounds
+ODD_NUMBERS = ["1e2", "100", " 5", "1_0", "-0.0", "nan", "inf", "1e400", "1.5", "", "x",
+               "0x10", "5 ", "-1"]
+BLANKS = ["", " ", "\t", " \t  "]
+
+
+@st.composite
+def csv_files(draw):
+    """A candle CSV body: valid rows, then up to four corruptions (an odd
+    number in one field, a field too many or too few, high and low swapped,
+    a repeated timestamp, a missing row), blank or whitespace-only lines,
+    maybe shuffled, with LF or CRLF endings."""
+    start = draw(st.integers(-3, 3)) * 60_000
+    rows = []
+    for i in range(draw(st.integers(0, 8))):
+        low, a, b, high = sorted(draw(st.lists(st.floats(1.0, 100.0), min_size=4, max_size=4)))
+        volume = draw(st.floats(0.0, 1e3))
+        rows.append([str(start + i * 60_000)] + [repr(x) for x in (a, high, low, b, volume)])
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        kind = draw(st.sampled_from(["number", "count", "ohlc", "duplicate", "gap"]))
+        if kind == "number":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(ODD_NUMBERS))
+        elif kind == "count":
+            if draw(st.booleans()) or len(row) < 2:
+                row.append(draw(st.sampled_from(["1.0", ""])))
+            else:
+                row.pop(draw(st.integers(0, len(row) - 1)))
+        elif kind == "ohlc" and len(row) >= 4:
+            row[2], row[3] = row[3], row[2]
+        elif kind == "duplicate":
+            row[0] = rows[draw(st.integers(0, len(rows) - 1))][0]
+        elif kind == "gap":
+            rows.remove(row)
+            if not rows:
+                break
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BLANKS)))
+    if draw(st.booleans()):
+        lines = draw(st.permutations(lines))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join([HEADER] + lines) + ending
+
+
+def parse_outcome(parse, path, allow_gaps):
+    """The candles' repr and the gap mark, or the error's type and message."""
+    try:
+        series = parse(path, "HYP", 60, allow_gaps=allow_gaps)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return repr(series.candles), series.has_gaps
+
+
+@given(text=csv_files(), allow_gaps=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_the_row_by_row_parser(tmp_path_factory, text, allow_gaps):
+    path = tmp_path_factory.mktemp("parse") / "x.csv"
+    path.write_bytes(text.encode())
+    assert parse_outcome(parse_csv, path, allow_gaps) == parse_outcome(
+        reference_parse_csv, path, allow_gaps)
+
+
+def test_a_file_written_by_write_csv_never_enters_the_row_loop(tmp_path, monkeypatch):
+    def row_loop(path, lines):
+        raise AssertionError(f"{path} went through the row loop")
+
+    monkeypatch.setattr(data, "_parse_rows", row_loop)
+    for seed in range(5):
+        series = random_series(seed, n=200)
+        path = tmp_path / f"{seed}.csv"
+        write_csv(series, path)
+        assert parse_csv(path, series.symbol, series.interval) == series
+    path.write_text(path.read_text() + "\n")  # a blank line does enter it
+    with pytest.raises(AssertionError, match="went through the row loop"):
+        parse_csv(path, series.symbol, series.interval)
 
 
 def test_slice_full_range_is_identity():

@@ -67,7 +67,10 @@ def _write_indicators(path: Path, specs: list[IndicatorSpec],
 def _out_dir(args, config: RunConfig | None = None) -> Path:
     out = args.out or (config.out_dir if config else "out")
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot use {path} as the output directory: {exc}") from exc
     return path
 
 

@@ -19,6 +19,7 @@ from helpers import (
     streamed_backtest,
     trending_fixture,
 )
+from tradelab import backtest as backtest_module
 from tradelab.backtest import (
     Book,
     CostModel,
@@ -676,6 +677,42 @@ def test_pairs_leg_b_is_sized_from_cash_left_after_leg_a(params, sides, notional
     assert (leg_a.side, leg_b.side) == sides
     assert (leg_a.quantity * leg_a.price, leg_b.quantity * leg_b.price) == \
         pytest.approx(notionals, rel=1e-12)
+
+
+def test_a_short_leg_a_before_the_atr_warms_up_takes_the_fallback_stop(monkeypatch):
+    """Leg A goes short at bar 5's open, 45 bars before its 50-bar ATR has a
+    value, so the stop trails at close * (1 + fallback_stop_pct) and the
+    stop-loss fires when a close rises above it."""
+    # lookback 3 over a flat leg B: |z| is 1/sqrt(2) at bars 2 and 3 and
+    # sqrt(2) at bar 4, where A is rich, so the stepper shorts A
+    a = series_from_closes([100.0, 101.0, 100.0, 100.0, 110.0, 110.0, 120.0, 120.0], symbol="A")
+    b = series_from_closes([100.0] * 8, symbol="B")
+    stops = StopSettings(atr_period=50)
+    config = StrategyConfig("A", PairsParams(symbol_b="B", lookback=3, z_entry=1.2, z_exit=0.2),
+                            stops=stops)
+    seen = []
+    apply_stops = backtest_module.apply_stops
+
+    def recording(position, bar, atr_value, settings):
+        intent = apply_stops(position, bar, atr_value, settings)
+        seen.append((bar.close, atr_value, position.is_long, position.stop, intent))
+        return intent
+
+    monkeypatch.setattr(backtest_module, "apply_stops", recording)
+    report = run_backtest(config, a, 10_000.0, ZERO_COSTS, aux=b)
+    assert [(f.bar, f.symbol, f.side) for f in report.fills[:2]] == [
+        (5, "A", Side.OPEN_SHORT), (5, "B", Side.OPEN_LONG)]
+    # bar 5 sets the stop from its close; bar 6's candidate is higher, so the
+    # stop stays, and 120 breaches it
+    fallback = 110.0 * (1 + stops.fallback_stop_pct)
+    assert [row[:4] for row in seen] == [(110.0, None, False, fallback),
+                                         (120.0, None, False, fallback)]
+    assert seen[0][4] is None
+    assert (seen[1][4].side, seen[1][4].reason) == (Side.CLOSE_SHORT, "stop-loss")
+    closing = report.fills[2]
+    assert (closing.bar, closing.symbol, closing.side, closing.reason) == \
+        (7, "A", Side.CLOSE_SHORT, "stop-loss")
+    assert [t.exit_reason for t in report.trades if t.symbol == "A"] == ["stop-loss"]
 
 
 def test_pairs_legs_under_one_symbol_are_refused():

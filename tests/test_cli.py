@@ -187,6 +187,15 @@ def test_cmd_ingest_reproducible_bytes(tmp_path):
     assert first == second
 
 
+def test_cmd_ingest_into_a_warehouse_that_is_a_file_exit_1(tmp_path, capsys):
+    wh = tmp_path / "wh"
+    wh.write_text("not a warehouse\n")
+    assert main(["ingest", "--csv", str(FIXTURES / "trending.csv"), "--symbol", "TRENDY",
+                 "--interval", "3600", "--warehouse", str(wh)]) == 1
+    assert_one_line_error(capsys, f"cannot store TRENDY@3600s in warehouse {wh}: ")
+    assert wh.read_text() == "not a warehouse\n"
+
+
 # ---------------------------------------------------------------------------
 # indicator
 # ---------------------------------------------------------------------------
@@ -597,11 +606,35 @@ def edited_config(tmp_path, path, value):
     ("optimize.lambda", 1e308, TUNE, "lambda must be in [0, 1e100], got 1e+308"),
     ("strategy", {"kind": "pairs", "params": {"symbol_b": "PAIRED", "lookback": 2}},
      ["backtest"], "pairs lookback must be >= 3, got 2"),
+    ("strategy", {"kind": "grid", "params": {**GRID_PARAMS, "spacing": -1.0}}, ["backtest"],
+     "grid spacing must be > 0, got -1.0"),
+    ("strategy", {"kind": "grid", "params": {**GRID_PARAMS, "spacing": 0}}, ["backtest"],
+     "grid spacing must be > 0, got 0.0"),
+    ("strategy", {"kind": "grid", "params": {**GRID_PARAMS, "level_quantity": 0.0}},
+     ["backtest"], "grid level_quantity must be > 0"),
+    ("strategy", {"kind": "grid", "params": {**GRID_PARAMS, "level_quantity": -2.5}},
+     ["backtest"], "grid level_quantity must be > 0"),
+    ("strategy", {"kind": "pairs", "params": {"symbol_b": "PAIRED", "z_entry": 0.5,
+                                              "z_exit": 0.5}},
+     ["backtest"], "need 0 <= z_exit < z_entry, got exit=0.5 entry=0.5"),
+    ("strategy", {"kind": "pairs", "params": {"symbol_b": "PAIRED", "z_exit": -0.1}},
+     ["backtest"], "need 0 <= z_exit < z_entry, got exit=-0.1 entry=2.0"),
 ])
 def test_cmd_bad_config_entry_exit_1(tmp_path, capsys, path, value, command, needle):
     cfg = edited_config(tmp_path, path, value)
     assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert_one_line_error(capsys, needle)
+
+
+@pytest.mark.parametrize("command", [["backtest"], TUNE], ids=["backtest", "optimize"])
+def test_cmd_out_path_that_is_a_file_exit_1(tmp_path, capsys, command):
+    out = tmp_path / "F"
+    out.write_text("not a directory\n")
+    cfg = write_config(tmp_path, setup_warehouse(tmp_path), strategy=EMA_STRATEGY,
+                       optimize={"mode": "tune", "grid": EMA_GRID[:2]})
+    assert main(command + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert_one_line_error(capsys, f"cannot use {out} as the output directory: ")
+    assert out.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("row", ["0,1,inf,1,1,1", "0,1,1,1,1,nan", "0,1,1,1,1,inf"])

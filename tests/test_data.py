@@ -374,3 +374,102 @@ def test_ingest_atomicity_on_bad_input(tmp_path):
     with pytest.raises(OhlcViolation):
         ingest(bad, tmp_path / "wh", "AB", 60)
     assert not (tmp_path / "wh").exists()
+
+
+# ---------------------------------------------------------------------------
+# Re-ingest: a warehouse file that already holds its bytes is left alone
+# ---------------------------------------------------------------------------
+
+def stored(wh):
+    """The PAIRX entry's files by name, with their bytes, inode and mtime."""
+    return {p.name: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns)
+            for p in sorted((wh / "PAIRX").iterdir())}
+
+
+def contents(entry):
+    return {name: stat[0] for name, stat in entry.items()}
+
+
+def fresh_contents(tmp_path, csv, **kw):
+    """The entry's bytes from an ingest of ``csv`` into an empty warehouse."""
+    wh = tmp_path / "fresh"
+    ingest(csv, wh, "PAIRX", 3600, **kw)
+    return contents(stored(wh))
+
+
+def test_reingesting_identical_input_writes_nothing(tmp_path, monkeypatch):
+    src = tmp_path / "in.csv"
+    write_csv(random_series(11, n=50, symbol="PAIRX"), src)
+    wh = tmp_path / "wh"
+    meta = ingest(src, wh, "PAIRX", 3600, source="unit")
+    before = stored(wh)
+    assert sorted(before) == ["3600.csv", "3600.meta.json"]
+
+    def no_rename(*args):
+        raise AssertionError("os.replace called on an unchanged entry")
+
+    monkeypatch.setattr(data.os, "replace", no_rename)
+    assert ingest(src, wh, "PAIRX", 3600, source="unit") == meta
+    assert stored(wh) == before  # same bytes, inodes and mtimes; no .tmp file
+
+
+def test_a_changed_price_rewrites_the_csv_only(tmp_path):
+    series = random_series(11, n=50, symbol="PAIRX")
+    src = tmp_path / "in.csv"
+    write_csv(series, src)
+    wh = tmp_path / "wh"
+    ingest(src, wh, "PAIRX", 3600, source="unit")
+    before = stored(wh)
+    c = series.candles[20]
+    doubled = replace(c, open=2 * c.open, high=2 * c.high, low=2 * c.low, close=2 * c.close)
+    write_csv(replace(series, candles=series.candles[:20] + (doubled,) + series.candles[21:]),
+              src)
+    ingest(src, wh, "PAIRX", 3600, source="unit")
+    after = stored(wh)
+    assert after["3600.meta.json"] == before["3600.meta.json"]
+    assert after["3600.csv"][1] != before["3600.csv"][1]
+    assert contents(after) == fresh_contents(tmp_path, src, source="unit")
+
+
+def test_a_changed_source_rewrites_the_sidecar_only(tmp_path):
+    src = tmp_path / "in.csv"
+    write_csv(random_series(11, n=50, symbol="PAIRX"), src)
+    wh = tmp_path / "wh"
+    ingest(src, wh, "PAIRX", 3600, source="unit")
+    before = stored(wh)
+    ingest(src, wh, "PAIRX", 3600, source="other")
+    after = stored(wh)
+    assert after["3600.csv"] == before["3600.csv"]
+    assert after["3600.meta.json"][1] != before["3600.meta.json"][1]
+    assert json.loads(after["3600.meta.json"][0])["source"] == "other"
+    assert contents(after) == fresh_contents(tmp_path, src, source="other")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text[:len(text) // 2],  # truncated
+    lambda text: text.replace(",", ";", 1) + "\n",  # edited and one byte longer
+    lambda text: text[:-2] + ("1" if text[-2] != "1" else "2") + "\n",  # same size
+], ids=["truncated", "edited", "edited-same-size"])
+def test_a_damaged_warehouse_csv_is_replaced(tmp_path, edit):
+    src = tmp_path / "in.csv"
+    write_csv(random_series(11, n=50, symbol="PAIRX"), src)
+    wh = tmp_path / "wh"
+    ingest(src, wh, "PAIRX", 3600, source="unit")
+    target = wh / "PAIRX" / "3600.csv"
+    damaged = edit(target.read_text())
+    assert damaged != target.read_text()
+    target.write_text(damaged)
+    ingest(src, wh, "PAIRX", 3600, source="unit")
+    assert contents(stored(wh)) == fresh_contents(tmp_path, src, source="unit")
+
+
+def test_a_bad_input_leaves_an_existing_entry_byte_for_byte(tmp_path):
+    src = tmp_path / "in.csv"
+    write_csv(random_series(11, n=50, symbol="PAIRX"), src)
+    wh = tmp_path / "wh"
+    ingest(src, wh, "PAIRX", 3600, source="unit")
+    before = stored(wh)
+    bad = write_lines(tmp_path / "bad.csv", ["0,1,2,0.5,1.5,10", "3600000,9,2,3,2.6,1"])
+    with pytest.raises(OhlcViolation):
+        ingest(bad, wh, "PAIRX", 3600, source="other")
+    assert stored(wh) == before
